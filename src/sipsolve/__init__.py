@@ -29,7 +29,6 @@ from .finite_solver import (
     DiscretizedProblem,
     DiscretizedSolveResult,
     SolveStatus,
-    check_feasibility,
     solve_discretized,
 )
 from .instances import builtin, default_y0, random_affine_instance
@@ -83,7 +82,6 @@ __all__ = [
     "builtin",
     "build_problem",
     "certified_max",
-    "check_feasibility",
     "compute_termination_index",
     "default_y0",
     "derive_eps_star",

@@ -145,15 +145,10 @@ def eventually_zero_schedule(
     )
 
 
-def constant_aux_schedule(obj: float, aux: float) -> ToleranceSchedule:
-    """Fixed obj tolerance with a slowly decaying aux tolerance; handy for
-    hand-crafted experiments."""
-    return ToleranceSchedule(
-        obj_tol=lambda k: obj,
-        aux_tol=lambda k: aux * 0.5 ** (k / 64),
-        regime=ScheduleRegime.SUMMABLE if obj == 0 else ScheduleRegime.SUMMABLE,
-        obj_sup=obj,
-    )
+def check_rho_regime(schedule: ToleranceSchedule, rho: float) -> None:
+    """A summable obj schedule needs a nonzero pruning radius."""
+    if schedule.regime is ScheduleRegime.SUMMABLE and rho == 0:
+        raise ConfigError("a summable obj schedule requires a nonzero pruning radius")
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,6 @@ class CoreConfig:
     rho: float  # pruning radius, may be inf
     schedule: ToleranceSchedule
     y0: Discretization
-    extra_violators: int = 0
     max_iters: int = 10_000
     solver_budget: int = 400
 
@@ -171,12 +165,7 @@ class CoreConfig:
             raise ConfigError("eps must be nonnegative")
         if self.rho < 0:
             raise ConfigError("rho must be nonnegative or inf")
-        if self.extra_violators < 0:
-            raise ConfigError("extra_violators must be nonnegative")
-        if self.schedule.regime is ScheduleRegime.SUMMABLE and self.rho == 0:
-            raise ConfigError(
-                "a summable obj schedule requires a nonzero pruning radius"
-            )
+        check_rho_regime(self.schedule, self.rho)
 
 
 @dataclass
@@ -251,14 +240,6 @@ class CoreResult:
     aux_results: dict[int, CertifiedMax] | None = None
 
 
-def _extra_sample_points(y_domain, count: int) -> np.ndarray:
-    """Deterministic extra points: evenly spaced along the box diagonal."""
-    if count == 0:
-        return np.zeros((0, y_domain.dim))
-    ts = (np.arange(count) + 1.0) / (count + 1.0)
-    return y_domain.lower[None, :] + ts[:, None] * y_domain.widths[None, :]
-
-
 def update_discretization(
     problem: SipProblem,
     yk: Discretization,
@@ -266,10 +247,9 @@ def update_discretization(
     eps: float,
     rho: float,
     violator: CertifiedMax,
-    extra: int = 0,
 ) -> Discretization:
     """One discretization update: keep the points still active at level
-    -eps - rho, add the strongest violator and any extra sample points."""
+    -eps - rho and add the strongest violator."""
     x = as_point(xk, dim=problem.x_domain.dim)
     if np.isinf(rho):
         kept = yk.points
@@ -282,7 +262,6 @@ def update_discretization(
         [
             kept.reshape(-1, problem.y_domain.dim),
             violator.y_star.reshape(1, -1),
-            _extra_sample_points(problem.y_domain, extra),
         ]
     )
     return Discretization(new_points, yk.dedup_tol)
@@ -369,8 +348,6 @@ def run_core(
                 worst, "violation", solve.lp_iters, cumulative_evals,
             )
         )
-        yk = update_discretization(
-            problem, yk, xk, cfg.eps, cfg.rho, strongest, cfg.extra_violators
-        )
+        yk = update_discretization(problem, yk, xk, cfg.eps, cfg.rho, strongest)
 
     return CoreResult(CoreStatus.BUDGET, x_prev, cfg.max_iters, trace, yk)

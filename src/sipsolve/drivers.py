@@ -27,11 +27,17 @@ from .core_loop import (
     RunTrace,
     ToleranceSchedule,
     TraceRow,
+    check_rho_regime,
     update_discretization,
 )
 from .errors import ConfigError, InputError
 from .finite_solver import DiscretizedProblem, SolveStatus, solve_discretized
-from .lower_level import CertifiedMax, certified_max, strongest_violator
+from .lower_level import (
+    CertifiedMax,
+    certified_feasibility_bound,
+    certified_max,
+    strongest_violator,
+)
 from .problem import (
     RegularityBundle,
     SipProblem,
@@ -44,13 +50,6 @@ AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
 POST_HOC_DELTA = 1e-9
 
 DEFAULT_SOLVER_CALL_BUDGET = 1_000_000
-
-
-def _check_rho_regime(schedule: ToleranceSchedule, rho: float) -> None:
-    from .core_loop import ScheduleRegime
-
-    if schedule.regime is ScheduleRegime.SUMMABLE and rho == 0:
-        raise ConfigError("a summable obj schedule requires a nonzero pruning radius")
 
 
 @dataclass
@@ -104,7 +103,7 @@ class SequentialConfig:
             raise ConfigError("restriction shrink factor r must exceed 1")
         if self.eps00 <= 0:
             raise ConfigError("initial restriction eps00 must be positive")
-        _check_rho_regime(self.schedule, self.rho)
+        check_rho_regime(self.schedule, self.rho)
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ class SimultaneousConfig:
                 f"(got sup {self.schedule.sup_obj():.3e} vs delta/2 "
                 f"{self.delta / 2:.3e})"
             )
-        _check_rho_regime(self.schedule, self.rho)
+        check_rho_regime(self.schedule, self.rho)
 
     @property
     def termination_tolerance(self) -> float:
@@ -189,7 +188,7 @@ def run_feas_finite(
         raise InputError("eps0 must be positive")
     if r <= 1:
         raise InputError("r must exceed 1")
-    _check_rho_regime(schedule, rho)
+    check_rho_regime(schedule, rho)
     budget = budget if budget is not None else Budget()
     trace = trace if trace is not None else RunTrace()
     pool = pool if pool is not None else CutPool()
@@ -298,10 +297,7 @@ def post_hoc_outcome(
     iterations: dict[str, int],
     trace: RunTrace,
 ) -> SolveOutcome:
-    bound = -np.inf
-    for fam in problem.constraints:
-        cm = certified_max(fam, x, POST_HOC_DELTA)
-        bound = max(bound, cm.value + cm.gap)
+    bound = certified_feasibility_bound(problem.constraints, x, POST_HOC_DELTA)
     margin = feasibility_margin(problem, x, default_margin_resolution(problem))
     return SolveOutcome(
         status=status,
@@ -427,11 +423,13 @@ def run_simultaneous(
             pool=pool_check,
         )
         cumulative += check.evals
-        if check.status is not SolveStatus.FEASIBLE:
+        if check.status is SolveStatus.INFEASIBLE:
             raise InputError(
-                "unrestricted discretized problem could not be solved; the "
-                "semi-infinite program itself appears infeasible"
+                "unrestricted discretized problem is certified infeasible; the "
+                "semi-infinite program itself is infeasible"
             )
+        if check.status is SolveStatus.UNDECIDED:
+            break
         x_check = check.x
         x_check_hint = x_check
         aux_check, aux_evals = _aux_solve(problem, x_check, cfg.schedule.aux_tol(k))

@@ -433,42 +433,3 @@ def solve_discretized(
             xr = restore(xc)
             if xr is not None:
                 offer(xr)
-
-
-def check_feasibility(
-    dp: DiscretizedProblem, budget: int = DEFAULT_BUDGET
-) -> SolveStatus:
-    """Certified feasibility check of the discretized restricted problem.
-
-    FEASIBLE iff a point with max_{i,j}(g_i(x, y_j) + eps) <= FEASTOL is
-    found; INFEASIBLE when the cut model certifies min of max(g + eps) > 0.
-    Conservative: an exhausted budget is reported as INFEASIBLE, which in the
-    drivers only shrinks the restriction and never yields a wrong answer.
-    """
-    if dp.points.shape[0] == 0:
-        return SolveStatus.FEASIBLE
-    problem = dp.base
-    X = problem.x_domain
-    pool = CutPool()
-    master = _Master(X, pool)
-    probe = X.center()
-    best_phi = np.inf
-    while True:
-        vals = _batch_values(dp, probe)
-        best_phi = min(best_phi, float(vals.max()))
-        if best_phi <= -dp.eps + FEASTOL:
-            return SolveStatus.FEASIBLE
-        for i, j in _top_violations(vals):
-            s = np.asarray(
-                problem.constraints[i].subgradient_x(probe, dp.points[j]), dtype=float
-            )
-            pool.add_constraint(
-                i, dp.points[j], probe, s, float(vals[i, j]) - float(np.dot(s, probe))
-            )
-        if budget <= 0:
-            return SolveStatus.INFEASIBLE
-        budget -= 1
-        v_lb, probe = master.solve_min_violation()
-        pool.prune(probe)
-        if v_lb > -dp.eps:
-            return SolveStatus.INFEASIBLE

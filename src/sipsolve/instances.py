@@ -24,8 +24,8 @@ import numpy as np
 
 from .core_loop import Discretization
 from .errors import InputError
-from .lower_level import certified_max
-from .polynomials import Polynomial, affine_in_x_lipschitz, affine_in_x_lipschitz_at
+from .lower_level import certified_feasibility_bound
+from .polynomials import Polynomial, affine_polynomial_family
 from .problem import BoxDomain, ConstraintFamily, ConvexObjective, SipProblem
 from .regression import RegressionSpec, monotone_increasing
 
@@ -229,52 +229,14 @@ def random_affine_instance(seed: int) -> SipProblem:
         a_polys = [_random_poly(rng, q, 2) for _ in range(p)]
         b_poly = _random_poly(rng, q, 2)
 
-        def make_family(a_polys, b_poly, i):
-            def raw_value(x, y):
-                return float(
-                    sum(ap(y) * x[j] for j, ap in enumerate(a_polys)) + b_poly(y)
-                )
-
-            probe = ConstraintFamily(
-                index=i,
-                value=raw_value,
-                subgradient_x=lambda x, y: np.array([ap(y) for ap in a_polys]),
-                lipschitz_in_y=affine_in_x_lipschitz(a_polys, b_poly, x_box, y_box),
-                y_domain=y_box,
-                lipschitz_in_y_at=lambda x: affine_in_x_lipschitz_at(
-                    a_polys, b_poly, x, y_box
-                ),
+        probe = affine_polynomial_family(i, a_polys, b_poly, x_box, y_box)
+        # shift the constant term so the box center is strictly feasible
+        shift = -certified_feasibility_bound([probe], slater, 1e-2) - 1.0
+        families.append(
+            affine_polynomial_family(
+                i, a_polys, b_poly.plus_constant(shift), x_box, y_box
             )
-            # shift the constant term so the box center is strictly feasible
-            cm = certified_max(probe, slater, 1e-2)
-            shift = -(cm.value + cm.gap) - 1.0
-            shifted_b = b_poly.plus_constant(shift)
-
-            def value(x, y):
-                return float(
-                    sum(ap(y) * x[j] for j, ap in enumerate(a_polys)) + shifted_b(y)
-                )
-
-            def batch_eval(x, ys):
-                ys = np.asarray(ys, dtype=float).reshape(-1, q)
-                out = shifted_b.eval_many(ys)
-                for j, ap in enumerate(a_polys):
-                    out = out + x[j] * ap.eval_many(ys)
-                return out
-
-            return ConstraintFamily(
-                index=i,
-                value=value,
-                subgradient_x=lambda x, y: np.array([ap(y) for ap in a_polys]),
-                lipschitz_in_y=affine_in_x_lipschitz(a_polys, shifted_b, x_box, y_box),
-                y_domain=y_box,
-                batch_eval=batch_eval,
-                lipschitz_in_y_at=lambda x: affine_in_x_lipschitz_at(
-                    a_polys, shifted_b, x, y_box
-                ),
-            )
-
-        families.append(make_family(a_polys, b_poly, i))
+        )
 
     return SipProblem(
         x_domain=x_box,

@@ -163,14 +163,10 @@ def strongest_violator(results: dict[int, CertifiedMax]) -> tuple[int, Certified
     return best_i, results[best_i]
 
 
-def certified_feasibility_bound(
-    problem_constraints,
-    x,
-    delta: float,
-) -> float:
+def certified_feasibility_bound(constraints, x, delta: float) -> float:
     """Certified upper bound on max_i sup_y g_i(x, y): worst value + gap."""
     bound = -np.inf
-    for fam in problem_constraints:
+    for fam in constraints:
         cm = certified_max(fam, x, delta)
         bound = max(bound, cm.value + cm.gap)
     return float(bound)

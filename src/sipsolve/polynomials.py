@@ -1,8 +1,11 @@
-"""Dense multivariate polynomials in the monomial basis.
+"""Dense multivariate polynomials in the monomial basis, and the constraint
+families built from them.
 
-Shared by the regression front-end (model and constraint assembly), the JSON
-problem schema (polynomial-in-y constraint coefficients) and the randomized
-instance generator.  Degrees stay in the single digits here, so no
+Every constraint family of the form g(x, y) = a(y).x + b(y) with polynomial
+a and b is built here by affine_polynomial_family, together with its
+term-wise Lipschitz bounds in y: the JSON quadratic schema, the regression
+front-end (model-derivative constraints) and the randomized instance
+generator all call it.  Degrees stay in the single digits here, so no
 orthogonal-basis conditioning is attempted.
 """
 
@@ -14,7 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import InputError
-from .problem import BoxDomain
+from .problem import BoxDomain, ConstraintFamily
 
 
 def multi_indices(dim: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -170,25 +173,6 @@ class PolynomialBasis:
                 polys.append(Polynomial.zero(self.dim))
         return factors, polys
 
-    def derivative_eval(self, w, alpha: tuple[int, ...], u) -> float:
-        """Exact d^alpha v_w(u) for v_w(u) = sum_beta w_beta u^alpha."""
-        w = np.asarray(w, dtype=float).reshape(self.size)
-        u = np.asarray(u, dtype=float).reshape(self.dim)
-        total = 0.0
-        for t, beta in enumerate(self.indices):
-            if w[t] == 0.0:
-                continue
-            if not all(b >= a for b, a in zip(beta, alpha)):
-                continue
-            fac = 1.0
-            for b, a in zip(beta, alpha):
-                fac *= factorial(b) / factorial(b - a)
-            mono = 1.0
-            for j, (b, a) in enumerate(zip(beta, alpha)):
-                mono *= u[j] ** (b - a)
-            total += w[t] * fac * mono
-        return float(total)
-
 
 def infer_basis(num_coeffs: int, dim: int, max_degree: int = 32) -> PolynomialBasis:
     """Recover the basis degree from a coefficient vector length."""
@@ -244,6 +228,44 @@ def affine_in_x_lipschitz_at(
         else:
             total += sum(p.max_abs_bound(y_box) for p in parts)
     return total
+
+
+def affine_polynomial_family(
+    index: int,
+    a_polys,
+    b_poly: Polynomial,
+    x_box: BoxDomain,
+    y_box: BoxDomain,
+) -> ConstraintFamily:
+    """Constraint family g(x, y) = sum_j a_j(y) x_j + b(y) over the index box,
+    with the uniform and the per-x Lipschitz bounds in y from term-wise
+    polynomial bounds.  Polynomials without a nonzero coefficient are left
+    out of value and batch evaluation."""
+    a_polys = list(a_polys)
+    active = [(j, ap) for j, ap in enumerate(a_polys) if ap.coeffs.any()]
+
+    def value(x, y):
+        return float(sum(ap(y) * x[j] for j, ap in active) + b_poly(y))
+
+    def subgradient_x(x, y):
+        return np.array([ap(y) for ap in a_polys])
+
+    def batch_eval(x, ys):
+        ys = np.asarray(ys, dtype=float).reshape(-1, y_box.dim)
+        out = b_poly.eval_many(ys)
+        for j, ap in active:
+            out = out + x[j] * ap.eval_many(ys)
+        return out
+
+    return ConstraintFamily(
+        index=index,
+        value=value,
+        subgradient_x=subgradient_x,
+        lipschitz_in_y=affine_in_x_lipschitz(a_polys, b_poly, x_box, y_box),
+        y_domain=y_box,
+        batch_eval=batch_eval,
+        lipschitz_in_y_at=lambda x: affine_in_x_lipschitz_at(a_polys, b_poly, x, y_box),
+    )
 
 
 def _collapsed_abs_bound(p: Polynomial, box: BoxDomain) -> float:

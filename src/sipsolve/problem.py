@@ -230,16 +230,15 @@ def derive_eps_star(problem: SipProblem, oracle_tol: float) -> RegularityBundle:
     constraint boundary, shaved by oracle_tol; by construction the Slater
     point lies in F_{-eps_star}(Y).
     """
-    from .lower_level import certified_max  # local import to avoid a cycle
+    from .lower_level import certified_feasibility_bound  # avoids a cycle
 
     if problem.slater_point is None:
         raise InputError("derive_eps_star requires a slater_point")
     if oracle_tol <= 0:
         raise InputError("oracle_tol must be positive")
-    bound = -np.inf
-    for fam in problem.constraints:
-        cm = certified_max(fam, problem.slater_point, oracle_tol)
-        bound = max(bound, cm.value + cm.gap)
+    bound = certified_feasibility_bound(
+        problem.constraints, problem.slater_point, oracle_tol
+    )
     eps_star = -bound - oracle_tol
     if eps_star <= 0:
         raise InputError(
@@ -284,7 +283,7 @@ def validate_problem(
     present its certificate is verified through the certified maximizer.
     Raises nothing; the report lists failures so callers decide.
     """
-    from .lower_level import certified_max
+    from .lower_level import certified_feasibility_bound
 
     rng = np.random.default_rng(seed)
     rep = OracleCheckReport()
@@ -343,9 +342,8 @@ def validate_problem(
         rep.failures.append(f"Lipschitz bound violated by {rep.lipschitz_violation:.3e}")
 
     if problem.slater_point is not None:
-        bound = max(
-            certified_max(fam, problem.slater_point, 1e-6).value + 1e-6
-            for fam in problem.constraints
+        bound = certified_feasibility_bound(
+            problem.constraints, problem.slater_point, 1e-6
         )
         rep.slater_bound = bound
         if bound >= 0:

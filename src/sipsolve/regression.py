@@ -6,8 +6,10 @@ box; the loss is the ridge-regularized sum of squared residuals (an exact
 convex quadratic in the coefficients); each shape constraint is an affine
 combination of model derivatives required nonpositive on the whole input
 box, which makes it affine in the coefficients with polynomial dependence on
-the input.  Lipschitz data is derived analytically from the polynomial
-coefficient bounds, so the certified lower-level machinery applies as-is.
+the input.  Each such constraint becomes a family through
+polynomials.affine_polynomial_family, with the offset as a constant b(u);
+its Lipschitz data comes from the polynomial coefficient bounds, so the
+certified lower-level machinery applies as-is.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .polynomials import Polynomial, PolynomialBasis, infer_basis
+from .lower_level import certified_feasibility_bound
+from .polynomials import (
+    Polynomial,
+    PolynomialBasis,
+    affine_polynomial_family,
+    infer_basis,
+)
 from .problem import BoxDomain, ConstraintFamily, ConvexObjective, SipProblem
 
 
@@ -160,63 +168,12 @@ def constraint_coefficient_polys(
     return coeffs, sc.offset
 
 
-def constraint_lipschitz_in_u(
-    spec: RegressionSpec, coeff_polys: list[Polynomial]
-) -> float:
-    """Max-metric Lipschitz bound of u -> g(w, u), uniform over the
-    coefficient box, from term-wise polynomial bounds."""
-    from .polynomials import affine_in_x_lipschitz
-
-    return affine_in_x_lipschitz(coeff_polys, None, spec.coeff_box, spec.u_domain)
-
-
-def _family_from_polys(
-    index: int,
-    coeff_polys: list[Polynomial],
-    offset: float,
-    u_domain: BoxDomain,
-    lipschitz: float,
-) -> ConstraintFamily:
-    from .polynomials import affine_in_x_lipschitz_at
-
-    def value(w, u):
-        return float(
-            sum(p(u) * w[t] for t, p in enumerate(coeff_polys) if p.coeffs.any())
-            + offset
-        )
-
-    def subgradient_x(w, u):
-        return np.array([p(u) for p in coeff_polys])
-
-    def batch_eval(w, us):
-        us = np.asarray(us, dtype=float).reshape(-1, u_domain.dim)
-        out = np.full(len(us), offset)
-        for t, p in enumerate(coeff_polys):
-            if p.coeffs.any() and w[t] != 0.0:
-                out += w[t] * p.eval_many(us)
-        return out
-
-    return ConstraintFamily(
-        index=index,
-        value=value,
-        subgradient_x=subgradient_x,
-        lipschitz_in_y=lipschitz,
-        y_domain=u_domain,
-        batch_eval=batch_eval,
-        lipschitz_in_y_at=lambda w: affine_in_x_lipschitz_at(
-            coeff_polys, None, w, u_domain
-        ),
-    )
-
-
 def synthesize_slater_point(
     spec: RegressionSpec, families: list[ConstraintFamily], max_vertex_dim: int = 12
 ) -> np.ndarray | None:
     """Best-effort search for a strictly feasible coefficient vector: the zero
     polynomial, then box vertices pulled 1% toward the center.  Certified
     through the lower-level maximizer; None when nothing passes."""
-    from .lower_level import certified_max
-
     box = spec.coeff_box
     candidates = [np.zeros(box.dim)]
     if box.dim <= max_vertex_dim:
@@ -226,11 +183,7 @@ def synthesize_slater_point(
     for w in candidates:
         if not box.contains(w):
             continue
-        bound = max(
-            (lambda cm: cm.value + cm.gap)(certified_max(fam, w, 1e-7))
-            for fam in families
-        )
-        if bound < -1e-9:
+        if certified_feasibility_bound(families, w, 1e-7) < -1e-9:
             return w
     return None
 
@@ -250,9 +203,11 @@ def build_problem(spec: RegressionSpec) -> SipProblem:
     families = []
     for idx, sc in enumerate(spec.shape_constraints):
         coeff_polys, offset = constraint_coefficient_polys(spec, sc)
-        lip = constraint_lipschitz_in_u(spec, coeff_polys)
+        offset_poly = Polynomial.constant(spec.u_domain.dim, offset)
         families.append(
-            _family_from_polys(idx, coeff_polys, offset, spec.u_domain, lip)
+            affine_polynomial_family(
+                idx, coeff_polys, offset_poly, spec.coeff_box, spec.u_domain
+            )
         )
     slater = spec.slater_point
     if slater is None:
@@ -279,4 +234,5 @@ def eval_polynomial_derivative(w, alpha, u) -> float:
         raise InputError(
             f"derivative order {sum(alpha)} out of range for degree {basis.degree}"
         )
-    return basis.derivative_eval(w, alpha, u)
+    _, polys = basis.derivative_weights(alpha)
+    return float(sum(w[t] * p(u) for t, p in enumerate(polys)))

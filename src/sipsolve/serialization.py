@@ -6,14 +6,17 @@ Two JSON problem kinds are supported:
   x box, constraint families affine in x with polynomial-in-y coefficients,
       g_i(x, y) = a_i(y).x + b_i(y),
   each polynomial given as a list of [exponent-list, coefficient] terms.
+  The families are built by polynomials.affine_polynomial_family.
 
   regression: data points, model degree, coefficient and input boxes, ridge
   weight and derivative shape constraints; assembled by the regression
   front-end.  Data may be inline or referenced as a CSV file with one column
   per input dimension followed by the target column.
 
-All floats are written with 17 significant digits so that serialized
-problems and traces reproduce bit-identically.
+A field of the wrong type (a string where a number belongs, say) is
+reported as an InputError, like every other schema violation.  All floats
+are written with 17 significant digits so that serialized problems and
+traces reproduce bit-identically.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .polynomials import Polynomial, affine_in_x_lipschitz, affine_in_x_lipschitz_at
-from .problem import BoxDomain, ConstraintFamily, ConvexObjective, SipProblem
+from .lower_level import certified_feasibility_bound
+from .polynomials import Polynomial, affine_polynomial_family
+from .problem import BoxDomain, ConvexObjective, SipProblem
 from .regression import RegressionSpec, ShapeConstraint, build_problem
 
 
@@ -159,14 +163,15 @@ class QuadraticProblemSpec:
             lipschitz_constant=self.objective_lipschitz(),
             strictly_convex=bool(np.linalg.eigvalsh(Q).min() > 0),
         )
-        families = []
-        for i, spec in enumerate(self.constraints):
-            families.append(_affine_family(i, spec, self.x_box, self.y_box))
+        families = tuple(
+            affine_polynomial_family(i, spec.a, spec.b, self.x_box, self.y_box)
+            for i, spec in enumerate(self.constraints)
+        )
         return SipProblem(
             x_domain=self.x_box,
             y_domain=self.y_box,
             objective=objective,
-            constraints=tuple(families),
+            constraints=families,
             slater_point=self.slater_point,
         )
 
@@ -210,6 +215,7 @@ class QuadraticProblemSpec:
             b = poly_from_terms(spec["b"], y_box.dim, f"constraints[{k}].b")
             cons.append(AffineConstraintSpec(a=a, b=b))
         slater = data.get("slater_point")
+        lipschitz = obj.get("lipschitz")
         return cls(
             x_box=x_box,
             y_box=y_box,
@@ -218,39 +224,8 @@ class QuadraticProblemSpec:
             d=float(obj.get("d", 0.0)),
             constraints=tuple(cons),
             slater_point=None if slater is None else np.asarray(slater, dtype=float),
-            lipschitz=obj.get("lipschitz"),
+            lipschitz=None if lipschitz is None else float(lipschitz),
         )
-
-
-def _affine_family(
-    i: int, spec: AffineConstraintSpec, x_box: BoxDomain, y_box: BoxDomain
-) -> ConstraintFamily:
-    a_polys, b_poly = spec.a, spec.b
-
-    def value(x, y):
-        return float(sum(ap(y) * x[j] for j, ap in enumerate(a_polys)) + b_poly(y))
-
-    def subgradient_x(x, y):
-        return np.array([ap(y) for ap in a_polys])
-
-    def batch_eval(x, ys):
-        ys = np.asarray(ys, dtype=float).reshape(-1, y_box.dim)
-        out = b_poly.eval_many(ys)
-        for j, ap in enumerate(a_polys):
-            out = out + x[j] * ap.eval_many(ys)
-        return out
-
-    return ConstraintFamily(
-        index=i,
-        value=value,
-        subgradient_x=subgradient_x,
-        lipschitz_in_y=affine_in_x_lipschitz(list(a_polys), b_poly, x_box, y_box),
-        y_domain=y_box,
-        batch_eval=batch_eval,
-        lipschitz_in_y_at=lambda x: affine_in_x_lipschitz_at(
-            list(a_polys), b_poly, x, y_box
-        ),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -375,30 +350,28 @@ def load_problem(source) -> SipProblem:
         raise InputError("load_problem takes a path, dict, or builtin: reference")
 
     kind = data.get("type", "quadratic")
-    if kind == "regression":
-        problem = build_problem(regression_spec_from_dict(data, base_dir))
-    elif kind == "quadratic":
-        problem = QuadraticProblemSpec.from_dict(data).build()
-    else:
-        raise InputError(f"unknown problem type {kind!r}")
+    try:
+        if kind == "regression":
+            spec = regression_spec_from_dict(data, base_dir)
+        elif kind == "quadratic":
+            spec = QuadraticProblemSpec.from_dict(data)
+        else:
+            raise InputError(f"unknown problem type {kind!r}")
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # a field of the wrong type, such as a string where a number belongs
+        raise InputError(f"malformed problem field: {exc}") from None
+    problem = build_problem(spec) if kind == "regression" else spec.build()
     if problem.slater_point is not None:
-        report_bound = _slater_bound(problem)
+        report_bound = certified_feasibility_bound(
+            problem.constraints, problem.slater_point, 1e-6
+        )
         if report_bound >= 0:
             raise InputError(
                 f"slater certificate failed: certified bound {report_bound:.3e} >= 0"
             )
     return problem
-
-
-def _slater_bound(problem: SipProblem) -> float:
-    from .lower_level import certified_max
-
-    return max(
-        (lambda cm: cm.value + cm.gap)(
-            certified_max(fam, problem.slater_point, 1e-6)
-        )
-        for fam in problem.constraints
-    )
 
 
 def serialize_problem(spec) -> str:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sipsolve.cli import EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, main
 
 
@@ -99,6 +101,40 @@ class TestCheck:
         code = run_cli(["check", "--problem", "builtin:quasiconvex_gap"])
         assert code == EXIT_INPUT_ERROR
         assert "FAILED" in capsys.readouterr().out
+
+    @staticmethod
+    def quadratic_payload():
+        return {
+            "x_box": {"lower": [-2.0], "upper": [2.0]},
+            "y_box": {"lower": [0.0], "upper": [1.0]},
+            "objective": {"Q": [[1.0]], "c": [0.0], "d": 0.0},
+            "constraints": [{"a": [[[[0], 1.0]]], "b": [[[0], -1.0], [[1], 1.0]]}],
+            "slater_point": [-2.0],
+        }
+
+    def test_wellformed_payload_ok(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(self.quadratic_payload()))
+        assert run_cli(["check", "--problem", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d["objective"].update(lipschitz="four"),
+            lambda d: d["objective"].update(d="zero"),
+            lambda d: d["constraints"][0]["b"][0].__setitem__(1, "one"),
+            lambda d: d["objective"].update(Q=[["a"]]),
+            lambda d: d["x_box"].update(lower=["a"]),
+        ],
+        ids=["lipschitz", "d", "term_coefficient", "Q", "box_bound"],
+    )
+    def test_non_numeric_field_is_input_error(self, tmp_path, capsys, corrupt):
+        payload = self.quadratic_payload()
+        corrupt(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["check", "--problem", str(path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBench:

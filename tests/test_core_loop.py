@@ -115,16 +115,6 @@ class TestUpdateDiscretization:
                 val = prob_b.constraints[0].value(x, y)
                 assert val < -eps - rho
 
-    def test_extra_points_deterministic(self, prob_a):
-        a = update_discretization(
-            prob_a, single(0.0), [0.0], 0.1, np.inf, self.violator(1.0), extra=3
-        )
-        b = update_discretization(
-            prob_a, single(0.0), [0.0], 0.1, np.inf, self.violator(1.0), extra=3
-        )
-        assert np.array_equal(a.points, b.points)
-        assert a.cardinality == 5
-
 
 class TestRunCore:
     def two_step_schedule(self):

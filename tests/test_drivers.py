@@ -233,6 +233,17 @@ class TestRunSimultaneous:
         out = run_simultaneous(prob_b, cfg, budget=Budget(solver_calls=3))
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
 
+    def test_undecided_check_solve_is_budget_stop(self, prob_b):
+        # one master LP cannot decide the unrestricted solve: that is an
+        # exhausted budget, not evidence that the program is infeasible
+        y0 = Discretization(prob_b.y_domain.center().reshape(1, -1))
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0_check=y0, y0_hat=y0, solver_budget=1,
+        )
+        out = run_simultaneous(prob_b, cfg)
+        assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+
 
 class TestApproximationContract:
     @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3])

@@ -5,7 +5,6 @@ from conftest import grid_min_1d
 from sipsolve.finite_solver import (
     DiscretizedProblem,
     SolveStatus,
-    check_feasibility,
     solve_discretized,
 )
 from sipsolve.instances import random_affine_instance
@@ -114,30 +113,3 @@ class TestSandwich:
             assert res.lower <= brute + 1e-8
             assert brute <= res.upper + lip * h + 1e-8
         assert count >= 10
-
-
-class TestCheckFeasibility:
-    def test_instance_a_cases(self, prob_a):
-        assert check_feasibility(dp_of(prob_a, 4.0, [[1.0]])) is SolveStatus.INFEASIBLE
-        assert check_feasibility(dp_of(prob_a, 2.0, [[1.0]])) is SolveStatus.FEASIBLE
-
-    def test_instance_b(self, prob_b):
-        assert (
-            check_feasibility(dp_of(prob_b, 1.0, [[0.0], [1.0]]))
-            is SolveStatus.FEASIBLE
-        )
-
-    def test_empty_points_always_feasible(self, prob_a):
-        assert (
-            check_feasibility(dp_of(prob_a, 100.0, np.zeros((0, 1))))
-            is SolveStatus.FEASIBLE
-        )
-
-    def test_never_feasible_when_certifiably_infeasible(self, prob_a):
-        for eps in (2.5, 3.0, 10.0):
-            verdict = check_feasibility(dp_of(prob_a, eps, [[1.0]]))
-            assert verdict is SolveStatus.INFEASIBLE
-
-    def test_budget_coerces_to_infeasible(self, prob_b):
-        verdict = check_feasibility(dp_of(prob_b, 0.5, [[0.3], [0.9]]), budget=0)
-        assert verdict is SolveStatus.INFEASIBLE

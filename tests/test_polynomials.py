@@ -11,7 +11,15 @@ from sipsolve.polynomials import (
     multi_indices,
     num_coefficients,
 )
+from sipsolve.instances import random_affine_instance
 from sipsolve.problem import BoxDomain
+from sipsolve.regression import (
+    RegressionSpec,
+    build_problem,
+    convex_1d,
+    eval_polynomial_derivative,
+)
+from sipsolve.serialization import load_problem
 
 
 def test_multi_index_counts():
@@ -78,8 +86,8 @@ def test_basis_derivative_eval():
     basis = PolynomialBasis(1, 2)
     # v(u) = 3 + 0 u + 2 u^2 -> v''(u) = 4
     w = np.array([3.0, 0.0, 2.0])
-    assert basis.derivative_eval(w, (2,), [0.7]) == pytest.approx(4.0)
-    assert basis.derivative_eval(w, (1,), [0.5]) == pytest.approx(2.0)
+    assert eval_polynomial_derivative(w, (2,), [0.7]) == pytest.approx(4.0)
+    assert eval_polynomial_derivative(w, (1,), [0.5]) == pytest.approx(2.0)
     with pytest.raises(InputError):
         basis.derivative_weights((3,))
 
@@ -89,3 +97,64 @@ def test_infer_basis():
     assert infer_basis(6, 2).degree == 2
     with pytest.raises(InputError):
         infer_basis(5, 2)
+
+
+def _builder_problems():
+    """One problem from each caller of affine_polynomial_family."""
+    quadratic = load_problem(
+        {
+            "x_box": {"lower": [-2.0, -1.0], "upper": [2.0, 3.0]},
+            "y_box": {"lower": [0.0, -1.0], "upper": [1.0, 1.0]},
+            "objective": {"Q": [[1.0, 0.0], [0.0, 2.0]], "c": [0.5, -1.0]},
+            "constraints": [
+                {
+                    "a": [[[[1, 0], 1.0], [[0, 2], -0.5]], [[[0, 0], 0.0]]],
+                    "b": [[[0, 0], -4.0], [[1, 1], 2.0]],
+                },
+                {"a": [[[[0, 1], 3.0]], [[[2, 0], 1.0]]], "b": [[[0, 0], -9.0]]},
+            ],
+        }
+    )
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-1.0, 1.0, 12)
+    regression = build_problem(
+        RegressionSpec(
+            data=np.column_stack([u, u**2]),
+            degree=3,
+            coeff_box=BoxDomain([-5.0] * 4, [5.0] * 4),
+            u_domain=BoxDomain([-1.0], [1.0]),
+            shape_constraints=(convex_1d(),),
+            slater_point=np.zeros(4),
+        )
+    )
+    problems = [
+        pytest.param(quadratic, id="quadratic"),
+        pytest.param(regression, id="regression"),
+    ]
+    problems += [pytest.param(random_affine_instance(s), id=f"random{s}") for s in range(6)]
+    return problems
+
+
+@pytest.mark.parametrize("prob", _builder_problems())
+def test_affine_polynomial_family_oracles(prob):
+    rng = np.random.default_rng(11)
+    X, Y = prob.x_domain, prob.y_domain
+    for fam in prob.constraints:
+        xs = X.lower + rng.random((20, X.dim)) * X.widths
+        ys = Y.lower + rng.random((40, Y.dim)) * Y.widths
+        lip = fam.lipschitz_in_y
+        for x in xs:
+            direct = np.array([fam.value(x, y) for y in ys])
+            np.testing.assert_allclose(fam.batch_eval(x, ys), direct, rtol=1e-12, atol=1e-12)
+            # g is affine in x: the subgradient is the exact slope
+            x2 = X.lower + rng.random(X.dim) * X.widths
+            for y in ys[:5]:
+                s = fam.subgradient_x(x, y)
+                assert fam.value(x2, y) - fam.value(x, y) == pytest.approx(
+                    float(np.dot(s, x2 - x)), rel=1e-12, abs=1e-12
+                )
+            lip_x = fam.lipschitz_in_y_at(x)
+            assert lip_x <= lip * (1 + 1e-12) + 1e-12
+            for ya, yb in zip(ys[::2], ys[1::2]):
+                slope = abs(fam.value(x, ya) - fam.value(x, yb)) / np.max(np.abs(ya - yb))
+                assert slope <= lip_x * (1 + 1e-12) + 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sipsolve.errors import InputError
+from sipsolve.polynomials import Polynomial
 from sipsolve.problem import BoxDomain
 from sipsolve.regression import (
     RegressionSpec,
@@ -137,10 +138,13 @@ class TestSlaterSynthesis:
                 ShapeConstraint(weights={(1,): 0.0}, offset=1.0),
             ),
         )
-        from sipsolve.regression import constraint_coefficient_polys, _family_from_polys
+        from sipsolve.polynomials import affine_polynomial_family
+        from sipsolve.regression import constraint_coefficient_polys
 
         polys, offset = constraint_coefficient_polys(spec, spec.shape_constraints[0])
-        fam = _family_from_polys(0, polys, offset, spec.u_domain, 0.0)
+        fam = affine_polynomial_family(
+            0, polys, Polynomial.constant(1, offset), spec.coeff_box, spec.u_domain
+        )
         assert synthesize_slater_point(spec, [fam]) is None
 
 
