@@ -24,7 +24,7 @@ from .drivers import (
     run_sequential,
     run_simultaneous,
 )
-from .errors import CertificationError, ConfigError, InputError
+from .errors import CertificationError, ConfigError, InputError, NumericalError
 from .finite_solver import (
     DiscretizedProblem,
     DiscretizedSolveResult,
@@ -37,6 +37,7 @@ from .problem import (
     BoxDomain,
     ConstraintFamily,
     ConvexObjective,
+    QuadraticForm,
     RegularityBundle,
     SipProblem,
     derive_eps_star,
@@ -68,7 +69,9 @@ __all__ = [
     "DiscretizedProblem",
     "DiscretizedSolveResult",
     "InputError",
+    "NumericalError",
     "OutcomeStatus",
+    "QuadraticForm",
     "RegressionSpec",
     "RegularityBundle",
     "RunTrace",

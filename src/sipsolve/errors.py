@@ -12,3 +12,9 @@ class ConfigError(ValueError):
 class CertificationError(RuntimeError):
     """Raised when a certified computation cannot reach its requested gap
     within its node budget (should not happen for declared-Lipschitz data)."""
+
+
+class NumericalError(RuntimeError):
+    """Raised when a numerical routine breaks down on valid input: a
+    singular basis, an exhausted pivot or step budget, or a master problem
+    whose rows admit no point within floating-point tolerance."""

@@ -2,15 +2,25 @@
 
 Given a finite index set Y* and a restriction eps, solves
     min f(x)  s.t.  g_i(x, y) <= -eps  for all y in Y*, i in I,  x in X
-by a Kelley cutting-plane scheme: the master problem is a small dense LP
-over the box X built from objective cuts (epigraph tangents) and constraint
-cuts (tangents of the violated g's), solved by the in-repo simplex.
-Certified lower bounds are reconstituted from the LP's row multipliers
-through an exact Lagrangian closed form over the box, so LP inexactness can
-only loosen a bound, never invalidate it.  Feasible upper bounds come from
-master iterates that satisfy all constraints, or from a restoration line
-search toward a strictly feasible anchor.  A positive certified bound on
-the minimal violation certifies infeasibility of the discretized problem.
+over a master problem built from constraint cuts (tangents of the violated
+g's) over the box X.  When the objective carries a quadratic form with a
+positive-definite Q, the optimality master is that form under the cut rows,
+one small QP solved by the dual active-set routine in ``qp``, and f enters
+only through its value and gradient at the QP's point.  Otherwise it is a
+Kelley cutting-plane LP that also models f by epigraph tangents, solved by
+the in-repo simplex; the feasibility master is always that LP.
+
+The masters only propose points and multipliers.  Certified lower bounds
+are computed from them in exact closed form over the box: from the LP's
+row multipliers through the cut Lagrangian, and from the QP's through the
+objective's own oracles, f(x) + lam.(A x - r) + min over X of the
+linearized Lagrangian.  Master inexactness can therefore only loosen a
+bound, never invalidate it.  Feasible upper bounds come from master
+iterates that satisfy all constraints, or from a restoration line search
+toward a strictly feasible anchor.  A positive certified bound on the
+minimal violation certifies infeasibility of the discretized problem.  A
+master that breaks down numerically ends the solve as UNDECIDED with the
+bounds reached so far.
 """
 
 from __future__ import annotations
@@ -20,8 +30,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import simplex
-from .errors import InputError
+from . import qp, simplex
+from .errors import InputError, NumericalError
 from .problem import FEASTOL, SipProblem, as_point
 
 # Requested gap 0 is served at this relative floor; exact solves are not a
@@ -70,7 +80,7 @@ class DiscretizedSolveResult:
     gap_request: float
     gap_floor: float
     violation_bound: float | None = None  # certified min of max(g + eps), Infeasible only
-    lp_iters: int = 0
+    lp_iters: int = 0  # simplex pivots, or QP active-set steps
     evals: int = 0
 
 
@@ -226,15 +236,22 @@ def _lagrangian_bound(
 
 
 class _Master:
-    """Shared LP assembly for the feasibility and optimality phases.
+    """Shared master assembly for the feasibility and optimality phases.
 
-    The simplex supplies candidate vertices; certified bounds come from the
-    Lagrangian closed form, which stays valid regardless of LP tolerances.
+    The simplex or the QP supplies candidate points; certified bounds come
+    from closed forms that stay valid regardless of solver tolerances.
+    ``objective_oracle(x)`` returns (f(x), a subgradient at x); the QP
+    route evaluates its bound through it.  The route follows from the form
+    itself: ``quadratic`` is set only when the objective's form is positive
+    definite.
     """
 
-    def __init__(self, X, pool: CutPool):
+    def __init__(self, X, pool: CutPool, objective, objective_oracle):
         self.X = X
         self.pool = pool
+        form = objective.quadratic
+        self.quadratic = form if form is not None and form.positive_definite else None
+        self.objective_oracle = objective_oracle
         self.lp_iters = 0
 
     def _solve(self, epi_rows: list[tuple[np.ndarray, float]], g_rows):
@@ -254,10 +271,32 @@ class _Master:
         )
         self.lp_iters += res.iterations
         if res.status != simplex.OPTIMAL:
-            raise InputError(f"master LP came back {res.status}")
+            raise NumericalError(f"master LP came back {res.status}")
         x_hat = self.X.clip(res.x[: self.X.dim])
         bound = _lagrangian_bound(epi_rows, g_rows, self.X, res.duals)
         return bound, x_hat
+
+    def _solve_qp(self, g_rows):
+        """min of the quadratic form under the cut rows, certified through
+        the objective's oracles: for any lam >= 0 and x_hat in X, convexity
+        gives f(x) >= f(x_hat) + lam.(A x_hat - r)
+        + min over X of (grad f(x_hat) + A^T lam).(x - x_hat)
+        for every x in X with A x <= r.  Also returns f(x_hat)."""
+        X, form = self.X, self.quadratic
+        A = np.array([c_row for c_row, _ in g_rows]).reshape(-1, X.dim)
+        r = np.array([d_row for _, d_row in g_rows])
+        res = qp.solve_box_qp(form.Q, form.c, A, r, X.lower, X.upper)
+        self.lp_iters += res.iterations
+        x_hat = X.clip(res.x)
+        value, grad = self.objective_oracle(x_hat)
+        grad = grad + A.T @ res.duals
+        bound = (
+            value
+            + float(res.duals @ (A @ x_hat - r))
+            + _box_linear_min(grad, X)
+            - float(grad @ x_hat)
+        )
+        return bound, x_hat, value
 
     def solve_min_violation(self):
         """Certified bound and candidate for min over the box of max g."""
@@ -265,10 +304,14 @@ class _Master:
         return self._solve(epi, [])
 
     def solve_min_objective(self, eps: float):
-        """Certified bound and candidate for the restricted cut model."""
-        epi = list(self.pool.objective.values())
+        """Certified bound, candidate and f at the candidate (None on the
+        Kelley route, which does not evaluate f) for the restricted cut
+        model."""
         g_rows = [(a, -eps - b) for (a, b) in self.pool.constraint.values()]
-        return self._solve(epi, g_rows)
+        if self.quadratic is not None:
+            return self._solve_qp(g_rows)
+        bound, x_hat = self._solve(list(self.pool.objective.values()), g_rows)
+        return bound, x_hat, None
 
 
 def solve_discretized(
@@ -283,8 +326,9 @@ def solve_discretized(
     Returns FEASIBLE with a point satisfying every g_i(x, y_j) <= -eps +
     FEASTOL and upper - lower <= max(gap_tol, floor); INFEASIBLE with a
     certificate that min over X of max(g + eps) is positive; or UNDECIDED
-    with the best bounds when the iteration budget runs out.  ``pool`` allows
-    warm starts across calls; it is attempted, never relied upon.
+    with the best bounds when the iteration budget runs out or a master
+    solve breaks down numerically.  ``pool`` allows warm starts across
+    calls; it is attempted, never relied upon.
     """
     if gap_tol < 0:
         raise InputError("gap_tol must be nonnegative")
@@ -293,22 +337,27 @@ def solve_discretized(
     fams = problem.constraints
     m_pts = dp.points.shape[0]
     pool = pool if pool is not None else CutPool()
-    master = _Master(X, pool)
 
     evals = 0
 
-    def f_val(x: np.ndarray) -> float:
+    def f_oracle(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
-        evals += 1
-        return float(problem.objective.value(x))
+        evals += 2
+        s = np.asarray(problem.objective.subgradient(x), dtype=float)
+        return float(problem.objective.value(x)), s
 
     def add_f_cut(x: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        s = np.asarray(problem.objective.subgradient(x), dtype=float)
-        v = f_val(x)
+        v, s = f_oracle(x)
         pool.add_objective(s, v - float(np.dot(s, x)))
         return v
+
+    master = _Master(X, pool, problem.objective, f_oracle)
+
+    def undecided(x, upper: float, lower: float) -> DiscretizedSolveResult:
+        return DiscretizedSolveResult(
+            SolveStatus.UNDECIDED, x, upper, lower, gap_tol, 0.0,
+            lp_iters=master.lp_iters, evals=evals,
+        )
 
     def phi(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
@@ -344,12 +393,12 @@ def solve_discretized(
                 anchor, anchor_phi = best_x, best_phi
                 break
             if budget <= 0:
-                return DiscretizedSolveResult(
-                    SolveStatus.UNDECIDED, None, np.inf, -np.inf, gap_tol, 0.0,
-                    lp_iters=master.lp_iters, evals=evals,
-                )
+                return undecided(None, np.inf, -np.inf)
             budget -= 1
-            v_lb, probe = master.solve_min_violation()
+            try:
+                v_lb, probe = master.solve_min_violation()
+            except NumericalError:
+                return undecided(None, np.inf, -np.inf)
             pool.prune(probe)
             if not np.isfinite(v_best) or v_lb > v_best + 1e-15 * max(1.0, abs(v_best)):
                 v_best, stalled1 = max(v_lb, v_best), 0
@@ -381,9 +430,16 @@ def solve_discretized(
 
     upper, x_best, lower = np.inf, None, -np.inf
 
-    def offer(x: np.ndarray) -> None:
-        nonlocal upper, x_best
-        v = add_f_cut(x)
+    def offer(x: np.ndarray, v: float | None = None) -> None:
+        """Take the feasible x as incumbent if f(x) improves on it.  The
+        Kelley route also stores the epigraph cut at x; the QP route needs
+        only the value, and passes it when the master already has it."""
+        nonlocal upper, x_best, evals
+        if master.quadratic is None:
+            v = add_f_cut(x)
+        elif v is None:
+            evals += 1
+            v = float(problem.objective.value(x))
         if v < upper:
             upper, x_best = v, x
 
@@ -407,12 +463,12 @@ def solve_discretized(
                     achieved, lp_iters=master.lp_iters, evals=evals,
                 )
         if budget <= 0:
-            return DiscretizedSolveResult(
-                SolveStatus.UNDECIDED, x_best, upper, lower, gap_tol, 0.0,
-                lp_iters=master.lp_iters, evals=evals,
-            )
+            return undecided(x_best, upper, lower)
         budget -= 1
-        t_lb, xc = master.solve_min_objective(dp.eps)
+        try:
+            t_lb, xc, fc = master.solve_min_objective(dp.eps)
+        except NumericalError:
+            return undecided(x_best, upper, lower)
         pool.prune(xc)
         gap_now = upper - lower if np.isfinite(lower) else np.inf
         progress = max(1e-14 * max(1.0, abs(upper)), 0.02 * min(gap_now, 1.0))
@@ -426,10 +482,11 @@ def solve_discretized(
                 compressions += 1
         phic, vals = phi(xc)
         if phic <= -dp.eps + FEASTOL:
-            offer(xc)
+            offer(xc, fc)
         else:
             add_g_cuts(xc, vals)
-            add_f_cut(xc)  # epigraph cuts are valid anywhere
+            if master.quadratic is None:
+                add_f_cut(xc)  # epigraph cuts are valid anywhere
             xr = restore(xc)
             if xr is not None:
                 offer(xr)

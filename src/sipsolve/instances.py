@@ -26,18 +26,21 @@ from .core_loop import Discretization
 from .errors import InputError
 from .lower_level import certified_feasibility_bound
 from .polynomials import Polynomial, affine_polynomial_family
-from .problem import BoxDomain, ConstraintFamily, ConvexObjective, SipProblem
+from .problem import (
+    BoxDomain,
+    ConstraintFamily,
+    ConvexObjective,
+    QuadraticForm,
+    SipProblem,
+)
 from .regression import RegressionSpec, monotone_increasing
 
 
 def instance_a() -> SipProblem:
     x_box = BoxDomain(lower=[-2.0], upper=[2.0])
     y_box = BoxDomain(lower=[0.0], upper=[1.0])
-    objective = ConvexObjective(
-        value=lambda x: float(x[0] ** 2),
-        subgradient=lambda x: np.array([2.0 * x[0]]),
-        lipschitz_constant=4.0,
-        strictly_convex=True,
+    objective = ConvexObjective.from_quadratic(
+        QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0), lipschitz_constant=4.0
     )
     family = ConstraintFamily(
         index=0,
@@ -59,11 +62,8 @@ def instance_a() -> SipProblem:
 def instance_b() -> SipProblem:
     x_box = BoxDomain(lower=[-3.0, -3.0], upper=[3.0, 3.0])
     y_box = BoxDomain(lower=[0.0], upper=[1.0])
-    objective = ConvexObjective(
-        value=lambda x: float(x[0] ** 2 + x[1] ** 2),
-        subgradient=lambda x: 2.0 * np.asarray(x, dtype=float),
-        lipschitz_constant=12.0,
-        strictly_convex=True,
+    objective = ConvexObjective.from_quadratic(
+        QuadraticForm(Q=np.eye(2), c=np.zeros(2), d=0.0), lipschitz_constant=12.0
     )
     family = ConstraintFamily(
         index=0,
@@ -84,12 +84,10 @@ def instance_b() -> SipProblem:
 
 
 def _gap_objective() -> ConvexObjective:
-    # minimum at x = 2, outside [-1, 1]; min over [-1, 1] is 1 = the gap c
-    return ConvexObjective(
-        value=lambda x: float((x[0] - 2.0) ** 2),
-        subgradient=lambda x: np.array([2.0 * (x[0] - 2.0)]),
-        lipschitz_constant=8.0,
-        strictly_convex=True,
+    # (x - 2)^2: minimum at x = 2, outside [-1, 1]; min over [-1, 1] is
+    # 1 = the gap c
+    return ConvexObjective.from_quadratic(
+        QuadraticForm(Q=np.eye(1), c=np.array([-4.0]), d=4.0), lipschitz_constant=8.0
     )
 
 
@@ -214,14 +212,8 @@ def random_affine_instance(seed: int) -> SipProblem:
     M = rng.normal(size=(p, p))
     Q = M.T @ M / p + 0.3 * np.eye(p)
     c = rng.uniform(-1.0, 1.0, size=p)
-    xmax = np.maximum(np.abs(x_box.lower), np.abs(x_box.upper))
-    lip_f = float(np.sum(2.0 * np.abs(Q) @ xmax + np.abs(c)))
-    objective = ConvexObjective(
-        value=lambda x: float(x @ Q @ x + c @ x),
-        subgradient=lambda x: 2.0 * (Q @ x) + c,
-        lipschitz_constant=lip_f,
-        strictly_convex=True,
-    )
+    form = QuadraticForm(Q=Q, c=c, d=0.0)
+    objective = ConvexObjective.from_quadratic(form, form.lipschitz_maxnorm(x_box))
 
     slater = x_box.center()
     families = []

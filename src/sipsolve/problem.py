@@ -4,11 +4,16 @@ assembled semi-infinite program instances.
 All objects are immutable after construction and their oracles are expected to
 be pure, so instances can be shared freely between workers.  Lipschitz
 constants are caller-supplied metadata; they are trusted, never estimated.
+An objective built by ``ConvexObjective.from_quadratic`` also carries its
+``QuadraticForm``; the finite solver reads the form to solve its masters as
+QPs, and still certifies every bound through the value and subgradient
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -89,23 +94,73 @@ class BoxDomain:
 
 
 @dataclass(frozen=True)
+class QuadraticForm:
+    """f(w) = w.Q w + c.w + d with Q symmetric positive semidefinite."""
+
+    Q: np.ndarray
+    c: np.ndarray
+    d: float
+
+    def value(self, w: np.ndarray) -> float:
+        return float(w @ self.Q @ w + self.c @ w + self.d)
+
+    def gradient(self, w: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.Q @ w) + self.c
+
+    def lipschitz_maxnorm(self, box: BoxDomain) -> float:
+        """sup over the box of the 1-norm of the gradient."""
+        m = np.maximum(np.abs(box.lower), np.abs(box.upper))
+        return float(np.sum(2.0 * np.abs(self.Q) @ m + np.abs(self.c)))
+
+    @cached_property
+    def positive_definite(self) -> bool:
+        """Whether the Hessian Q + Q^T has a Cholesky factor, the test the
+        dual active-set QP applies; computed once per form."""
+        try:
+            np.linalg.cholesky(self.Q + self.Q.T)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+
+@dataclass(frozen=True)
 class ConvexObjective:
     """Convex objective given by value/subgradient oracles.
 
     ``lipschitz_constant`` is a Lipschitz constant with respect to the
     max-norm on the decision box (so ``|f(a)-f(b)| <= L* ||a-b||_inf``);
     drivers need it only for the a-priori termination index.
-    ``strictly_convex`` is a declared contract, never checked at runtime.
+    ``strictly_convex`` is a declared contract, never checked at runtime,
+    except by ``from_quadratic``, which derives it from the form.
+    ``quadratic``, when given, is the objective's exact quadratic form; the
+    finite solver solves its optimality masters as QPs when the form itself
+    is ``positive_definite``, and by cutting planes otherwise, whatever
+    ``strictly_convex`` declares.
     """
 
     value: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
     lipschitz_constant: float | None = None
     strictly_convex: bool = False
+    quadratic: QuadraticForm | None = None
 
     def __post_init__(self):
         if self.lipschitz_constant is not None and self.lipschitz_constant <= 0:
             raise InputError("objective Lipschitz constant must be positive")
+
+    @classmethod
+    def from_quadratic(
+        cls, form: QuadraticForm, lipschitz_constant: float | None
+    ) -> "ConvexObjective":
+        """The objective w.Q w + c.w + d, strictly convex when the form is
+        positive definite."""
+        return cls(
+            value=form.value,
+            subgradient=form.gradient,
+            lipschitz_constant=lipschitz_constant,
+            strictly_convex=form.positive_definite,
+            quadratic=form,
+        )
 
 
 @dataclass(frozen=True)
@@ -261,7 +316,6 @@ class OracleCheckReport:
     convexity_violation: float = 0.0
     subgradient_violation: float = 0.0
     lipschitz_violation: float = 0.0
-    slater_bound: float | None = None
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -279,12 +333,11 @@ def validate_problem(
 
     Checks, per constraint family and for the objective: the convexity
     inequality on sampled triples, the subgradient cut inequality, and the
-    declared y-Lipschitz bound on sampled pairs.  When a Slater point is
-    present its certificate is verified through the certified maximizer.
-    Raises nothing; the report lists failures so callers decide.
+    declared y-Lipschitz bound on sampled pairs.  The Slater certificate is
+    not checked here: ``load_problem`` rejects a failing one and
+    ``derive_eps_star`` certifies it again at its own tolerance.  Raises
+    nothing; the report lists failures so callers decide.
     """
-    from .lower_level import certified_feasibility_bound
-
     rng = np.random.default_rng(seed)
     rep = OracleCheckReport()
     X, Y = problem.x_domain, problem.y_domain
@@ -340,14 +393,4 @@ def validate_problem(
         rep.failures.append(f"subgradient cut violated by {rep.subgradient_violation:.3e}")
     if rep.lipschitz_violation > rel_tol:
         rep.failures.append(f"Lipschitz bound violated by {rep.lipschitz_violation:.3e}")
-
-    if problem.slater_point is not None:
-        bound = certified_feasibility_bound(
-            problem.constraints, problem.slater_point, 1e-6
-        )
-        rep.slater_bound = bound
-        if bound >= 0:
-            rep.failures.append(
-                f"slater certificate failed: certified bound {bound:.3e} >= 0"
-            )
     return rep

@@ -27,7 +27,13 @@ from .polynomials import (
     affine_polynomial_family,
     infer_basis,
 )
-from .problem import BoxDomain, ConstraintFamily, ConvexObjective, SipProblem
+from .problem import (
+    BoxDomain,
+    ConstraintFamily,
+    ConvexObjective,
+    QuadraticForm,
+    SipProblem,
+)
 
 
 @dataclass(frozen=True)
@@ -119,26 +125,6 @@ class RegressionSpec:
         return self.data[:, -1]
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """f(w) = w.Q w + c.w + d with Q symmetric positive definite here."""
-
-    Q: np.ndarray
-    c: np.ndarray
-    d: float
-
-    def value(self, w: np.ndarray) -> float:
-        return float(w @ self.Q @ w + self.c @ w + self.d)
-
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.Q @ w) + self.c
-
-    def lipschitz_maxnorm(self, box: BoxDomain) -> float:
-        """sup over the box of the 1-norm of the gradient."""
-        m = np.maximum(np.abs(box.lower), np.abs(box.upper))
-        return float(np.sum(2.0 * np.abs(self.Q) @ m + np.abs(self.c)))
-
-
 def assemble_loss(spec: RegressionSpec) -> QuadraticForm:
     """Exact quadratic form of the ridge-regularized squared loss."""
     basis = spec.basis
@@ -194,11 +180,8 @@ def build_problem(spec: RegressionSpec) -> SipProblem:
     if not spec.shape_constraints:
         raise InputError("regression instance needs at least one shape constraint")
     loss = assemble_loss(spec)
-    objective = ConvexObjective(
-        value=loss.value,
-        subgradient=loss.gradient,
-        lipschitz_constant=loss.lipschitz_maxnorm(spec.coeff_box),
-        strictly_convex=True,
+    objective = ConvexObjective.from_quadratic(
+        loss, loss.lipschitz_maxnorm(spec.coeff_box)
     )
     families = []
     for idx, sc in enumerate(spec.shape_constraints):

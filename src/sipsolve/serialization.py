@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InputError
 from .lower_level import certified_feasibility_bound
 from .polynomials import Polynomial, affine_polynomial_family
-from .problem import BoxDomain, ConvexObjective, SipProblem
+from .problem import BoxDomain, ConvexObjective, QuadraticForm, SipProblem
 from .regression import RegressionSpec, ShapeConstraint, build_problem
 
 
@@ -149,20 +149,12 @@ class QuadraticProblemSpec:
                     f"constraints[{k}].a needs one polynomial per x dimension"
                 )
 
-    def objective_lipschitz(self) -> float:
-        if self.lipschitz is not None:
-            return self.lipschitz
-        m = np.maximum(np.abs(self.x_box.lower), np.abs(self.x_box.upper))
-        return float(np.sum(2.0 * np.abs(self.Q) @ m + np.abs(self.c)))
-
     def build(self) -> SipProblem:
-        Q, c, d = self.Q, self.c, self.d
-        objective = ConvexObjective(
-            value=lambda x: float(x @ Q @ x + c @ x + d),
-            subgradient=lambda x: 2.0 * (Q @ x) + c,
-            lipschitz_constant=self.objective_lipschitz(),
-            strictly_convex=bool(np.linalg.eigvalsh(Q).min() > 0),
-        )
+        form = QuadraticForm(Q=self.Q, c=self.c, d=self.d)
+        lipschitz = self.lipschitz
+        if lipschitz is None:
+            lipschitz = form.lipschitz_maxnorm(self.x_box)
+        objective = ConvexObjective.from_quadratic(form, lipschitz)
         families = tuple(
             affine_polynomial_family(i, spec.a, spec.b, self.x_box, self.y_box)
             for i, spec in enumerate(self.constraints)
@@ -344,6 +336,8 @@ def load_problem(source) -> SipProblem:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: malformed JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise InputError(f"{path}: the top level must be a JSON object")
     elif isinstance(source, dict):
         data = source
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 PIVOT_TOL = 1e-9  # reduced-cost threshold
 RATIO_TOL = 1e-9  # minimum direction component in the ratio test
@@ -56,7 +56,7 @@ def _bland(
         try:
             y = np.linalg.solve(B.T, cost[basis])
         except np.linalg.LinAlgError:
-            raise InputError("singular simplex basis")
+            raise NumericalError("singular simplex basis") from None
         reduced = cost[:priceable] - y @ M[:, :priceable]
         candidates = np.flatnonzero(reduced < -PIVOT_TOL)
         if candidates.size == 0:
@@ -82,7 +82,7 @@ def _bland(
         basis[leaving] = entering
         pivots += 1
         if pivots > max_pivots:
-            raise InputError("simplex pivot budget exhausted")
+            raise NumericalError("simplex pivot budget exhausted")
 
 
 def solve_lp(c, A, b, lower, upper, max_pivots: int = 20_000) -> LpResult:
@@ -206,7 +206,7 @@ def solve_lp(c, A, b, lower, upper, max_pivots: int = 20_000) -> LpResult:
             M, cost1, basis, full_rhs, ns + m + n_art, max_pivots, pivots
         )
         if status == UNBOUNDED:
-            raise InputError("phase-1 simplex reported unbounded")
+            raise NumericalError("phase-1 simplex reported unbounded")
         xb = np.linalg.solve(M[:, basis], full_rhs)
         infeas = float(np.sum(np.maximum(xb[basis >= ns + m], 0.0)))
         if infeas > FEAS_TOL:
@@ -248,7 +248,7 @@ def solve_lp(c, A, b, lower, upper, max_pivots: int = 20_000) -> LpResult:
     if A.shape[0]:
         worst = float(np.max(A @ x - b))
         if worst > 1e-7 * (1.0 + float(np.max(np.abs(b)))):
-            raise InputError(
+            raise NumericalError(
                 f"simplex produced a point violating a row by {worst:.3e}"
             )
     # multipliers of the original A-rows from the basis multipliers; rows

@@ -136,6 +136,30 @@ class TestCheck:
         assert run_cli(["check", "--problem", str(path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3.5", '"problem"', "null"])
+    def test_non_object_file_is_input_error(self, tmp_path, capsys, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        assert run_cli(["check", "--problem", str(path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_slater_point_certified_twice(self, tmp_path, monkeypatch):
+        # once by load_problem at 1e-6, once by derive_eps_star at 1e-9
+        from sipsolve import lower_level
+
+        deltas = []
+        inner = lower_level.certified_max
+
+        def counting(family, x, delta, *args, **kwargs):
+            deltas.append(delta)
+            return inner(family, x, delta, *args, **kwargs)
+
+        monkeypatch.setattr(lower_level, "certified_max", counting)
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(self.quadratic_payload()))
+        assert run_cli(["check", "--problem", str(path)]) == EXIT_OK
+        assert deltas == [1e-6, 1e-9]
+
 
 class TestBench:
     def test_table_and_summary(self, tmp_path, capsys):

@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import grid_min_1d
+from sipsolve import finite_solver
+from sipsolve.errors import NumericalError
 from sipsolve.finite_solver import (
+    CutPool,
     DiscretizedProblem,
     SolveStatus,
     solve_discretized,
 )
 from sipsolve.instances import random_affine_instance
+from sipsolve.problem import ConvexObjective, QuadraticForm
 
 
 def dp_of(problem, eps, points):
@@ -113,3 +119,140 @@ class TestSandwich:
             assert res.lower <= brute + 1e-8
             assert brute <= res.upper + lip * h + 1e-8
         assert count >= 10
+
+
+def without_form(objective):
+    """The same objective as bare oracles, which the Kelley route solves."""
+    return replace(objective, quadratic=None)
+
+
+class TestMasterRoutes:
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_quadratic_route_makes_no_lp(self, prob_b, monkeypatch, declared):
+        calls = []
+        inner = finite_solver.simplex.solve_lp
+        monkeypatch.setattr(
+            finite_solver.simplex, "solve_lp",
+            lambda *a, **k: calls.append(1) or inner(*a, **k),
+        )
+        # the route follows the positive-definite form, not the declared flag
+        prob = replace(
+            prob_b, objective=replace(prob_b.objective, strictly_convex=declared)
+        )
+        pool = CutPool()
+        # the hint is feasible, so phase 1 makes no LP either
+        res = solve_discretized(dp_of(prob, 0.5, [[0.0], [1.0]]), 1e-10,
+                                x_hint=[-3.0, -3.0], pool=pool)
+        assert res.status is SolveStatus.FEASIBLE
+        assert calls == []
+        # the QP reads no epigraph cuts, so none are built
+        assert pool.objective == {}
+        assert res.x == pytest.approx([-1.5, -1.5], abs=1e-9)
+        assert res.upper - res.lower <= 1e-10
+
+    def test_semidefinite_form_stays_on_kelley(self, prob_b, monkeypatch):
+        form = QuadraticForm(Q=np.diag([1.0, 0.0]), c=np.array([0.0, 1.0]), d=0.0)
+        objective = ConvexObjective.from_quadratic(form, 20.0)
+        assert objective.quadratic is form and not objective.strictly_convex
+        assert ConvexObjective.from_quadratic(
+            QuadraticForm(Q=np.eye(2), c=np.zeros(2), d=0.0), 12.0
+        ).strictly_convex
+        monkeypatch.setattr(finite_solver.qp, "solve_box_qp", TestNumericalFailure.broken)
+        prob = replace(prob_b, objective=objective)
+        res = solve_discretized(dp_of(prob, 0.5, [[0.0], [1.0]]), 1e-8,
+                                x_hint=[-3.0, -3.0])
+        assert res.status is SolveStatus.FEASIBLE
+        # min x_1^2 + x_2 with x <= -1.5 componentwise on [-3, 3]^2
+        assert res.upper == pytest.approx(2.25 - 3.0, abs=1e-7)
+        # a hand-built objective that declares the PSD form strictly convex
+        # still goes to Kelley, which solves it
+        declared = replace(prob, objective=replace(objective, strictly_convex=True))
+        res = solve_discretized(dp_of(declared, 0.5, [[0.0], [1.0]]), 1e-8,
+                                x_hint=[-3.0, -3.0])
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.upper == pytest.approx(2.25 - 3.0, abs=1e-7)
+
+    def test_oracle_only_objective_sandwich(self, prob_b):
+        # f(x) = sum exp(x_j) + exp(-sum x_j), unconstrained minimum at 0,
+        # so the cuts x_j <= -1 - eps are active at the optimum
+        def value(x):
+            return float(np.sum(np.exp(x)) + np.exp(-np.sum(x)))
+
+        def subgradient(x):
+            return np.exp(x) - np.exp(-np.sum(x))
+
+        lip = 2.0 * np.exp(3.0) + 2.0 * np.exp(6.0)
+        prob = replace(
+            prob_b, objective=ConvexObjective(value, subgradient, lip, strictly_convex=True)
+        )
+        eps = 0.1
+        pts = [[0.0], [0.5], [1.0]]
+        res = solve_discretized(dp_of(prob, eps, pts), 1e-8)
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.lp_iters > 0
+        axis = np.linspace(-3.0, 3.0, 601)
+        X = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], -1)
+        feas = np.ones(len(X), dtype=bool)
+        for y in pts:
+            feas &= y[0] * X[:, 0] + (1.0 - y[0]) * X[:, 1] + 1.0 <= -eps + 1e-12
+        vals = np.exp(X[feas]).sum(axis=1) + np.exp(-X[feas].sum(axis=1))
+        brute = float(vals.min())
+        assert res.lower <= brute + 1e-9
+        # the true minimum is within lip * h of the grid minimum
+        assert brute <= res.upper + lip * float(axis[1] - axis[0]) + 1e-9
+        assert res.upper - res.lower <= 1e-8
+
+    def test_kelley_and_qp_intervals_overlap(self):
+        count = 0
+        for seed in range(40):
+            prob = random_affine_instance(seed)
+            if prob.x_domain.dim > 2:
+                continue
+            count += 1
+            oracle_only = replace(prob, objective=without_form(prob.objective))
+            pts = prob.y_domain.grid(prob.y_domain.diameter() / 2 + 1e-9)[:3]
+            pool = CutPool()
+            qp_res = solve_discretized(dp_of(prob, 0.2, pts), 1e-6, pool=pool)
+            lp_res = solve_discretized(dp_of(oracle_only, 0.2, pts), 1e-6)
+            assert qp_res.status is lp_res.status, seed
+            assert pool.objective == {}, seed
+            if qp_res.status is not SolveStatus.FEASIBLE:
+                continue
+            # an upper bound is f at a point that may violate the rows by
+            # FEASTOL, so it can sit a multiplier times FEASTOL below the
+            # certified lower bound of the exact problem
+            slack = 1e-8 * (1.0 + abs(qp_res.upper))
+            assert max(qp_res.lower, lp_res.lower) <= min(qp_res.upper, lp_res.upper) + slack, seed
+            assert qp_res.upper - qp_res.lower <= 1e-6
+        assert count >= 10
+
+
+class TestNumericalFailure:
+    @staticmethod
+    def broken(*args, **kwargs):
+        raise NumericalError("broken master")
+
+    def test_phase_2_failure_is_undecided(self, prob_b, monkeypatch):
+        monkeypatch.setattr(finite_solver.qp, "solve_box_qp", self.broken)
+        res = solve_discretized(dp_of(prob_b, 0.5, [[0.0], [1.0]]), 1e-8,
+                                x_hint=[-3.0, -3.0])
+        assert res.status is SolveStatus.UNDECIDED
+        # the anchor was offered before the master failed
+        assert res.x == pytest.approx([-3.0, -3.0])
+        assert res.upper == pytest.approx(18.0)
+        assert res.lower == -np.inf
+
+    def test_phase_1_failure_is_undecided(self, prob_a, monkeypatch):
+        monkeypatch.setattr(finite_solver.simplex, "solve_lp", self.broken)
+        # the box center x = 0 violates x <= -0.1, so phase 1 needs an LP
+        res = solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), 1e-8)
+        assert res.status is SolveStatus.UNDECIDED
+        assert res.x is None
+        assert (res.lower, res.upper) == (-np.inf, np.inf)
+
+    def test_kelley_failure_is_undecided(self, prob_a, monkeypatch):
+        monkeypatch.setattr(finite_solver.simplex, "solve_lp", self.broken)
+        prob = replace(prob_a, objective=without_form(prob_a.objective))
+        res = solve_discretized(dp_of(prob, 0.1, [[1.0]]), 1e-8, x_hint=[-1.0])
+        assert res.status is SolveStatus.UNDECIDED
+        assert res.x == pytest.approx([-1.0])

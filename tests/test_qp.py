@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sipsolve.errors import InputError
-from sipsolve.qp import solve_qp
+from sipsolve import qp
+from sipsolve.errors import InputError, NumericalError
+from sipsolve.qp import solve_box_qp, solve_qp
 from sipsolve.regression import assemble_loss
 
 
@@ -65,3 +66,133 @@ def test_matches_fine_grid():
 def test_rejects_infeasible_start():
     with pytest.raises(InputError):
         solve_qp([[1.0]], [0.0], [[1.0]], [-1.0])
+
+
+# --------------------------------------------------------------------------
+# solve_box_qp, the dual active-set master, checked against KKT and SLSQP
+# --------------------------------------------------------------------------
+
+
+def random_box_qp(rng, n, m, degenerate):
+    """A PD QP whose rows hold at a random box point; ``degenerate`` adds a
+    duplicated row, a nearly parallel row and a positively scaled copy."""
+    M = rng.normal(size=(n, n))
+    Q = M.T @ M / n + 0.05 * np.eye(n)
+    c = 3.0 * rng.normal(size=n)
+    lo = -rng.uniform(0.5, 3.0, n)
+    hi = rng.uniform(0.5, 3.0, n)
+    x0 = lo + rng.random(n) * (hi - lo)
+    G = rng.normal(size=(m, n))
+    h = G @ x0 + rng.uniform(0.0, 1.0, m)
+    if degenerate and m:
+        G = np.vstack([G, G[0], G[0] * (1.0 + 1e-13), 2.5 * G[0]])
+        h = np.concatenate([h, [h[0], h[0] + 1e-3, 2.5 * h[0]]])
+    return Q, c, G, h, lo, hi, x0
+
+
+def kkt_residuals(Q, c, G, h, lo, hi, res):
+    """Relative primal infeasibility, dual sign, complementarity and
+    stationarity (with the box faces' multipliers implied by the sign of
+    the Lagrangian gradient at each face)."""
+    x, lam = res.x, res.duals
+    row_scale = 1.0 + np.abs(h) + np.abs(G) @ np.abs(x)
+    slack = G @ x - h
+    primal = max(
+        float(np.max(slack / row_scale, initial=0.0)),
+        float(np.max(lo - x)),
+        float(np.max(x - hi)),
+    )
+    comp = float(np.max(lam * np.abs(slack) / row_scale, initial=0.0))
+    grad = (Q + Q.T) @ x + c + G.T @ lam
+    grad_scale = 1.0 + np.max(np.abs((Q + Q.T) @ x)) + np.max(np.abs(c)) + np.max(
+        np.abs(G.T @ lam), initial=0.0
+    )
+    at_lo = x <= lo + 1e-12 * (1.0 + np.abs(lo))
+    at_hi = x >= hi - 1e-12 * (1.0 + np.abs(hi))
+    stat = np.where(at_lo, np.maximum(-grad, 0.0), 0.0)
+    stat += np.where(at_hi, np.maximum(grad, 0.0), 0.0)
+    stat += np.where(~at_lo & ~at_hi, np.abs(grad), 0.0)
+    return primal, float(np.min(lam, initial=0.0)), comp, float(np.max(stat)) / grad_scale
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_box_qp_kkt_and_slsqp(degenerate):
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(11 if degenerate else 12)
+    for trial in range(150):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, 30))
+        Q, c, G, h, lo, hi, x0 = random_box_qp(rng, n, m, degenerate)
+        res = solve_box_qp(Q, c, G, h, lo, hi)
+        assert res.duals.shape == (len(h),)
+        primal, lam_min, comp, stat = kkt_residuals(Q, c, G, h, lo, hi, res)
+        assert primal <= 1e-9, trial
+        assert lam_min >= 0.0, trial
+        assert comp <= 1e-9, trial
+        assert stat <= 1e-9, trial
+        cons = (
+            [{"type": "ineq", "fun": lambda w: h - G @ w, "jac": lambda w: -G}]
+            if len(h) else []
+        )
+        ref = minimize(
+            lambda w: w @ Q @ w + c @ w, x0, jac=lambda w: (Q + Q.T) @ w + c,
+            bounds=list(zip(lo, hi)), constraints=cons, method="SLSQP",
+            options={"ftol": 1e-14, "maxiter": 500},
+        )
+        mine = float(res.x @ Q @ res.x + c @ res.x)
+        # SLSQP is a primal method: it may stop a little above the optimum,
+        # never meaningfully below a feasible KKT point
+        assert mine <= ref.fun + 1e-7 * (1.0 + abs(ref.fun)), trial
+        assert ref.fun >= mine - 1e-9 * (1.0 + abs(mine)), trial
+
+
+def test_box_qp_deterministic():
+    rng = np.random.default_rng(5)
+    Q, c, G, h, lo, hi, _ = random_box_qp(rng, 4, 25, True)
+    a = solve_box_qp(Q, c, G, h, lo, hi)
+    b = solve_box_qp(Q, c, G, h, lo, hi)
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.duals.tobytes() == b.duals.tobytes()
+    assert a.iterations == b.iterations
+
+
+def test_box_qp_unconstrained_and_box_only():
+    Q = np.array([[1.0, 0.0], [0.0, 2.0]])
+    c = np.array([-2.0, -4.0])
+    res = solve_box_qp(Q, c, np.zeros((0, 2)), [], [-5.0, -5.0], [5.0, 5.0])
+    assert res.x == pytest.approx([1.0, 1.0])
+    assert res.iterations == 0
+    res = solve_box_qp(Q, c, np.zeros((0, 2)), [], [-5.0, -5.0], [0.5, 5.0])
+    assert res.x == pytest.approx([0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "G, h",
+    [
+        ([[1.0], [-1.0]], [-1.0, -1.0]),  # x <= -1 and x >= 1
+        ([[1.0]], [-3.0]),  # x <= -3 outside the box [-2, 2]
+        ([[0.0]], [-1.0]),  # a zero row that cannot hold
+    ],
+)
+def test_box_qp_empty_feasible_set_raises(G, h):
+    with pytest.raises(NumericalError):
+        solve_box_qp([[1.0]], [0.0], G, h, [-2.0], [2.0])
+
+
+def test_box_qp_rejects_indefinite_matrix():
+    with pytest.raises(NumericalError):
+        solve_box_qp([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], np.zeros((0, 2)), [],
+                     [-1.0, -1.0], [1.0, 1.0])
+
+
+def test_box_qp_step_budget_raises(monkeypatch):
+    rng = np.random.default_rng(5)
+    Q, c, G, h, lo, hi, _ = random_box_qp(rng, 4, 25, True)
+    steps = solve_box_qp(Q, c, G, h, lo, hi).iterations
+    assert steps >= 2
+    monkeypatch.setattr(qp, "_MAX_STEPS", steps - 1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        solve_box_qp(Q, c, G, h, lo, hi)
+    monkeypatch.setattr(qp, "_MAX_STEPS", steps)
+    assert solve_box_qp(Q, c, G, h, lo, hi).iterations == steps

@@ -54,6 +54,15 @@ class TestQuadraticSchema:
         assert prob.constraints[0].lipschitz_in_y == pytest.approx(1.0)
         assert prob.objective.strictly_convex
 
+    def test_semidefinite_objective_keeps_its_form(self):
+        # Q = 0 is convex but not strictly: the finite solver keeps Kelley
+        data = instance_a_spec().to_dict()
+        data["objective"]["Q"] = [[0.0]]
+        data["objective"]["c"] = [1.0]
+        objective = load_problem(data).objective
+        assert objective.quadratic is not None
+        assert not objective.strictly_convex
+
     def test_non_psd_rejected(self):
         data = instance_a_spec().to_dict()
         data["objective"]["Q"] = [[-1.0]]

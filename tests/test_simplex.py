@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from sipsolve import simplex
-from sipsolve.errors import InputError
+from sipsolve.errors import InputError, NumericalError
 
 STATUS_MAP = {0: simplex.OPTIMAL, 2: simplex.INFEASIBLE, 3: simplex.UNBOUNDED}
 
@@ -110,3 +110,11 @@ def test_input_validation():
         simplex.solve_lp([1.0], [[1.0, 2.0]], [0.0], [0.0], [1.0])
     res = simplex.solve_lp([1.0], np.zeros((0, 1)), [], [2.0], [1.0])
     assert res.status == simplex.INFEASIBLE
+
+
+def test_pivot_budget_is_numerical_error():
+    # a numerical breakdown, not bad input: the finite solver turns it into
+    # an undecided solve
+    with pytest.raises(NumericalError):
+        simplex.solve_lp([-1.0, -1.0], [[1.0, 2.0], [2.0, 1.0]], [4.0, 4.0],
+                         [0.0, 0.0], [10.0, 10.0], max_pivots=0)
