@@ -43,14 +43,20 @@ EXIT_BUDGET = 2
 
 
 def parse_schedule(text: str):
-    m = re.fullmatch(r"geometric\(([^)]+)\)", text)
+    m = re.fullmatch(r"geometric\(([^,)]+)(?:,([^,)]+))?\)", text)
     if m:
-        return geometric_schedule(ratio=float(m.group(1)))
+        try:
+            ratio = float(m.group(1))
+            scale = 0.1 if m.group(2) is None else float(m.group(2))
+        except ValueError:
+            raise InputError(f"non-numeric argument in schedule {text!r}") from None
+        return geometric_schedule(ratio=ratio, scale=scale)
     m = re.fullmatch(r"eventually_zero\((\d+)\)", text)
     if m:
         return eventually_zero_schedule(zero_from=int(m.group(1)))
     raise InputError(
-        f"unknown schedule {text!r}; use geometric(q) or eventually_zero(k0)"
+        f"unknown schedule {text!r}; use geometric(q), geometric(q, scale) "
+        "or eventually_zero(k0)"
     )
 
 

@@ -237,7 +237,6 @@ class CoreResult:
     iterations: int
     trace: RunTrace
     discretization: Discretization
-    aux_results: dict[int, CertifiedMax] | None = None
 
 
 def update_discretization(
@@ -337,9 +336,7 @@ def run_core(
                     worst, "terminated", solve.lp_iters, cumulative_evals,
                 )
             )
-            return CoreResult(
-                CoreStatus.TERMINATED, xk, k + 1, trace, yk, aux_results=aux
-            )
+            return CoreResult(CoreStatus.TERMINATED, xk, k + 1, trace, yk)
 
         _, strongest = strongest_violator(aux)
         trace.append(

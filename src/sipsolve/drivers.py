@@ -147,7 +147,6 @@ class FeasFiniteResult:
     iterations: int
     trace: RunTrace
     discretization: Discretization
-    aux_results: dict[int, CertifiedMax] | None = None
     final_objective: float = np.nan
 
 
@@ -243,8 +242,7 @@ def run_feas_finite(
                 )
             )
             return FeasFiniteResult(
-                True, xk, eps, k + 1, trace, yk, aux_results=aux,
-                final_objective=solve.upper,
+                True, xk, eps, k + 1, trace, yk, final_objective=solve.upper
             )
         _, violator = strongest_violator(aux)
         trace.append(

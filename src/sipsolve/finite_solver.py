@@ -324,7 +324,7 @@ def solve_discretized(
     """Solve the discretized restricted problem to a certified gap.
 
     Returns FEASIBLE with a point satisfying every g_i(x, y_j) <= -eps +
-    FEASTOL and upper - lower <= max(gap_tol, floor); INFEASIBLE with a
+    FEASTOL and 0 <= upper - lower <= max(gap_tol, floor); INFEASIBLE with a
     certificate that min over X of max(g + eps) is positive; or UNDECIDED
     with the best bounds when the iteration budget runs out or a master
     solve breaks down numerically.  ``pool`` allows warm starts across
@@ -451,8 +451,11 @@ def solve_discretized(
         floor = GAP_FLOOR_REL * max(1.0, abs(upper))
         tol_eff = max(gap_tol, floor)
         if upper - lower <= tol_eff:
+            # upper is f at a point that may violate the rows by FEASTOL, so
+            # it can fall below the lower bound of the exact rows; upper is
+            # then a valid lower bound too
             return DiscretizedSolveResult(
-                SolveStatus.FEASIBLE, x_best, upper, lower, gap_tol, floor,
+                SolveStatus.FEASIBLE, x_best, upper, min(lower, upper), gap_tol, floor,
                 lp_iters=master.lp_iters, evals=evals,
             )
         if compressions >= 2 and stalled >= 5:

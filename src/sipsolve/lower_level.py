@@ -1,16 +1,21 @@
 """Certified global maximization of a constraint family over its index box.
 
-The maximizer refines a uniform cell decomposition of the box: each cell is
-scored by its center value plus the Lipschitz overestimate over the cell, and
-the cell with the largest score is split until the best evaluated value is
-within the requested gap of the global score.  The certificate rests on the
-Lipschitz bound alone, so the returned gap is sound whenever the declared
+The maximizer runs a round-synchronous branch and bound over a uniform cell
+decomposition of the box, held as arrays of cell bounds and center values.
+Each cell is scored by its center value plus the Lipschitz overestimate over
+the cell.  A round drops every cell whose score is within the requested gap
+of the best evaluated value, splits every other cell along its longest axis
+and evaluates all the children in one ``eval_grid`` call (the family's
+``batch_eval`` when it has one).  The returned value is always the scalar
+oracle's own ``g(x, y_star)``: a batch value that beats the incumbent is
+re-evaluated through ``value`` first.  The upper bound is the largest
+score of a live or dropped cell, so the certificate rests on the Lipschitz
+bound alone and the returned gap is sound whenever the declared
 ``lipschitz_in_y`` really is a max-metric Lipschitz constant.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +52,9 @@ def certified_max(
     """Compute a certified delta-approximate solution of max_y g(x, y).
 
     Deterministic: identical inputs produce bit-identical outputs.  Raises
-    CertificationError if the cell budget runs out before the gap closes,
-    which cannot happen when lipschitz_in_y is a true Lipschitz constant and
-    delta is resolvable at float resolution.
+    CertificationError if more than ``node_budget`` cells are split before
+    the gap closes, which cannot happen when lipschitz_in_y is a true
+    Lipschitz constant and delta is resolvable at float resolution.
     """
     if delta <= 0:
         raise InputError("delta must be positive")
@@ -60,79 +65,76 @@ def certified_max(
         _check_plugin_certificate(family, p, delta, cm)
         return cm
 
-    lo, hi = box.lower, box.upper
     lip = family.local_lipschitz_in_y(p)
-    evals = 0
-
-    def g(y: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return float(family.value(p, y))
-
     center = box.center()
-    best_val = g(center)
+    best_val = float(family.value(p, center))
     best_y = center
+    evals = 1
     if lip == 0.0:
         # declared constant in y: the center value is the supremum
         return CertifiedMax(y_star=best_y, value=best_val, gap=0.0, evals=evals)
 
-    def radius(cell_lo: np.ndarray, cell_hi: np.ndarray) -> float:
-        return 0.5 * float(np.max(cell_hi - cell_lo))
-
-    # heap of (-score, insertion counter, cell lower, cell upper, center value)
-    counter = 0
-    root_score = best_val + lip * radius(lo, hi)
-    heap = [(-root_score, counter, lo, hi, best_val)]
+    # the live frontier: cell bounds (n, q) and center values (n,)
+    lo, hi = box.lower[None, :], box.upper[None, :]
+    val = np.array([best_val])
+    dropped = -np.inf  # largest score of a cell dropped for good
     nodes = 0
-    while heap:
-        neg_score, _, clo, chi, cval = heap[0]
-        upper_bound = -neg_score
-        if upper_bound - best_val <= delta:
+    while True:
+        width = hi - lo
+        score = val + lip * (0.5 * width.max(axis=1))
+        upper = max(float(score.max()), dropped)
+        if upper - best_val <= delta:
             return CertifiedMax(
-                y_star=best_y,
-                value=best_val,
-                gap=max(upper_bound - best_val, 0.0),
-                evals=evals,
+                y_star=best_y, value=best_val, gap=max(upper - best_val, 0.0), evals=evals
             )
-        heapq.heappop(heap)
-        nodes += 1
+        live = score - best_val > delta
+        if not live.all():
+            dropped = max(dropped, float(score[~live].max()))
+            lo, hi, width = lo[live], hi[live], width[live]
+        nodes += len(lo)
         if nodes > node_budget:
             raise CertificationError(
                 f"cell budget {node_budget} exhausted at gap "
-                f"{upper_bound - best_val:.3e} (requested {delta:.3e})"
+                f"{upper - best_val:.3e} (requested {delta:.3e})"
             )
-        axis = int(np.argmax(chi - clo))
-        mid = 0.5 * (clo[axis] + chi[axis])
-        if mid <= clo[axis] or mid >= chi[axis]:
-            # cell is at float resolution: score its exact endpoints
-            for endpoint in (clo[axis], chi[axis]):
-                point_lo, point_hi = clo.copy(), chi.copy()
-                point_lo[axis] = point_hi[axis] = endpoint
-                v = g(0.5 * (point_lo + point_hi))
+        lo, hi, floor = _split(lo, hi, width.argmax(axis=1))
+        centers = 0.5 * (lo + hi)
+        if floor.any():
+            # the children of a cell at float resolution are its exact
+            # endpoints; the scalar oracle scores them, so once they update
+            # the incumbent they can never outscore it
+            exact = floor.repeat(2)
+            val = np.empty(len(lo))
+            for i in np.flatnonzero(exact):
+                val[i] = v = float(family.value(p, centers[i]))
                 if v > best_val:
-                    best_val, best_y = v, 0.5 * (point_lo + point_hi)
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (-(v + lip * radius(point_lo, point_hi)), counter, point_lo, point_hi, v),
-                )
-            continue
-        for half_lo, half_hi in (
-            (clo[axis], mid),
-            (mid, chi[axis]),
-        ):
-            child_lo, child_hi = clo.copy(), chi.copy()
-            child_lo[axis], child_hi[axis] = half_lo, half_hi
-            c = 0.5 * (child_lo + child_hi)
-            v = g(c)
+                    best_val, best_y = v, centers[i]
+            if not exact.all():
+                val[~exact] = family.eval_grid(p, centers[~exact])
+        else:
+            val = family.eval_grid(p, centers)
+        evals += len(val)
+        top = int(val.argmax())
+        if val[top] > best_val:
+            # a batch value: keep the scalar oracle's value, if it is larger
+            v = float(family.value(p, centers[top]))
+            evals += 1
             if v > best_val:
-                best_val, best_y = v, c
-            counter += 1
-            heapq.heappush(
-                heap, (-(v + lip * radius(child_lo, child_hi)), counter, child_lo, child_hi, v)
-            )
-    # heap can only empty for a degenerate zero-volume box
-    return CertifiedMax(y_star=best_y, value=best_val, gap=0.0, evals=evals)
+                best_val, best_y = v, centers[top]
+
+
+def _split(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray):
+    """Halve cell i along ``axis[i]`` into the children at rows 2i and
+    2i + 1.  A cell whose midpoint rounds onto an endpoint becomes its two
+    endpoints instead; the third return value marks those cells."""
+    rows = np.arange(len(lo))
+    a, b = lo[rows, axis], hi[rows, axis]
+    mid = 0.5 * (a + b)
+    floor = (mid <= a) | (mid >= b)
+    child_lo, child_hi = lo.repeat(2, axis=0), hi.repeat(2, axis=0)
+    child_hi[2 * rows, axis] = np.where(floor, a, mid)
+    child_lo[2 * rows + 1, axis] = np.where(floor, b, mid)
+    return child_lo, child_hi, floor
 
 
 def _check_plugin_certificate(

@@ -194,7 +194,12 @@ def affine_in_x_lipschitz(
     """Max-metric Lipschitz bound in y of g(x, y) = sum_j a_j(y) x_j + b(y),
     uniform over the x box, from term-wise polynomial bounds."""
     xmax = np.maximum(np.abs(x_box.lower), np.abs(x_box.upper))
-    return affine_in_x_lipschitz_at(a_polys, b_poly, xmax, y_box, signed=False)
+    scale = np.concatenate(([1.0], xmax))
+    total = 0.0
+    for j in range(y_box.dim):
+        parts = _y_partials(a_polys, b_poly, j)
+        total += sum(p.scaled(scale[src]).max_abs_bound(y_box) for src, p in parts)
+    return total
 
 
 def affine_in_x_lipschitz_at(
@@ -202,32 +207,66 @@ def affine_in_x_lipschitz_at(
     b_poly: Polynomial | None,
     x,
     y_box: BoxDomain,
-    signed: bool = True,
 ) -> float:
     """Same bound with a concrete x plugged in: the y-partials combine with
     signed coefficients, so cancelation (e.g. a constant-in-y slice) shows
     up as a zero constant."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
+    return _lipschitz_in_y_table(a_polys, b_poly, y_box)(x)
+
+
+def _lipschitz_in_y_table(
+    a_polys: list[Polynomial],
+    b_poly: Polynomial | None,
+    y_box: BoxDomain,
+):
+    """The per-x bound of affine_in_x_lipschitz_at, with everything that does
+    not depend on x computed once.
+
+    For each y-axis j the table holds the exponent rows of the y_j-partials
+    of b and of the a_k, merged so that equal rows share one coefficient
+    slot, the term bound of each slot over the box, and for every partial
+    coefficient its slot and its source (b or a_k).  At x the slots
+    accumulate the coefficients (those of a_k times x_k) in that order, and
+    the bound is sum_j sum_slots |coefficient| * term bound.
+    """
+    m = np.maximum(np.abs(y_box.lower), np.abs(y_box.upper))
+    table = []
     for j in range(y_box.dim):
-        parts: list[Polynomial] = []
-        if b_poly is not None:
-            parts.append(b_poly.partial(j))
-        for k, ap in enumerate(a_polys):
-            pj = ap.partial(j)
-            if pj.coeffs.any():
-                parts.append(pj.scaled(float(x[k]) if signed else abs(float(x[k]))))
+        parts = _y_partials(a_polys, b_poly, j)
         if not parts:
             continue
-        if signed:
-            combined = Polynomial(
-                np.vstack([p.exponents for p in parts]),
-                np.concatenate([p.coeffs for p in parts]),
-            )
-            total += _collapsed_abs_bound(combined, y_box)
-        else:
-            total += sum(p.max_abs_bound(y_box) for p in parts)
-    return total
+        rows: dict[tuple[int, ...], int] = {}
+        slots, sources, coeffs = [], [], []
+        for src, part in parts:
+            for e, c in zip(part.exponents, part.coeffs):
+                slots.append(rows.setdefault(tuple(e.tolist()), len(rows)))
+                sources.append(src)
+                coeffs.append(c)
+        exps = np.array(list(rows), dtype=int).reshape(len(rows), y_box.dim)
+        term_bounds = np.prod(m[None, :] ** exps, axis=1)
+        table.append((np.array(slots), np.array(sources), np.array(coeffs), term_bounds))
+
+    def at(x) -> float:
+        scale = np.concatenate(([1.0], np.asarray(x, dtype=float)))
+        total = 0.0
+        for slots, sources, coeffs, term_bounds in table:
+            merged = np.zeros(len(term_bounds))
+            np.add.at(merged, slots, coeffs * scale[sources])
+            total += float(np.dot(np.abs(merged), term_bounds))
+        return total
+
+    return at
+
+
+def _y_partials(a_polys, b_poly, j: int) -> list[tuple[int, Polynomial]]:
+    """The y_j-partial of b as (0, partial), then each nonzero y_j-partial
+    of a_k as (k + 1, partial)."""
+    parts = [] if b_poly is None else [(0, b_poly.partial(j))]
+    for k, ap in enumerate(a_polys):
+        pj = ap.partial(j)
+        if pj.coeffs.any():
+            parts.append((k + 1, pj))
+    return parts
 
 
 def affine_polynomial_family(
@@ -264,17 +303,6 @@ def affine_polynomial_family(
         lipschitz_in_y=affine_in_x_lipschitz(a_polys, b_poly, x_box, y_box),
         y_domain=y_box,
         batch_eval=batch_eval,
-        lipschitz_in_y_at=lambda x: affine_in_x_lipschitz_at(a_polys, b_poly, x, y_box),
+        lipschitz_in_y_at=_lipschitz_in_y_table(a_polys, b_poly, y_box),
     )
 
-
-def _collapsed_abs_bound(p: Polynomial, box: BoxDomain) -> float:
-    """max_abs_bound after merging duplicate exponent rows (so exact
-    coefficient cancelation is visible)."""
-    merged: dict[tuple[int, ...], float] = {}
-    for e, c in zip(p.exponents, p.coeffs):
-        key = tuple(int(v) for v in e)
-        merged[key] = merged.get(key, 0.0) + float(c)
-    exps = np.array(list(merged.keys()), dtype=int).reshape(len(merged), p.dim)
-    coeffs = np.array(list(merged.values()))
-    return Polynomial(exps, coeffs).max_abs_bound(box)

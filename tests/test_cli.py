@@ -90,6 +90,31 @@ class TestSolve:
         )
         assert code == EXIT_OK
 
+    @staticmethod
+    def simultaneous_with(tmp_path, schedule):
+        return run_cli(
+            [
+                "solve", "--problem", "builtin:instance_A",
+                "--algorithm", "simultaneous", "--delta", "1e-1", "--rho", "0.5",
+                "--schedule", schedule,
+                "--trace-out", str(tmp_path / "t.csv"),
+                "--outcome-out", str(tmp_path / "o.json"),
+            ]
+        )
+
+    def test_geometric_schedule_scale(self, tmp_path, capsys):
+        # scale 0.1 leaves no room under delta / 2; scale 0.01 does
+        assert self.simultaneous_with(tmp_path, "geometric(0.5)") == EXIT_INPUT_ERROR
+        assert "delta/2" in capsys.readouterr().err
+        assert self.simultaneous_with(tmp_path, "geometric(0.5, 0.01)") == EXIT_OK
+        data = json.loads((tmp_path / "o.json").read_text())
+        assert data["status"] == "DeltaApproximate"
+
+    @pytest.mark.parametrize("schedule", ["geometric(x)", "geometric(0.5, x)", "geometric(0.5,)"])
+    def test_malformed_geometric_schedule(self, tmp_path, capsys, schedule):
+        assert self.simultaneous_with(tmp_path, schedule) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCheck:
     def test_builtin_ok(self, capsys):

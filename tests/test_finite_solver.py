@@ -226,6 +226,19 @@ class TestMasterRoutes:
             assert qp_res.upper - qp_res.lower <= 1e-6
         assert count >= 10
 
+    @pytest.mark.parametrize("route", ["qp", "kelley"])
+    def test_feasible_lower_never_above_upper(self, route):
+        # on this instance the certified lower bound of the exact rows lies
+        # above f at the returned point, which may violate them by FEASTOL
+        prob = random_affine_instance(11)
+        if route == "kelley":
+            prob = replace(prob, objective=without_form(prob.objective))
+        pts = prob.y_domain.grid(prob.y_domain.diameter() / 2 + 1e-9)[:3]
+        res = solve_discretized(dp_of(prob, 0.2, pts), 1e-6)
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.lower <= res.upper
+        assert res.upper - res.lower <= 1e-6
+
 
 class TestNumericalFailure:
     @staticmethod

@@ -1,7 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sipsolve.errors import InputError
+from sipsolve.errors import CertificationError, InputError
 from sipsolve.instances import random_affine_instance
 from sipsolve.lower_level import CertifiedMax, certified_max, strongest_violator
 from sipsolve.problem import BoxDomain, ConstraintFamily
@@ -86,6 +90,165 @@ class TestCertifiedMax:
             ys = fam.y_domain.grid(res)
             finer = float(np.max(fam.eval_grid(x, ys)))
             assert cm.value + delta >= finer - 1e-12, seed
+
+
+@lru_cache(maxsize=None)
+def _instance(seed):
+    return random_affine_instance(seed)
+
+
+def _seeds(q):
+    """Seeds of random_affine_instance whose index box has dimension q."""
+    return [s for s in range(40) if _instance(s).y_domain.dim == q][:12]
+
+
+DELTAS_BY_Q = {1: (1e-2, 1e-4, 1e-7), 2: (1e-1, 1e-2, 1e-3)}
+
+
+def _case(q):
+    """A family of a random affine instance, a point of its decision box and
+    a gap request."""
+    return st.tuples(
+        st.sampled_from(_seeds(q)),
+        st.integers(0, 2),
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        st.sampled_from(DELTAS_BY_Q[q]),
+    ).map(lambda c: _resolve(*c))
+
+
+def _resolve(seed, fam_pick, u, delta):
+    prob = _instance(seed)
+    fam = prob.constraints[fam_pick % len(prob.constraints)]
+    X = prob.x_domain
+    return fam, X.lower + np.array(u[: X.dim]) * X.widths, delta
+
+
+class TestCertifiedMaxProperties:
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_random_families(self, q):
+        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @given(_case(q))
+        def check(case):
+            fam, x, delta = case
+            cm = certified_max(fam, x, delta)
+            assert 0.0 <= cm.gap <= delta
+            assert cm.value == fam.value(x, cm.y_star)
+            assert fam.y_domain.contains(cm.y_star, tol=0.0)
+            # value + gap bounds the supremum, so also every grid value
+            ys = fam.y_domain.grid(fam.y_domain.diameter() / (2000 if q == 1 else 150))
+            assert cm.value + cm.gap >= float(np.max(fam.eval_grid(x, ys))) - 1e-12
+            again = certified_max(fam, x, delta)
+            assert again.y_star.tobytes() == cm.y_star.tobytes()
+            assert (again.value, again.gap, again.evals) == (cm.value, cm.gap, cm.evals)
+
+        check()
+
+
+def _family(value, lipschitz, box, batch_eval=None):
+    return ConstraintFamily(
+        index=0,
+        value=value,
+        subgradient_x=lambda x, y: np.zeros(len(x)),
+        lipschitz_in_y=lipschitz,
+        y_domain=box,
+        batch_eval=batch_eval,
+    )
+
+
+class TestCertifiedMaxCases:
+    # g(y) = sum_k c_k y^k with terms that cancel, so the order of the sum
+    # changes the last bits
+    COEFFS = (0.1, 3.3, -7.7, 4.4, 0.7)
+
+    @classmethod
+    def forward(cls, x, y):
+        total = 0.0
+        for k, c in enumerate(cls.COEFFS):
+            total += c * float(y[0]) ** k
+        return total
+
+    @classmethod
+    def backward(cls, x, ys):
+        total = np.zeros(len(ys))
+        for k in reversed(range(len(cls.COEFFS))):
+            total = total + cls.COEFFS[k] * ys[:, 0] ** k
+        return total
+
+    def test_batch_summing_in_another_order(self):
+        box = BoxDomain([0.0], [1.0])
+        ys = box.grid(1e-4)
+        fam = _family(self.forward, 40.0, box, batch_eval=self.backward)
+        scalar = np.array([self.forward(None, y) for y in ys])
+        assert np.any(fam.eval_grid(None, ys) != scalar)  # the orders do differ
+        for delta in (1e-3, 1e-8, 1e-12):
+            cm = certified_max(fam, np.zeros(1), delta)
+            assert cm.value == self.forward(None, cm.y_star)
+            assert 0.0 <= cm.gap <= delta
+            assert cm.value + cm.gap >= float(scalar.max()) - 1e-12
+
+    def test_batch_reading_high(self):
+        # a batch value above the scalar one is never taken as the value
+        box = BoxDomain([0.0], [1.0])
+        fam = _family(self.forward, 40.0, box,
+                      batch_eval=lambda x, ys: self.backward(x, ys) + 1e-13)
+        cm = certified_max(fam, np.zeros(1), 1e-9)
+        assert cm.value == self.forward(None, cm.y_star)
+        assert cm.gap <= 1e-9
+
+    def test_without_batch_eval(self):
+        box = BoxDomain([-1.0, 0.0], [1.0, 2.0])
+
+        def value(x, y):
+            return -float((y[0] - 0.3) ** 2) - float((y[1] - 1.7) ** 2) + float(x[0])
+
+        def batch(x, ys):
+            return -((ys[:, 0] - 0.3) ** 2) - (ys[:, 1] - 1.7) ** 2 + float(x[0])
+
+        scalar_only = certified_max(_family(value, 6.0, box), np.array([0.5]), 1e-3)
+        batched = certified_max(_family(value, 6.0, box, batch), np.array([0.5]), 1e-3)
+        # the vectorized batch computes the same float operations
+        assert scalar_only.y_star.tobytes() == batched.y_star.tobytes()
+        assert (scalar_only.value, scalar_only.gap, scalar_only.evals) == (
+            batched.value, batched.gap, batched.evals)
+        assert scalar_only.value == pytest.approx(0.5, abs=1e-3)
+        assert scalar_only.gap <= 1e-3
+
+    def test_box_one_ulp_wide(self):
+        # the root cell cannot be certified, and its midpoint rounds onto an
+        # endpoint: the split scores the two endpoints exactly
+        a = 1.0
+        b = float(np.nextafter(a, 2.0))
+        fam = _family(lambda x, y: float(x[0] * y[0]), 1e20, BoxDomain([a], [b]))
+        cm = certified_max(fam, np.array([2.0]), 1e-12)
+        assert cm.y_star[0] == b
+        assert cm.value == 2.0 * b
+        assert cm.gap == 0.0
+        assert cm.evals == 3
+
+    def test_two_tents_with_known_supremum(self):
+        # g = max of two tents of slope L, one peaking at exactly 1 and one a
+        # little lower: cells around the higher peak are often dropped
+        # before the lower one is resolved, and still bound the supremum
+        rng = np.random.default_rng(0)
+        lip = 4.0
+        for _ in range(300):
+            pa, pb = rng.uniform(0.0, 1.0, 2)
+            delta = 10 ** rng.uniform(-6, -2)
+            hb = 1.0 - rng.uniform(0.0, 2.0) * delta
+
+            def value(x, y, pa=pa, pb=pb, hb=hb):
+                return max(1.0 - lip * abs(y[0] - pa), hb - lip * abs(y[0] - pb))
+
+            cm = certified_max(_family(value, lip, BoxDomain([0.0], [1.0])), np.zeros(1), delta)
+            assert cm.value + cm.gap >= 1.0
+            assert 0.0 <= cm.gap <= delta
+
+    def test_node_budget(self, prob_b):
+        fam = prob_b.constraints[0]
+        x = np.array([0.7, -1.3])
+        with pytest.raises(CertificationError, match="cell budget 5 exhausted"):
+            certified_max(fam, x, 1e-9, node_budget=5)
+        assert certified_max(fam, x, 1e-9).gap <= 1e-9
 
 
 class TestPluggableMaximizer:

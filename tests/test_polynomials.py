@@ -7,6 +7,7 @@ from sipsolve.polynomials import (
     PolynomialBasis,
     affine_in_x_lipschitz,
     affine_in_x_lipschitz_at,
+    affine_polynomial_family,
     infer_basis,
     multi_indices,
     num_coefficients,
@@ -80,6 +81,50 @@ def test_pointwise_lipschitz_sees_cancelation():
     assert at_diag == pytest.approx(0.0, abs=1e-15)
     off_diag = affine_in_x_lipschitz_at(a, None, np.array([2.0, -1.0]), y_box)
     assert off_diag == pytest.approx(3.0)
+
+
+def _lipschitz_term_by_term(a_polys, b_poly, x, y_box):
+    """The per-x bound computed one monomial at a time: for each y-axis j,
+    collect the signed coefficients of d g(x, .) / d y_j by exponent, then
+    add |coefficient| times the monomial's bound over the box."""
+    m = np.maximum(np.abs(y_box.lower), np.abs(y_box.upper))
+    total = 0.0
+    for j in range(y_box.dim):
+        coeff_of = {}
+        for scale, poly in [(1.0, b_poly), *zip(x, a_polys)]:
+            for e, c in zip(poly.exponents, poly.coeffs):
+                if e[j] == 0:
+                    continue
+                d = tuple(int(v) - (i == j) for i, v in enumerate(e))
+                coeff_of[d] = coeff_of.get(d, 0.0) + scale * c * e[j]
+        for d, c in coeff_of.items():
+            total += abs(c) * float(np.prod(m ** np.array(d)))
+    return total
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_lipschitz_table_matches_term_by_term(q):
+    rng = np.random.default_rng(20 + q)
+    y_box = BoxDomain(-rng.uniform(0.0, 1.0, q), rng.uniform(0.5, 2.0, q))
+    x_box = BoxDomain([-2.0] * 3, [2.0] * 3)
+    for trial in range(20):
+        def poly():
+            # repeated exponent rows, so merging matters
+            rows = rng.integers(0, 4, size=(int(rng.integers(1, 8)), q))
+            return Polynomial(rows, rng.uniform(-1.0, 1.0, len(rows)))
+
+        a = [poly(), Polynomial.zero(q), poly()]
+        b = poly()
+        if trial % 4 == 0:
+            a[2] = a[0].scaled(-1.0)  # cancels where x0 == x2
+        fam = affine_polynomial_family(0, a, b, x_box, y_box)
+        for x in rng.uniform(-2.0, 2.0, (10, 3)):
+            if trial % 4 == 0:
+                x[2] = x[0]
+            expected = _lipschitz_term_by_term(a, b, x, y_box)
+            got = fam.lipschitz_in_y_at(x)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert got == affine_in_x_lipschitz_at(a, b, x, y_box)
 
 
 def test_basis_derivative_eval():
