@@ -1,12 +1,17 @@
-"""Adaptive discretization loop at a fixed restriction parameter.
+"""Adaptive discretization step and the loop at a fixed restriction.
 
-Each iteration solves the discretized restricted problem to its scheduled
-gap, certifies the worst constraint violation of the iterate over the full
-index box, and either terminates (all certified values below the aux
-tolerance) or prunes/extends the discretization around the strongest
-violator.  The pruning radius rho regulates how much of the old
-discretization survives: rho = inf keeps everything, rho = 0 keeps only the
-points still active at the restriction level.
+``discretization_step`` is the one step both of the paper's algorithms
+repeat: it solves the discretized restricted problem to its scheduled gap
+and, when that solve is feasible, certifies every constraint family's
+maximum at the iterate over the full index box.  The step terminates when
+every certified value is at or below minus the requested gap, which proves
+the iterate feasible for the semi-infinite program; otherwise ``refined``
+prunes and extends the discretization around the strongest violator.
+``run_core`` runs the step at a fixed restriction, and the drivers in
+``sipsolve.drivers`` run it with their own restriction updates.  The
+pruning radius rho regulates how much of the old discretization survives:
+rho = inf keeps everything, rho = 0 keeps only the points still active at
+the restriction level.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .errors import ConfigError, InputError
 from .finite_solver import (
     CutPool,
     DiscretizedProblem,
+    DiscretizedSolveResult,
     SolveStatus,
     solve_discretized,
 )
@@ -30,6 +36,7 @@ from .lower_level import CertifiedMax, certified_max, strongest_violator
 from .problem import SipProblem, as_point
 
 DEDUP_TOL = 1e-12
+AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
 
 
 @dataclass(frozen=True)
@@ -192,10 +199,6 @@ class RunTrace:
             raise InputError("trace rows must have strictly increasing k")
         self.rows.append(row)
 
-    def extend_from(self, other: "RunTrace") -> None:
-        for r in other.rows:
-            self.append(r)
-
     @property
     def objective_values(self) -> list[float]:
         return [r.f_x for r in self.rows if np.isfinite(r.f_x)]
@@ -266,6 +269,98 @@ def update_discretization(
     return Discretization(new_points, yk.dedup_tol)
 
 
+@dataclass
+class Step:
+    """One adaptive-discretization step.
+
+    ``solve`` is the discretized restricted solve at ``eps`` on ``points``;
+    ``certs`` holds, by family index, the certified maxima at its point,
+    requested at gap ``aux_delta``, and is empty unless the solve is
+    FEASIBLE.
+    """
+
+    eps: float
+    points: Discretization
+    solve: DiscretizedSolveResult
+    certs: dict[int, CertifiedMax]
+    aux_delta: float
+
+    @property
+    def x(self) -> np.ndarray | None:
+        return self.solve.x
+
+    @property
+    def evals(self) -> int:
+        return self.solve.evals + sum(cm.evals for cm in self.certs.values())
+
+    @property
+    def worst(self) -> float:
+        return max((cm.value for cm in self.certs.values()), default=np.nan)
+
+    @property
+    def terminated(self) -> bool:
+        """Every family certified at or below -aux_delta; since each gap is
+        at most aux_delta, the point is feasible for the full program."""
+        return bool(self.certs) and all(
+            cm.value <= -self.aux_delta for cm in self.certs.values()
+        )
+
+    def refined(self, problem: SipProblem, rho: float) -> Discretization:
+        """The discretization for the next step: the points still active at
+        -eps - rho plus the strongest violator."""
+        _, violator = strongest_violator(self.certs)
+        return update_discretization(
+            problem, self.points, self.solve.x, self.eps, rho, violator
+        )
+
+    def record(
+        self, trace: RunTrace, k: int, branch: str, also: "Step | None" = None
+    ) -> None:
+        """Append this step's trace row.  ``also`` is an earlier step of the
+        same iteration whose LP iterations and evaluations the row counts
+        too."""
+        steps = (self,) if also is None else (also, self)
+        trace.append(
+            TraceRow(
+                k, self.eps, self.points.cardinality,
+                np.nan if self.solve.x is None else self.solve.upper,
+                self.worst, branch, sum(s.solve.lp_iters for s in steps),
+                trace.total_evals + sum(s.evals for s in steps),
+            )
+        )
+
+
+def discretization_step(
+    problem: SipProblem,
+    eps: float,
+    points: Discretization,
+    schedule: ToleranceSchedule,
+    k: int,
+    pool: CutPool,
+    x_hint: np.ndarray | None,
+    solver_budget: int,
+) -> Step:
+    """Solve the problem restricted by ``eps`` on ``points`` to gap
+    obj_tol(k) and, when the solve is FEASIBLE, certify every family at its
+    point to gap max(aux_tol(k), AUX_DELTA_FLOOR)."""
+    pool.restrict_to_points(points.points)
+    solve = solve_discretized(
+        DiscretizedProblem(problem, eps, points.points),
+        schedule.obj_tol(k),
+        budget=solver_budget,
+        x_hint=x_hint,
+        pool=pool,
+    )
+    aux_delta = max(schedule.aux_tol(k), AUX_DELTA_FLOOR)
+    certs = {}
+    if solve.status is SolveStatus.FEASIBLE:
+        certs = {
+            fam.index: certified_max(fam, solve.x, aux_delta)
+            for fam in problem.constraints
+        }
+    return Step(eps, points, solve, certs, aux_delta)
+
+
 def run_core(
     problem: SipProblem,
     cfg: CoreConfig,
@@ -275,76 +370,31 @@ def run_core(
 ) -> CoreResult:
     """Run the adaptive discretization loop at fixed restriction cfg.eps.
 
-    Terminates when every family's certified lower-level value is at or
-    below minus its aux tolerance, which certifies the iterate feasible for
-    the original semi-infinite program.  An infeasible discretized
-    subproblem and an exhausted iteration budget are first-class outcomes.
+    Terminates when the step certifies the iterate feasible for the
+    original semi-infinite program.  An infeasible discretized subproblem
+    and an exhausted solve or iteration budget are first-class outcomes.
     """
     yk = cfg.y0
     trace = trace if trace is not None else RunTrace()
     pool = pool if pool is not None else CutPool()
-    cumulative_evals = trace.total_evals
     x_prev: np.ndarray | None = None
 
     for k in range(cfg.max_iters):
-        pool.restrict_to_points(yk.points)
-        dp = DiscretizedProblem(problem, cfg.eps, yk.points)
-        solve = solve_discretized(
-            dp,
-            cfg.schedule.obj_tol(k),
-            budget=cfg.solver_budget,
-            x_hint=x_prev,
-            pool=pool,
+        step = discretization_step(
+            problem, cfg.eps, yk, cfg.schedule, k, pool, x_prev, cfg.solver_budget
         )
-        cumulative_evals += solve.evals
-        if solve.status is SolveStatus.INFEASIBLE:
-            trace.append(
-                TraceRow(
-                    k_offset + k, cfg.eps, yk.cardinality, np.nan, np.nan,
-                    "infeasible", solve.lp_iters, cumulative_evals,
-                )
-            )
-            return CoreResult(
-                CoreStatus.INFEASIBLE_SUBPROBLEM, None, k + 1, trace, yk
-            )
-        if solve.status is SolveStatus.UNDECIDED:
-            trace.append(
-                TraceRow(
-                    k_offset + k, cfg.eps, yk.cardinality,
-                    solve.upper, np.nan, "budget", solve.lp_iters, cumulative_evals,
-                )
-            )
-            return CoreResult(CoreStatus.BUDGET, solve.x, k + 1, trace, yk)
-
-        xk = solve.x
-        x_prev = xk
-        aux: dict[int, CertifiedMax] = {}
-        for fam in problem.constraints:
-            cm = certified_max(fam, xk, cfg.schedule.aux_tol(k))
-            cumulative_evals += cm.evals
-            aux[fam.index] = cm
-        worst = max(cm.value for cm in aux.values())
-
-        violated = any(
-            aux[fam.index].value > -cfg.schedule.aux_tol(k)
-            for fam in problem.constraints
-        )
-        if not violated:
-            trace.append(
-                TraceRow(
-                    k_offset + k, cfg.eps, yk.cardinality, solve.upper,
-                    worst, "terminated", solve.lp_iters, cumulative_evals,
-                )
-            )
-            return CoreResult(CoreStatus.TERMINATED, xk, k + 1, trace, yk)
-
-        _, strongest = strongest_violator(aux)
-        trace.append(
-            TraceRow(
-                k_offset + k, cfg.eps, yk.cardinality, solve.upper,
-                worst, "violation", solve.lp_iters, cumulative_evals,
-            )
-        )
-        yk = update_discretization(problem, yk, xk, cfg.eps, cfg.rho, strongest)
+        status = step.solve.status
+        if status is SolveStatus.INFEASIBLE:
+            step.record(trace, k_offset + k, "infeasible")
+            return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, k + 1, trace, yk)
+        if status is SolveStatus.UNDECIDED:
+            step.record(trace, k_offset + k, "budget")
+            return CoreResult(CoreStatus.BUDGET, step.x, k + 1, trace, yk)
+        x_prev = step.x
+        if step.terminated:
+            step.record(trace, k_offset + k, "terminated")
+            return CoreResult(CoreStatus.TERMINATED, step.x, k + 1, trace, yk)
+        step.record(trace, k_offset + k, "violation")
+        yk = step.refined(problem, cfg.rho)
 
     return CoreResult(CoreStatus.BUDGET, x_prev, cfg.max_iters, trace, yk)

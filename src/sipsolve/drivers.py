@@ -1,9 +1,12 @@
-"""Finitely terminating drivers built on the core loop.
+"""Finitely terminating drivers built on the core loop's step.
 
-run_feas_finite alternates the adaptive discretization step with a
-restriction shrink whenever the discretized restricted problem turns out
-infeasible; it terminates at a point feasible for the original semi-infinite
-program whose objective is near the restricted optimum.
+Every driver iteration runs ``core_loop.discretization_step`` (solve,
+certify, refine) and maps its outcome to a branch of its own.
+
+run_feas_finite alternates that step with a restriction shrink whenever
+the discretized restricted problem turns out infeasible; it terminates at a
+point feasible for the original semi-infinite program whose objective is
+near the restricted optimum.
 
 run_sequential repeats that driver with geometrically shrinking restrictions
 for an a-priori number of stages computed from the regularity data, which
@@ -26,18 +29,12 @@ from .core_loop import (
     Discretization,
     RunTrace,
     ToleranceSchedule,
-    TraceRow,
     check_rho_regime,
-    update_discretization,
+    discretization_step,
 )
 from .errors import ConfigError, InputError
-from .finite_solver import DiscretizedProblem, SolveStatus, solve_discretized
-from .lower_level import (
-    CertifiedMax,
-    certified_feasibility_bound,
-    certified_max,
-    strongest_violator,
-)
+from .finite_solver import SolveStatus
+from .lower_level import certified_feasibility_bound
 from .problem import (
     RegularityBundle,
     SipProblem,
@@ -46,7 +43,6 @@ from .problem import (
     feasibility_margin,
 )
 
-AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
 POST_HOC_DELTA = 1e-9
 
 DEFAULT_SOLVER_CALL_BUDGET = 1_000_000
@@ -92,7 +88,6 @@ class SequentialConfig:
     rho: float
     y0: Discretization
     regularity: RegularityBundle | None = None
-    warm_start_discretization: bool = True
     inner_max_iters: int = 10_000
     solver_budget: int = 400
 
@@ -115,7 +110,6 @@ class SimultaneousConfig:
     rho: float
     y0_check: Discretization
     y0_hat: Discretization
-    delta_star: float | None = None  # defaults to delta / 2
     max_iters: int = 10_000
     solver_budget: int = 400
 
@@ -134,10 +128,6 @@ class SimultaneousConfig:
             )
         check_rho_regime(self.schedule, self.rho)
 
-    @property
-    def termination_tolerance(self) -> float:
-        return self.delta / 2 if self.delta_star is None else self.delta_star
-
 
 @dataclass
 class FeasFiniteResult:
@@ -148,18 +138,6 @@ class FeasFiniteResult:
     trace: RunTrace
     discretization: Discretization
     final_objective: float = np.nan
-
-
-def _aux_solve(
-    problem: SipProblem, x: np.ndarray, delta: float
-) -> tuple[dict[int, CertifiedMax], int]:
-    out: dict[int, CertifiedMax] = {}
-    evals = 0
-    for fam in problem.constraints:
-        cm = certified_max(fam, x, max(delta, AUX_DELTA_FLOOR))
-        evals += cm.evals
-        out[fam.index] = cm
-    return out, evals
 
 
 def run_feas_finite(
@@ -193,65 +171,32 @@ def run_feas_finite(
     pool = pool if pool is not None else CutPool()
     eps = eps0
     yk = y0
-    cumulative = trace.total_evals
     x_prev = x_hint
 
     for k in range(max_iters):
         if not budget.take():
             return FeasFiniteResult(False, x_prev, eps, k, trace, yk)
-        pool.restrict_to_points(yk.points)
-        dp = DiscretizedProblem(problem, eps, yk.points)
-        solve = solve_discretized(
-            dp, schedule.obj_tol(k), budget=solver_budget, x_hint=x_prev, pool=pool
+        step = discretization_step(
+            problem, eps, yk, schedule, k, pool, x_prev, solver_budget
         )
-        cumulative += solve.evals
-        if solve.status is SolveStatus.INFEASIBLE or (
-            solve.status is SolveStatus.UNDECIDED and solve.x is None
-        ):
-            # undecided-without-iterate is coerced to infeasible: shrinking
-            # the restriction is always safe, it only costs iterations
-            trace.append(
-                TraceRow(
-                    k_offset + k, eps, yk.cardinality, np.nan, np.nan,
-                    "infeasible", solve.lp_iters, cumulative,
-                )
-            )
+        if step.x is None:
+            # infeasible, or undecided without an iterate, which is coerced
+            # to infeasible: shrinking the restriction is always safe, it
+            # only costs iterations
+            step.record(trace, k_offset + k, "infeasible")
             eps = eps / r
             continue
-        if solve.status is SolveStatus.UNDECIDED:
-            trace.append(
-                TraceRow(
-                    k_offset + k, eps, yk.cardinality, solve.upper, np.nan,
-                    "budget", solve.lp_iters, cumulative,
-                )
-            )
-            return FeasFiniteResult(False, solve.x, eps, k + 1, trace, yk)
-
-        xk = solve.x
-        x_prev = xk
-        aux, aux_evals = _aux_solve(problem, xk, schedule.aux_tol(k))
-        cumulative += aux_evals
-        worst = max(cm.value for cm in aux.values())
-        if all(
-            aux[f.index].value <= -schedule.aux_tol(k) for f in problem.constraints
-        ):
-            trace.append(
-                TraceRow(
-                    k_offset + k, eps, yk.cardinality, solve.upper, worst,
-                    "terminated", solve.lp_iters, cumulative,
-                )
-            )
+        if step.solve.status is SolveStatus.UNDECIDED:
+            step.record(trace, k_offset + k, "budget")
+            return FeasFiniteResult(False, step.x, eps, k + 1, trace, yk)
+        x_prev = step.x
+        if step.terminated:
+            step.record(trace, k_offset + k, "terminated")
             return FeasFiniteResult(
-                True, xk, eps, k + 1, trace, yk, final_objective=solve.upper
+                True, step.x, eps, k + 1, trace, yk, final_objective=step.solve.upper
             )
-        _, violator = strongest_violator(aux)
-        trace.append(
-            TraceRow(
-                k_offset + k, eps, yk.cardinality, solve.upper, worst,
-                "violation", solve.lp_iters, cumulative,
-            )
-        )
-        yk = update_discretization(problem, yk, xk, eps, rho, violator)
+        step.record(trace, k_offset + k, "violation")
+        yk = step.refined(problem, rho)
 
     return FeasFiniteResult(False, x_prev, eps, max_iters, trace, yk)
 
@@ -376,9 +321,7 @@ def run_sequential(
                 {"outer": m + 1, "inner": total_inner}, trace,
             )
         eps_m0 = res.eps_terminal / cfg.r
-        y_m0 = res.discretization if cfg.warm_start_discretization else cfg.y0
-        if not cfg.warm_start_discretization:
-            pool = CutPool()
+        y_m0 = res.discretization
         x_hint = res.x
     assert last is not None and last.x is not None
     return post_hoc_outcome(
@@ -405,101 +348,50 @@ def run_simultaneous(
     y_check, y_hat = cfg.y0_check, cfg.y0_hat
     pool_check, pool_hat = CutPool(), CutPool()
     eps = cfg.eps0
-    delta_star = cfg.termination_tolerance
     x_check_hint = x_hat_hint = None
-    cumulative = 0
 
     for k in range(cfg.max_iters):
         if not budget.take():
             break
-        pool_check.restrict_to_points(y_check.points)
-        check = solve_discretized(
-            DiscretizedProblem(problem, 0.0, y_check.points),
-            cfg.schedule.obj_tol(k),
-            budget=cfg.solver_budget,
-            x_hint=x_check_hint,
-            pool=pool_check,
+        check = discretization_step(
+            problem, 0.0, y_check, cfg.schedule, k, pool_check, x_check_hint,
+            cfg.solver_budget,
         )
-        cumulative += check.evals
-        if check.status is SolveStatus.INFEASIBLE:
+        if check.solve.status is SolveStatus.INFEASIBLE:
             raise InputError(
                 "unrestricted discretized problem is certified infeasible; the "
                 "semi-infinite program itself is infeasible"
             )
-        if check.status is SolveStatus.UNDECIDED:
+        if check.solve.status is SolveStatus.UNDECIDED:
             break
-        x_check = check.x
-        x_check_hint = x_check
-        aux_check, aux_evals = _aux_solve(problem, x_check, cfg.schedule.aux_tol(k))
-        cumulative += aux_evals
+        x_check_hint = check.x
 
         if not budget.take():
             break
-        pool_hat.restrict_to_points(y_hat.points)
-        hat = solve_discretized(
-            DiscretizedProblem(problem, eps, y_hat.points),
-            cfg.schedule.obj_tol(k),
-            budget=cfg.solver_budget,
-            x_hint=x_hat_hint,
-            pool=pool_hat,
+        hat = discretization_step(
+            problem, eps, y_hat, cfg.schedule, k, pool_hat, x_hat_hint,
+            cfg.solver_budget,
         )
-        cumulative += hat.evals
-        if hat.status is SolveStatus.INFEASIBLE or (
-            hat.status is SolveStatus.UNDECIDED and hat.x is None
-        ):
-            trace.append(
-                TraceRow(
-                    k, eps, y_hat.cardinality, np.nan, np.nan,
-                    "hat_infeasible", check.lp_iters + hat.lp_iters, cumulative,
-                )
-            )
+        if hat.x is None:
+            hat.record(trace, k, "hat_infeasible", also=check)
             eps = eps / cfg.r
             continue
-        if hat.status is SolveStatus.UNDECIDED:
+        if hat.solve.status is SolveStatus.UNDECIDED:
             break
-        x_hat = hat.x
-        x_hat_hint = x_hat
-        aux_hat, aux_evals = _aux_solve(problem, x_hat, cfg.schedule.aux_tol(k))
-        cumulative += aux_evals
-        worst_hat = max(cm.value for cm in aux_hat.values())
+        x_hat_hint = hat.x
 
-        if hat.upper > check.upper + delta_star:
-            trace.append(
-                TraceRow(
-                    k, eps, y_hat.cardinality, hat.upper, worst_hat,
-                    "value_gap", check.lp_iters + hat.lp_iters, cumulative,
-                )
-            )
+        if hat.solve.upper > check.solve.upper + cfg.delta / 2:
+            hat.record(trace, k, "value_gap", also=check)
             eps = eps / cfg.r
-            _, violator = strongest_violator(aux_check)
-            y_check = update_discretization(
-                problem, y_check, x_check, 0.0, cfg.rho, violator
-            )
+            y_check = check.refined(problem, cfg.rho)
             continue
-        hat_violated = any(
-            aux_hat[f.index].value > -cfg.schedule.aux_tol(k)
-            for f in problem.constraints
-        )
-        if hat_violated:
-            trace.append(
-                TraceRow(
-                    k, eps, y_hat.cardinality, hat.upper, worst_hat,
-                    "hat_violation", check.lp_iters + hat.lp_iters, cumulative,
-                )
-            )
-            _, violator = strongest_violator(aux_hat)
-            y_hat = update_discretization(
-                problem, y_hat, x_hat, eps, cfg.rho, violator
-            )
+        if not hat.terminated:
+            hat.record(trace, k, "hat_violation", also=check)
+            y_hat = hat.refined(problem, cfg.rho)
             continue
-        trace.append(
-            TraceRow(
-                k, eps, y_hat.cardinality, hat.upper, worst_hat,
-                "terminated", check.lp_iters + hat.lp_iters, cumulative,
-            )
-        )
+        hat.record(trace, k, "terminated", also=check)
         return post_hoc_outcome(
-            problem, x_hat, hat.upper, OutcomeStatus.DELTA_APPROXIMATE,
+            problem, hat.x, hat.solve.upper, OutcomeStatus.DELTA_APPROXIMATE,
             {"outer": 1, "inner": k + 1}, trace,
         )
 

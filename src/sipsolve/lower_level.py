@@ -16,6 +16,7 @@ bound alone and the returned gap is sound whenever the declared
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,9 @@ def certified_max(
     Deterministic: identical inputs produce bit-identical outputs.  Raises
     CertificationError if more than ``node_budget`` cells are split before
     the gap closes, which cannot happen when lipschitz_in_y is a true
-    Lipschitz constant and delta is resolvable at float resolution.
+    Lipschitz constant and delta is resolvable at float resolution.  Raises
+    InputError when the oracle returns a non-finite value: the Lipschitz
+    bound says nothing about a cell whose center has no value.
     """
     if delta <= 0:
         raise InputError("delta must be positive")
@@ -68,6 +71,7 @@ def certified_max(
     lip = family.local_lipschitz_in_y(p)
     center = box.center()
     best_val = float(family.value(p, center))
+    _require_finite(family, math.isfinite(best_val))
     best_y = center
     evals = 1
     if lip == 0.0:
@@ -113,14 +117,23 @@ def certified_max(
                 val[~exact] = family.eval_grid(p, centers[~exact])
         else:
             val = family.eval_grid(p, centers)
+        _require_finite(family, np.isfinite(val).all())
         evals += len(val)
         top = int(val.argmax())
         if val[top] > best_val:
             # a batch value: keep the scalar oracle's value, if it is larger
             v = float(family.value(p, centers[top]))
+            _require_finite(family, math.isfinite(v))
             evals += 1
             if v > best_val:
                 best_val, best_y = v, centers[top]
+
+
+def _require_finite(family: ConstraintFamily, finite: bool) -> None:
+    if not finite:
+        raise InputError(
+            f"constraint family {family.index} returned a non-finite value"
+        )
 
 
 def _split(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray):

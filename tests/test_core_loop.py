@@ -177,6 +177,23 @@ class TestRunCore:
         assert res.status is CoreStatus.BUDGET
         assert res.iterations == 3
 
+    def test_vanishing_aux_tol_is_budget_stop(self, prob_a):
+        # aux_tol(k) = 0 from k = 3 on: the gap request is floored at
+        # AUX_DELTA_FLOOR, so the run ends on its iteration budget instead of
+        # rejecting a zero gap request as an input error
+        sched = ToleranceSchedule(
+            obj_tol=lambda k: 0.0,
+            aux_tol=lambda k: 0.1 * 0.5**k if k < 3 else 0.0,
+            regime=ScheduleRegime.EVENTUALLY_ZERO,
+            obj_sup=0.0,
+        )
+        cfg = CoreConfig(
+            eps=0.0, rho=0.0, schedule=sched, y0=single(0.0), max_iters=6
+        )
+        res = run_core(prob_a, cfg)
+        assert res.status is CoreStatus.BUDGET
+        assert [row.branch for row in res.trace.rows] == ["violation"] * 6
+
     def test_superset_rule_under_infinite_rho(self, prob_a):
         cfg = CoreConfig(
             eps=0.0, rho=np.inf, schedule=eventually_zero_schedule(0),

@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sipsolve.core_loop import (
+    CoreConfig,
     Discretization,
     ScheduleRegime,
     ToleranceSchedule,
     eventually_zero_schedule,
     geometric_schedule,
+    run_core,
 )
 from sipsolve.drivers import (
     Budget,
@@ -19,7 +25,9 @@ from sipsolve.drivers import (
     run_simultaneous,
 )
 from sipsolve.errors import ConfigError
-from sipsolve.problem import RegularityBundle
+from sipsolve.instances import default_y0, random_affine_instance
+from sipsolve.lower_level import CertifiedMax
+from sipsolve.problem import ConstraintFamily, RegularityBundle
 
 
 def single(y):
@@ -81,6 +89,34 @@ class TestRunFeasFinite:
                 assert e2 == e1 / 2.0
             else:
                 assert e2 == e1
+
+    def test_termination_needs_values_below_the_requested_gap(self, prob_a):
+        # aux_tol(k) = 1e-20 * 0.5**k is floored to a 1e-15 gap request; a
+        # value of -1e-20 with gap 1e-15 does not certify value + gap <= 0
+        box = prob_a.y_domain
+        fam = ConstraintFamily(
+            index=0,
+            value=lambda x, y: -1e-20,
+            subgradient_x=lambda x, y: np.zeros(1),
+            lipschitz_in_y=1.0,
+            y_domain=box,
+            custom_maximizer=lambda x, delta: CertifiedMax(
+                y_star=box.center(), value=-1e-20, gap=1e-15
+            ),
+        )
+        prob = replace(prob_a, constraints=(fam,))
+        sched = ToleranceSchedule(
+            obj_tol=lambda k: 0.0,
+            aux_tol=lambda k: 1e-20 * 0.5**k,
+            regime=ScheduleRegime.EVENTUALLY_ZERO,
+            obj_sup=0.0,
+        )
+        res = run_feas_finite(
+            prob, eps0=1e-21, r=2.0, schedule=sched, rho=0.0,
+            y0=Discretization(box.center().reshape(1, -1)), max_iters=3,
+        )
+        assert not res.terminated
+        assert [row.branch for row in res.trace.rows] == ["violation"] * 3
 
     def test_budget_flag(self, prob_a):
         res = run_feas_finite(
@@ -149,23 +185,17 @@ class TestRunSequential:
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
 
     def test_warm_start_equivalence(self, prob_a):
-        # warm and cold restarts both satisfy the driver's contract; their
-        # objective values agree within the target precision (the terminal
-        # iterate may legitimately land anywhere in the band the aux test
-        # tolerates, so exact agreement is not implied)
+        # each stage starts from the previous stage's discretization and
+        # pool; the run still satisfies the driver's contract
         delta = 1e-1
-        outs = {}
-        for warm in (True, False):
-            cfg = SequentialConfig(
-                delta=delta, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
-                rho=0.0, y0=single(0.5), warm_start_discretization=warm,
-            )
-            outs[warm] = run_sequential(prob_a, cfg)
-        for out in outs.values():
-            assert out.status is OutcomeStatus.DELTA_APPROXIMATE
-            assert 0.0 <= out.f_value <= delta  # analytic optimum is 0
-            assert out.certified_bound <= 1e-9
-        assert abs(outs[True].f_value - outs[False].f_value) <= delta
+        cfg = SequentialConfig(
+            delta=delta, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=single(0.5),
+        )
+        out = run_sequential(prob_a, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert 0.0 <= out.f_value <= delta  # analytic optimum is 0
+        assert out.certified_bound <= 1e-9
 
     def test_finite_proxy_monotone_in_stages(self, prob_a):
         # more stages shrink the distance to the solution, and the theorem
@@ -257,3 +287,58 @@ class TestApproximationContract:
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         assert out.f_value <= 1.0 + delta
         assert out.certified_bound <= 1e-9
+
+
+class TestWholeRunDeterminism:
+    """Two runs on the same input write the same trace and the same point,
+    bit for bit."""
+
+    SCHEDULE = eventually_zero_schedule(0)
+    # the drivers certify their result at 1e-9, which on q = 2 instances
+    # takes seconds or exhausts the cell budget (ROADMAP item 2), so they
+    # run on the q = 1 instances
+    Q1_SEEDS = st.integers(0, 39).filter(
+        lambda s: random_affine_instance(s).y_domain.dim == 1
+    )
+
+    @staticmethod
+    def _assert_same(run, point):
+        first, second = run(), run()
+        assert first.trace.to_csv() == second.trace.to_csv()
+        assert point(first).tobytes() == point(second).tobytes()
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 39), st.sampled_from([0.5, 0.1]), st.sampled_from([0.0, np.inf])
+    )
+    def test_run_core(self, seed, eps, rho):
+        prob = random_affine_instance(seed)
+        cfg = CoreConfig(
+            eps=eps, rho=rho, schedule=self.SCHEDULE, y0=default_y0(prob)
+        )
+        self._assert_same(lambda: run_core(prob, cfg), lambda res: res.x)
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(Q1_SEEDS)
+    def test_run_sequential(self, seed):
+        prob = random_affine_instance(seed)
+        cfg = SequentialConfig(
+            delta=0.1, r=2.0, eps00=0.5, schedule=self.SCHEDULE, rho=0.0,
+            y0=default_y0(prob),
+        )
+        self._assert_same(
+            lambda: run_sequential(prob, cfg, m_star=2), lambda out: out.x_star
+        )
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(Q1_SEEDS)
+    def test_run_simultaneous(self, seed):
+        prob = random_affine_instance(seed)
+        y0 = default_y0(prob)
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=0.5, schedule=self.SCHEDULE, rho=0.5,
+            y0_check=y0, y0_hat=y0,
+        )
+        self._assert_same(
+            lambda: run_simultaneous(prob, cfg), lambda out: out.x_star
+        )

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -249,6 +250,35 @@ class TestCertifiedMaxCases:
         with pytest.raises(CertificationError, match="cell budget 5 exhausted"):
             certified_max(fam, x, 1e-9, node_budget=5)
         assert certified_max(fam, x, 1e-9).gap <= 1e-9
+
+
+class TestNonFiniteOracle:
+    # g = NaN for y > 0.7 and -|y - 0.2| elsewhere: a certificate for the
+    # whole box would cover a part the oracle never bounded
+    @staticmethod
+    def _g(y):
+        return np.where(y > 0.7, np.nan, -np.abs(y - 0.2))
+
+    def test_scalar_oracle(self):
+        fam = replace(
+            _family(lambda x, y: float(self._g(y[0])), 1.0, BoxDomain([0.0], [1.0])),
+            index=3,
+        )
+        with pytest.raises(InputError, match="family 3"):
+            certified_max(fam, np.zeros(1), 1e-6)
+
+    def test_batch_oracle(self):
+        fam = _family(
+            lambda x, y: float(self._g(y[0])), 1.0, BoxDomain([0.0], [1.0]),
+            batch_eval=lambda x, ys: self._g(ys[:, 0]),
+        )
+        with pytest.raises(InputError, match="family 0"):
+            certified_max(fam, np.zeros(1), 1e-6)
+
+    def test_nonfinite_center(self):
+        fam = _family(lambda x, y: np.inf, 0.0, BoxDomain([0.0], [1.0]))
+        with pytest.raises(InputError, match="non-finite"):
+            certified_max(fam, np.zeros(1), 1e-6)
 
 
 class TestPluggableMaximizer:
