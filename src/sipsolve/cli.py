@@ -2,7 +2,8 @@
 
 solve runs one of the three algorithms on a problem file (or builtin
 instance) and writes an outcome JSON plus a trace CSV; exit code 0 means a
-certified result, 2 a budget-limited partial result, 1 an input error.
+certified result, 2 a budget-limited partial result or an exhausted
+certification cell budget, 1 an input error or a malformed command line.
 check validates a problem file including its Slater certificate.  bench
 compares discretization growth between the minimal (rho = 0) and monotone
 (rho = inf) pruning policies on the same instance.
@@ -61,11 +62,9 @@ def parse_schedule(text: str):
 
 
 def parse_rho(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return np.inf
-    value = float(text)
-    if value < 0:
-        raise InputError("rho must be nonnegative or inf")
+    value = float(text)  # also reads "inf" and "infinity", in any case
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"need rho >= 0 or inf, got {text!r}")
     return value
 
 
@@ -239,17 +238,22 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's error code 2 would read as a budget stop
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
         if args.command == "solve":
             return cmd_solve(args)
         if args.command == "check":
             return cmd_check(args)
         return cmd_bench(args)
-    except (InputError, ConfigError, CertificationError) as exc:
+    except (InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except CertificationError as exc:  # valid input, exhausted cell budget
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

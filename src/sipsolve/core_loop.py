@@ -41,10 +41,9 @@ AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
 
 @dataclass(frozen=True)
 class Discretization:
-    """Finite multiset of index points with a dedup tolerance."""
+    """Finite set of index points, deduplicated at DEDUP_TOL (max-norm)."""
 
     points: np.ndarray
-    dedup_tol: float = DEDUP_TOL
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -54,7 +53,7 @@ class Discretization:
             pts = np.atleast_2d(pts)
         kept: list[np.ndarray] = []
         for p in pts:
-            if all(np.max(np.abs(p - q)) > self.dedup_tol for q in kept):
+            if all(np.max(np.abs(p - q)) > DEDUP_TOL for q in kept):
                 kept.append(p.astype(float))
         arr = np.array(kept).reshape(len(kept), pts.shape[1])
         arr.setflags(write=False)
@@ -69,7 +68,7 @@ class Discretization:
             merged = np.atleast_2d(extra_points)
         else:
             merged = np.vstack([self.points, np.atleast_2d(extra_points)])
-        return Discretization(merged, self.dedup_tol)
+        return Discretization(merged)
 
 
 class ScheduleRegime(Enum):
@@ -253,20 +252,14 @@ def update_discretization(
     """One discretization update: keep the points still active at level
     -eps - rho and add the strongest violator."""
     x = as_point(xk, dim=problem.x_domain.dim)
-    if np.isinf(rho):
-        kept = yk.points
-    elif yk.cardinality:
-        vals = np.stack([fam.eval_grid(x, yk.points) for fam in problem.constraints])
-        kept = yk.points[vals.max(axis=0) >= -eps - rho]
-    else:
-        kept = yk.points
+    kept = yk.points
+    if yk.cardinality and not np.isinf(rho):
+        vals = np.stack([fam.eval_grid(x, kept) for fam in problem.constraints])
+        kept = kept[vals.max(axis=0) >= -eps - rho]
     new_points = np.vstack(
-        [
-            kept.reshape(-1, problem.y_domain.dim),
-            violator.y_star.reshape(1, -1),
-        ]
+        [kept.reshape(-1, problem.y_domain.dim), violator.y_star.reshape(1, -1)]
     )
-    return Discretization(new_points, yk.dedup_tol)
+    return Discretization(new_points)
 
 
 @dataclass

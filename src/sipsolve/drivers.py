@@ -35,13 +35,7 @@ from .core_loop import (
 from .errors import ConfigError, InputError
 from .finite_solver import SolveStatus
 from .lower_level import certified_feasibility_bound
-from .problem import (
-    RegularityBundle,
-    SipProblem,
-    default_margin_resolution,
-    derive_eps_star,
-    feasibility_margin,
-)
+from .problem import RegularityBundle, SipProblem, derive_eps_star
 
 POST_HOC_DELTA = 1e-9
 
@@ -72,8 +66,10 @@ class SolveOutcome:
     status: OutcomeStatus
     x_star: np.ndarray | None
     f_value: float
+    # worst certified value max_i g_i(x_star, y_i*), attained on Y
     feasibility_margin: float
-    certified_bound: float  # tight post-hoc bound on max_i sup_y g_i
+    # bound on max_i sup_y g_i(x_star, .), at most margin + POST_HOC_DELTA
+    certified_bound: float
     iterations: dict[str, int]
     trace: RunTrace
     oracle_evals: int
@@ -240,8 +236,9 @@ def post_hoc_outcome(
     iterations: dict[str, int],
     trace: RunTrace,
 ) -> SolveOutcome:
-    bound = certified_feasibility_bound(problem.constraints, x, POST_HOC_DELTA)
-    margin = feasibility_margin(problem, x, default_margin_resolution(problem))
+    margin, bound = certified_feasibility_bound(
+        problem.constraints, x, POST_HOC_DELTA
+    )
     return SolveOutcome(
         status=status,
         x_star=x,

@@ -46,6 +46,10 @@ STALL_ACCEPT_REL = 1e-8
 
 DEFAULT_BUDGET = 400
 
+# CutPool caps: cuts beyond these are shed by CutPool.prune.
+MAX_OBJECTIVE_CUTS = 48
+MAX_CONSTRAINT_CUTS = 160
+
 
 class SolveStatus(Enum):
     FEASIBLE = "Feasible"
@@ -106,8 +110,6 @@ class CutPool:
 
     objective: dict[tuple, tuple[np.ndarray, float]] = field(default_factory=dict)
     constraint: dict[tuple, tuple[np.ndarray, float]] = field(default_factory=dict)
-    max_objective: int = 48
-    max_constraint: int = 160
 
     def add_objective(self, a: np.ndarray, b: float) -> None:
         key = _cut_fingerprint(a)
@@ -127,15 +129,15 @@ class CutPool:
         """Shed cuts beyond the caps, dropping the slackest at the reference
         point first.  Keeps the pool focused where the iterates live; losing
         cuts only loosens the model, never its soundness."""
-        if len(self.objective) > self.max_objective:
+        if len(self.objective) > MAX_OBJECTIVE_CUTS:
             vals = {k: a @ x_ref + b for k, (a, b) in self.objective.items()}
             order = sorted(self.objective, key=lambda k: -vals[k])
-            self.objective = {k: self.objective[k] for k in order[: self.max_objective]}
-        if len(self.constraint) > self.max_constraint:
+            self.objective = {k: self.objective[k] for k in order[:MAX_OBJECTIVE_CUTS]}
+        if len(self.constraint) > MAX_CONSTRAINT_CUTS:
             vals = {k: a @ x_ref + b for k, (a, b) in self.constraint.items()}
             order = sorted(self.constraint, key=lambda k: -vals[k])
             self.constraint = {
-                k: self.constraint[k] for k in order[: self.max_constraint]
+                k: self.constraint[k] for k in order[:MAX_CONSTRAINT_CUTS]
             }
 
     def restrict_to_points(self, points: np.ndarray) -> None:

@@ -223,7 +223,7 @@ def random_affine_instance(seed: int) -> SipProblem:
 
         probe = affine_polynomial_family(i, a_polys, b_poly, x_box, y_box)
         # shift the constant term so the box center is strictly feasible
-        shift = -certified_feasibility_bound([probe], slater, 1e-2) - 1.0
+        shift = -certified_feasibility_bound([probe], slater, 1e-2)[1] - 1.0
         families.append(
             affine_polynomial_family(
                 i, a_polys, b_poly.plus_constant(shift), x_box, y_box

@@ -178,10 +178,13 @@ def strongest_violator(results: dict[int, CertifiedMax]) -> tuple[int, Certified
     return best_i, results[best_i]
 
 
-def certified_feasibility_bound(constraints, x, delta: float) -> float:
-    """Certified upper bound on max_i sup_y g_i(x, y): worst value + gap."""
-    bound = -np.inf
+def certified_feasibility_bound(constraints, x, delta: float) -> tuple[float, float]:
+    """(worst, bound): worst = max_i g_i(x, y_i*) is attained on the index
+    box, and bound = max_i (value_i + gap_i) >= max_i sup_y g_i(x, y), so
+    worst <= bound <= worst + delta."""
+    worst = bound = -np.inf
     for fam in constraints:
         cm = certified_max(fam, x, delta)
+        worst = max(worst, cm.value)
         bound = max(bound, cm.value + cm.gap)
-    return float(bound)
+    return float(worst), float(bound)

@@ -22,6 +22,12 @@ from .errors import InputError
 
 # Absolute slack used whenever "g <= -eps" has to be decided in floating point.
 FEASTOL = 1e-10
+# Point budget of the grid behind default_margin_resolution.
+MARGIN_GRID_POINTS = 100_000
+# validate_problem: samples per check, relative tolerance, sampling seed.
+VALIDATION_SAMPLES = 100
+VALIDATION_REL_TOL = 1e-9
+VALIDATION_SEED = 0
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -74,7 +80,7 @@ class BoxDomain:
     def clip(self, x) -> np.ndarray:
         return np.clip(as_point(x, dim=self.dim), self.lower, self.upper)
 
-    def grid(self, resolution: float, max_points: int | None = None) -> np.ndarray:
+    def grid(self, resolution: float) -> np.ndarray:
         """Uniform grid including all box corners, spacing <= resolution per
         axis.  Returns an (N, dim) array in lexicographic axis order."""
         if resolution <= 0:
@@ -84,11 +90,6 @@ class BoxDomain:
             w = float(self.widths[j])
             n = max(2, int(np.ceil(w / resolution)) + 1) if w > 0 else 1
             axes.append(np.linspace(self.lower[j], self.upper[j], n))
-        total = int(np.prod([len(a) for a in axes]))
-        if max_points is not None and total > max_points:
-            raise InputError(
-                f"grid would hold {total} points, exceeding cap {max_points}"
-            )
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -175,7 +176,7 @@ class ConstraintFamily:
     polynomial coefficient bounds and it sharpens certificates a lot when
     the uniform constant is loose at the query point.
     ``batch_eval``, when given, evaluates g(x, y) for a whole (N, q) array of
-    index points at once and is used to speed up dense grid scans.
+    index points at once; the lower level evaluates its cells through it.
     ``custom_maximizer`` may replace the built-in certified maximizer; it must
     honor the same certificate contract (see lower_level.certified_max).
     """
@@ -261,7 +262,9 @@ def feasibility_margin(problem: SipProblem, x, grid_resolution: float) -> float:
 
     Returns max over families and grid points of g_i(x, y).  The true
     supremum exceeds the returned value by at most
-    max_i lipschitz_in_y * grid_resolution.
+    max_i lipschitz_in_y * grid_resolution.  This is an independent check
+    for the tests and the benchmark; the solver never calls it, its
+    outcomes take their margin from the certified lower level.
     """
     p = as_point(x, dim=problem.x_domain.dim)
     if grid_resolution <= 0:
@@ -270,11 +273,11 @@ def feasibility_margin(problem: SipProblem, x, grid_resolution: float) -> float:
     return float(max(np.max(fam.eval_grid(p, ys)) for fam in problem.constraints))
 
 
-def default_margin_resolution(problem: SipProblem, max_points: int = 100_000) -> float:
-    """Finest grid resolution whose full grid stays under ``max_points``."""
+def default_margin_resolution(problem: SipProblem) -> float:
+    """Finest grid resolution whose full grid stays under MARGIN_GRID_POINTS."""
     q = problem.y_domain.dim
     width = max(float(np.max(problem.y_domain.widths)), 1e-12)
-    per_axis = max(2, int(max_points ** (1.0 / q)))
+    per_axis = max(2, int(MARGIN_GRID_POINTS ** (1.0 / q)))
     return max(width / (per_axis - 1), 1e-6)
 
 
@@ -291,7 +294,7 @@ def derive_eps_star(problem: SipProblem, oracle_tol: float) -> RegularityBundle:
         raise InputError("derive_eps_star requires a slater_point")
     if oracle_tol <= 0:
         raise InputError("oracle_tol must be positive")
-    bound = certified_feasibility_bound(
+    _, bound = certified_feasibility_bound(
         problem.constraints, problem.slater_point, oracle_tol
     )
     eps_star = -bound - oracle_tol
@@ -323,12 +326,7 @@ class OracleCheckReport:
         return not self.failures
 
 
-def validate_problem(
-    problem: SipProblem,
-    samples: int = 100,
-    rel_tol: float = 1e-9,
-    seed: int = 0,
-) -> OracleCheckReport:
+def validate_problem(problem: SipProblem) -> OracleCheckReport:
     """Spot-check oracle consistency on deterministic random samples.
 
     Checks, per constraint family and for the objective: the convexity
@@ -338,7 +336,7 @@ def validate_problem(
     ``derive_eps_star`` certifies it again at its own tolerance.  Raises
     nothing; the report lists failures so callers decide.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     rep = OracleCheckReport()
     X, Y = problem.x_domain, problem.y_domain
 
@@ -349,7 +347,7 @@ def validate_problem(
         return Y.lower + rng.random(Y.dim) * Y.widths
 
     f = problem.objective
-    for _ in range(samples):
+    for _ in range(VALIDATION_SAMPLES):
         a, b, lam = rand_x(), rand_x(), rng.random()
         mid = lam * a + (1 - lam) * b
         scale = 1.0 + abs(f.value(a)) + abs(f.value(b))
@@ -366,7 +364,7 @@ def validate_problem(
             rep.lipschitz_violation = max(rep.lipschitz_violation, gap / scale)
 
     for fam in problem.constraints:
-        for _ in range(samples):
+        for _ in range(VALIDATION_SAMPLES):
             a, b, y, lam = rand_x(), rand_x(), rand_y(), rng.random()
             mid = lam * a + (1 - lam) * b
             scale = 1.0 + abs(fam.value(a, y)) + abs(fam.value(b, y))
@@ -387,10 +385,10 @@ def validate_problem(
                 rep.lipschitz_violation, gap / (1.0 + abs(fam.value(x, ya)))
             )
 
-    if rep.convexity_violation > rel_tol:
+    if rep.convexity_violation > VALIDATION_REL_TOL:
         rep.failures.append(f"convexity violated by {rep.convexity_violation:.3e}")
-    if rep.subgradient_violation > rel_tol:
+    if rep.subgradient_violation > VALIDATION_REL_TOL:
         rep.failures.append(f"subgradient cut violated by {rep.subgradient_violation:.3e}")
-    if rep.lipschitz_violation > rel_tol:
+    if rep.lipschitz_violation > VALIDATION_REL_TOL:
         rep.failures.append(f"Lipschitz bound violated by {rep.lipschitz_violation:.3e}")
     return rep

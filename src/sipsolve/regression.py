@@ -169,7 +169,7 @@ def synthesize_slater_point(
     for w in candidates:
         if not box.contains(w):
             continue
-        if certified_feasibility_bound(families, w, 1e-7) < -1e-9:
+        if certified_feasibility_bound(families, w, 1e-7)[1] < -1e-9:
             return w
     return None
 

@@ -358,7 +358,7 @@ def load_problem(source) -> SipProblem:
         raise InputError(f"malformed problem field: {exc}") from None
     problem = build_problem(spec) if kind == "regression" else spec.build()
     if problem.slater_point is not None:
-        report_bound = certified_feasibility_bound(
+        _, report_bound = certified_feasibility_bound(
             problem.constraints, problem.slater_point, 1e-6
         )
         if report_bound >= 0:

@@ -116,6 +116,70 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "builtin:instance_A", "--rho", "-1"],
+            ["solve", "--problem", "builtin:instance_A", "--rho", "abc"],
+            ["solve", "--problem", "builtin:instance_A", "--delta", "abc"],
+            ["solve", "--problem", "builtin:instance_A", "--no-such-flag"],
+            ["solve"],
+        ],
+        ids=["negative_rho", "text_rho", "text_delta", "unknown_flag", "no_problem"],
+    )
+    def test_malformed_arguments_are_input_errors(self, argv, capsys):
+        assert run_cli(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "usage:" in err and "error:" in err
+
+    def test_help_exits_ok(self, capsys):
+        assert run_cli(["solve", "--help"]) == EXIT_OK
+        assert "--problem" in capsys.readouterr().out
+
+    def test_exhausted_certification_is_budget_exit(self, tmp_path, capsys, monkeypatch):
+        from sipsolve import lower_level
+        from sipsolve.errors import CertificationError
+
+        inner = lower_level.certified_max
+
+        def exhausted(family, x, delta, *args, **kwargs):
+            if delta <= 1e-9:
+                raise CertificationError("cell budget 2000000 exhausted")
+            return inner(family, x, delta, *args, **kwargs)
+
+        monkeypatch.setattr(lower_level, "certified_max", exhausted)
+        code = run_cli(
+            [
+                "solve", "--problem", "builtin:instance_A",
+                "--algorithm", "simultaneous", "--delta", "1e-1",
+                "--trace-out", str(tmp_path / "t.csv"),
+                "--outcome-out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert code == EXIT_BUDGET
+        assert "error: cell budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])
+    def test_solve_runs_no_grid_scan(self, tmp_path, monkeypatch, name):
+        from sipsolve import problem
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a solve scanned a grid")
+
+        monkeypatch.setattr(problem, "feasibility_margin", no_grid)
+        monkeypatch.setattr(problem.BoxDomain, "grid", no_grid)
+        code = run_cli(
+            [
+                "solve", "--problem", f"builtin:{name}",
+                "--trace-out", str(tmp_path / "t.csv"),
+                "--outcome-out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert code == EXIT_OK
+        data = json.loads((tmp_path / "o.json").read_text())
+        assert data["feasibility_margin"] <= 0.0
+
+
 class TestCheck:
     def test_builtin_ok(self, capsys):
         assert run_cli(["check", "--problem", "builtin:instance_B"]) == EXIT_OK

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sipsolve import lower_level
 from sipsolve.core_loop import (
     CoreConfig,
     Discretization,
+    RunTrace,
     ScheduleRegime,
     ToleranceSchedule,
     eventually_zero_schedule,
@@ -15,19 +17,26 @@ from sipsolve.core_loop import (
     run_core,
 )
 from sipsolve.drivers import (
+    POST_HOC_DELTA,
     Budget,
     OutcomeStatus,
     SequentialConfig,
     SimultaneousConfig,
+    budget_outcome,
     compute_termination_index,
     run_feas_finite,
     run_sequential,
     run_simultaneous,
 )
 from sipsolve.errors import ConfigError
-from sipsolve.instances import default_y0, random_affine_instance
+from sipsolve.instances import builtin, default_y0, random_affine_instance
 from sipsolve.lower_level import CertifiedMax
-from sipsolve.problem import ConstraintFamily, RegularityBundle
+from sipsolve.problem import (
+    ConstraintFamily,
+    RegularityBundle,
+    default_margin_resolution,
+    feasibility_margin,
+)
 
 
 def single(y):
@@ -273,6 +282,63 @@ class TestRunSimultaneous:
         )
         out = run_simultaneous(prob_b, cfg)
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+
+
+class TestPostHocCertification:
+    """An outcome's margin and bound come from one certification pass: the
+    margin is a constraint value attained on Y, the bound lies within
+    POST_HOC_DELTA above it, and a dense grid finds no more than the bound."""
+
+    @staticmethod
+    def run(name, kind):
+        prob = builtin(name)
+        y0 = default_y0(prob)
+        sched = eventually_zero_schedule(0)
+        if kind == "sequential":
+            cfg = SequentialConfig(
+                delta=0.1, r=2.0, eps00=1.0, schedule=sched, rho=0.0, y0=y0
+            )
+            return prob, run_sequential(prob, cfg)
+        if kind == "simultaneous":
+            cfg = SimultaneousConfig(
+                delta=0.1, r=2.0, eps0=1.0, schedule=sched, rho=0.0,
+                y0_check=y0, y0_hat=y0,
+            )
+            return prob, run_simultaneous(prob, cfg)
+        x = prob.x_domain.center()
+        f = float(prob.objective.value(x))
+        return prob, budget_outcome(prob, x, f, {"outer": 1, "inner": 0}, RunTrace())
+
+    @pytest.mark.parametrize("kind", ["sequential", "simultaneous", "budget"])
+    @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])
+    def test_margin_is_the_certified_worst_value(self, monkeypatch, name, kind):
+        calls = []
+        inner = lower_level.certified_max
+
+        def recording(family, x, delta, *args, **kwargs):
+            cm = inner(family, x, delta, *args, **kwargs)
+            calls.append((family, x, cm))
+            return cm
+
+        monkeypatch.setattr(lower_level, "certified_max", recording)
+        prob, out = self.run(name, kind)
+        if kind == "budget":
+            assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        else:
+            assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        post_hoc = calls[-len(prob.constraints):]
+        attained = []
+        for fam, x, cm in post_hoc:
+            assert np.array_equal(x, out.x_star)
+            assert prob.y_domain.contains(cm.y_star, tol=0.0)
+            attained.append(float(fam.value(out.x_star, cm.y_star)))
+        assert out.feasibility_margin == max(attained)
+        assert out.feasibility_margin <= out.certified_bound
+        assert out.certified_bound <= out.feasibility_margin + POST_HOC_DELTA
+        # the grid reads batch_eval, the certificate the scalar oracle; the
+        # two may round apart (instance_B at x0 = x1 differs by 2e-16)
+        grid = feasibility_margin(prob, out.x_star, default_margin_resolution(prob))
+        assert grid <= out.certified_bound + 1e-12
 
 
 class TestApproximationContract:
