@@ -25,11 +25,14 @@ from .core_loop import (
     run_core,
 )
 from .drivers import (
+    DEFAULT_SOLVER_CALL_BUDGET,
     Budget,
     OutcomeStatus,
     SequentialConfig,
     SimultaneousConfig,
     SolveOutcome,
+    budget_outcome,
+    post_hoc_outcome,
     run_sequential,
     run_simultaneous,
 )
@@ -89,8 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--eps0", type=float, default=1.0)
     solve.add_argument("--schedule", default="eventually_zero(0)")
     solve.add_argument("--max-iters", type=int, default=10_000)
-    solve.add_argument("--budget", type=int, default=1_000_000,
-                       help="total finite-solver call budget")
+    solve.add_argument("--budget", type=int, default=DEFAULT_SOLVER_CALL_BUDGET,
+                       help="total finite-solver call budget; each core "
+                       "iteration is one call")
     solve.add_argument("--trace-out", default="trace.csv")
     solve.add_argument("--outcome-out", default="outcome.json")
 
@@ -110,19 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _core_outcome(problem, result) -> SolveOutcome:
     """Wrap a core-loop result so the same writers apply."""
-    from .drivers import budget_outcome, post_hoc_outcome
-
     iters = {"outer": 1, "inner": result.iterations}
     if result.status is CoreStatus.TERMINATED:
-        f_val = float(problem.objective.value(result.x))
         return post_hoc_outcome(
-            problem, result.x, f_val, OutcomeStatus.DELTA_APPROXIMATE,
-            iters, result.trace,
+            problem, result.x, OutcomeStatus.DELTA_APPROXIMATE, iters, result.trace
         )
-    f_val = (
-        float(problem.objective.value(result.x)) if result.x is not None else np.nan
-    )
-    return budget_outcome(problem, result.x, f_val, iters, result.trace)
+    return budget_outcome(problem, result.x, iters, result.trace)
 
 
 def cmd_solve(args) -> int:
@@ -132,12 +129,13 @@ def cmd_solve(args) -> int:
     budget = Budget(solver_calls=args.budget)
 
     if args.algorithm == "core":
+        # each core iteration makes exactly one finite-solver call
         cfg = CoreConfig(
             eps=args.eps0,
             rho=args.rho,
             schedule=schedule,
             y0=y0,
-            max_iters=args.max_iters,
+            max_iters=min(args.max_iters, args.budget),
         )
         result = run_core(problem, cfg)
         outcome = _core_outcome(problem, result)

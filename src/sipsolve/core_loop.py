@@ -37,6 +37,8 @@ from .problem import SipProblem, as_point
 
 DEDUP_TOL = 1e-12
 AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
+# Iterations ToleranceSchedule.sup_obj scans when obj_sup is not given.
+SUP_OBJ_HORIZON = 64
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,10 @@ class ToleranceSchedule:
                         f"eventually-zero schedule has obj_tol({k}) != 0"
                     )
 
-    def sup_obj(self, horizon: int = 64) -> float:
+    def sup_obj(self) -> float:
         if self.obj_sup is not None:
             return self.obj_sup
-        return max(self.obj_tol(k) for k in range(horizon))
+        return max(self.obj_tol(k) for k in range(SUP_OBJ_HORIZON))
 
     def shifted(self, offset: int) -> "ToleranceSchedule":
         """Schedule viewed from iteration ``offset`` on (obj side only)."""
@@ -164,7 +166,6 @@ class CoreConfig:
     schedule: ToleranceSchedule
     y0: Discretization
     max_iters: int = 10_000
-    solver_budget: int = 400
 
     def __post_init__(self):
         if self.eps < 0:
@@ -331,7 +332,6 @@ def discretization_step(
     k: int,
     pool: CutPool,
     x_hint: np.ndarray | None,
-    solver_budget: int,
 ) -> Step:
     """Solve the problem restricted by ``eps`` on ``points`` to gap
     obj_tol(k) and, when the solve is FEASIBLE, certify every family at its
@@ -340,7 +340,6 @@ def discretization_step(
     solve = solve_discretized(
         DiscretizedProblem(problem, eps, points.points),
         schedule.obj_tol(k),
-        budget=solver_budget,
         x_hint=x_hint,
         pool=pool,
     )
@@ -354,13 +353,7 @@ def discretization_step(
     return Step(eps, points, solve, certs, aux_delta)
 
 
-def run_core(
-    problem: SipProblem,
-    cfg: CoreConfig,
-    pool: CutPool | None = None,
-    trace: RunTrace | None = None,
-    k_offset: int = 0,
-) -> CoreResult:
+def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
     """Run the adaptive discretization loop at fixed restriction cfg.eps.
 
     Terminates when the step certifies the iterate feasible for the
@@ -368,26 +361,24 @@ def run_core(
     and an exhausted solve or iteration budget are first-class outcomes.
     """
     yk = cfg.y0
-    trace = trace if trace is not None else RunTrace()
-    pool = pool if pool is not None else CutPool()
+    trace = RunTrace()
+    pool = CutPool()
     x_prev: np.ndarray | None = None
 
     for k in range(cfg.max_iters):
-        step = discretization_step(
-            problem, cfg.eps, yk, cfg.schedule, k, pool, x_prev, cfg.solver_budget
-        )
+        step = discretization_step(problem, cfg.eps, yk, cfg.schedule, k, pool, x_prev)
         status = step.solve.status
         if status is SolveStatus.INFEASIBLE:
-            step.record(trace, k_offset + k, "infeasible")
+            step.record(trace, k, "infeasible")
             return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, k + 1, trace, yk)
         if status is SolveStatus.UNDECIDED:
-            step.record(trace, k_offset + k, "budget")
+            step.record(trace, k, "budget")
             return CoreResult(CoreStatus.BUDGET, step.x, k + 1, trace, yk)
         x_prev = step.x
         if step.terminated:
-            step.record(trace, k_offset + k, "terminated")
+            step.record(trace, k, "terminated")
             return CoreResult(CoreStatus.TERMINATED, step.x, k + 1, trace, yk)
-        step.record(trace, k_offset + k, "violation")
+        step.record(trace, k, "violation")
         yk = step.refined(problem, cfg.rho)
 
     return CoreResult(CoreStatus.BUDGET, x_prev, cfg.max_iters, trace, yk)

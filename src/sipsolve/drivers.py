@@ -41,6 +41,9 @@ POST_HOC_DELTA = 1e-9
 
 DEFAULT_SOLVER_CALL_BUDGET = 1_000_000
 
+# compute_termination_index gives up after this many stages.
+TERMINATION_SCAN_LIMIT = 100_000
+
 
 @dataclass
 class Budget:
@@ -85,7 +88,6 @@ class SequentialConfig:
     y0: Discretization
     regularity: RegularityBundle | None = None
     inner_max_iters: int = 10_000
-    solver_budget: int = 400
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -107,7 +109,6 @@ class SimultaneousConfig:
     y0_check: Discretization
     y0_hat: Discretization
     max_iters: int = 10_000
-    solver_budget: int = 400
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -133,7 +134,6 @@ class FeasFiniteResult:
     iterations: int
     trace: RunTrace
     discretization: Discretization
-    final_objective: float = np.nan
 
 
 def run_feas_finite(
@@ -145,7 +145,6 @@ def run_feas_finite(
     y0: Discretization,
     budget: Budget | None = None,
     max_iters: int = 10_000,
-    solver_budget: int = 400,
     trace: RunTrace | None = None,
     k_offset: int = 0,
     pool: CutPool | None = None,
@@ -172,9 +171,7 @@ def run_feas_finite(
     for k in range(max_iters):
         if not budget.take():
             return FeasFiniteResult(False, x_prev, eps, k, trace, yk)
-        step = discretization_step(
-            problem, eps, yk, schedule, k, pool, x_prev, solver_budget
-        )
+        step = discretization_step(problem, eps, yk, schedule, k, pool, x_prev)
         if step.x is None:
             # infeasible, or undecided without an iterate, which is coerced
             # to infeasible: shrinking the restriction is always safe, it
@@ -188,9 +185,7 @@ def run_feas_finite(
         x_prev = step.x
         if step.terminated:
             step.record(trace, k_offset + k, "terminated")
-            return FeasFiniteResult(
-                True, step.x, eps, k + 1, trace, yk, final_objective=step.solve.upper
-            )
+            return FeasFiniteResult(True, step.x, eps, k + 1, trace, yk)
         step.record(trace, k_offset + k, "violation")
         yk = step.refined(problem, rho)
 
@@ -204,7 +199,6 @@ def compute_termination_index(
     eps00: float,
     r: float,
     obj_schedule,
-    scan_limit: int = 100_000,
 ) -> int:
     """Smallest stage count m* so that from m* on the restriction is inside
     the regularity margin, the Lipschitz value bound is below delta/2, and
@@ -218,9 +212,9 @@ def compute_termination_index(
     m = 0
     while eps00 / r**m > regularity.eps_star or lip_factor * eps00 / r**m > delta / 2:
         m += 1
-        if m > scan_limit:
+        if m > TERMINATION_SCAN_LIMIT:
             raise ConfigError("termination index scan failed on the value bound")
-    for m_star in range(m, scan_limit):
+    for m_star in range(m, TERMINATION_SCAN_LIMIT):
         if obj_tol(m_star) <= delta / 2:
             return m_star
     raise ConfigError(
@@ -231,18 +225,18 @@ def compute_termination_index(
 def post_hoc_outcome(
     problem: SipProblem,
     x: np.ndarray,
-    f_value: float,
     status: OutcomeStatus,
     iterations: dict[str, int],
     trace: RunTrace,
 ) -> SolveOutcome:
+    """The outcome at x: f(x) and the certified constraint bound."""
     margin, bound = certified_feasibility_bound(
         problem.constraints, x, POST_HOC_DELTA
     )
     return SolveOutcome(
         status=status,
         x_star=x,
-        f_value=f_value,
+        f_value=float(problem.objective.value(x)),
         feasibility_margin=margin,
         certified_bound=bound,
         iterations=iterations,
@@ -254,18 +248,16 @@ def post_hoc_outcome(
 def budget_outcome(
     problem: SipProblem,
     x: np.ndarray | None,
-    f_value: float,
     iterations: dict[str, int],
     trace: RunTrace,
 ) -> SolveOutcome:
+    """A budget stop's outcome: at the last iterate, if there is one."""
     if x is None:
         return SolveOutcome(
             OutcomeStatus.BUDGET_EXCEEDED, None, np.nan, np.nan, np.nan,
             iterations, trace, trace.total_evals,
         )
-    return post_hoc_outcome(
-        problem, x, f_value, OutcomeStatus.BUDGET_EXCEEDED, iterations, trace
-    )
+    return post_hoc_outcome(problem, x, OutcomeStatus.BUDGET_EXCEEDED, iterations, trace)
 
 
 def run_sequential(
@@ -304,7 +296,6 @@ def run_sequential(
             y_m0,
             budget=budget,
             max_iters=cfg.inner_max_iters,
-            solver_budget=cfg.solver_budget,
             trace=trace,
             k_offset=total_inner + m,  # keep trace k strictly increasing
             pool=pool,
@@ -314,15 +305,14 @@ def run_sequential(
         last = res
         if not res.terminated:
             return budget_outcome(
-                problem, res.x, res.final_objective,
-                {"outer": m + 1, "inner": total_inner}, trace,
+                problem, res.x, {"outer": m + 1, "inner": total_inner}, trace
             )
         eps_m0 = res.eps_terminal / cfg.r
         y_m0 = res.discretization
         x_hint = res.x
     assert last is not None and last.x is not None
     return post_hoc_outcome(
-        problem, last.x, last.final_objective, OutcomeStatus.DELTA_APPROXIMATE,
+        problem, last.x, OutcomeStatus.DELTA_APPROXIMATE,
         {"outer": m_star + 1, "inner": total_inner}, trace,
     )
 
@@ -351,8 +341,7 @@ def run_simultaneous(
         if not budget.take():
             break
         check = discretization_step(
-            problem, 0.0, y_check, cfg.schedule, k, pool_check, x_check_hint,
-            cfg.solver_budget,
+            problem, 0.0, y_check, cfg.schedule, k, pool_check, x_check_hint
         )
         if check.solve.status is SolveStatus.INFEASIBLE:
             raise InputError(
@@ -366,8 +355,7 @@ def run_simultaneous(
         if not budget.take():
             break
         hat = discretization_step(
-            problem, eps, y_hat, cfg.schedule, k, pool_hat, x_hat_hint,
-            cfg.solver_budget,
+            problem, eps, y_hat, cfg.schedule, k, pool_hat, x_hat_hint
         )
         if hat.x is None:
             hat.record(trace, k, "hat_infeasible", also=check)
@@ -388,12 +376,11 @@ def run_simultaneous(
             continue
         hat.record(trace, k, "terminated", also=check)
         return post_hoc_outcome(
-            problem, hat.x, hat.solve.upper, OutcomeStatus.DELTA_APPROXIMATE,
+            problem, hat.x, OutcomeStatus.DELTA_APPROXIMATE,
             {"outer": 1, "inner": k + 1}, trace,
         )
 
     best_x = x_hat_hint if x_hat_hint is not None else x_check_hint
-    best_f = float(problem.objective.value(best_x)) if best_x is not None else np.nan
     return budget_outcome(
-        problem, best_x, best_f, {"outer": 1, "inner": len(trace.rows)}, trace,
+        problem, best_x, {"outer": 1, "inner": len(trace.rows)}, trace
     )

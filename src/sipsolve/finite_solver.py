@@ -44,7 +44,12 @@ GAP_FLOOR_REL = 1e-12
 # reported as the effective floor.
 STALL_ACCEPT_REL = 1e-8
 
-DEFAULT_BUDGET = 400
+# Master solves one solve_discretized call may make; when they run out the
+# solve ends UNDECIDED with the bounds reached so far.
+MASTER_BUDGET = 400
+
+# Constraint cuts added per iterate: those of its largest violations.
+CUTS_PER_ITERATE = 3
 
 # CutPool caps: cuts beyond these are shed by CutPool.prune.
 MAX_OBJECTIVE_CUTS = 48
@@ -179,9 +184,10 @@ def _batch_values(dp: DiscretizedProblem, x: np.ndarray) -> np.ndarray:
     return np.stack([fam.eval_grid(x, dp.points) for fam in dp.base.constraints])
 
 
-def _top_violations(values: np.ndarray, k: int = 3) -> list[tuple[int, int]]:
-    """Positions of the k largest entries, ordered by value descending then
-    (family, point) ascending for determinism."""
+def _top_violations(values: np.ndarray) -> list[tuple[int, int]]:
+    """Positions of the CUTS_PER_ITERATE largest entries, ordered by value
+    descending then (family, point) ascending for determinism."""
+    k = CUTS_PER_ITERATE
     ni, nj = values.shape
     flat = values.ravel()
     if flat.size > 4 * k:
@@ -319,7 +325,6 @@ class _Master:
 def solve_discretized(
     dp: DiscretizedProblem,
     gap_tol: float,
-    budget: int = DEFAULT_BUDGET,
     x_hint: np.ndarray | None = None,
     pool: CutPool | None = None,
 ) -> DiscretizedSolveResult:
@@ -328,8 +333,8 @@ def solve_discretized(
     Returns FEASIBLE with a point satisfying every g_i(x, y_j) <= -eps +
     FEASTOL and 0 <= upper - lower <= max(gap_tol, floor); INFEASIBLE with a
     certificate that min over X of max(g + eps) is positive; or UNDECIDED
-    with the best bounds when the iteration budget runs out or a master
-    solve breaks down numerically.  ``pool`` allows warm starts across
+    with the best bounds when MASTER_BUDGET master solves run out or a
+    master solve breaks down numerically.  ``pool`` allows warm starts across
     calls; it is attempted, never relied upon.
     """
     if gap_tol < 0:
@@ -339,7 +344,7 @@ def solve_discretized(
     fams = problem.constraints
     m_pts = dp.points.shape[0]
     pool = pool if pool is not None else CutPool()
-
+    budget = MASTER_BUDGET
     evals = 0
 
     def f_oracle(x: np.ndarray) -> tuple[float, np.ndarray]:

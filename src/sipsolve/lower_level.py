@@ -12,6 +12,11 @@ re-evaluated through ``value`` first.  The upper bound is the largest
 score of a live or dropped cell, so the certificate rests on the Lipschitz
 bound alone and the returned gap is sound whenever the declared
 ``lipschitz_in_y`` really is a max-metric Lipschitz constant.
+
+Every family is certified by this one branch and bound; a family cannot
+supply its own maximizer.  A family constant in y (Lipschitz constant 0)
+needs no special case: its single cell scores exactly its center value,
+so the first round returns that value with gap 0.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ import numpy as np
 
 from .errors import CertificationError, InputError
 from .problem import ConstraintFamily, as_point
+
+# Cells a single certified_max call may split before it gives up.
+NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -44,16 +52,11 @@ class CertifiedMax:
         object.__setattr__(self, "y_star", as_point(self.y_star))
 
 
-def certified_max(
-    family: ConstraintFamily,
-    x,
-    delta: float,
-    node_budget: int = 2_000_000,
-) -> CertifiedMax:
+def certified_max(family: ConstraintFamily, x, delta: float) -> CertifiedMax:
     """Compute a certified delta-approximate solution of max_y g(x, y).
 
     Deterministic: identical inputs produce bit-identical outputs.  Raises
-    CertificationError if more than ``node_budget`` cells are split before
+    CertificationError if more than NODE_BUDGET cells are split before
     the gap closes, which cannot happen when lipschitz_in_y is a true
     Lipschitz constant and delta is resolvable at float resolution.  Raises
     InputError when the oracle returns a non-finite value: the Lipschitz
@@ -63,21 +66,12 @@ def certified_max(
         raise InputError("delta must be positive")
     box = family.y_domain
     p = as_point(x)
-    if family.custom_maximizer is not None:
-        cm = family.custom_maximizer(p, delta)
-        _check_plugin_certificate(family, p, delta, cm)
-        return cm
-
     lip = family.local_lipschitz_in_y(p)
     center = box.center()
     best_val = float(family.value(p, center))
     _require_finite(family, math.isfinite(best_val))
     best_y = center
     evals = 1
-    if lip == 0.0:
-        # declared constant in y: the center value is the supremum
-        return CertifiedMax(y_star=best_y, value=best_val, gap=0.0, evals=evals)
-
     # the live frontier: cell bounds (n, q) and center values (n,)
     lo, hi = box.lower[None, :], box.upper[None, :]
     val = np.array([best_val])
@@ -96,9 +90,9 @@ def certified_max(
             dropped = max(dropped, float(score[~live].max()))
             lo, hi, width = lo[live], hi[live], width[live]
         nodes += len(lo)
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             raise CertificationError(
-                f"cell budget {node_budget} exhausted at gap "
+                f"cell budget {NODE_BUDGET} exhausted at gap "
                 f"{upper - best_val:.3e} (requested {delta:.3e})"
             )
         lo, hi, floor = _split(lo, hi, width.argmax(axis=1))
@@ -148,22 +142,6 @@ def _split(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray):
     child_hi[2 * rows, axis] = np.where(floor, a, mid)
     child_lo[2 * rows + 1, axis] = np.where(floor, b, mid)
     return child_lo, child_hi, floor
-
-
-def _check_plugin_certificate(
-    family: ConstraintFamily, x: np.ndarray, delta: float, cm: CertifiedMax
-) -> None:
-    if not isinstance(cm, CertifiedMax):
-        raise InputError("custom maximizer must return a CertifiedMax")
-    if cm.gap > delta:
-        raise InputError(
-            f"custom maximizer returned gap {cm.gap:.3e} > requested {delta:.3e}"
-        )
-    if not family.y_domain.contains(cm.y_star):
-        raise InputError("custom maximizer returned y_star outside the index box")
-    revalue = float(family.value(x, cm.y_star))
-    if revalue != cm.value:
-        raise InputError("custom maximizer value does not match re-evaluation")
 
 
 def strongest_violator(results: dict[int, CertifiedMax]) -> tuple[int, CertifiedMax]:

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import InputError
 from .problem import BoxDomain, ConstraintFamily
 
+# infer_basis looks for a matching basis up to this degree.
+MAX_BASIS_DEGREE = 32
+
 
 def multi_indices(dim: int, max_degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples alpha in N_0^dim with |alpha| <= max_degree,
@@ -107,10 +110,6 @@ class Polynomial:
         term_bounds = np.prod(m[None, :] ** self.exponents, axis=1)
         return float(np.dot(np.abs(self.coeffs), term_bounds))
 
-    def lipschitz_bound(self, box: BoxDomain) -> float:
-        """Max-norm Lipschitz bound over the box: sum_j max |d p / d y_j|."""
-        return sum(self.partial(j).max_abs_bound(box) for j in range(self.dim))
-
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial(self.exponents, self.coeffs * factor)
 
@@ -174,13 +173,13 @@ class PolynomialBasis:
         return factors, polys
 
 
-def infer_basis(num_coeffs: int, dim: int, max_degree: int = 32) -> PolynomialBasis:
+def infer_basis(num_coeffs: int, dim: int) -> PolynomialBasis:
     """Recover the basis degree from a coefficient vector length."""
-    for n in range(max_degree + 1):
+    for n in range(MAX_BASIS_DEGREE + 1):
         if num_coefficients(dim, n) == num_coeffs:
             return PolynomialBasis(dim, n)
     raise InputError(
-        f"{num_coeffs} coefficients do not match any degree <= {max_degree} "
+        f"{num_coeffs} coefficients do not match any degree <= {MAX_BASIS_DEGREE} "
         f"basis in {dim} variables"
     )
 

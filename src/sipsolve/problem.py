@@ -131,18 +131,14 @@ class ConvexObjective:
     ``lipschitz_constant`` is a Lipschitz constant with respect to the
     max-norm on the decision box (so ``|f(a)-f(b)| <= L* ||a-b||_inf``);
     drivers need it only for the a-priori termination index.
-    ``strictly_convex`` is a declared contract, never checked at runtime,
-    except by ``from_quadratic``, which derives it from the form.
     ``quadratic``, when given, is the objective's exact quadratic form; the
-    finite solver solves its optimality masters as QPs when the form itself
-    is ``positive_definite``, and by cutting planes otherwise, whatever
-    ``strictly_convex`` declares.
+    finite solver solves its optimality masters as QPs when the form is
+    ``positive_definite``, and by cutting planes otherwise.
     """
 
     value: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
     lipschitz_constant: float | None = None
-    strictly_convex: bool = False
     quadratic: QuadraticForm | None = None
 
     def __post_init__(self):
@@ -153,13 +149,11 @@ class ConvexObjective:
     def from_quadratic(
         cls, form: QuadraticForm, lipschitz_constant: float | None
     ) -> "ConvexObjective":
-        """The objective w.Q w + c.w + d, strictly convex when the form is
-        positive definite."""
+        """The objective w.Q w + c.w + d, carrying its form."""
         return cls(
             value=form.value,
             subgradient=form.gradient,
             lipschitz_constant=lipschitz_constant,
-            strictly_convex=form.positive_definite,
             quadratic=form,
         )
 
@@ -177,8 +171,8 @@ class ConstraintFamily:
     the uniform constant is loose at the query point.
     ``batch_eval``, when given, evaluates g(x, y) for a whole (N, q) array of
     index points at once; the lower level evaluates its cells through it.
-    ``custom_maximizer`` may replace the built-in certified maximizer; it must
-    honor the same certificate contract (see lower_level.certified_max).
+    Every family's maximum over y is certified by the branch and bound of
+    ``lower_level.certified_max`` from these oracles and constants.
     """
 
     index: int
@@ -187,7 +181,6 @@ class ConstraintFamily:
     lipschitz_in_y: float
     y_domain: BoxDomain
     batch_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    custom_maximizer: Callable | None = None
     lipschitz_in_y_at: Callable[[np.ndarray], float] | None = None
 
     def local_lipschitz_in_y(self, x: np.ndarray) -> float:

@@ -25,6 +25,8 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 _TOL = 1e-10
+# Active-set iterations of one solve_qp call before it gives up.
+_MAX_ITERS = 500
 
 
 @dataclass
@@ -35,7 +37,7 @@ class QpResult:
     iterations: int
 
 
-def solve_qp(Q, c, G, h, x0=None, max_iters: int = 500, d: float = 0.0) -> QpResult:
+def solve_qp(Q, c, G, h, x0=None, d: float = 0.0) -> QpResult:
     """Solve min w.Q w + c.w + d s.t. G w <= h from a feasible start.
 
     ``x0`` defaults to the zero vector and must satisfy G x0 <= h.  Ties in
@@ -71,7 +73,7 @@ def solve_qp(Q, c, G, h, x0=None, max_iters: int = 500, d: float = 0.0) -> QpRes
         sol = np.linalg.solve(K, rhs) if na else np.linalg.solve(H, rhs)
         return sol[:n], sol[n:]
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         w_eq, lam = kkt_step(active)
         step = w_eq - x
         if np.max(np.abs(step)) <= _TOL * (1.0 + np.max(np.abs(x))):
@@ -96,7 +98,7 @@ def solve_qp(Q, c, G, h, x0=None, max_iters: int = 500, d: float = 0.0) -> QpRes
         if blocker >= 0 and alpha < 1.0 - _TOL:
             active.append(blocker)
             active.sort()
-    raise InputError(f"active-set QP did not converge within {max_iters} iterations")
+    raise InputError(f"active-set QP did not converge within {_MAX_ITERS} iterations")
 
 
 # A row counts as satisfied while its violation stays below this multiple of

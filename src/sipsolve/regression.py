@@ -35,6 +35,9 @@ from .problem import (
     SipProblem,
 )
 
+# synthesize_slater_point tries the box vertices only up to this dimension.
+SLATER_VERTEX_MAX_DIM = 12
+
 
 @dataclass(frozen=True)
 class ShapeConstraint:
@@ -155,14 +158,14 @@ def constraint_coefficient_polys(
 
 
 def synthesize_slater_point(
-    spec: RegressionSpec, families: list[ConstraintFamily], max_vertex_dim: int = 12
+    spec: RegressionSpec, families: list[ConstraintFamily]
 ) -> np.ndarray | None:
     """Best-effort search for a strictly feasible coefficient vector: the zero
     polynomial, then box vertices pulled 1% toward the center.  Certified
     through the lower-level maximizer; None when nothing passes."""
     box = spec.coeff_box
     candidates = [np.zeros(box.dim)]
-    if box.dim <= max_vertex_dim:
+    if box.dim <= SLATER_VERTEX_MAX_DIM:
         center = box.center()
         for corner in itertools.product(*zip(box.lower, box.upper)):
             candidates.append(center + 0.99 * (np.asarray(corner) - center))

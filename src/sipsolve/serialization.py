@@ -377,7 +377,7 @@ def serialize_problem(spec) -> str:
     raise InputError("serialize_problem takes a problem or regression spec")
 
 
-def write_outcome_json(path, outcome, problem=None) -> None:
+def write_outcome_json(path, outcome) -> None:
     """Outcome JSON with the documented keys."""
 
     def finite_or_none(v):

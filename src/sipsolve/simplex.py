@@ -20,6 +20,8 @@ from .errors import InputError, NumericalError
 PIVOT_TOL = 1e-9  # reduced-cost threshold
 RATIO_TOL = 1e-9  # minimum direction component in the ratio test
 FEAS_TOL = 1e-9
+# Pivots over both phases of one solve_lp call before it gives up.
+MAX_PIVOTS = 20_000
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -41,7 +43,6 @@ def _bland(
     basis: np.ndarray,
     rhs: np.ndarray,
     priceable: int,
-    max_pivots: int,
     pivots_used: int,
 ) -> tuple[str, np.ndarray, int]:
     """Revised simplex loop on min cost.s s.t. M s = rhs, s >= 0.
@@ -81,11 +82,11 @@ def _bland(
         leaving = int(stable[np.argmin(basis[stable])])
         basis[leaving] = entering
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > MAX_PIVOTS:
             raise NumericalError("simplex pivot budget exhausted")
 
 
-def solve_lp(c, A, b, lower, upper, max_pivots: int = 20_000) -> LpResult:
+def solve_lp(c, A, b, lower, upper) -> LpResult:
     """Solve min c.x s.t. A x <= b, lower <= x <= upper.
 
     ``lower``/``upper`` entries may be -inf/+inf.  Returns OPTIMAL with a
@@ -203,7 +204,7 @@ def solve_lp(c, A, b, lower, upper, max_pivots: int = 20_000) -> LpResult:
         cost1 = np.zeros(ns + m + n_art)
         cost1[ns + m :] = 1.0
         status, _, pivots = _bland(
-            M, cost1, basis, full_rhs, ns + m + n_art, max_pivots, pivots
+            M, cost1, basis, full_rhs, ns + m + n_art, pivots
         )
         if status == UNBOUNDED:
             raise NumericalError("phase-1 simplex reported unbounded")
@@ -225,7 +226,7 @@ def solve_lp(c, A, b, lower, upper, max_pivots: int = 20_000) -> LpResult:
             if abs(D[r, k]) > 1e-7:
                 basis[r] = nonbasic[k]
 
-    status, y, pivots = _bland(M, cost2, basis, full_rhs, ns + m, max_pivots, pivots)
+    status, y, pivots = _bland(M, cost2, basis, full_rhs, ns + m, pivots)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None, pivots)
 

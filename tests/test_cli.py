@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from sipsolve.cli import EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, main
+from sipsolve.instances import builtin
 
 
 def run_cli(args):
@@ -39,6 +41,36 @@ class TestSolve:
             ]
         )
         assert code == EXIT_BUDGET
+
+    def test_budget_stop_reports_f_at_its_point(self, tmp_path, capsys):
+        outcome = tmp_path / "o.json"
+        code = run_cli(
+            [
+                "solve", "--problem", "builtin:instance_B",
+                "--algorithm", "sequential", "--budget", "1",
+                "--trace-out", str(tmp_path / "t.csv"),
+                "--outcome-out", str(outcome),
+            ]
+        )
+        assert code == EXIT_BUDGET
+        data = json.loads(outcome.read_text())
+        assert data["status"] == "BudgetExceeded" and data["x"] is not None
+        assert data["f"] == builtin("instance_B").objective.value(np.array(data["x"]))
+        assert "nan" not in capsys.readouterr().out
+
+    def test_core_budget_caps_iterations(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        code = run_cli(
+            [
+                "solve", "--problem", "builtin:instance_A",
+                "--algorithm", "core", "--eps0", "0", "--max-iters", "50",
+                "--budget", "3",
+                "--trace-out", str(trace), "--outcome-out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert code == EXIT_BUDGET
+        assert len(trace.read_text().splitlines()) == 1 + 3
+        assert "status: Budget\n" in capsys.readouterr().out
 
     def test_malformed_problem(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipsolve import lower_level
+from sipsolve import core_loop, drivers, finite_solver, lower_level
 from sipsolve.core_loop import (
     CoreConfig,
     Discretization,
@@ -85,7 +85,7 @@ class TestRunFeasFinite:
         assert res.terminated
         assert np.allclose(res.x, [-2.0, -2.0], atol=1e-6)
         # analytic restricted optimum 2 (1 + eps)^2 at eps = 1
-        assert res.final_objective == pytest.approx(8.0, abs=1e-6)
+        assert prob_b.objective.value(res.x) == pytest.approx(8.0, abs=1e-6)
 
     def test_eps_divides_exactly_on_infeasible_branches(self, prob_a):
         res = run_feas_finite(
@@ -99,7 +99,9 @@ class TestRunFeasFinite:
             else:
                 assert e2 == e1
 
-    def test_termination_needs_values_below_the_requested_gap(self, prob_a):
+    def test_termination_needs_values_below_the_requested_gap(
+        self, prob_a, monkeypatch
+    ):
         # aux_tol(k) = 1e-20 * 0.5**k is floored to a 1e-15 gap request; a
         # value of -1e-20 with gap 1e-15 does not certify value + gap <= 0
         box = prob_a.y_domain
@@ -109,7 +111,10 @@ class TestRunFeasFinite:
             subgradient_x=lambda x, y: np.zeros(1),
             lipschitz_in_y=1.0,
             y_domain=box,
-            custom_maximizer=lambda x, delta: CertifiedMax(
+        )
+        monkeypatch.setattr(
+            core_loop, "certified_max",
+            lambda family, x, delta: CertifiedMax(
                 y_star=box.center(), value=-1e-20, gap=1e-15
             ),
         )
@@ -145,12 +150,11 @@ class TestComputeTerminationIndex:
         reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
         assert compute_termination_index(10.0, reg, 4.0, 1.0, 2.0, lambda k: 0.0) == 1
 
-    def test_schedule_never_small_enough(self):
+    def test_schedule_never_small_enough(self, monkeypatch):
         reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
+        monkeypatch.setattr(drivers, "TERMINATION_SCAN_LIMIT", 1000)
         with pytest.raises(ConfigError):
-            compute_termination_index(
-                0.1, reg, 4.0, 1.0, 2.0, lambda k: 0.1, scan_limit=1000
-            )
+            compute_termination_index(0.1, reg, 4.0, 1.0, 2.0, lambda k: 0.1)
 
     def test_nonincreasing_in_delta(self):
         reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
@@ -272,13 +276,14 @@ class TestRunSimultaneous:
         out = run_simultaneous(prob_b, cfg, budget=Budget(solver_calls=3))
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
 
-    def test_undecided_check_solve_is_budget_stop(self, prob_b):
+    def test_undecided_check_solve_is_budget_stop(self, prob_b, monkeypatch):
         # one master LP cannot decide the unrestricted solve: that is an
         # exhausted budget, not evidence that the program is infeasible
+        monkeypatch.setattr(finite_solver, "MASTER_BUDGET", 1)
         y0 = Discretization(prob_b.y_domain.center().reshape(1, -1))
         cfg = SimultaneousConfig(
             delta=0.1, r=2.0, eps0=1.0, schedule=eventually_zero_schedule(0),
-            rho=0.0, y0_check=y0, y0_hat=y0, solver_budget=1,
+            rho=0.0, y0_check=y0, y0_hat=y0,
         )
         out = run_simultaneous(prob_b, cfg)
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
@@ -306,8 +311,7 @@ class TestPostHocCertification:
             )
             return prob, run_simultaneous(prob, cfg)
         x = prob.x_domain.center()
-        f = float(prob.objective.value(x))
-        return prob, budget_outcome(prob, x, f, {"outer": 1, "inner": 0}, RunTrace())
+        return prob, budget_outcome(prob, x, {"outer": 1, "inner": 0}, RunTrace())
 
     @pytest.mark.parametrize("kind", ["sequential", "simultaneous", "budget"])
     @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])

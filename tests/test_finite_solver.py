@@ -50,8 +50,9 @@ class TestSolveDiscretized:
         assert res.gap_floor > 0.0
         assert res.upper - res.lower <= res.gap_floor + 1e-15
 
-    def test_budget_exhaustion_is_undecided(self, prob_b):
-        res = solve_discretized(dp_of(prob_b, 0.5, [[0.0], [1.0]]), 0.0, budget=1)
+    def test_budget_exhaustion_is_undecided(self, prob_b, monkeypatch):
+        monkeypatch.setattr(finite_solver, "MASTER_BUDGET", 1)
+        res = solve_discretized(dp_of(prob_b, 0.5, [[0.0], [1.0]]), 0.0)
         assert res.status in (SolveStatus.UNDECIDED, SolveStatus.FEASIBLE)
         if res.status is SolveStatus.UNDECIDED:
             assert res.lower <= res.upper
@@ -127,21 +128,16 @@ def without_form(objective):
 
 
 class TestMasterRoutes:
-    @pytest.mark.parametrize("declared", [True, False])
-    def test_quadratic_route_makes_no_lp(self, prob_b, monkeypatch, declared):
+    def test_quadratic_route_makes_no_lp(self, prob_b, monkeypatch):
         calls = []
         inner = finite_solver.simplex.solve_lp
         monkeypatch.setattr(
             finite_solver.simplex, "solve_lp",
             lambda *a, **k: calls.append(1) or inner(*a, **k),
         )
-        # the route follows the positive-definite form, not the declared flag
-        prob = replace(
-            prob_b, objective=replace(prob_b.objective, strictly_convex=declared)
-        )
         pool = CutPool()
         # the hint is feasible, so phase 1 makes no LP either
-        res = solve_discretized(dp_of(prob, 0.5, [[0.0], [1.0]]), 1e-10,
+        res = solve_discretized(dp_of(prob_b, 0.5, [[0.0], [1.0]]), 1e-10,
                                 x_hint=[-3.0, -3.0], pool=pool)
         assert res.status is SolveStatus.FEASIBLE
         assert calls == []
@@ -153,23 +149,13 @@ class TestMasterRoutes:
     def test_semidefinite_form_stays_on_kelley(self, prob_b, monkeypatch):
         form = QuadraticForm(Q=np.diag([1.0, 0.0]), c=np.array([0.0, 1.0]), d=0.0)
         objective = ConvexObjective.from_quadratic(form, 20.0)
-        assert objective.quadratic is form and not objective.strictly_convex
-        assert ConvexObjective.from_quadratic(
-            QuadraticForm(Q=np.eye(2), c=np.zeros(2), d=0.0), 12.0
-        ).strictly_convex
+        assert objective.quadratic is form and not form.positive_definite
         monkeypatch.setattr(finite_solver.qp, "solve_box_qp", TestNumericalFailure.broken)
         prob = replace(prob_b, objective=objective)
         res = solve_discretized(dp_of(prob, 0.5, [[0.0], [1.0]]), 1e-8,
                                 x_hint=[-3.0, -3.0])
         assert res.status is SolveStatus.FEASIBLE
         # min x_1^2 + x_2 with x <= -1.5 componentwise on [-3, 3]^2
-        assert res.upper == pytest.approx(2.25 - 3.0, abs=1e-7)
-        # a hand-built objective that declares the PSD form strictly convex
-        # still goes to Kelley, which solves it
-        declared = replace(prob, objective=replace(objective, strictly_convex=True))
-        res = solve_discretized(dp_of(declared, 0.5, [[0.0], [1.0]]), 1e-8,
-                                x_hint=[-3.0, -3.0])
-        assert res.status is SolveStatus.FEASIBLE
         assert res.upper == pytest.approx(2.25 - 3.0, abs=1e-7)
 
     def test_oracle_only_objective_sandwich(self, prob_b):
@@ -183,7 +169,7 @@ class TestMasterRoutes:
 
         lip = 2.0 * np.exp(3.0) + 2.0 * np.exp(6.0)
         prob = replace(
-            prob_b, objective=ConvexObjective(value, subgradient, lip, strictly_convex=True)
+            prob_b, objective=ConvexObjective(value, subgradient, lip)
         )
         eps = 0.1
         pts = [[0.0], [0.5], [1.0]]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sipsolve import lower_level
 from sipsolve.errors import CertificationError, InputError
 from sipsolve.instances import random_affine_instance
 from sipsolve.lower_level import CertifiedMax, certified_max, strongest_violator
@@ -56,7 +57,10 @@ class TestCertifiedMax:
             certified_max(prob_a.constraints[0], np.array([0.0]), 0.0)
 
     def test_constant_family_single_eval(self, prob_sibling):
+        # Lipschitz constant 0: the single cell's score is its center value,
+        # so the first round returns it
         cm = certified_max(prob_sibling.constraints[0], np.array([0.5]), 1e-9)
+        assert np.array_equal(cm.y_star, prob_sibling.y_domain.center())
         assert cm.gap == 0.0
         assert cm.value == pytest.approx(-0.75)
         assert cm.evals == 1
@@ -244,11 +248,13 @@ class TestCertifiedMaxCases:
             assert cm.value + cm.gap >= 1.0
             assert 0.0 <= cm.gap <= delta
 
-    def test_node_budget(self, prob_b):
+    def test_node_budget(self, prob_b, monkeypatch):
         fam = prob_b.constraints[0]
         x = np.array([0.7, -1.3])
-        with pytest.raises(CertificationError, match="cell budget 5 exhausted"):
-            certified_max(fam, x, 1e-9, node_budget=5)
+        with monkeypatch.context() as m:
+            m.setattr(lower_level, "NODE_BUDGET", 5)
+            with pytest.raises(CertificationError, match="cell budget 5 exhausted"):
+                certified_max(fam, x, 1e-9)
         assert certified_max(fam, x, 1e-9).gap <= 1e-9
 
 
@@ -281,39 +287,18 @@ class TestNonFiniteOracle:
             certified_max(fam, np.zeros(1), 1e-6)
 
 
-class TestPluggableMaximizer:
-    def test_custom_maximizer_is_used_and_checked(self, prob_a):
+class TestSingleRoute:
+    def test_family_cannot_supply_its_own_maximizer(self, prob_a):
         base = prob_a.constraints[0]
-
-        def exact_max(x, delta):
-            y = np.array([1.0])
-            return CertifiedMax(y_star=y, value=float(base.value(x, y)), gap=0.0)
-
-        fam = ConstraintFamily(
-            index=0,
-            value=base.value,
-            subgradient_x=base.subgradient_x,
-            lipschitz_in_y=1.0,
-            y_domain=base.y_domain,
-            custom_maximizer=exact_max,
-        )
-        cm = certified_max(fam, np.array([0.5]), 1e-9)
-        assert cm.value == 0.5 and cm.gap == 0.0
-
-    def test_custom_maximizer_bad_gap_rejected(self, prob_a):
-        base = prob_a.constraints[0]
-        fam = ConstraintFamily(
-            index=0,
-            value=base.value,
-            subgradient_x=base.subgradient_x,
-            lipschitz_in_y=1.0,
-            y_domain=base.y_domain,
-            custom_maximizer=lambda x, d: CertifiedMax(
-                y_star=np.array([1.0]), value=float(base.value(x, [1.0])), gap=1.0
-            ),
-        )
-        with pytest.raises(InputError):
-            certified_max(fam, np.array([0.5]), 1e-9)
+        with pytest.raises(TypeError):
+            ConstraintFamily(
+                index=0,
+                value=base.value,
+                subgradient_x=base.subgradient_x,
+                lipschitz_in_y=1.0,
+                y_domain=base.y_domain,
+                custom_maximizer=lambda x, d: None,
+            )
 
 
 class TestStrongestViolator:

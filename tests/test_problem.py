@@ -5,10 +5,24 @@ from sipsolve.errors import InputError
 from sipsolve.instances import instance_a
 from sipsolve.problem import (
     BoxDomain,
+    ConvexObjective,
+    QuadraticForm,
     derive_eps_star,
     feasibility_margin,
     validate_problem,
 )
+
+
+class TestConvexObjective:
+    def test_no_declared_convexity_flag(self):
+        # the finite solver's route follows the quadratic form itself
+        with pytest.raises(TypeError):
+            ConvexObjective(
+                lambda x: 0.0, lambda x: np.zeros(1), 1.0, strictly_convex=True
+            )
+        form = QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0)
+        objective = ConvexObjective.from_quadratic(form, 4.0)
+        assert objective.quadratic is form and form.positive_definite
 
 
 class TestBoxDomain:

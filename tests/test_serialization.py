@@ -52,7 +52,7 @@ class TestQuadraticSchema:
         prob = instance_a_spec().build()
         assert prob.objective.lipschitz_constant == pytest.approx(4.0)
         assert prob.constraints[0].lipschitz_in_y == pytest.approx(1.0)
-        assert prob.objective.strictly_convex
+        assert prob.objective.quadratic.positive_definite
 
     def test_semidefinite_objective_keeps_its_form(self):
         # Q = 0 is convex but not strictly: the finite solver keeps Kelley
@@ -61,7 +61,7 @@ class TestQuadraticSchema:
         data["objective"]["c"] = [1.0]
         objective = load_problem(data).objective
         assert objective.quadratic is not None
-        assert not objective.strictly_convex
+        assert not objective.quadratic.positive_definite
 
     def test_non_psd_rejected(self):
         data = instance_a_spec().to_dict()

@@ -112,9 +112,10 @@ def test_input_validation():
     assert res.status == simplex.INFEASIBLE
 
 
-def test_pivot_budget_is_numerical_error():
+def test_pivot_budget_is_numerical_error(monkeypatch):
     # a numerical breakdown, not bad input: the finite solver turns it into
     # an undecided solve
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
     with pytest.raises(NumericalError):
         simplex.solve_lp([-1.0, -1.0], [[1.0, 2.0], [2.0, 1.0]], [4.0, 4.0],
-                         [0.0, 0.0], [10.0, 10.0], max_pivots=0)
+                         [0.0, 0.0], [10.0, 10.0])
