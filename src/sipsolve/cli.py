@@ -71,6 +71,13 @@ def parse_rho(text: str) -> float:
     return value
 
 
+def parse_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a count >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sipsolve",
@@ -91,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--r", type=float, default=2.0)
     solve.add_argument("--eps0", type=float, default=1.0)
     solve.add_argument("--schedule", default="eventually_zero(0)")
-    solve.add_argument("--max-iters", type=int, default=10_000)
-    solve.add_argument("--budget", type=int, default=DEFAULT_SOLVER_CALL_BUDGET,
+    solve.add_argument("--max-iters", type=parse_count, default=10_000)
+    solve.add_argument("--budget", type=parse_count, default=DEFAULT_SOLVER_CALL_BUDGET,
                        help="total finite-solver call budget; each core "
                        "iteration is one call")
     solve.add_argument("--trace-out", default="trace.csv")
@@ -106,14 +113,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--problem", required=True)
     bench.add_argument("--eps", type=float, default=0.0)
-    bench.add_argument("--max-iters", type=int, default=30)
+    bench.add_argument("--max-iters", type=parse_count, default=30)
     bench.add_argument("--schedule", default="eventually_zero(0)")
     bench.add_argument("--table-out", default=None)
     return parser
 
 
-def _core_outcome(problem, result) -> SolveOutcome:
-    """Wrap a core-loop result so the same writers apply."""
+def _core_outcome(problem, result, eps0: float) -> SolveOutcome:
+    """Wrap a core-loop result so the same writers apply.  The core loop
+    runs at the one restriction eps0, so an infeasible restricted problem
+    means eps0 is too large, an input error rather than a budget stop."""
+    if result.status is CoreStatus.INFEASIBLE_SUBPROBLEM:
+        raise InputError(
+            f"--eps0 {eps0:g} is too large: the problem restricted by it has "
+            "no feasible point; choose a smaller eps0"
+        )
     iters = {"outer": 1, "inner": result.iterations}
     if result.status is CoreStatus.TERMINATED:
         return post_hoc_outcome(
@@ -138,7 +152,7 @@ def cmd_solve(args) -> int:
             max_iters=min(args.max_iters, args.budget),
         )
         result = run_core(problem, cfg)
-        outcome = _core_outcome(problem, result)
+        outcome = _core_outcome(problem, result, args.eps0)
         status_label = result.status.value
     elif args.algorithm == "sequential":
         cfg = SequentialConfig(

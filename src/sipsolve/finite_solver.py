@@ -17,10 +17,12 @@ objective's own oracles, f(x) + lam.(A x - r) + min over X of the
 linearized Lagrangian.  Master inexactness can therefore only loosen a
 bound, never invalidate it.  Feasible upper bounds come from master
 iterates that satisfy all constraints, or from a restoration line search
-toward a strictly feasible anchor.  A positive certified bound on the
-minimal violation certifies infeasibility of the discretized problem.  A
-master that breaks down numerically ends the solve as UNDECIDED with the
-bounds reached so far.
+toward a strictly feasible anchor.  A solve stops once upper - lower is
+within the requested gap or within its master's resolution, one relative
+floor per route chosen at the start of the solve.  A positive certified
+bound on the minimal violation certifies infeasibility of the discretized
+problem.  A master that breaks down numerically ends the solve as
+UNDECIDED with the bounds reached so far.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ from . import qp, simplex
 from .errors import InputError, NumericalError
 from .problem import FEASTOL, SipProblem, as_point
 
-# Requested gap 0 is served at this relative floor; exact solves are not a
-# floating-point notion.  The floor actually applied is reported per solve.
+# Gaps below a relative floor are not asked of the masters: exact solves are
+# not a floating-point notion.  A solve stops at max(gap_tol, floor) with
+# floor = rel * max(1, |upper|), and reports the floor it applied.  The QP
+# master resolves the optimality gap to GAP_FLOOR_REL; the Kelley LP master's
+# certified bound stops moving near LP_GAP_FLOOR_REL, its resolution.
 GAP_FLOOR_REL = 1e-12
-
-# A master whose certified bound stops moving despite bundle compression has
-# hit the LP's numerical resolution; such solves are accepted when their
-# achieved gap is below this relative width, and the achieved width is
-# reported as the effective floor.
-STALL_ACCEPT_REL = 1e-8
+LP_GAP_FLOOR_REL = 1e-8
 
 # Master solves one solve_discretized call may make; when they run out the
 # solve ends UNDECIDED with the bounds reached so far.
@@ -100,6 +100,15 @@ def _cut_fingerprint(a: np.ndarray) -> tuple:
     return tuple(float(format(v, ".15g")) for v in a)
 
 
+def _tightest(cuts: dict, x_ref: np.ndarray, cap: int) -> dict:
+    """The cuts unchanged if there are at most cap of them, else the cap
+    largest at x_ref, largest first (ties keep their insertion order)."""
+    if len(cuts) <= cap:
+        return cuts
+    vals = {k: a @ x_ref + b for k, (a, b) in cuts.items()}
+    return {k: cuts[k] for k in sorted(cuts, key=lambda k: -vals[k])[:cap]}
+
+
 @dataclass
 class CutPool:
     """Reusable affine cuts, deduplicated by gradient fingerprint.
@@ -134,16 +143,8 @@ class CutPool:
         """Shed cuts beyond the caps, dropping the slackest at the reference
         point first.  Keeps the pool focused where the iterates live; losing
         cuts only loosens the model, never its soundness."""
-        if len(self.objective) > MAX_OBJECTIVE_CUTS:
-            vals = {k: a @ x_ref + b for k, (a, b) in self.objective.items()}
-            order = sorted(self.objective, key=lambda k: -vals[k])
-            self.objective = {k: self.objective[k] for k in order[:MAX_OBJECTIVE_CUTS]}
-        if len(self.constraint) > MAX_CONSTRAINT_CUTS:
-            vals = {k: a @ x_ref + b for k, (a, b) in self.constraint.items()}
-            order = sorted(self.constraint, key=lambda k: -vals[k])
-            self.constraint = {
-                k: self.constraint[k] for k in order[:MAX_CONSTRAINT_CUTS]
-            }
+        self.objective = _tightest(self.objective, x_ref, MAX_OBJECTIVE_CUTS)
+        self.constraint = _tightest(self.constraint, x_ref, MAX_CONSTRAINT_CUTS)
 
     def restrict_to_points(self, points: np.ndarray) -> None:
         """Drop constraint cuts whose index point left the discretization."""
@@ -151,32 +152,6 @@ class CutPool:
         stale = [k for k in self.constraint if k[1] not in keep]
         for k in stale:
             del self.constraint[k]
-
-    def compress(self, x_ref: np.ndarray, eps: float) -> None:
-        """Keep only the cuts near-active at the reference point.
-
-        An accumulation of almost-redundant cuts can park the master LP on a
-        slightly wrong face within its tolerances, stalling the certified
-        bound; a compressed bundle resolves the face exactly and the loop
-        rebuilds whatever it still needs.
-        """
-        if self.objective:
-            vals = {k: a @ x_ref + b for k, (a, b) in self.objective.items()}
-            top = max(vals.values())
-            band = 1e-4 * (1.0 + abs(top))
-            order = sorted(self.objective, key=lambda k: -vals[k])
-            keep_n = max(8, sum(1 for k in order if vals[k] >= top - band))
-            self.objective = {
-                k: self.objective[k] for k in order[: min(keep_n, 16)]
-            }
-        if self.constraint:
-            vals = {k: a @ x_ref + b for k, (a, b) in self.constraint.items()}
-            band = 1e-4 * (1.0 + abs(eps))
-            order = sorted(self.constraint, key=lambda k: -vals[k])
-            keep_n = max(8, sum(1 for k in order if vals[k] >= -eps - band))
-            self.constraint = {
-                k: self.constraint[k] for k in order[: min(keep_n, 32)]
-            }
 
 
 def _batch_values(dp: DiscretizedProblem, x: np.ndarray) -> np.ndarray:
@@ -390,7 +365,6 @@ def solve_discretized(
     if m_pts:
         best_phi, best_x = np.inf, x0
         probe = x0
-        v_best, stalled1 = -np.inf, 0
         while True:
             phic, vals = phi(probe)
             add_g_cuts(probe, vals)
@@ -407,13 +381,6 @@ def solve_discretized(
             except NumericalError:
                 return undecided(None, np.inf, -np.inf)
             pool.prune(probe)
-            if not np.isfinite(v_best) or v_lb > v_best + 1e-15 * max(1.0, abs(v_best)):
-                v_best, stalled1 = max(v_lb, v_best), 0
-            else:
-                stalled1 += 1
-                if stalled1 >= 5:
-                    pool.compress(probe, dp.eps)
-                    stalled1 = 0
             if v_lb > -dp.eps:
                 return DiscretizedSolveResult(
                     SolveStatus.INFEASIBLE, None, np.inf, np.inf, gap_tol, 0.0,
@@ -451,13 +418,11 @@ def solve_discretized(
             upper, x_best = v, x
 
     offer(anchor)
-    stalled = 0
-    compressions = 0
+    floor_rel = GAP_FLOOR_REL if master.quadratic is not None else LP_GAP_FLOOR_REL
 
     while True:
-        floor = GAP_FLOOR_REL * max(1.0, abs(upper))
-        tol_eff = max(gap_tol, floor)
-        if upper - lower <= tol_eff:
+        floor = floor_rel * max(1.0, abs(upper))
+        if upper - lower <= max(gap_tol, floor):
             # upper is f at a point that may violate the rows by FEASTOL, so
             # it can fall below the lower bound of the exact rows; upper is
             # then a valid lower bound too
@@ -465,13 +430,6 @@ def solve_discretized(
                 SolveStatus.FEASIBLE, x_best, upper, min(lower, upper), gap_tol, floor,
                 lp_iters=master.lp_iters, evals=evals,
             )
-        if compressions >= 2 and stalled >= 5:
-            achieved = upper - lower
-            if achieved <= max(gap_tol, STALL_ACCEPT_REL * max(1.0, abs(upper))):
-                return DiscretizedSolveResult(
-                    SolveStatus.FEASIBLE, x_best, upper, lower, gap_tol,
-                    achieved, lp_iters=master.lp_iters, evals=evals,
-                )
         if budget <= 0:
             return undecided(x_best, upper, lower)
         budget -= 1
@@ -480,16 +438,7 @@ def solve_discretized(
         except NumericalError:
             return undecided(x_best, upper, lower)
         pool.prune(xc)
-        gap_now = upper - lower if np.isfinite(lower) else np.inf
-        progress = max(1e-14 * max(1.0, abs(upper)), 0.02 * min(gap_now, 1.0))
-        if not np.isfinite(lower) or t_lb > lower + progress:
-            lower, stalled = max(t_lb, lower), 0
-        else:
-            lower = max(t_lb, lower)
-            stalled += 1
-            if stalled >= 5 and stalled % 5 == 0:
-                pool.compress(xc, dp.eps)
-                compressions += 1
+        lower = max(t_lb, lower)
         phic, vals = phi(xc)
         if phic <= -dp.eps + FEASTOL:
             offer(xc, fc)

@@ -111,6 +111,21 @@ class TestSolve:
         )
         assert code == EXIT_OK
 
+    def test_core_infeasible_restriction_is_input_error(self, tmp_path, capsys):
+        # x <= -4 is impossible on [-2, 2]: eps0 is too large, no budget ran out
+        outcome = tmp_path / "o.json"
+        code = run_cli(
+            [
+                "solve", "--problem", "builtin:instance_A",
+                "--algorithm", "core", "--eps0", "4",
+                "--trace-out", str(tmp_path / "t.csv"), "--outcome-out", str(outcome),
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eps0" in err
+        assert not outcome.exists()
+
     def test_simultaneous_algorithm(self, tmp_path):
         code = run_cli(
             [
@@ -156,8 +171,12 @@ class TestSolve:
             ["solve", "--problem", "builtin:instance_A", "--delta", "abc"],
             ["solve", "--problem", "builtin:instance_A", "--no-such-flag"],
             ["solve"],
+            ["solve", "--problem", "builtin:instance_A", "--budget", "-5"],
+            ["solve", "--problem", "builtin:instance_A", "--algorithm", "core",
+             "--max-iters", "-3"],
         ],
-        ids=["negative_rho", "text_rho", "text_delta", "unknown_flag", "no_problem"],
+        ids=["negative_rho", "text_rho", "text_delta", "unknown_flag", "no_problem",
+             "negative_budget", "negative_max_iters"],
     )
     def test_malformed_arguments_are_input_errors(self, argv, capsys):
         assert run_cli(argv) == EXIT_INPUT_ERROR

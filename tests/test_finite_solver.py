@@ -50,6 +50,17 @@ class TestSolveDiscretized:
         assert res.gap_floor > 0.0
         assert res.upper - res.lower <= res.gap_floor + 1e-15
 
+    def test_kelley_floor_is_the_lp_resolution(self):
+        # a gap-0 request on the LP master stops at LP_GAP_FLOOR_REL
+        prob = random_affine_instance(1)
+        prob = replace(prob, objective=without_form(prob.objective))
+        pts = prob.y_domain.grid(prob.y_domain.diameter() / 2 + 1e-9)[:3]
+        res = solve_discretized(dp_of(prob, 0.2, pts), 0.0)
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.lp_iters > 0
+        assert res.gap_floor == finite_solver.LP_GAP_FLOOR_REL * max(1.0, abs(res.upper))
+        assert res.upper - res.lower <= res.gap_floor
+
     def test_budget_exhaustion_is_undecided(self, prob_b, monkeypatch):
         monkeypatch.setattr(finite_solver, "MASTER_BUDGET", 1)
         res = solve_discretized(dp_of(prob_b, 0.5, [[0.0], [1.0]]), 0.0)
@@ -85,41 +96,51 @@ class TestSandwich:
         loose = solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), 1e-10)
         assert loose.upper <= tight.upper + 1e-9
 
-    def test_random_instances_sandwich(self):
+    @pytest.mark.parametrize("route", ["qp", "kelley"])
+    def test_random_instances_sandwich(self, route):
         count = 0
         for seed in range(40):
             prob = random_affine_instance(seed)
             if prob.x_domain.dim > 2:
                 continue
+            if route == "kelley":
+                prob = replace(prob, objective=without_form(prob.objective))
             count += 1
             pts = prob.y_domain.grid(prob.y_domain.diameter() / 2 + 1e-9)[:3]
             res = solve_discretized(dp_of(prob, 0.2, pts), 1e-6)
             if res.status is not SolveStatus.FEASIBLE:
                 continue
-            # brute force over the box using the affine-in-x structure
-            n = 2001 if prob.x_domain.dim == 1 else 201
-            axes = [
-                np.linspace(prob.x_domain.lower[j], prob.x_domain.upper[j], n)
-                for j in range(prob.x_domain.dim)
-            ]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            X = np.stack([m.ravel() for m in mesh], axis=-1)
-            feas = np.ones(len(X), dtype=bool)
-            origin = np.zeros(prob.x_domain.dim)
-            for fam in prob.constraints:
-                for y in pts:
-                    a = fam.subgradient_x(origin, y)
-                    b = fam.value(origin, y)
-                    feas &= X @ a + b <= -0.2 + 1e-9
-            if not feas.any():
-                continue
-            vals = np.array([prob.objective.value(x) for x in X[feas]])
-            brute = float(vals.min())
-            h = max(float(a[1] - a[0]) for a in axes)
-            lip = prob.objective.lipschitz_constant
-            assert res.lower <= brute + 1e-8
-            assert brute <= res.upper + lip * h + 1e-8
+            assert res.upper - res.lower <= max(1e-6, res.gap_floor)
+            assert_brute_force_sandwich(prob, 0.2, pts, res)
         assert count >= 10
+
+
+def assert_brute_force_sandwich(prob, eps, pts, res):
+    """[lower, upper] brackets the minimum over a grid of the box, using the
+    affine-in-x structure of random_affine_instance; no-op if no grid point
+    is feasible."""
+    n = 2001 if prob.x_domain.dim == 1 else 201
+    axes = [
+        np.linspace(prob.x_domain.lower[j], prob.x_domain.upper[j], n)
+        for j in range(prob.x_domain.dim)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    X = np.stack([m.ravel() for m in mesh], axis=-1)
+    feas = np.ones(len(X), dtype=bool)
+    origin = np.zeros(prob.x_domain.dim)
+    for fam in prob.constraints:
+        for y in pts:
+            a = fam.subgradient_x(origin, y)
+            b = fam.value(origin, y)
+            feas &= X @ a + b <= -eps + 1e-9
+    if not feas.any():
+        return
+    vals = np.array([prob.objective.value(x) for x in X[feas]])
+    brute = float(vals.min())
+    h = max(float(a[1] - a[0]) for a in axes)
+    lip = prob.objective.lipschitz_constant
+    assert res.lower <= brute + 1e-8
+    assert brute <= res.upper + lip * h + 1e-8
 
 
 def without_form(objective):
@@ -224,6 +245,45 @@ class TestMasterRoutes:
         assert res.status is SolveStatus.FEASIBLE
         assert res.lower <= res.upper
         assert res.upper - res.lower <= 1e-6
+
+
+class TestCutPool:
+    def test_caps_hold_on_a_kelley_solve(self, monkeypatch):
+        monkeypatch.setattr(finite_solver, "MAX_OBJECTIVE_CUTS", 4)
+        monkeypatch.setattr(finite_solver, "MAX_CONSTRAINT_CUTS", 6)
+        sizes = []
+        inner = CutPool.prune
+
+        def prune(pool, x_ref):
+            before = (len(pool.objective), len(pool.constraint))
+            inner(pool, x_ref)
+            sizes.append((before, (len(pool.objective), len(pool.constraint))))
+
+        monkeypatch.setattr(CutPool, "prune", prune)
+        prob = random_affine_instance(1)
+        prob = replace(prob, objective=without_form(prob.objective))
+        pts = prob.y_domain.grid(prob.y_domain.diameter() / 4 + 1e-9)
+        pool = CutPool()
+        res = solve_discretized(dp_of(prob, 0.2, pts), 1e-6, pool=pool)
+        assert any(b[0] > 4 or b[1] > 6 for b, _ in sizes)  # prune shed cuts
+        assert all(a[0] <= 4 and a[1] <= 6 for _, a in sizes)
+        # the last iterate's cuts arrive after the last prune: one objective
+        # cut per offered point (the iterate or its restoration), and
+        # CUTS_PER_ITERATE constraint cuts
+        assert len(pool.objective) <= 4 + 2
+        assert len(pool.constraint) <= 6 + finite_solver.CUTS_PER_ITERATE
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.upper - res.lower <= 1e-6
+        assert_brute_force_sandwich(prob, 0.2, pts, res)
+
+    def test_prune_keeps_the_tightest_cuts_in_order(self, monkeypatch):
+        monkeypatch.setattr(finite_solver, "MAX_OBJECTIVE_CUTS", 2)
+        pool = CutPool()
+        for a, b in [(1.0, 0.0), (2.0, 1.0), (-1.0, 3.0), (3.0, 1.0), (0.5, 2.0)]:
+            pool.add_objective(np.array([a]), b)
+        # values at x = 1: 1, 3, 2, 4, 2.5
+        pool.prune(np.array([1.0]))
+        assert [float(a[0]) for a, _ in pool.objective.values()] == [3.0, 2.0]
 
 
 class TestNumericalFailure:
