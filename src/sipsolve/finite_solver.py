@@ -86,7 +86,6 @@ class DiscretizedSolveResult:
     x: np.ndarray | None
     upper: float
     lower: float
-    gap_request: float
     gap_floor: float
     violation_bound: float | None = None  # certified min of max(g + eps), Infeasible only
     lp_iters: int = 0  # simplex pivots, or QP active-set steps
@@ -131,9 +130,7 @@ class CutPool:
         if held is None or b > held[1]:
             self.objective[key] = (a, b)
 
-    def add_constraint(
-        self, i: int, y: np.ndarray, x: np.ndarray, a: np.ndarray, b: float
-    ) -> None:
+    def add_constraint(self, i: int, y: np.ndarray, a: np.ndarray, b: float) -> None:
         key = (i, y.tobytes(), _cut_fingerprint(a))
         held = self.constraint.get(key)
         if held is None or b > held[1]:
@@ -337,7 +334,7 @@ def solve_discretized(
 
     def undecided(x, upper: float, lower: float) -> DiscretizedSolveResult:
         return DiscretizedSolveResult(
-            SolveStatus.UNDECIDED, x, upper, lower, gap_tol, 0.0,
+            SolveStatus.UNDECIDED, x, upper, lower, 0.0,
             lp_iters=master.lp_iters, evals=evals,
         )
 
@@ -354,9 +351,7 @@ def solve_discretized(
         for i, j in _top_violations(vals):
             evals += 1
             s = np.asarray(fams[i].subgradient_x(x, dp.points[j]), dtype=float)
-            pool.add_constraint(
-                i, dp.points[j], x, s, float(vals[i, j]) - float(np.dot(s, x))
-            )
+            pool.add_constraint(i, dp.points[j], s, float(vals[i, j]) - float(np.dot(s, x)))
 
     x0 = X.clip(as_point(x_hint, dim=X.dim)) if x_hint is not None else X.center()
 
@@ -383,7 +378,7 @@ def solve_discretized(
             pool.prune(probe)
             if v_lb > -dp.eps:
                 return DiscretizedSolveResult(
-                    SolveStatus.INFEASIBLE, None, np.inf, np.inf, gap_tol, 0.0,
+                    SolveStatus.INFEASIBLE, None, np.inf, np.inf, 0.0,
                     violation_bound=v_lb + dp.eps,
                     lp_iters=master.lp_iters, evals=evals,
                 )
@@ -427,7 +422,7 @@ def solve_discretized(
             # it can fall below the lower bound of the exact rows; upper is
             # then a valid lower bound too
             return DiscretizedSolveResult(
-                SolveStatus.FEASIBLE, x_best, upper, min(lower, upper), gap_tol, floor,
+                SolveStatus.FEASIBLE, x_best, upper, min(lower, upper), floor,
                 lp_iters=master.lp_iters, evals=evals,
             )
         if budget <= 0:

@@ -67,11 +67,13 @@ def instance_b() -> SipProblem:
     )
     family = ConstraintFamily(
         index=0,
-        value=lambda x, y: float(y[0] * x[0] + (1.0 - y[0]) * x[1] + 1.0),
+        # written as (x_2 + 1) + y (x_1 - x_2), so that on the diagonal the
+        # value is exactly constant in y, as lipschitz_in_y_at declares
+        value=lambda x, y: float((x[1] + 1.0) + y[0] * (x[0] - x[1])),
         subgradient_x=lambda x, y: np.array([y[0], 1.0 - y[0]]),
         lipschitz_in_y=6.0,
         y_domain=y_box,
-        batch_eval=lambda x, ys: ys[:, 0] * x[0] + (1.0 - ys[:, 0]) * x[1] + 1.0,
+        batch_eval=lambda x, ys: (x[1] + 1.0) + ys[:, 0] * (x[0] - x[1]),
         lipschitz_in_y_at=lambda x: abs(float(x[0] - x[1])),
     )
     return SipProblem(

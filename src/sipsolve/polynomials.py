@@ -2,11 +2,13 @@
 families built from them.
 
 Every constraint family of the form g(x, y) = a(y).x + b(y) with polynomial
-a and b is built here by affine_polynomial_family, together with its
-term-wise Lipschitz bounds in y: the JSON quadratic schema, the regression
-front-end (model-derivative constraints) and the randomized instance
-generator all call it.  Degrees stay in the single digits here, so no
-orthogonal-basis conditioning is attempted.
+a and b is built here by affine_polynomial_family: the JSON quadratic
+schema, the regression front-end (model-derivative constraints) and the
+randomized instance generator all call it.  The family is held as one
+exponent matrix and one coefficient matrix, from which its value, batch,
+x-subgradient and term-wise Lipschitz-in-y oracles are each one array
+expression.  Degrees stay in the single digits here, so no orthogonal-basis
+conditioning is attempted.
 """
 
 from __future__ import annotations
@@ -84,32 +86,6 @@ class Polynomial:
         y = np.asarray(y, dtype=float).reshape(self.dim)
         return float(np.dot(self.coeffs, np.prod(y**self.exponents, axis=1)))
 
-    def eval_many(self, ys: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of an (N, dim) array."""
-        ys = np.asarray(ys, dtype=float).reshape(-1, self.dim)
-        # (N, terms) monomial matrix; term count is tiny at desk scale
-        mono = np.prod(ys[:, None, :] ** self.exponents[None, :, :], axis=2)
-        return mono @ self.coeffs
-
-    def partial(self, axis: int) -> "Polynomial":
-        if not 0 <= axis < self.dim:
-            raise InputError("axis out of range")
-        e = self.exponents.copy()
-        c = self.coeffs * e[:, axis]
-        e[:, axis] = np.maximum(e[:, axis] - 1, 0)
-        keep = c != 0
-        if not keep.any():
-            return Polynomial.zero(self.dim)
-        return Polynomial(e[keep], c[keep])
-
-    def max_abs_bound(self, box: BoxDomain) -> float:
-        """Upper bound on max |p(y)| over the box via term-wise bounds."""
-        if box.dim != self.dim:
-            raise InputError("box dimension mismatch")
-        m = np.maximum(np.abs(box.lower), np.abs(box.upper))
-        term_bounds = np.prod(m[None, :] ** self.exponents, axis=1)
-        return float(np.dot(np.abs(self.coeffs), term_bounds))
-
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial(self.exponents, self.coeffs * factor)
 
@@ -184,90 +160,6 @@ def infer_basis(num_coeffs: int, dim: int) -> PolynomialBasis:
     )
 
 
-def affine_in_x_lipschitz(
-    a_polys: list[Polynomial],
-    b_poly: Polynomial | None,
-    x_box: BoxDomain,
-    y_box: BoxDomain,
-) -> float:
-    """Max-metric Lipschitz bound in y of g(x, y) = sum_j a_j(y) x_j + b(y),
-    uniform over the x box, from term-wise polynomial bounds."""
-    xmax = np.maximum(np.abs(x_box.lower), np.abs(x_box.upper))
-    scale = np.concatenate(([1.0], xmax))
-    total = 0.0
-    for j in range(y_box.dim):
-        parts = _y_partials(a_polys, b_poly, j)
-        total += sum(p.scaled(scale[src]).max_abs_bound(y_box) for src, p in parts)
-    return total
-
-
-def affine_in_x_lipschitz_at(
-    a_polys: list[Polynomial],
-    b_poly: Polynomial | None,
-    x,
-    y_box: BoxDomain,
-) -> float:
-    """Same bound with a concrete x plugged in: the y-partials combine with
-    signed coefficients, so cancelation (e.g. a constant-in-y slice) shows
-    up as a zero constant."""
-    return _lipschitz_in_y_table(a_polys, b_poly, y_box)(x)
-
-
-def _lipschitz_in_y_table(
-    a_polys: list[Polynomial],
-    b_poly: Polynomial | None,
-    y_box: BoxDomain,
-):
-    """The per-x bound of affine_in_x_lipschitz_at, with everything that does
-    not depend on x computed once.
-
-    For each y-axis j the table holds the exponent rows of the y_j-partials
-    of b and of the a_k, merged so that equal rows share one coefficient
-    slot, the term bound of each slot over the box, and for every partial
-    coefficient its slot and its source (b or a_k).  At x the slots
-    accumulate the coefficients (those of a_k times x_k) in that order, and
-    the bound is sum_j sum_slots |coefficient| * term bound.
-    """
-    m = np.maximum(np.abs(y_box.lower), np.abs(y_box.upper))
-    table = []
-    for j in range(y_box.dim):
-        parts = _y_partials(a_polys, b_poly, j)
-        if not parts:
-            continue
-        rows: dict[tuple[int, ...], int] = {}
-        slots, sources, coeffs = [], [], []
-        for src, part in parts:
-            for e, c in zip(part.exponents, part.coeffs):
-                slots.append(rows.setdefault(tuple(e.tolist()), len(rows)))
-                sources.append(src)
-                coeffs.append(c)
-        exps = np.array(list(rows), dtype=int).reshape(len(rows), y_box.dim)
-        term_bounds = np.prod(m[None, :] ** exps, axis=1)
-        table.append((np.array(slots), np.array(sources), np.array(coeffs), term_bounds))
-
-    def at(x) -> float:
-        scale = np.concatenate(([1.0], np.asarray(x, dtype=float)))
-        total = 0.0
-        for slots, sources, coeffs, term_bounds in table:
-            merged = np.zeros(len(term_bounds))
-            np.add.at(merged, slots, coeffs * scale[sources])
-            total += float(np.dot(np.abs(merged), term_bounds))
-        return total
-
-    return at
-
-
-def _y_partials(a_polys, b_poly, j: int) -> list[tuple[int, Polynomial]]:
-    """The y_j-partial of b as (0, partial), then each nonzero y_j-partial
-    of a_k as (k + 1, partial)."""
-    parts = [] if b_poly is None else [(0, b_poly.partial(j))]
-    for k, ap in enumerate(a_polys):
-        pj = ap.partial(j)
-        if pj.coeffs.any():
-            parts.append((k + 1, pj))
-    return parts
-
-
 def affine_polynomial_family(
     index: int,
     a_polys,
@@ -275,33 +167,63 @@ def affine_polynomial_family(
     x_box: BoxDomain,
     y_box: BoxDomain,
 ) -> ConstraintFamily:
-    """Constraint family g(x, y) = sum_j a_j(y) x_j + b(y) over the index box,
-    with the uniform and the per-x Lipschitz bounds in y from term-wise
-    polynomial bounds.  Polynomials without a nonzero coefficient are left
-    out of value and batch evaluation."""
-    a_polys = list(a_polys)
-    active = [(j, ap) for j, ap in enumerate(a_polys) if ap.coeffs.any()]
+    """Constraint family g(x, y) = sum_j a_j(y) x_j + b(y) over the index box.
 
-    def value(x, y):
-        return float(sum(ap(y) * x[j] for j, ap in active) + b_poly(y))
+    The family is held as two arrays: E (T, q), the distinct exponent rows
+    of b and of every a_j, and C (T, 1 + p), whose column 0 holds b's
+    coefficients and column 1 + j those of a_j (equal rows merged).  With
+    z = (1, x), g(x, y) = sum_t mono_t(y) * (C @ z)_t, where mono_t(y) =
+    prod_k y_k ** E[t, k].  Value and batch evaluation share one row-wise
+    sum, so a point gives the same bits alone as inside any batch.
 
-    def subgradient_x(x, y):
-        return np.array([ap(y) for ap in a_polys])
+    The Lipschitz bounds in y (max metric) are term-wise: the y_k-partial of
+    g has coefficients D_k = C * E[:, k] on the exponent rows shifted down
+    in y_k, and each shifted monomial is bounded over the box by tb.  With
+    D and tb stacked over k, the per-x bound is |D @ z| @ tb (signed, so
+    cancelation at a concrete x shows up) and the uniform one is
+    (|D| @ z_max) @ tb with z_max = (1, max |x|) over the x box.
+    """
+    polys = [b_poly, *a_polys]
+    # rows of E in order of first appearance; the order fixes summation bits
+    rows: dict[tuple[int, ...], int] = {}
+    row = [rows.setdefault(tuple(e), len(rows)) for p in polys for e in p.exponents.tolist()]
+    E = np.array(list(rows), dtype=int).reshape(len(rows), y_box.dim)
+    C = np.zeros((len(E), len(polys)))
+    col = [j for j, p in enumerate(polys) for _ in p.coeffs]
+    np.add.at(C, (row, col), np.concatenate([p.coeffs for p in polys]))
+
+    def lift(x) -> np.ndarray:
+        return np.concatenate(([1.0], x))
+
+    def mono(ys: np.ndarray) -> np.ndarray:
+        return np.prod(ys[:, None, :] ** E[None, :, :], axis=2)
 
     def batch_eval(x, ys):
         ys = np.asarray(ys, dtype=float).reshape(-1, y_box.dim)
-        out = b_poly.eval_many(ys)
-        for j, ap in active:
-            out = out + x[j] * ap.eval_many(ys)
-        return out
+        return (mono(ys) * (C @ lift(x))).sum(axis=1)
+
+    def value(x, y):
+        return float(batch_eval(x, y)[0])
+
+    def subgradient_x(x, y):
+        return mono(np.asarray(y, dtype=float).reshape(1, y_box.dim))[0] @ C[:, 1:]
+
+    m = np.maximum(np.abs(y_box.lower), np.abs(y_box.upper))
+    D, tb = [], []
+    for k in range(y_box.dim):
+        has = E[:, k] > 0
+        shifted = E[has] - np.eye(y_box.dim, dtype=int)[k]
+        D.append(C[has] * E[has, k][:, None])
+        tb.append(np.prod(m[None, :] ** shifted, axis=1))
+    D, tb = np.vstack(D), np.concatenate(tb)
+    z_max = lift(np.maximum(np.abs(x_box.lower), np.abs(x_box.upper)))
 
     return ConstraintFamily(
         index=index,
         value=value,
         subgradient_x=subgradient_x,
-        lipschitz_in_y=affine_in_x_lipschitz(a_polys, b_poly, x_box, y_box),
+        lipschitz_in_y=float((np.abs(D) @ z_max) @ tb),
         y_domain=y_box,
         batch_eval=batch_eval,
-        lipschitz_in_y_at=_lipschitz_in_y_table(a_polys, b_poly, y_box),
+        lipschitz_in_y_at=lambda x: float(np.abs(D @ lift(x)) @ tb),
     )
-

@@ -7,8 +7,9 @@ convex quadratic in the coefficients); each shape constraint is an affine
 combination of model derivatives required nonpositive on the whole input
 box, which makes it affine in the coefficients with polynomial dependence on
 the input.  Each such constraint becomes a family through
-polynomials.affine_polynomial_family, with the offset as a constant b(u);
-its Lipschitz data comes from the polynomial coefficient bounds, so the
+polynomials.affine_polynomial_family, with the offset as a constant b(u):
+the model-derivative polynomials become the family's exponent and
+coefficient arrays, whose term-wise bounds give its Lipschitz data, so the
 certified lower-level machinery applies as-is.
 """
 

@@ -35,6 +35,17 @@ class TestCertifiedMax:
         assert cm.value + cm.gap >= brute - 1e-12
         assert abs(cm.value - 1.0) <= 2e-6
 
+    def test_instance_b_diagonal_is_constant_in_y(self, prob_b):
+        # on x0 == x1 the family declares y-Lipschitz constant 0, so its
+        # certificate is one evaluation: the oracle must not vary with y
+        fam = prob_b.constraints[0]
+        ys = fam.y_domain.grid(0.01)
+        for t in np.random.default_rng(8).uniform(-3.0, 3.0, 2000):
+            x = np.array([t, t])
+            cm = certified_max(fam, x, 1e-6)
+            assert cm.gap == 0.0
+            assert fam.eval_grid(x, ys).max() <= cm.value
+
     def test_gap_never_exceeds_request(self, prob_a):
         for delta in (1e-2, 1e-4, 1e-8):
             cm = certified_max(prob_a.constraints[0], np.array([0.3]), delta)

@@ -5,8 +5,6 @@ from sipsolve.errors import InputError
 from sipsolve.polynomials import (
     Polynomial,
     PolynomialBasis,
-    affine_in_x_lipschitz,
-    affine_in_x_lipschitz_at,
     affine_polynomial_family,
     infer_basis,
     multi_indices,
@@ -32,26 +30,11 @@ def test_multi_index_counts():
     assert sum(idx[-1]) == 2
 
 
-def test_polynomial_eval_and_partial():
+def test_polynomial_call():
     # p(y) = 1 + 2 y0 + 3 y0 y1
     p = Polynomial(np.array([[0, 0], [1, 0], [1, 1]]), np.array([1.0, 2.0, 3.0]))
     assert p([2.0, 1.0]) == pytest.approx(1 + 4 + 6)
-    many = p.eval_many(np.array([[2.0, 1.0], [0.0, 5.0]]))
-    assert many == pytest.approx([11.0, 1.0])
-    dp0 = p.partial(0)  # 2 + 3 y1
-    assert dp0([7.0, 2.0]) == pytest.approx(8.0)
-    assert p.partial(1)([5.0, 9.0]) == pytest.approx(15.0)
-
-
-def test_max_abs_bound_is_a_bound():
-    rng = np.random.default_rng(5)
-    box = BoxDomain([-1.5, 0.5], [2.0, 1.5])
-    for _ in range(20):
-        idx = multi_indices(2, 3)
-        p = Polynomial(np.array(idx), rng.uniform(-1, 1, len(idx)))
-        bound = p.max_abs_bound(box)
-        ys = box.grid(0.05)
-        assert np.max(np.abs(p.eval_many(ys))) <= bound + 1e-12
+    assert p([0.0, 5.0]) == pytest.approx(1.0)
 
 
 def test_lipschitz_bound_dominates_samples():
@@ -61,7 +44,7 @@ def test_lipschitz_bound_dominates_samples():
     idx = multi_indices(1, 2)
     a = [Polynomial(np.array(idx), rng.uniform(-1, 1, len(idx))) for _ in range(2)]
     b = Polynomial(np.array(idx), rng.uniform(-1, 1, len(idx)))
-    lip = affine_in_x_lipschitz(a, b, x_box, box)
+    lip = affine_polynomial_family(0, a, b, x_box, box).lipschitz_in_y
     for _ in range(200):
         x = rng.uniform(-2, 2, 2)
         y1, y2 = rng.uniform(0, 1, (2, 1))
@@ -77,9 +60,11 @@ def test_pointwise_lipschitz_sees_cancelation():
         Polynomial(np.array([[1]]), np.array([1.0])),
         Polynomial(np.array([[0], [1]]), np.array([1.0, -1.0])),
     ]
-    at_diag = affine_in_x_lipschitz_at(a, None, np.array([-1.0, -1.0]), y_box)
+    x_box = BoxDomain([-3.0, -3.0], [3.0, 3.0])
+    fam = affine_polynomial_family(0, a, Polynomial.constant(1, 1.0), x_box, y_box)
+    at_diag = fam.lipschitz_in_y_at(np.array([-1.0, -1.0]))
     assert at_diag == pytest.approx(0.0, abs=1e-15)
-    off_diag = affine_in_x_lipschitz_at(a, None, np.array([2.0, -1.0]), y_box)
+    off_diag = fam.lipschitz_in_y_at(np.array([2.0, -1.0]))
     assert off_diag == pytest.approx(3.0)
 
 
@@ -124,7 +109,6 @@ def test_lipschitz_table_matches_term_by_term(q):
             expected = _lipschitz_term_by_term(a, b, x, y_box)
             got = fam.lipschitz_in_y_at(x)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-            assert got == affine_in_x_lipschitz_at(a, b, x, y_box)
 
 
 def test_basis_derivative_eval():
@@ -189,8 +173,11 @@ def test_affine_polynomial_family_oracles(prob):
         ys = Y.lower + rng.random((40, Y.dim)) * Y.widths
         lip = fam.lipschitz_in_y
         for x in xs:
+            # a point gives the same bits alone, in a batch of one and in a batch
             direct = np.array([fam.value(x, y) for y in ys])
-            np.testing.assert_allclose(fam.batch_eval(x, ys), direct, rtol=1e-12, atol=1e-12)
+            ones = np.array([fam.batch_eval(x, y[None])[0] for y in ys])
+            np.testing.assert_array_equal(fam.batch_eval(x, ys), direct)
+            np.testing.assert_array_equal(ones, direct)
             # g is affine in x: the subgradient is the exact slope
             x2 = X.lower + rng.random(X.dim) * X.widths
             for y in ys[:5]:
