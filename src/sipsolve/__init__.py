@@ -14,7 +14,6 @@ from .core_loop import (
     update_discretization,
 )
 from .drivers import (
-    Budget,
     OutcomeStatus,
     SequentialConfig,
     SimultaneousConfig,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxDomain",
-    "Budget",
     "CertificationError",
     "CertifiedMax",
     "ConfigError",

@@ -1,9 +1,11 @@
 """Command-line shell: solve, check and bench subcommands.
 
 solve runs one of the three algorithms on a problem file (or builtin
-instance) and writes an outcome JSON plus a trace CSV; exit code 0 means a
-certified result, 2 a budget-limited partial result or an exhausted
-certification cell budget, 1 an input error or a malformed command line.
+instance) and writes an outcome JSON plus a trace CSV; --max-iters is the
+run's one limit, in discretization steps.  Exit code 0 means a certified
+result, 2 a budget-limited partial result or an exhausted certification
+cell budget (after the post-hoc certification, with both files written),
+1 an input error, a non-finite number or a malformed command line.
 check validates a problem file including its Slater certificate.  bench
 compares discretization growth between the minimal (rho = 0) and monotone
 (rho = inf) pruning policies on the same instance.
@@ -25,8 +27,6 @@ from .core_loop import (
     run_core,
 )
 from .drivers import (
-    DEFAULT_SOLVER_CALL_BUDGET,
-    Budget,
     OutcomeStatus,
     SequentialConfig,
     SimultaneousConfig,
@@ -71,6 +71,13 @@ def parse_rho(text: str) -> float:
     return value
 
 
+def parse_finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 def parse_count(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -93,15 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("core", "sequential", "simultaneous"),
         default="sequential",
     )
-    solve.add_argument("--delta", type=float, default=1e-2)
+    solve.add_argument("--delta", type=parse_finite, default=1e-2)
     solve.add_argument("--rho", type=parse_rho, default=0.0)
-    solve.add_argument("--r", type=float, default=2.0)
-    solve.add_argument("--eps0", type=float, default=1.0)
+    solve.add_argument("--r", type=parse_finite, default=2.0)
+    solve.add_argument("--eps0", type=parse_finite, default=1.0)
     solve.add_argument("--schedule", default="eventually_zero(0)")
     solve.add_argument("--max-iters", type=parse_count, default=10_000)
-    solve.add_argument("--budget", type=parse_count, default=DEFAULT_SOLVER_CALL_BUDGET,
-                       help="total finite-solver call budget; each core "
-                       "iteration is one call")
     solve.add_argument("--trace-out", default="trace.csv")
     solve.add_argument("--outcome-out", default="outcome.json")
 
@@ -140,53 +144,32 @@ def cmd_solve(args) -> int:
     problem = load_problem(args.problem)
     schedule = parse_schedule(args.schedule)
     y0 = default_y0(problem)
-    budget = Budget(solver_calls=args.budget)
 
+    shared = dict(rho=args.rho, schedule=schedule, max_iters=args.max_iters)
+    core_label = None  # the core loop reports its own status
     if args.algorithm == "core":
-        # each core iteration makes exactly one finite-solver call
-        cfg = CoreConfig(
-            eps=args.eps0,
-            rho=args.rho,
-            schedule=schedule,
-            y0=y0,
-            max_iters=min(args.max_iters, args.budget),
-        )
-        result = run_core(problem, cfg)
+        result = run_core(problem, CoreConfig(eps=args.eps0, y0=y0, **shared))
         outcome = _core_outcome(problem, result, args.eps0)
-        status_label = result.status.value
+        core_label = result.status.value
     elif args.algorithm == "sequential":
-        cfg = SequentialConfig(
-            delta=args.delta,
-            r=args.r,
-            eps00=args.eps0,
-            schedule=schedule,
-            rho=args.rho,
-            y0=y0,
-            inner_max_iters=args.max_iters,
-        )
-        outcome = run_sequential(problem, cfg, budget=budget)
-        status_label = outcome.status.value
+        outcome = run_sequential(problem, SequentialConfig(
+            delta=args.delta, r=args.r, eps00=args.eps0, y0=y0, **shared))
     else:
-        cfg = SimultaneousConfig(
-            delta=args.delta,
-            r=args.r,
-            eps0=args.eps0,
-            schedule=schedule,
-            rho=args.rho,
-            y0_check=y0,
-            y0_hat=y0,
-            max_iters=args.max_iters,
-        )
-        outcome = run_simultaneous(problem, cfg, budget=budget)
-        status_label = outcome.status.value
+        outcome = run_simultaneous(problem, SimultaneousConfig(
+            delta=args.delta, r=args.r, eps0=args.eps0, y0_check=y0, y0_hat=y0,
+            **shared))
 
     write_trace_csv(args.trace_out, outcome.trace)
     write_outcome_json(args.outcome_out, outcome)
-    print(f"status: {status_label}")
+    if outcome.certification_error is not None:
+        print(f"error: {outcome.certification_error}", file=sys.stderr)
+        core_label = None
+    print(f"status: {core_label or outcome.status.value}")
     if outcome.x_star is not None:
         print(f"x*: [{', '.join(fmt17(v) for v in outcome.x_star)}]")
         print(f"f(x*): {fmt17(outcome.f_value)}")
-        print(f"feasibility margin: {fmt17(outcome.feasibility_margin)}")
+        if outcome.certification_error is None:
+            print(f"feasibility margin: {fmt17(outcome.feasibility_margin)}")
     print(f"trace: {args.trace_out}\noutcome: {args.outcome_out}")
     return (
         EXIT_OK

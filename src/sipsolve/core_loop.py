@@ -154,7 +154,9 @@ def eventually_zero_schedule(
 
 
 def check_rho_regime(schedule: ToleranceSchedule, rho: float) -> None:
-    """A summable obj schedule needs a nonzero pruning radius."""
+    """A pruning radius >= 0 or inf, nonzero for a summable obj schedule."""
+    if not rho >= 0:  # also false for NaN
+        raise ConfigError("rho must be nonnegative or inf")
     if schedule.regime is ScheduleRegime.SUMMABLE and rho == 0:
         raise ConfigError("a summable obj schedule requires a nonzero pruning radius")
 
@@ -168,10 +170,8 @@ class CoreConfig:
     max_iters: int = 10_000
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ConfigError("eps must be nonnegative")
-        if self.rho < 0:
-            raise ConfigError("rho must be nonnegative or inf")
+        if not 0 <= self.eps < np.inf:  # also false for NaN
+            raise ConfigError("eps must be nonnegative and finite")
         check_rho_regime(self.schedule, self.rho)
 
 

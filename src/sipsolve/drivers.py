@@ -15,6 +15,10 @@ yields a delta-approximate solution with a termination index known up front.
 run_simultaneous interleaves an unrestricted stream (lower reference values)
 with a restricted stream (feasible candidates) and stops as soon as the two
 objective values agree to delta/2 and the candidate certifies feasible.
+
+A run's one limit, a safety stop, is its config's max_iters: discretization
+steps over all stages of run_sequential, paired check/candidate iterations
+of run_simultaneous.  Reaching it ends the run as BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -32,31 +36,28 @@ from .core_loop import (
     check_rho_regime,
     discretization_step,
 )
-from .errors import ConfigError, InputError
+from .errors import CertificationError, ConfigError, InputError
 from .finite_solver import SolveStatus
 from .lower_level import certified_feasibility_bound
 from .problem import RegularityBundle, SipProblem, derive_eps_star
 
 POST_HOC_DELTA = 1e-9
 
-DEFAULT_SOLVER_CALL_BUDGET = 1_000_000
-
 # compute_termination_index gives up after this many stages.
 TERMINATION_SCAN_LIMIT = 100_000
 
 
-@dataclass
-class Budget:
-    """Global budget on finite-solver invocations across a driver run."""
+def check_delta(delta: float) -> None:
+    if not 0 < delta < np.inf:  # also false for NaN
+        raise ConfigError("delta must be positive and finite")
 
-    solver_calls: int = DEFAULT_SOLVER_CALL_BUDGET
-    used: int = 0
 
-    def take(self) -> bool:
-        if self.used >= self.solver_calls:
-            return False
-        self.used += 1
-        return True
+def check_restriction(r: float, eps0: float) -> None:
+    """A finite shrink factor above 1 and a finite positive restriction."""
+    if not 1 < r < np.inf:
+        raise ConfigError("restriction shrink factor r must be finite and exceed 1")
+    if not 0 < eps0 < np.inf:
+        raise ConfigError("initial restriction must be positive and finite")
 
 
 class OutcomeStatus(Enum):
@@ -76,6 +77,8 @@ class SolveOutcome:
     iterations: dict[str, int]
     trace: RunTrace
     oracle_evals: int
+    # why margin and bound are NaN at x_star: the certification ran out
+    certification_error: str | None
 
 
 @dataclass(frozen=True)
@@ -87,15 +90,11 @@ class SequentialConfig:
     rho: float
     y0: Discretization
     regularity: RegularityBundle | None = None
-    inner_max_iters: int = 10_000
+    max_iters: int = 10_000  # discretization steps over all stages
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.r <= 1:
-            raise ConfigError("restriction shrink factor r must exceed 1")
-        if self.eps00 <= 0:
-            raise ConfigError("initial restriction eps00 must be positive")
+        check_delta(self.delta)
+        check_restriction(self.r, self.eps00)
         check_rho_regime(self.schedule, self.rho)
 
 
@@ -108,15 +107,11 @@ class SimultaneousConfig:
     rho: float
     y0_check: Discretization
     y0_hat: Discretization
-    max_iters: int = 10_000
+    max_iters: int = 10_000  # paired check/candidate iterations
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.r <= 1:
-            raise ConfigError("restriction shrink factor r must exceed 1")
-        if self.eps0 <= 0:
-            raise ConfigError("initial restriction eps0 must be positive")
+        check_delta(self.delta)
+        check_restriction(self.r, self.eps0)
         if not self.schedule.sup_obj() < self.delta / 2:
             raise ConfigError(
                 "simultaneous driver requires sup_k obj_tol(k) < delta/2 "
@@ -143,7 +138,6 @@ def run_feas_finite(
     schedule: ToleranceSchedule,
     rho: float,
     y0: Discretization,
-    budget: Budget | None = None,
     max_iters: int = 10_000,
     trace: RunTrace | None = None,
     k_offset: int = 0,
@@ -156,12 +150,8 @@ def run_feas_finite(
     infeasible), refines the discretization around the strongest violator,
     or terminates with a point certified feasible for the original program.
     """
-    if eps0 <= 0:
-        raise InputError("eps0 must be positive")
-    if r <= 1:
-        raise InputError("r must exceed 1")
+    check_restriction(r, eps0)
     check_rho_regime(schedule, rho)
-    budget = budget if budget is not None else Budget()
     trace = trace if trace is not None else RunTrace()
     pool = pool if pool is not None else CutPool()
     eps = eps0
@@ -169,8 +159,6 @@ def run_feas_finite(
     x_prev = x_hint
 
     for k in range(max_iters):
-        if not budget.take():
-            return FeasFiniteResult(False, x_prev, eps, k, trace, yk)
         step = discretization_step(problem, eps, yk, schedule, k, pool, x_prev)
         if step.x is None:
             # infeasible, or undecided without an iterate, which is coerced
@@ -203,10 +191,10 @@ def compute_termination_index(
     """Smallest stage count m* so that from m* on the restriction is inside
     the regularity margin, the Lipschitz value bound is below delta/2, and
     the scheduled solve gap is below delta/2."""
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    if diam_x < 0 or eps00 <= 0 or r <= 1:
-        raise InputError("need diam_x >= 0, eps00 > 0, r > 1")
+    check_delta(delta)
+    check_restriction(r, eps00)
+    if diam_x < 0:
+        raise InputError("need diam_x >= 0")
     obj_tol = obj_schedule.obj_tol if isinstance(obj_schedule, ToleranceSchedule) else obj_schedule
     lip_factor = regularity.lipschitz_f * diam_x / regularity.eps_star
     m = 0
@@ -229,10 +217,17 @@ def post_hoc_outcome(
     iterations: dict[str, int],
     trace: RunTrace,
 ) -> SolveOutcome:
-    """The outcome at x: f(x) and the certified constraint bound."""
-    margin, bound = certified_feasibility_bound(
-        problem.constraints, x, POST_HOC_DELTA
-    )
+    """The outcome at x: f(x) and the certified constraint bound.  If the
+    certification runs out of cells, the run keeps its point: the outcome
+    is BudgetExceeded at x with no margin or bound, and says why."""
+    margin = bound = np.nan
+    error = None
+    try:
+        margin, bound = certified_feasibility_bound(
+            problem.constraints, x, POST_HOC_DELTA
+        )
+    except CertificationError as exc:
+        status, error = OutcomeStatus.BUDGET_EXCEEDED, str(exc)
     return SolveOutcome(
         status=status,
         x_star=x,
@@ -242,6 +237,7 @@ def post_hoc_outcome(
         iterations=iterations,
         trace=trace,
         oracle_evals=trace.total_evals,
+        certification_error=error,
     )
 
 
@@ -255,7 +251,7 @@ def budget_outcome(
     if x is None:
         return SolveOutcome(
             OutcomeStatus.BUDGET_EXCEEDED, None, np.nan, np.nan, np.nan,
-            iterations, trace, trace.total_evals,
+            iterations, trace, trace.total_evals, None,
         )
     return post_hoc_outcome(problem, x, OutcomeStatus.BUDGET_EXCEEDED, iterations, trace)
 
@@ -263,14 +259,13 @@ def budget_outcome(
 def run_sequential(
     problem: SipProblem,
     cfg: SequentialConfig,
-    budget: Budget | None = None,
     m_star: int | None = None,
 ) -> SolveOutcome:
     """Sequential driver: m* + 1 restriction-feasibility runs with the
     restriction divided by r between stages.  With m* from
     compute_termination_index the returned point is a delta-approximate
-    solution of the semi-infinite program."""
-    budget = budget if budget is not None else Budget()
+    solution of the semi-infinite program.  The stages share cfg.max_iters
+    discretization steps."""
     if m_star is None:
         reg = cfg.regularity
         if reg is None:
@@ -285,7 +280,6 @@ def run_sequential(
     pool = CutPool()
     x_hint = None
     total_inner = 0
-    last: FeasFiniteResult | None = None
     for m in range(m_star + 1):
         res = run_feas_finite(
             problem,
@@ -294,15 +288,13 @@ def run_sequential(
             cfg.schedule.shifted(m),
             cfg.rho,
             y_m0,
-            budget=budget,
-            max_iters=cfg.inner_max_iters,
+            max_iters=cfg.max_iters - total_inner,
             trace=trace,
             k_offset=total_inner + m,  # keep trace k strictly increasing
             pool=pool,
             x_hint=x_hint,
         )
         total_inner += res.iterations
-        last = res
         if not res.terminated:
             return budget_outcome(
                 problem, res.x, {"outer": m + 1, "inner": total_inner}, trace
@@ -310,9 +302,8 @@ def run_sequential(
         eps_m0 = res.eps_terminal / cfg.r
         y_m0 = res.discretization
         x_hint = res.x
-    assert last is not None and last.x is not None
     return post_hoc_outcome(
-        problem, last.x, OutcomeStatus.DELTA_APPROXIMATE,
+        problem, x_hint, OutcomeStatus.DELTA_APPROXIMATE,
         {"outer": m_star + 1, "inner": total_inner}, trace,
     )
 
@@ -320,7 +311,6 @@ def run_sequential(
 def run_simultaneous(
     problem: SipProblem,
     cfg: SimultaneousConfig,
-    budget: Budget | None = None,
 ) -> SolveOutcome:
     """Simultaneous driver: one loop carrying an unrestricted stream (check
     values) and a restricted stream (feasible candidates).
@@ -330,7 +320,6 @@ def run_simultaneous(
     value (shrink and refine the check stream), or the candidate violates
     (refine the candidate stream), or both tests pass and the candidate is
     returned."""
-    budget = budget if budget is not None else Budget()
     trace = RunTrace()
     y_check, y_hat = cfg.y0_check, cfg.y0_hat
     pool_check, pool_hat = CutPool(), CutPool()
@@ -338,8 +327,6 @@ def run_simultaneous(
     x_check_hint = x_hat_hint = None
 
     for k in range(cfg.max_iters):
-        if not budget.take():
-            break
         check = discretization_step(
             problem, 0.0, y_check, cfg.schedule, k, pool_check, x_check_hint
         )
@@ -352,8 +339,6 @@ def run_simultaneous(
             break
         x_check_hint = check.x
 
-        if not budget.take():
-            break
         hat = discretization_step(
             problem, eps, y_hat, cfg.schedule, k, pool_hat, x_hat_hint
         )

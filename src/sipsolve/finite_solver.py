@@ -385,7 +385,12 @@ def solve_discretized(
 
     # ----- phase 2: optimize over the cut model -----------------------------
     def restore(x: np.ndarray) -> np.ndarray | None:
-        """Bisect from the strictly feasible anchor toward x."""
+        """Bisect from the strictly feasible anchor toward x.
+
+        Kelley's master points lie outside a curved feasible set until the
+        cuts close in on it, so on nonlinear constraints the incumbent, and
+        with it the gap, comes from these restored points; without them such
+        solves spend every master and end UNDECIDED."""
         if anchor_phi >= -dp.eps:
             return None
         lo_t, hi_t = 0.0, 1.0

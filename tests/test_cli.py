@@ -35,7 +35,7 @@ class TestSolve:
             [
                 "solve", "--problem", "builtin:instance_A",
                 "--algorithm", "sequential", "--delta", "1e-9",
-                "--budget", "2",
+                "--max-iters", "2",
                 "--trace-out", str(tmp_path / "t.csv"),
                 "--outcome-out", str(tmp_path / "o.json"),
             ]
@@ -47,7 +47,7 @@ class TestSolve:
         code = run_cli(
             [
                 "solve", "--problem", "builtin:instance_B",
-                "--algorithm", "sequential", "--budget", "1",
+                "--algorithm", "sequential", "--max-iters", "1",
                 "--trace-out", str(tmp_path / "t.csv"),
                 "--outcome-out", str(outcome),
             ]
@@ -63,8 +63,7 @@ class TestSolve:
         code = run_cli(
             [
                 "solve", "--problem", "builtin:instance_A",
-                "--algorithm", "core", "--eps0", "0", "--max-iters", "50",
-                "--budget", "3",
+                "--algorithm", "core", "--eps0", "0", "--max-iters", "3",
                 "--trace-out", str(trace), "--outcome-out", str(tmp_path / "o.json"),
             ]
         )
@@ -171,12 +170,29 @@ class TestSolve:
             ["solve", "--problem", "builtin:instance_A", "--delta", "abc"],
             ["solve", "--problem", "builtin:instance_A", "--no-such-flag"],
             ["solve"],
-            ["solve", "--problem", "builtin:instance_A", "--budget", "-5"],
             ["solve", "--problem", "builtin:instance_A", "--algorithm", "core",
              "--max-iters", "-3"],
+            ["solve", "--problem", "builtin:instance_A", "--algorithm", "sequential",
+             "--r", "nan"],
+            ["solve", "--problem", "builtin:instance_A", "--algorithm", "simultaneous",
+             "--r", "nan"],
+            ["solve", "--problem", "builtin:instance_A", "--algorithm", "simultaneous",
+             "--r", "inf"],
+            ["solve", "--problem", "builtin:instance_A", "--algorithm", "sequential",
+             "--eps0", "nan"],
+            ["solve", "--problem", "builtin:instance_A", "--algorithm", "simultaneous",
+             "--eps0", "nan"],
+            ["solve", "--problem", "builtin:instance_A", "--algorithm", "sequential",
+             "--eps0", "inf"],
+            ["solve", "--problem", "builtin:instance_A", "--algorithm", "core",
+             "--eps0", "nan"],
+            ["solve", "--problem", "builtin:instance_A", "--delta", "nan"],
+            ["solve", "--problem", "builtin:instance_A", "--budget", "1"],
         ],
         ids=["negative_rho", "text_rho", "text_delta", "unknown_flag", "no_problem",
-             "negative_budget", "negative_max_iters"],
+             "negative_max_iters", "sequential_nan_r", "simultaneous_nan_r",
+             "simultaneous_inf_r", "sequential_nan_eps0", "simultaneous_nan_eps0",
+             "sequential_inf_eps0", "core_nan_eps0", "nan_delta", "removed_budget"],
     )
     def test_malformed_arguments_are_input_errors(self, argv, capsys):
         assert run_cli(argv) == EXIT_INPUT_ERROR
@@ -199,16 +215,23 @@ class TestSolve:
             return inner(family, x, delta, *args, **kwargs)
 
         monkeypatch.setattr(lower_level, "certified_max", exhausted)
+        trace, outcome = tmp_path / "t.csv", tmp_path / "o.json"
         code = run_cli(
             [
                 "solve", "--problem", "builtin:instance_A",
                 "--algorithm", "simultaneous", "--delta", "1e-1",
-                "--trace-out", str(tmp_path / "t.csv"),
-                "--outcome-out", str(tmp_path / "o.json"),
+                "--trace-out", str(trace),
+                "--outcome-out", str(outcome),
             ]
         )
         assert code == EXIT_BUDGET
         assert "error: cell budget" in capsys.readouterr().err
+        # the run's point and trace survive the stop
+        assert len(trace.read_text().splitlines()) > 1
+        data = json.loads(outcome.read_text())
+        assert data["status"] == "BudgetExceeded" and data["x"] is not None
+        assert data["f"] == builtin("instance_A").objective.value(np.array(data["x"]))
+        assert data["feasibility_margin"] is None
 
     @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])
     def test_solve_runs_no_grid_scan(self, tmp_path, monkeypatch, name):

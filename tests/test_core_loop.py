@@ -70,6 +70,13 @@ class TestSchedules:
                 eps=0.1, rho=0.0, schedule=geometric_schedule(0.5), y0=single(0.0)
             )
 
+    @pytest.mark.parametrize("eps, rho", [(np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan)])
+    def test_invalid_number_rejected(self, eps, rho):
+        with pytest.raises(ConfigError):
+            CoreConfig(
+                eps=eps, rho=rho, schedule=eventually_zero_schedule(0), y0=single(0.0)
+            )
+
     def test_shifted(self):
         s = geometric_schedule(0.5).shifted(3)
         assert s.obj_tol(0) == pytest.approx(0.1 / 8)

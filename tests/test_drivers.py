@@ -18,7 +18,6 @@ from sipsolve.core_loop import (
 )
 from sipsolve.drivers import (
     POST_HOC_DELTA,
-    Budget,
     OutcomeStatus,
     SequentialConfig,
     SimultaneousConfig,
@@ -28,7 +27,7 @@ from sipsolve.drivers import (
     run_sequential,
     run_simultaneous,
 )
-from sipsolve.errors import ConfigError
+from sipsolve.errors import CertificationError, ConfigError
 from sipsolve.instances import builtin, default_y0, random_affine_instance
 from sipsolve.lower_level import CertifiedMax
 from sipsolve.problem import (
@@ -135,9 +134,20 @@ class TestRunFeasFinite:
     def test_budget_flag(self, prob_a):
         res = run_feas_finite(
             prob_a, eps0=0.1, r=2.0, schedule=eventually_zero_schedule(0),
-            rho=0.0, y0=single(0.0), budget=Budget(solver_calls=0),
+            rho=0.0, y0=single(0.0), max_iters=0,
         )
         assert not res.terminated
+        assert res.iterations == 0 and not res.trace.rows
+
+    @pytest.mark.parametrize(
+        "eps0, r", [(np.nan, 2.0), (np.inf, 2.0), (0.1, np.nan), (0.1, np.inf)]
+    )
+    def test_non_finite_restriction_rejected(self, prob_a, eps0, r):
+        with pytest.raises(ConfigError):
+            run_feas_finite(
+                prob_a, eps0=eps0, r=r, schedule=eventually_zero_schedule(0),
+                rho=0.0, y0=single(0.0),
+            )
 
 
 class TestComputeTerminationIndex:
@@ -194,8 +204,36 @@ class TestRunSequential:
             delta=1e-3, r=2.0, eps00=1.0, schedule=geometric_schedule(0.5),
             rho=0.5, y0=single(0.5),
         )
-        out = run_sequential(prob_b, cfg, budget=Budget(solver_calls=3))
+        out = run_sequential(prob_b, replace(cfg, max_iters=3))
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+
+    def test_max_iters_caps_the_whole_run(self, prob_a):
+        # the 9 stages take 30 steps, at most 7 each: a cap of 10 binds on
+        # the run's total, never on one stage alone
+        cfg = SequentialConfig(
+            delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=single(0.5),
+            regularity=RegularityBundle(eps_star=2.0, lipschitz_f=4.0),
+        )
+        full = run_sequential(prob_a, cfg)
+        assert full.iterations == {"outer": 9, "inner": 30}
+        out = run_sequential(prob_a, replace(cfg, max_iters=10))
+        assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        assert out.iterations["inner"] == 10 and out.iterations["outer"] < 9
+        assert len(out.trace.rows) == 10
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("delta", np.nan), ("delta", np.inf), ("r", np.nan), ("r", np.inf),
+         ("eps00", np.nan), ("eps00", np.inf), ("rho", -1.0), ("rho", np.nan)],
+    )
+    def test_invalid_number_rejected(self, field, value):
+        kwargs = dict(
+            delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=single(0.5),
+        )
+        with pytest.raises(ConfigError):
+            SequentialConfig(**{**kwargs, field: value})
 
     def test_warm_start_equivalence(self, prob_a):
         # each stage starts from the previous stage's discretization and
@@ -273,8 +311,23 @@ class TestRunSimultaneous:
             delta=1e-3, r=2.0, eps0=1.0, schedule=sim_schedule(1e-3),
             rho=0.5, y0_check=single(0.5), y0_hat=single(0.5),
         )
-        out = run_simultaneous(prob_b, cfg, budget=Budget(solver_calls=3))
+        out = run_simultaneous(prob_b, replace(cfg, max_iters=1))
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        # the one iteration ran both its check step and its candidate step
+        assert out.iterations["inner"] == len(out.trace.rows) == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("delta", np.nan), ("delta", np.inf), ("r", np.nan), ("r", np.inf),
+         ("eps0", np.nan), ("eps0", np.inf), ("rho", -1.0), ("rho", np.nan)],
+    )
+    def test_invalid_number_rejected(self, field, value):
+        kwargs = dict(
+            delta=0.1, r=2.0, eps0=1.0, schedule=sim_schedule(0.1),
+            rho=0.5, y0_check=single(0.5), y0_hat=single(0.5),
+        )
+        with pytest.raises(ConfigError):
+            SimultaneousConfig(**{**kwargs, field: value})
 
     def test_undecided_check_solve_is_budget_stop(self, prob_b, monkeypatch):
         # one master LP cannot decide the unrestricted solve: that is an
@@ -343,6 +396,25 @@ class TestPostHocCertification:
         # two may round apart (instance_B at x0 = x1 differs by 2e-16)
         grid = feasibility_margin(prob, out.x_star, default_margin_resolution(prob))
         assert grid <= out.certified_bound + 1e-12
+
+    # the sequential driver certifies the Slater point at 1e-9
+    # before its first stage, where exhaustion is still an exception
+    @pytest.mark.parametrize("kind", ["simultaneous", "budget"])
+    def test_exhausted_certification_keeps_the_point(self, monkeypatch, kind):
+        inner = lower_level.certified_max
+
+        def exhausted(family, x, delta, *args, **kwargs):
+            if delta <= POST_HOC_DELTA:
+                raise CertificationError("cell budget 2000000 exhausted")
+            return inner(family, x, delta, *args, **kwargs)
+
+        monkeypatch.setattr(lower_level, "certified_max", exhausted)
+        prob, out = self.run("instance_A", kind)
+        assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        assert out.x_star is not None
+        assert out.f_value == prob.objective.value(out.x_star)
+        assert np.isnan(out.feasibility_margin) and np.isnan(out.certified_bound)
+        assert out.certification_error == "cell budget 2000000 exhausted"
 
 
 class TestApproximationContract:

@@ -13,7 +13,13 @@ from sipsolve.finite_solver import (
     solve_discretized,
 )
 from sipsolve.instances import random_affine_instance
-from sipsolve.problem import ConvexObjective, QuadraticForm
+from sipsolve.problem import (
+    BoxDomain,
+    ConstraintFamily,
+    ConvexObjective,
+    QuadraticForm,
+    SipProblem,
+)
 
 
 def dp_of(problem, eps, points):
@@ -245,6 +251,35 @@ class TestMasterRoutes:
         assert res.status is SolveStatus.FEASIBLE
         assert res.lower <= res.upper
         assert res.upper - res.lower <= 1e-6
+
+    def test_kelley_incumbent_on_a_curved_constraint(self):
+        # g(x, y) = exp(a(y).x) + |x|^2 / 4 - 1.4 with a(y) = W y + 0.3: the
+        # masters' points violate g until the cuts are tight, so the Kelley
+        # route gets its incumbents from the restoration line search.
+        # Without it this solve spends all its masters and ends UNDECIDED.
+        w = np.array([-0.157, -0.124, -0.732])
+
+        def g(x, y):
+            return float(np.exp((w * y[0] + 0.3) @ x) + x @ x / 4 - 1.4)
+
+        def grad(x, y):
+            a = w * y[0] + 0.3
+            return np.exp(a @ x) * a + x / 2
+
+        y_box = BoxDomain(np.zeros(1), np.ones(1))
+        form = QuadraticForm(
+            np.array([[0.795, -0.142, 0.469], [-0.142, 0.474, -0.178],
+                      [0.469, -0.178, 1.027]]),
+            np.array([-0.463, 0.799, 2.805]), 0.0,
+        )
+        prob = SipProblem(
+            BoxDomain(-np.ones(3), np.ones(3)), y_box,
+            without_form(ConvexObjective.from_quadratic(form, None)),
+            (ConstraintFamily(0, g, grad, 10.0, y_box),),
+        )
+        res = solve_discretized(dp_of(prob, 0.05, np.linspace(0, 1, 11)), 0.1)
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.lp_iters <= 100
 
 
 class TestCutPool:
