@@ -31,7 +31,7 @@ from .finite_solver import (
     solve_discretized,
 )
 from .instances import builtin, default_y0, random_affine_instance
-from .lower_level import CertifiedMax, certified_max, strongest_violator
+from .lower_level import CertifiedMax, certified_max
 from .problem import (
     BoxDomain,
     ConstraintFamily,
@@ -98,7 +98,6 @@ __all__ = [
     "run_simultaneous",
     "serialize_problem",
     "solve_discretized",
-    "strongest_violator",
     "update_discretization",
     "validate_problem",
 ]

@@ -2,11 +2,11 @@
 
 ``discretization_step`` is the one step both of the paper's algorithms
 repeat: it solves the discretized restricted problem to its scheduled gap
-and, when that solve is feasible, certifies every constraint family's
-maximum at the iterate over the full index box.  The step terminates when
-every certified value is at or below minus the requested gap, which proves
-the iterate feasible for the semi-infinite program; otherwise ``refined``
-prunes and extends the discretization around the strongest violator.
+and, when that solve is feasible, certifies one maximum of the constraints
+at the iterate over all families and the full index box.  The step
+terminates when the certified value is at or below minus the requested gap,
+which proves the iterate feasible for the semi-infinite program; otherwise
+``refined`` prunes and extends the discretization around the maximizer.
 ``run_core`` runs the step at a fixed restriction, and the drivers in
 ``sipsolve.drivers`` run it with their own restriction updates.  The
 pruning radius rho regulates how much of the old discretization survives:
@@ -32,7 +32,7 @@ from .finite_solver import (
     SolveStatus,
     solve_discretized,
 )
-from .lower_level import CertifiedMax, certified_max, strongest_violator
+from .lower_level import CertifiedMax, certified_max
 from .problem import SipProblem, as_point
 
 DEDUP_TOL = 1e-12
@@ -83,8 +83,8 @@ class ToleranceSchedule:
     """Per-iteration solve tolerances.
 
     obj_tol(k) is the gap for the discretized solve at iteration k; aux_tol(k)
-    the certificate gap for the lower-level maximizations (shared across
-    families).  The regime declares how obj_tol behaves: EVENTUALLY_ZERO
+    the certificate gap for the lower-level maximization over all
+    families.  The regime declares how obj_tol behaves: EVENTUALLY_ZERO
     requires obj_tol(k) = 0 from zero_from on, SUMMABLE declares a finite sum
     (and requires a nonzero pruning radius at configuration time).
     """
@@ -251,7 +251,7 @@ def update_discretization(
     violator: CertifiedMax,
 ) -> Discretization:
     """One discretization update: keep the points still active at level
-    -eps - rho and add the strongest violator."""
+    -eps - rho and add the violator's index point."""
     x = as_point(xk, dim=problem.x_domain.dim)
     kept = yk.points
     if yk.cardinality and not np.isinf(rho):
@@ -268,15 +268,15 @@ class Step:
     """One adaptive-discretization step.
 
     ``solve`` is the discretized restricted solve at ``eps`` on ``points``;
-    ``certs`` holds, by family index, the certified maxima at its point,
-    requested at gap ``aux_delta``, and is empty unless the solve is
+    ``cert`` is the certified maximum over all families at its point,
+    requested at gap ``aux_delta``, and is None unless the solve is
     FEASIBLE.
     """
 
     eps: float
     points: Discretization
     solve: DiscretizedSolveResult
-    certs: dict[int, CertifiedMax]
+    cert: CertifiedMax | None
     aux_delta: float
 
     @property
@@ -285,26 +285,24 @@ class Step:
 
     @property
     def evals(self) -> int:
-        return self.solve.evals + sum(cm.evals for cm in self.certs.values())
+        return self.solve.evals + (0 if self.cert is None else self.cert.evals)
 
     @property
     def worst(self) -> float:
-        return max((cm.value for cm in self.certs.values()), default=np.nan)
+        return np.nan if self.cert is None else self.cert.value
 
     @property
     def terminated(self) -> bool:
-        """Every family certified at or below -aux_delta; since each gap is
-        at most aux_delta, the point is feasible for the full program."""
-        return bool(self.certs) and all(
-            cm.value <= -self.aux_delta for cm in self.certs.values()
-        )
+        """The maximum over all families certified at or below -aux_delta;
+        since its gap is at most aux_delta, the point is feasible for the
+        full program."""
+        return self.cert is not None and self.cert.value <= -self.aux_delta
 
     def refined(self, problem: SipProblem, rho: float) -> Discretization:
         """The discretization for the next step: the points still active at
-        -eps - rho plus the strongest violator."""
-        _, violator = strongest_violator(self.certs)
+        -eps - rho plus the certified maximizer."""
         return update_discretization(
-            problem, self.points, self.solve.x, self.eps, rho, violator
+            problem, self.points, self.solve.x, self.eps, rho, self.cert
         )
 
     def record(
@@ -334,8 +332,8 @@ def discretization_step(
     x_hint: np.ndarray | None,
 ) -> Step:
     """Solve the problem restricted by ``eps`` on ``points`` to gap
-    obj_tol(k) and, when the solve is FEASIBLE, certify every family at its
-    point to gap max(aux_tol(k), AUX_DELTA_FLOOR)."""
+    obj_tol(k) and, when the solve is FEASIBLE, certify the maximum over all
+    families at its point to gap max(aux_tol(k), AUX_DELTA_FLOOR)."""
     pool.restrict_to_points(points.points)
     solve = solve_discretized(
         DiscretizedProblem(problem, eps, points.points),
@@ -344,13 +342,10 @@ def discretization_step(
         pool=pool,
     )
     aux_delta = max(schedule.aux_tol(k), AUX_DELTA_FLOOR)
-    certs = {}
+    cert = None
     if solve.status is SolveStatus.FEASIBLE:
-        certs = {
-            fam.index: certified_max(fam, solve.x, aux_delta)
-            for fam in problem.constraints
-        }
-    return Step(eps, points, solve, certs, aux_delta)
+        cert = certified_max(problem.constraints, solve.x, aux_delta)
+    return Step(eps, points, solve, cert, aux_delta)
 
 
 def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:

@@ -23,7 +23,7 @@ of run_simultaneous.  Reaching it ends the run as BudgetExceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -265,11 +265,16 @@ def run_sequential(
     restriction divided by r between stages.  With m* from
     compute_termination_index the returned point is a delta-approximate
     solution of the semi-infinite program.  The stages share cfg.max_iters
-    discretization steps."""
+    discretization steps.  A cell stop in certifying the Slater point ends
+    the run BudgetExceeded before its first stage, with no point."""
     if m_star is None:
         reg = cfg.regularity
         if reg is None:
-            reg = derive_eps_star(problem, oracle_tol=1e-9)
+            try:
+                reg = derive_eps_star(problem, oracle_tol=1e-9)
+            except CertificationError as exc:
+                stop = budget_outcome(problem, None, {"outer": 0, "inner": 0}, RunTrace())
+                return replace(stop, certification_error=str(exc))
         m_star = compute_termination_index(
             cfg.delta, reg, problem.x_domain.diameter(), cfg.eps00, cfg.r,
             cfg.schedule,

@@ -1,26 +1,26 @@
-"""Certified global maximization of a constraint family over its index box.
+"""Certified global maximization over all constraint families at once.
 
-The maximizer runs a round-synchronous branch and bound over a uniform cell
-decomposition of the box, held as arrays of cell bounds and center values.
-Each cell is scored by its center value plus the Lipschitz overestimate over
-the cell.  A round drops every cell whose score is within the requested gap
-of the best evaluated value, splits every other cell along its longest axis
-and evaluates all the children in one ``eval_grid`` call (the family's
-``batch_eval`` when it has one).  The returned value is always the scalar
-oracle's own ``g(x, y_star)``: a batch value that beats the incumbent is
-re-evaluated through ``value`` first.  The upper bound is the largest
-score of a live or dropped cell, so the certificate rests on the Lipschitz
-bound alone and the returned gap is sound whenever the declared
-``lipschitz_in_y`` really is a max-metric Lipschitz constant.
-
-Every family is certified by this one branch and bound; a family cannot
-supply its own maximizer.  A family constant in y (Lipschitz constant 0)
-needs no special case: its single cell scores exactly its center value,
-so the first round returns that value with gap 0.
+With finitely many families the lower-level problem at x is one maximum of
+g_i(x, y) over I x Y.  The maximizer runs a round-synchronous branch and
+bound over (family, cell) pairs, held as arrays of cell bounds, center
+values and Lipschitz constants sorted by family.  Each cell is scored by its
+center value plus the Lipschitz overestimate over the cell.  A round drops
+every cell whose score is within the requested gap of the best value found
+in any family, splits every other cell along its longest axis and evaluates
+the children with one ``eval_grid`` call per family (its ``batch_eval``
+when it has one).  The returned value is always the scalar oracle's own
+``g_i(x, y_star)``: a batch value that beats the incumbent is re-evaluated
+through ``value`` first.  The upper bound is the largest score of a live or
+dropped cell, so the certificate rests on the Lipschitz bounds alone and is
+sound whenever each declared ``lipschitz_in_y`` really is a max-metric
+Lipschitz constant.  A family cannot supply its own maximizer, and a family
+constant in y (Lipschitz constant 0) needs no special case: its cells score
+exactly their center values.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -29,21 +29,24 @@ import numpy as np
 from .errors import CertificationError, InputError
 from .problem import ConstraintFamily, as_point
 
-# Cells a single certified_max call may split before it gives up.
+# Cells a single certified_max call may split before it gives up, counted
+# over all families of the call.
 NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
 class CertifiedMax:
-    """delta-approximate maximizer with a provable optimality gap.
+    """delta-approximate maximizer over I x Y with a provable optimality gap.
 
-    value is exactly g(x, y_star) as the oracle returns it, and
-    sup_Y g(x, .) <= value + gap.
+    value is exactly g_family(x, y_star) as that family's oracle returns
+    it, and sup_Y g_i(x, .) <= value + gap for every family i of the call.
+    ``family`` is the ``index`` of the family the maximizer belongs to.
     """
 
     y_star: np.ndarray
     value: float
     gap: float
+    family: int
     evals: int = 0
 
     def __post_init__(self):
@@ -52,29 +55,38 @@ class CertifiedMax:
         object.__setattr__(self, "y_star", as_point(self.y_star))
 
 
-def certified_max(family: ConstraintFamily, x, delta: float) -> CertifiedMax:
-    """Compute a certified delta-approximate solution of max_y g(x, y).
+def certified_max(families, x, delta: float) -> CertifiedMax:
+    """Compute a certified delta-approximate solution of max_{i, y} g_i(x, y)
+    over the given constraint families.
 
-    Deterministic: identical inputs produce bit-identical outputs.  Raises
-    CertificationError if more than NODE_BUDGET cells are split before
-    the gap closes, which cannot happen when lipschitz_in_y is a true
-    Lipschitz constant and delta is resolvable at float resolution.  Raises
-    InputError when the oracle returns a non-finite value: the Lipschitz
-    bound says nothing about a cell whose center has no value.
+    Deterministic: identical inputs produce bit-identical outputs, and ties
+    go to the earlier family.  Raises CertificationError if more than
+    NODE_BUDGET cells are split before the gap closes, which cannot happen
+    when every lipschitz_in_y is a true Lipschitz constant and delta is
+    resolvable at float resolution.  Raises InputError when an oracle
+    returns a non-finite value: the Lipschitz bound says nothing about a
+    cell whose center has no value.
     """
     if delta <= 0:
         raise InputError("delta must be positive")
-    box = family.y_domain
+    if not families:
+        raise InputError("certified_max needs at least one constraint family")
     p = as_point(x)
-    lip = family.local_lipschitz_in_y(p)
-    center = box.center()
-    best_val = float(family.value(p, center))
-    _require_finite(family, math.isfinite(best_val))
-    best_y = center
-    evals = 1
-    # the live frontier: cell bounds (n, q) and center values (n,)
-    lo, hi = box.lower[None, :], box.upper[None, :]
-    val = np.array([best_val])
+    # the root: one cell per family; the first maximum is the incumbent
+    centers = [fam.y_domain.center() for fam in families]
+    vals = [float(fam.value(p, c)) for fam, c in zip(families, centers)]
+    for fam, v in zip(families, vals):
+        _require_finite(fam, math.isfinite(v))
+    k = vals.index(max(vals))
+    best_val, best_y, best_fam = vals[k], centers[k], families[k]
+    evals = len(families)
+    # the live frontier: cell bounds (n, q), center values and Lipschitz
+    # constants (n,); family k owns the rows edges[k]:edges[k + 1]
+    lo = np.array([fam.y_domain.lower for fam in families])
+    hi = np.array([fam.y_domain.upper for fam in families])
+    val = np.array(vals)
+    lip = np.array([fam.local_lipschitz_in_y(p) for fam in families])
+    edges = list(range(len(families) + 1))
     dropped = -np.inf  # largest score of a cell dropped for good
     nodes = 0
     while True:
@@ -83,12 +95,14 @@ def certified_max(family: ConstraintFamily, x, delta: float) -> CertifiedMax:
         upper = max(float(score.max()), dropped)
         if upper - best_val <= delta:
             return CertifiedMax(
-                y_star=best_y, value=best_val, gap=max(upper - best_val, 0.0), evals=evals
+                y_star=best_y, value=best_val, gap=max(upper - best_val, 0.0),
+                family=best_fam.index, evals=evals,
             )
         live = score - best_val > delta
         if not live.all():
             dropped = max(dropped, float(score[~live].max()))
-            lo, hi, width = lo[live], hi[live], width[live]
+            lo, hi, width, lip = lo[live], hi[live], width[live], lip[live]
+            edges = [0, *(np.count_nonzero(live[:e]) for e in edges[1:-1]), len(lo)]
         nodes += len(lo)
         if nodes > NODE_BUDGET:
             raise CertificationError(
@@ -96,31 +110,34 @@ def certified_max(family: ConstraintFamily, x, delta: float) -> CertifiedMax:
                 f"{upper - best_val:.3e} (requested {delta:.3e})"
             )
         lo, hi, floor = _split(lo, hi, width.argmax(axis=1))
+        lip, edges = lip.repeat(2), [2 * e for e in edges]
         centers = 0.5 * (lo + hi)
-        if floor.any():
-            # the children of a cell at float resolution are its exact
-            # endpoints; the scalar oracle scores them, so once they update
-            # the incumbent they can never outscore it
-            exact = floor.repeat(2)
-            val = np.empty(len(lo))
-            for i in np.flatnonzero(exact):
-                val[i] = v = float(family.value(p, centers[i]))
-                if v > best_val:
-                    best_val, best_y = v, centers[i]
-            if not exact.all():
-                val[~exact] = family.eval_grid(p, centers[~exact])
-        else:
-            val = family.eval_grid(p, centers)
-        _require_finite(family, np.isfinite(val).all())
+        # the children of a cell at float resolution are its exact
+        # endpoints; the scalar oracle scores them, so once they update
+        # the incumbent they can never outscore it
+        exact = floor.repeat(2) if floor.any() else None
+        val = np.empty(len(lo))
+        for fam, a, b in zip(families, edges, edges[1:]):
+            if a == b:
+                continue
+            v, c = val[a:b], centers[a:b]
+            v[:] = fam.eval_grid(p, c)
+            if exact is not None:
+                for i in np.flatnonzero(exact[a:b]):
+                    v[i] = s = float(fam.value(p, c[i]))
+                    if s > best_val:
+                        best_val, best_y, best_fam = s, c[i], fam
+            _require_finite(fam, np.isfinite(v).all())
         evals += len(val)
         top = int(val.argmax())
         if val[top] > best_val:
             # a batch value: keep the scalar oracle's value, if it is larger
-            v = float(family.value(p, centers[top]))
-            _require_finite(family, math.isfinite(v))
+            fam = families[bisect.bisect_right(edges, top) - 1]
+            v = float(fam.value(p, centers[top]))
+            _require_finite(fam, math.isfinite(v))
             evals += 1
             if v > best_val:
-                best_val, best_y = v, centers[top]
+                best_val, best_y, best_fam = v, centers[top], fam
 
 
 def _require_finite(family: ConstraintFamily, finite: bool) -> None:
@@ -139,30 +156,14 @@ def _split(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray):
     mid = 0.5 * (a + b)
     floor = (mid <= a) | (mid >= b)
     child_lo, child_hi = lo.repeat(2, axis=0), hi.repeat(2, axis=0)
-    child_hi[2 * rows, axis] = np.where(floor, a, mid)
-    child_lo[2 * rows + 1, axis] = np.where(floor, b, mid)
+    child_hi[::2][rows, axis] = np.where(floor, a, mid)
+    child_lo[1::2][rows, axis] = np.where(floor, b, mid)
     return child_lo, child_hi, floor
 
 
-def strongest_violator(results: dict[int, CertifiedMax]) -> tuple[int, CertifiedMax]:
-    """Entry with the largest approximate lower-level value; ties go to the
-    smallest family index so the choice is deterministic."""
-    if not results:
-        raise InputError("strongest_violator needs a nonempty result map")
-    best_i = min(results)
-    for i in sorted(results):
-        if results[i].value > results[best_i].value:
-            best_i = i
-    return best_i, results[best_i]
-
-
 def certified_feasibility_bound(constraints, x, delta: float) -> tuple[float, float]:
-    """(worst, bound): worst = max_i g_i(x, y_i*) is attained on the index
-    box, and bound = max_i (value_i + gap_i) >= max_i sup_y g_i(x, y), so
+    """(worst, bound): worst = g_i(x, y*) for one family i and y* in the
+    index box, and bound = worst + gap >= max_i sup_y g_i(x, y), so
     worst <= bound <= worst + delta."""
-    worst = bound = -np.inf
-    for fam in constraints:
-        cm = certified_max(fam, x, delta)
-        worst = max(worst, cm.value)
-        bound = max(bound, cm.value + cm.gap)
-    return float(worst), float(bound)
+    cm = certified_max(constraints, x, delta)
+    return cm.value, cm.value + cm.gap

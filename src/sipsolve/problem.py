@@ -171,8 +171,8 @@ class ConstraintFamily:
     the uniform constant is loose at the query point.
     ``batch_eval``, when given, evaluates g(x, y) for a whole (N, q) array of
     index points at once; the lower level evaluates its cells through it.
-    Every family's maximum over y is certified by the branch and bound of
-    ``lower_level.certified_max`` from these oracles and constants.
+    The maximum over all families and y is certified by the one branch and
+    bound of ``lower_level.certified_max`` from these oracles and constants.
     """
 
     index: int
@@ -226,10 +226,6 @@ class SipProblem:
             if not self.x_domain.contains(sp):
                 raise InputError("slater_point lies outside the decision box")
             object.__setattr__(self, "slater_point", sp)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(f.index for f in self.constraints)
 
     def max_lipschitz_in_y(self) -> float:
         return max(f.lipschitz_in_y for f in self.constraints)

@@ -372,7 +372,7 @@ def test_c11_certificate_soundness():
         q = fam.y_domain.dim
         delta = 1e-3 if q == 1 else 0.25
         x = prob.x_domain.clip(prob.x_domain.center() + 0.2 * prob.x_domain.widths)
-        cm = certified_max(fam, x, delta)
+        cm = certified_max([fam], x, delta)
         assert cm.gap <= delta
         lip = max(fam.local_lipschitz_in_y(x), 1e-9)
         ys = fam.y_domain.grid(max(delta / lip / 10.0, 1e-6))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sipsolve.cli import EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, main
+from sipsolve.core_loop import CSV_COLUMNS
 from sipsolve.instances import builtin
 
 
@@ -232,6 +233,38 @@ class TestSolve:
         assert data["status"] == "BudgetExceeded" and data["x"] is not None
         assert data["f"] == builtin("instance_A").objective.value(np.array(data["x"]))
         assert data["feasibility_margin"] is None
+
+    def test_exhausted_slater_certification_is_budget_exit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the sequential driver derives eps* at 1e-9 before its first stage
+        from sipsolve import lower_level
+        from sipsolve.errors import CertificationError
+
+        inner = lower_level.certified_max
+
+        def exhausted(families, x, delta, *args, **kwargs):
+            if delta <= 1e-9:
+                raise CertificationError("cell budget 2000000 exhausted")
+            return inner(families, x, delta, *args, **kwargs)
+
+        monkeypatch.setattr(lower_level, "certified_max", exhausted)
+        trace, outcome = tmp_path / "t.csv", tmp_path / "o.json"
+        code = run_cli(
+            [
+                "solve", "--problem", "builtin:instance_A",
+                "--algorithm", "sequential", "--delta", "1e-1",
+                "--trace-out", str(trace),
+                "--outcome-out", str(outcome),
+            ]
+        )
+        assert code == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert "error: cell budget" in captured.err
+        assert "status: BudgetExceeded" in captured.out
+        assert trace.read_text().splitlines() == [",".join(CSV_COLUMNS)]
+        data = json.loads(outcome.read_text())
+        assert data["status"] == "BudgetExceeded" and data["x"] is None
 
     @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])
     def test_solve_runs_no_grid_scan(self, tmp_path, monkeypatch, name):

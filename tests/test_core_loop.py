@@ -84,7 +84,7 @@ class TestSchedules:
 
 class TestUpdateDiscretization:
     def violator(self, y):
-        return CertifiedMax(y_star=np.array([y]), value=0.0, gap=0.0)
+        return CertifiedMax(y_star=np.array([y]), value=0.0, gap=0.0, family=0)
 
     def test_prune_inactive(self, prob_a):
         # g(0, 0) = -1 < -0.1 - 0, so the old point is dropped
@@ -162,7 +162,7 @@ class TestRunCore:
             eps=0.1, rho=0.0, schedule=self.two_step_schedule(), y0=single(0.0)
         )
         res = run_core(prob_a, cfg)
-        cm = certified_max(prob_a.constraints[0], res.x, 1e-9)
+        cm = certified_max(prob_a.constraints, res.x, 1e-9)
         assert cm.value + cm.gap <= 1e-9
         lip = prob_a.constraints[0].lipschitz_in_y
         assert feasibility_margin(prob_a, res.x, 1e-4) <= FEASTOL * (1 + lip)

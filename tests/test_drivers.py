@@ -113,8 +113,8 @@ class TestRunFeasFinite:
         )
         monkeypatch.setattr(
             core_loop, "certified_max",
-            lambda family, x, delta: CertifiedMax(
-                y_star=box.center(), value=-1e-20, gap=1e-15
+            lambda families, x, delta: CertifiedMax(
+                y_star=box.center(), value=-1e-20, gap=1e-15, family=0
             ),
         )
         prob = replace(prob_a, constraints=(fam,))
@@ -372,9 +372,9 @@ class TestPostHocCertification:
         calls = []
         inner = lower_level.certified_max
 
-        def recording(family, x, delta, *args, **kwargs):
-            cm = inner(family, x, delta, *args, **kwargs)
-            calls.append((family, x, cm))
+        def recording(families, x, delta, *args, **kwargs):
+            cm = inner(families, x, delta, *args, **kwargs)
+            calls.append((families, x, cm))
             return cm
 
         monkeypatch.setattr(lower_level, "certified_max", recording)
@@ -383,13 +383,14 @@ class TestPostHocCertification:
             assert out.status is OutcomeStatus.BUDGET_EXCEEDED
         else:
             assert out.status is OutcomeStatus.DELTA_APPROXIMATE
-        post_hoc = calls[-len(prob.constraints):]
-        attained = []
-        for fam, x, cm in post_hoc:
-            assert np.array_equal(x, out.x_star)
-            assert prob.y_domain.contains(cm.y_star, tol=0.0)
-            attained.append(float(fam.value(out.x_star, cm.y_star)))
-        assert out.feasibility_margin == max(attained)
+        # one call over all families certifies the point
+        families, x, cm = calls[-1]
+        assert tuple(families) == prob.constraints
+        assert np.array_equal(x, out.x_star)
+        assert prob.y_domain.contains(cm.y_star, tol=0.0)
+        fam = next(f for f in prob.constraints if f.index == cm.family)
+        assert out.feasibility_margin == float(fam.value(out.x_star, cm.y_star))
+        assert out.certified_bound == cm.value + cm.gap
         assert out.feasibility_margin <= out.certified_bound
         assert out.certified_bound <= out.feasibility_margin + POST_HOC_DELTA
         # the grid reads batch_eval, the certificate the scalar oracle; the
@@ -397,24 +398,41 @@ class TestPostHocCertification:
         grid = feasibility_margin(prob, out.x_star, default_margin_resolution(prob))
         assert grid <= out.certified_bound + 1e-12
 
-    # the sequential driver certifies the Slater point at 1e-9
-    # before its first stage, where exhaustion is still an exception
-    @pytest.mark.parametrize("kind", ["simultaneous", "budget"])
-    def test_exhausted_certification_keeps_the_point(self, monkeypatch, kind):
+    @staticmethod
+    def exhaust_tight_calls(monkeypatch):
         inner = lower_level.certified_max
 
-        def exhausted(family, x, delta, *args, **kwargs):
+        def exhausted(families, x, delta, *args, **kwargs):
             if delta <= POST_HOC_DELTA:
                 raise CertificationError("cell budget 2000000 exhausted")
-            return inner(family, x, delta, *args, **kwargs)
+            return inner(families, x, delta, *args, **kwargs)
 
         monkeypatch.setattr(lower_level, "certified_max", exhausted)
+
+    # the sequential driver certifies the Slater point at 1e-9 before its
+    # first stage; see test_exhausted_slater_certification
+    @pytest.mark.parametrize("kind", ["simultaneous", "budget"])
+    def test_exhausted_certification_keeps_the_point(self, monkeypatch, kind):
+        self.exhaust_tight_calls(monkeypatch)
         prob, out = self.run("instance_A", kind)
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
         assert out.x_star is not None
         assert out.f_value == prob.objective.value(out.x_star)
         assert np.isnan(out.feasibility_margin) and np.isnan(out.certified_bound)
         assert out.certification_error == "cell budget 2000000 exhausted"
+
+    def test_exhausted_slater_certification(self, monkeypatch):
+        # without regularity data the sequential driver derives eps* from
+        # the Slater point at 1e-9; a cell stop there ends the run before
+        # its first stage, with no point
+        self.exhaust_tight_calls(monkeypatch)
+        _, out = self.run("instance_A", "sequential")
+        assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        assert out.x_star is None and np.isnan(out.f_value)
+        assert np.isnan(out.feasibility_margin) and np.isnan(out.certified_bound)
+        assert out.certification_error == "cell budget 2000000 exhausted"
+        assert out.iterations == {"outer": 0, "inner": 0}
+        assert out.trace.rows == [] and out.oracle_evals == 0
 
 
 class TestApproximationContract:
@@ -437,7 +455,7 @@ class TestWholeRunDeterminism:
 
     SCHEDULE = eventually_zero_schedule(0)
     # the drivers certify their result at 1e-9, which on q = 2 instances
-    # takes seconds or exhausts the cell budget (ROADMAP item 2), so they
+    # takes seconds or exhausts the cell budget (ROADMAP item 3), so they
     # run on the q = 1 instances
     Q1_SEEDS = st.integers(0, 39).filter(
         lambda s: random_affine_instance(s).y_domain.dim == 1

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from sipsolve import lower_level
 from sipsolve.errors import CertificationError, InputError
 from sipsolve.instances import random_affine_instance
-from sipsolve.lower_level import CertifiedMax, certified_max, strongest_violator
+from sipsolve.lower_level import certified_max
 from sipsolve.problem import BoxDomain, ConstraintFamily
 
 
 class TestCertifiedMax:
     def test_instance_a_midpoint(self, prob_a):
-        cm = certified_max(prob_a.constraints[0], np.array([0.5]), 1e-6)
+        cm = certified_max([prob_a.constraints[0]], np.array([0.5]), 1e-6)
         assert cm.gap <= 1e-6
         assert abs(cm.y_star[0] - 1.0) <= 2e-6
         assert abs(cm.value - 0.5) <= 2e-6
@@ -23,14 +23,14 @@ class TestCertifiedMax:
         assert cm.value + cm.gap >= 0.5 - 1e-12
 
     def test_instance_a_negative(self, prob_a):
-        cm = certified_max(prob_a.constraints[0], np.array([-0.1]), 1e-6)
+        cm = certified_max([prob_a.constraints[0]], np.array([-0.1]), 1e-6)
         assert abs(cm.value - (-0.1)) <= 2e-6
 
     def test_instance_b(self, prob_b):
         # g((0,-2), y) = 2y - 1, maximum 1 at y = 1 (brute-checked in conftest)
         from conftest import grid_max_y
 
-        cm = certified_max(prob_b.constraints[0], np.array([0.0, -2.0]), 1e-6)
+        cm = certified_max([prob_b.constraints[0]], np.array([0.0, -2.0]), 1e-6)
         brute, _ = grid_max_y(prob_b.constraints[0], [0.0, -2.0], n=4001)
         assert cm.value + cm.gap >= brute - 1e-12
         assert abs(cm.value - 1.0) <= 2e-6
@@ -42,35 +42,35 @@ class TestCertifiedMax:
         ys = fam.y_domain.grid(0.01)
         for t in np.random.default_rng(8).uniform(-3.0, 3.0, 2000):
             x = np.array([t, t])
-            cm = certified_max(fam, x, 1e-6)
+            cm = certified_max([fam], x, 1e-6)
             assert cm.gap == 0.0
             assert fam.eval_grid(x, ys).max() <= cm.value
 
     def test_gap_never_exceeds_request(self, prob_a):
         for delta in (1e-2, 1e-4, 1e-8):
-            cm = certified_max(prob_a.constraints[0], np.array([0.3]), delta)
+            cm = certified_max([prob_a.constraints[0]], np.array([0.3]), delta)
             assert 0.0 <= cm.gap <= delta
 
     def test_value_is_exact_reevaluation(self, prob_b):
-        cm = certified_max(prob_b.constraints[0], np.array([1.0, -2.0]), 1e-5)
+        cm = certified_max([prob_b.constraints[0]], np.array([1.0, -2.0]), 1e-5)
         assert cm.value == prob_b.constraints[0].value(
             np.array([1.0, -2.0]), cm.y_star
         )
 
     def test_deterministic(self, prob_b):
-        a = certified_max(prob_b.constraints[0], np.array([0.7, -1.3]), 1e-7)
-        b = certified_max(prob_b.constraints[0], np.array([0.7, -1.3]), 1e-7)
+        a = certified_max([prob_b.constraints[0]], np.array([0.7, -1.3]), 1e-7)
+        b = certified_max([prob_b.constraints[0]], np.array([0.7, -1.3]), 1e-7)
         assert np.array_equal(a.y_star, b.y_star)
         assert a.value == b.value and a.gap == b.gap and a.evals == b.evals
 
     def test_rejects_nonpositive_delta(self, prob_a):
         with pytest.raises(InputError):
-            certified_max(prob_a.constraints[0], np.array([0.0]), 0.0)
+            certified_max([prob_a.constraints[0]], np.array([0.0]), 0.0)
 
     def test_constant_family_single_eval(self, prob_sibling):
         # Lipschitz constant 0: the single cell's score is its center value,
         # so the first round returns it
-        cm = certified_max(prob_sibling.constraints[0], np.array([0.5]), 1e-9)
+        cm = certified_max([prob_sibling.constraints[0]], np.array([0.5]), 1e-9)
         assert np.array_equal(cm.y_star, prob_sibling.y_domain.center())
         assert cm.gap == 0.0
         assert cm.value == pytest.approx(-0.75)
@@ -84,7 +84,7 @@ class TestCertifiedMax:
             lipschitz_in_y=2.0,
             y_domain=BoxDomain([0.5], [0.5]),
         )
-        cm = certified_max(fam, np.array([2.0]), 1e-9)
+        cm = certified_max([fam], np.array([2.0]), 1e-9)
         assert cm.value == pytest.approx(1.0)
         assert cm.gap <= 1e-9
 
@@ -98,7 +98,7 @@ class TestCertifiedMax:
             delta = 1e-3 if q == 1 else 0.05
             x = prob.x_domain.center() + 0.1 * prob.x_domain.widths
             x = prob.x_domain.clip(x)
-            cm = certified_max(fam, x, delta)
+            cm = certified_max([fam], x, delta)
             lip = max(fam.local_lipschitz_in_y(x), 1e-9)
             res = delta / lip / 10.0
             width = float(np.max(fam.y_domain.widths))
@@ -146,18 +146,101 @@ class TestCertifiedMaxProperties:
         @given(_case(q))
         def check(case):
             fam, x, delta = case
-            cm = certified_max(fam, x, delta)
+            cm = certified_max([fam], x, delta)
             assert 0.0 <= cm.gap <= delta
             assert cm.value == fam.value(x, cm.y_star)
             assert fam.y_domain.contains(cm.y_star, tol=0.0)
             # value + gap bounds the supremum, so also every grid value
             ys = fam.y_domain.grid(fam.y_domain.diameter() / (2000 if q == 1 else 150))
             assert cm.value + cm.gap >= float(np.max(fam.eval_grid(x, ys))) - 1e-12
-            again = certified_max(fam, x, delta)
+            again = certified_max([fam], x, delta)
             assert again.y_star.tobytes() == cm.y_star.tobytes()
             assert (again.value, again.gap, again.evals) == (cm.value, cm.gap, cm.evals)
 
         check()
+
+
+def _multi_family_seeds(q):
+    """Seeds of random_affine_instance with several families and an index
+    box of dimension q."""
+    return [
+        s for s in range(40)
+        if _instance(s).y_domain.dim == q and len(_instance(s).constraints) > 1
+    ][:12]
+
+
+class TestJointFrontier:
+    """One call certifies the maximum over every family of an instance."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_random_instances(self, q):
+        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @given(
+            st.sampled_from(_multi_family_seeds(q)),
+            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+            st.sampled_from((1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)),
+        )
+        def check(seed, u, delta):
+            prob = _instance(seed)
+            X = prob.x_domain
+            x = X.lower + np.array(u[: X.dim]) * X.widths
+            cm = certified_max(prob.constraints, x, delta)
+            assert 0.0 <= cm.gap <= delta
+            assert prob.y_domain.contains(cm.y_star, tol=0.0)
+            (fam,) = [f for f in prob.constraints if f.index == cm.family]
+            assert cm.value == fam.value(x, cm.y_star)
+            ys = prob.y_domain.grid(prob.y_domain.diameter() / (2000 if q == 1 else 150))
+            grid = max(float(np.max(f.eval_grid(x, ys))) for f in prob.constraints)
+            assert cm.value + cm.gap >= grid - 1e-12
+            assert cm.value >= grid - delta - 1e-12
+
+        check()
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_nan_names_the_second_family(self, batch):
+        # the first family is finite everywhere; the second returns NaN for
+        # y > 0.7, which its first children reach
+        box = BoxDomain([0.0], [1.0])
+        first = replace(
+            _family(lambda x, y: -abs(float(y[0]) - 0.5), 1.0, box), index=4
+        )
+        g = TestNonFiniteOracle._g
+        second = replace(
+            _family(
+                lambda x, y: float(g(y[0])), 1.0, box,
+                batch_eval=(lambda x, ys: g(ys[:, 0])) if batch else None,
+            ),
+            index=7,
+        )
+        with pytest.raises(InputError, match="family 7"):
+            certified_max([first, second], np.zeros(1), 1e-6)
+
+    def test_no_family_rejected(self):
+        with pytest.raises(InputError, match="at least one constraint family"):
+            certified_max([], np.zeros(1), 1e-3)
+
+    def test_node_budget_counts_every_family(self, monkeypatch):
+        # three copies of one family split three times the cells of one
+        fam = _instance(1).constraints[0]
+        copies = [replace(fam, index=k) for k in range(3)]
+        x, delta = _instance(1).x_domain.center(), 1e-6
+        nodes = []
+        split = lower_level._split
+
+        def counting(lo, hi, axis):
+            nodes.append(len(lo))
+            return split(lo, hi, axis)
+
+        monkeypatch.setattr(lower_level, "_split", counting)
+        alone = certified_max([fam], x, delta)
+        n = sum(nodes)
+        assert n > 0
+        monkeypatch.setattr(lower_level, "NODE_BUDGET", 3 * n)
+        joint = certified_max(copies, x, delta)
+        assert (joint.value, joint.gap, joint.family) == (alone.value, alone.gap, 0)
+        monkeypatch.setattr(lower_level, "NODE_BUDGET", 3 * n - 1)
+        with pytest.raises(CertificationError, match=f"cell budget {3 * n - 1} exhausted"):
+            certified_max(copies, x, delta)
 
 
 def _family(value, lipschitz, box, batch_eval=None):
@@ -197,7 +280,7 @@ class TestCertifiedMaxCases:
         scalar = np.array([self.forward(None, y) for y in ys])
         assert np.any(fam.eval_grid(None, ys) != scalar)  # the orders do differ
         for delta in (1e-3, 1e-8, 1e-12):
-            cm = certified_max(fam, np.zeros(1), delta)
+            cm = certified_max([fam], np.zeros(1), delta)
             assert cm.value == self.forward(None, cm.y_star)
             assert 0.0 <= cm.gap <= delta
             assert cm.value + cm.gap >= float(scalar.max()) - 1e-12
@@ -207,7 +290,7 @@ class TestCertifiedMaxCases:
         box = BoxDomain([0.0], [1.0])
         fam = _family(self.forward, 40.0, box,
                       batch_eval=lambda x, ys: self.backward(x, ys) + 1e-13)
-        cm = certified_max(fam, np.zeros(1), 1e-9)
+        cm = certified_max([fam], np.zeros(1), 1e-9)
         assert cm.value == self.forward(None, cm.y_star)
         assert cm.gap <= 1e-9
 
@@ -220,8 +303,8 @@ class TestCertifiedMaxCases:
         def batch(x, ys):
             return -((ys[:, 0] - 0.3) ** 2) - (ys[:, 1] - 1.7) ** 2 + float(x[0])
 
-        scalar_only = certified_max(_family(value, 6.0, box), np.array([0.5]), 1e-3)
-        batched = certified_max(_family(value, 6.0, box, batch), np.array([0.5]), 1e-3)
+        scalar_only = certified_max([_family(value, 6.0, box)], np.array([0.5]), 1e-3)
+        batched = certified_max([_family(value, 6.0, box, batch)], np.array([0.5]), 1e-3)
         # the vectorized batch computes the same float operations
         assert scalar_only.y_star.tobytes() == batched.y_star.tobytes()
         assert (scalar_only.value, scalar_only.gap, scalar_only.evals) == (
@@ -235,7 +318,7 @@ class TestCertifiedMaxCases:
         a = 1.0
         b = float(np.nextafter(a, 2.0))
         fam = _family(lambda x, y: float(x[0] * y[0]), 1e20, BoxDomain([a], [b]))
-        cm = certified_max(fam, np.array([2.0]), 1e-12)
+        cm = certified_max([fam], np.array([2.0]), 1e-12)
         assert cm.y_star[0] == b
         assert cm.value == 2.0 * b
         assert cm.gap == 0.0
@@ -255,7 +338,7 @@ class TestCertifiedMaxCases:
             def value(x, y, pa=pa, pb=pb, hb=hb):
                 return max(1.0 - lip * abs(y[0] - pa), hb - lip * abs(y[0] - pb))
 
-            cm = certified_max(_family(value, lip, BoxDomain([0.0], [1.0])), np.zeros(1), delta)
+            cm = certified_max([_family(value, lip, BoxDomain([0.0], [1.0]))], np.zeros(1), delta)
             assert cm.value + cm.gap >= 1.0
             assert 0.0 <= cm.gap <= delta
 
@@ -265,8 +348,8 @@ class TestCertifiedMaxCases:
         with monkeypatch.context() as m:
             m.setattr(lower_level, "NODE_BUDGET", 5)
             with pytest.raises(CertificationError, match="cell budget 5 exhausted"):
-                certified_max(fam, x, 1e-9)
-        assert certified_max(fam, x, 1e-9).gap <= 1e-9
+                certified_max([fam], x, 1e-9)
+        assert certified_max([fam], x, 1e-9).gap <= 1e-9
 
 
 class TestNonFiniteOracle:
@@ -282,7 +365,7 @@ class TestNonFiniteOracle:
             index=3,
         )
         with pytest.raises(InputError, match="family 3"):
-            certified_max(fam, np.zeros(1), 1e-6)
+            certified_max([fam], np.zeros(1), 1e-6)
 
     def test_batch_oracle(self):
         fam = _family(
@@ -290,12 +373,12 @@ class TestNonFiniteOracle:
             batch_eval=lambda x, ys: self._g(ys[:, 0]),
         )
         with pytest.raises(InputError, match="family 0"):
-            certified_max(fam, np.zeros(1), 1e-6)
+            certified_max([fam], np.zeros(1), 1e-6)
 
     def test_nonfinite_center(self):
         fam = _family(lambda x, y: np.inf, 0.0, BoxDomain([0.0], [1.0]))
         with pytest.raises(InputError, match="non-finite"):
-            certified_max(fam, np.zeros(1), 1e-6)
+            certified_max([fam], np.zeros(1), 1e-6)
 
 
 class TestSingleRoute:
@@ -310,24 +393,3 @@ class TestSingleRoute:
                 y_domain=base.y_domain,
                 custom_maximizer=lambda x, d: None,
             )
-
-
-class TestStrongestViolator:
-    def _cm(self, v):
-        return CertifiedMax(y_star=np.array([0.0]), value=v, gap=0.0)
-
-    def test_argmax(self):
-        i, cm = strongest_violator({1: self._cm(0.5), 2: self._cm(-0.3)})
-        assert i == 1 and cm.value == 0.5
-
-    def test_tie_smallest_index(self):
-        i, _ = strongest_violator({2: self._cm(0.2), 1: self._cm(0.2)})
-        assert i == 1
-
-    def test_singleton(self):
-        i, cm = strongest_violator({1: self._cm(-1.0)})
-        assert i == 1 and cm.value == -1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            strongest_violator({})
