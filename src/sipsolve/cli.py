@@ -3,7 +3,8 @@
 solve runs one of the three algorithms on a problem file (or builtin
 instance) and writes an outcome JSON plus a trace CSV; --max-iters is the
 run's one limit, in discretization steps.  Exit code 0 means a certified
-result, 2 a budget-limited partial result or an exhausted certification
+result (DeltaApproximate, or Feasible for the core loop, which ignores
+--delta), 2 a budget-limited partial result or an exhausted certification
 cell budget (after the post-hoc certification, with both files written),
 1 an input error, a non-finite number or a malformed command line.
 check validates a problem file including its Slater certificate.  bench
@@ -126,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _core_outcome(problem, result, eps0: float) -> SolveOutcome:
     """Wrap a core-loop result so the same writers apply.  The core loop
     runs at the one restriction eps0, so an infeasible restricted problem
-    means eps0 is too large, an input error rather than a budget stop."""
+    means eps0 is too large, an input error rather than a budget stop.  A
+    terminated run is certified feasible; it makes no claim about delta."""
     if result.status is CoreStatus.INFEASIBLE_SUBPROBLEM:
         raise InputError(
             f"--eps0 {eps0:g} is too large: the problem restricted by it has "
@@ -135,7 +137,7 @@ def _core_outcome(problem, result, eps0: float) -> SolveOutcome:
     iters = {"outer": 1, "inner": result.iterations}
     if result.status is CoreStatus.TERMINATED:
         return post_hoc_outcome(
-            problem, result.x, OutcomeStatus.DELTA_APPROXIMATE, iters, result.trace
+            problem, result.x, OutcomeStatus.FEASIBLE, iters, result.trace
         )
     return budget_outcome(problem, result.x, iters, result.trace)
 
@@ -146,11 +148,9 @@ def cmd_solve(args) -> int:
     y0 = default_y0(problem)
 
     shared = dict(rho=args.rho, schedule=schedule, max_iters=args.max_iters)
-    core_label = None  # the core loop reports its own status
     if args.algorithm == "core":
         result = run_core(problem, CoreConfig(eps=args.eps0, y0=y0, **shared))
         outcome = _core_outcome(problem, result, args.eps0)
-        core_label = result.status.value
     elif args.algorithm == "sequential":
         outcome = run_sequential(problem, SequentialConfig(
             delta=args.delta, r=args.r, eps00=args.eps0, y0=y0, **shared))
@@ -163,19 +163,14 @@ def cmd_solve(args) -> int:
     write_outcome_json(args.outcome_out, outcome)
     if outcome.certification_error is not None:
         print(f"error: {outcome.certification_error}", file=sys.stderr)
-        core_label = None
-    print(f"status: {core_label or outcome.status.value}")
+    print(f"status: {outcome.status.value}")
     if outcome.x_star is not None:
         print(f"x*: [{', '.join(fmt17(v) for v in outcome.x_star)}]")
         print(f"f(x*): {fmt17(outcome.f_value)}")
         if outcome.certification_error is None:
             print(f"feasibility margin: {fmt17(outcome.feasibility_margin)}")
     print(f"trace: {args.trace_out}\noutcome: {args.outcome_out}")
-    return (
-        EXIT_OK
-        if outcome.status is OutcomeStatus.DELTA_APPROXIMATE
-        else EXIT_BUDGET
-    )
+    return EXIT_BUDGET if outcome.status is OutcomeStatus.BUDGET_EXCEEDED else EXIT_OK
 
 
 def cmd_check(args) -> int:

@@ -11,16 +11,17 @@ which proves the iterate feasible for the semi-infinite program; otherwise
 ``sipsolve.drivers`` run it with their own restriction updates.  The
 pruning radius rho regulates how much of the old discretization survives:
 rho = inf keeps everything, rho = 0 keeps only the points still active at
-the restriction level.
+the restriction level.  The step's two gaps come from a
+``ToleranceSchedule``, a geometric record whose regime (summable or
+eventually zero) and supremum follow from its own fields.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .problem import SipProblem, as_point
 
 DEDUP_TOL = 1e-12
 AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
-# Iterations ToleranceSchedule.sup_obj scans when obj_sup is not given.
-SUP_OBJ_HORIZON = 64
 
 
 @dataclass(frozen=True)
@@ -73,91 +72,68 @@ class Discretization:
         return Discretization(merged)
 
 
-class ScheduleRegime(Enum):
-    EVENTUALLY_ZERO = "eventually_zero"
-    SUMMABLE = "summable"
-
-
 @dataclass(frozen=True)
 class ToleranceSchedule:
-    """Per-iteration solve tolerances.
+    """Per-iteration solve tolerances, geometric in the iteration k.
 
-    obj_tol(k) is the gap for the discretized solve at iteration k; aux_tol(k)
-    the certificate gap for the lower-level maximization over all
-    families.  The regime declares how obj_tol behaves: EVENTUALLY_ZERO
-    requires obj_tol(k) = 0 from zero_from on, SUMMABLE declares a finite sum
-    (and requires a nonzero pruning radius at configuration time).
+    obj_tol(k) = obj_scale * ratio**(k + offset) is the gap for the
+    discretized solve at iteration k, and 0 once k + offset >= zero_from;
+    aux_tol(k) = aux_scale * ratio**k is the certificate gap for the
+    lower-level maximization over all families.  With zero_from None the
+    obj tolerances are summable (and need a nonzero pruning radius);
+    otherwise they are eventually zero.  Both tend to zero since ratio < 1.
     """
 
-    obj_tol: Callable[[int], float]
-    aux_tol: Callable[[int], float]
-    regime: ScheduleRegime
-    zero_from: int = 0
-    obj_sup: float | None = None  # known sup_k obj_tol(k), for driver gates
+    obj_scale: float
+    aux_scale: float
+    ratio: float
+    zero_from: int | None = None
+    offset: int = 0  # shifts the obj side only, see shifted
 
     def __post_init__(self):
-        for k in (0, 10**3, 10**6):
-            if self.obj_tol(k) < 0 or self.aux_tol(k) < 0:
-                raise ConfigError("schedule tolerances must be nonnegative")
-        if not (self.aux_tol(10**6) <= self.aux_tol(10**3) <= self.aux_tol(0)):
-            raise ConfigError("aux_tol must decay toward zero (spot check failed)")
-        if self.aux_tol(10**6) > 1e-3 * max(self.aux_tol(0), 1e-300):
-            raise ConfigError("aux_tol does not appear to converge to zero")
-        if self.regime is ScheduleRegime.EVENTUALLY_ZERO:
-            for k in (self.zero_from, self.zero_from + 7, 10**6):
-                if self.obj_tol(k) != 0.0:
-                    raise ConfigError(
-                        f"eventually-zero schedule has obj_tol({k}) != 0"
-                    )
+        if not 0 < self.ratio < 1:  # also false for NaN
+            raise ConfigError("schedule ratio must lie in (0, 1)")
+        if not (0 <= self.obj_scale < np.inf and 0 <= self.aux_scale < np.inf):
+            raise ConfigError("schedule scales must be finite and nonnegative")
+        if self.zero_from is not None and not (
+            isinstance(self.zero_from, int) and self.zero_from >= 0
+        ):
+            raise ConfigError("zero_from must be None or an integer >= 0")
+
+    def obj_tol(self, k: int) -> float:
+        k = k + self.offset
+        if self.zero_from is not None and k >= self.zero_from:
+            return 0.0
+        return self.obj_scale * self.ratio**k
+
+    def aux_tol(self, k: int) -> float:
+        return self.aux_scale * self.ratio**k
 
     def sup_obj(self) -> float:
-        if self.obj_sup is not None:
-            return self.obj_sup
-        return max(self.obj_tol(k) for k in range(SUP_OBJ_HORIZON))
+        """sup_k obj_tol(k) of the unshifted schedule."""
+        return 0.0 if self.zero_from == 0 else self.obj_scale
 
     def shifted(self, offset: int) -> "ToleranceSchedule":
         """Schedule viewed from iteration ``offset`` on (obj side only)."""
-        base_obj, base_aux = self.obj_tol, self.aux_tol
-        return ToleranceSchedule(
-            obj_tol=lambda k: base_obj(k + offset),
-            aux_tol=base_aux,
-            regime=self.regime,
-            zero_from=max(self.zero_from - offset, 0),
-            obj_sup=self.obj_sup,
-        )
+        return replace(self, offset=self.offset + offset)
 
 
 def geometric_schedule(ratio: float = 0.5, scale: float = 0.1) -> ToleranceSchedule:
-    """obj and aux tolerances scale * ratio**k; summable for ratio < 1."""
-    if not 0 < ratio < 1:
-        raise ConfigError("geometric schedule needs ratio in (0, 1)")
-    return ToleranceSchedule(
-        obj_tol=lambda k: scale * ratio**k,
-        aux_tol=lambda k: scale * ratio**k,
-        regime=ScheduleRegime.SUMMABLE,
-        obj_sup=scale,
-    )
+    """obj and aux tolerances scale * ratio**k, summable."""
+    return ToleranceSchedule(scale, scale, ratio)
 
 
-def eventually_zero_schedule(
-    zero_from: int = 0, scale: float = 0.1, ratio: float = 0.5
-) -> ToleranceSchedule:
-    """obj tolerance 0 from ``zero_from`` on (floored inside the finite
-    solver); aux tolerance stays geometric."""
-    return ToleranceSchedule(
-        obj_tol=lambda k: scale * ratio**k if k < zero_from else 0.0,
-        aux_tol=lambda k: scale * ratio**k,
-        regime=ScheduleRegime.EVENTUALLY_ZERO,
-        zero_from=zero_from,
-        obj_sup=scale if zero_from > 0 else 0.0,
-    )
+def eventually_zero_schedule(zero_from: int = 0) -> ToleranceSchedule:
+    """obj tolerance 0.1 * 0.5**k before ``zero_from`` and 0 from it on
+    (floored inside the finite solver); aux tolerance 0.1 * 0.5**k."""
+    return ToleranceSchedule(0.1, 0.1, 0.5, zero_from=zero_from)
 
 
 def check_rho_regime(schedule: ToleranceSchedule, rho: float) -> None:
     """A pruning radius >= 0 or inf, nonzero for a summable obj schedule."""
     if not rho >= 0:  # also false for NaN
         raise ConfigError("rho must be nonnegative or inf")
-    if schedule.regime is ScheduleRegime.SUMMABLE and rho == 0:
+    if schedule.zero_from is None and rho == 0:
         raise ConfigError("a summable obj schedule requires a nonzero pruning radius")
 
 

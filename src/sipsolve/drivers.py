@@ -62,6 +62,8 @@ def check_restriction(r: float, eps0: float) -> None:
 
 class OutcomeStatus(Enum):
     DELTA_APPROXIMATE = "DeltaApproximate"
+    # certified feasible, with no claim about the optimum (a core run)
+    FEASIBLE = "Feasible"
     BUDGET_EXCEEDED = "BudgetExceeded"
 
 
@@ -186,16 +188,15 @@ def compute_termination_index(
     diam_x: float,
     eps00: float,
     r: float,
-    obj_schedule,
+    obj_tol,
 ) -> int:
     """Smallest stage count m* so that from m* on the restriction is inside
     the regularity margin, the Lipschitz value bound is below delta/2, and
-    the scheduled solve gap is below delta/2."""
+    the scheduled solve gap obj_tol(m*) is below delta/2."""
     check_delta(delta)
     check_restriction(r, eps00)
     if diam_x < 0:
         raise InputError("need diam_x >= 0")
-    obj_tol = obj_schedule.obj_tol if isinstance(obj_schedule, ToleranceSchedule) else obj_schedule
     lip_factor = regularity.lipschitz_f * diam_x / regularity.eps_star
     m = 0
     while eps00 / r**m > regularity.eps_star or lip_factor * eps00 / r**m > delta / 2:
@@ -277,7 +278,7 @@ def run_sequential(
                 return replace(stop, certification_error=str(exc))
         m_star = compute_termination_index(
             cfg.delta, reg, problem.x_domain.diameter(), cfg.eps00, cfg.r,
-            cfg.schedule,
+            cfg.schedule.obj_tol,
         )
     trace = RunTrace()
     eps_m0 = cfg.eps00

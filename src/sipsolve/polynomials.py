@@ -122,10 +122,10 @@ class PolynomialBasis:
         w = np.asarray(w, dtype=float).reshape(self.size)
         return float(np.dot(w, self.features(u)))
 
-    def derivative_weights(self, alpha: tuple[int, ...]) -> tuple[np.ndarray, list[Polynomial]]:
+    def derivative_weights(self, alpha: tuple[int, ...]) -> list[Polynomial]:
         """Decompose d^alpha of a basis polynomial: returns, for each basis
         coefficient w_beta, the polynomial in u multiplying it inside
-        d^alpha v_w(u).  The factor is beta!/(beta-alpha)! on the shifted
+        d^alpha v_w(u).  That is beta!/(beta-alpha)! times the shifted
         monomial, zero where beta does not dominate alpha."""
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.dim or any(a < 0 for a in alpha):
@@ -135,18 +135,16 @@ class PolynomialBasis:
                 f"derivative order {sum(alpha)} exceeds basis degree {self.degree}"
             )
         polys: list[Polynomial] = []
-        factors = np.zeros(self.size)
-        for t, beta in enumerate(self.indices):
+        for beta in self.indices:
             if all(b >= a for b, a in zip(beta, alpha)):
                 fac = 1.0
                 for b, a in zip(beta, alpha):
                     fac *= factorial(b) / factorial(b - a)
                 shifted = tuple(b - a for b, a in zip(beta, alpha))
-                factors[t] = fac
                 polys.append(Polynomial(np.array([shifted]), np.array([fac])))
             else:
                 polys.append(Polynomial.zero(self.dim))
-        return factors, polys
+        return polys
 
 
 def infer_basis(num_coeffs: int, dim: int) -> PolynomialBasis:

@@ -320,7 +320,7 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
 
     Checks, per constraint family and for the objective: the convexity
     inequality on sampled triples, the subgradient cut inequality, and the
-    declared y-Lipschitz bound on sampled pairs.  The Slater certificate is
+    per-x y-Lipschitz bound on sampled pairs.  The Slater certificate is
     not checked here: ``load_problem`` rejects a failing one and
     ``derive_eps_star`` certifies it again at its own tolerance.  Raises
     nothing; the report lists failures so callers decide.
@@ -367,7 +367,8 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
                 rep.subgradient_violation, (cut - fam.value(b, y)) / scale
             )
             x, ya, yb = rand_x(), rand_y(), rand_y()
-            gap = abs(fam.value(x, ya) - fam.value(x, yb)) - fam.lipschitz_in_y * float(
+            lip = fam.local_lipschitz_in_y(x)  # the constant certified_max uses
+            gap = abs(fam.value(x, ya) - fam.value(x, yb)) - lip * float(
                 np.max(np.abs(ya - yb))
             )
             rep.lipschitz_violation = max(

@@ -146,7 +146,7 @@ def constraint_coefficient_polys(
     basis = spec.basis
     coeffs = [Polynomial.zero(spec.u_domain.dim) for _ in range(basis.size)]
     for alpha, weight in sorted(sc.weights.items()):
-        _, polys = basis.derivative_weights(alpha)
+        polys = basis.derivative_weights(alpha)
         for t in range(basis.size):
             if polys[t].coeffs.any():
                 scaled = polys[t].scaled(weight)
@@ -221,5 +221,5 @@ def eval_polynomial_derivative(w, alpha, u) -> float:
         raise InputError(
             f"derivative order {sum(alpha)} out of range for degree {basis.degree}"
         )
-    _, polys = basis.derivative_weights(alpha)
+    polys = basis.derivative_weights(alpha)
     return float(sum(w[t] * p(u) for t, p in enumerate(polys)))

@@ -385,7 +385,7 @@ def write_outcome_json(path, outcome) -> None:
 
     x = outcome.x_star
     payload = {
-        "status": outcome.status.value if hasattr(outcome.status, "value") else str(outcome.status),
+        "status": outcome.status.value,
         "x": None if x is None else np.asarray(x, dtype=float),
         "f": finite_or_none(outcome.f_value),
         "feasibility_margin": finite_or_none(outcome.feasibility_margin),

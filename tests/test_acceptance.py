@@ -13,7 +13,6 @@ from sipsolve.core_loop import (
     CoreConfig,
     CoreStatus,
     Discretization,
-    ScheduleRegime,
     ToleranceSchedule,
     eventually_zero_schedule,
     geometric_schedule,
@@ -125,12 +124,7 @@ def test_c02_simultaneous_delta_approximation():
     for name, (build, f_star) in ANALYTIC.items():
         prob = build()
         for delta in DELTAS:
-            sched = ToleranceSchedule(
-                obj_tol=lambda k, d=delta: (d / 4) * 0.5**k,
-                aux_tol=lambda k: 0.1 * 0.5**k,
-                regime=ScheduleRegime.SUMMABLE,
-                obj_sup=delta / 4,
-            )
+            sched = ToleranceSchedule(delta / 4, 0.1, 0.5)
             cfg = SimultaneousConfig(
                 delta=delta, r=2.0, eps0=1.0, schedule=sched, rho=0.5,
                 y0_check=single_center(prob), y0_hat=single_center(prob),
@@ -142,10 +136,7 @@ def test_c02_simultaneous_delta_approximation():
     with pytest.raises(ConfigError):
         SimultaneousConfig(
             delta=0.1, r=2.0, eps0=1.0,
-            schedule=ToleranceSchedule(
-                obj_tol=lambda k: 0.05, aux_tol=lambda k: 0.1 * 0.5**k,
-                regime=ScheduleRegime.SUMMABLE, obj_sup=0.05,
-            ),
+            schedule=ToleranceSchedule(0.05, 0.1, 0.5),
             rho=0.5, y0_check=single(0.0), y0_hat=single(0.0),
         )
     report(2, "run_simultaneous delta-approximate on A and B; gate rejects")

@@ -70,7 +70,24 @@ class TestSolve:
         )
         assert code == EXIT_BUDGET
         assert len(trace.read_text().splitlines()) == 1 + 3
-        assert "status: Budget\n" in capsys.readouterr().out
+        assert "status: BudgetExceeded\n" in capsys.readouterr().out
+
+    def test_core_run_is_feasible_not_delta_approximate(self, tmp_path, capsys):
+        # the core loop certifies feasibility at one restriction and ignores
+        # --delta: at eps0 = 1 its point has f = 0.25 against the optimum 0
+        outcome = tmp_path / "o.json"
+        code = run_cli(
+            [
+                "solve", "--problem", "builtin:instance_A",
+                "--algorithm", "core", "--eps0", "1", "--delta", "1e-2",
+                "--trace-out", str(tmp_path / "t.csv"), "--outcome-out", str(outcome),
+            ]
+        )
+        assert code == EXIT_OK
+        data = json.loads(outcome.read_text())
+        assert data["status"] == "Feasible"
+        assert data["f"] > 1e-2 and data["feasibility_margin"] <= 0
+        assert "status: Feasible\n" in capsys.readouterr().out
 
     def test_malformed_problem(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

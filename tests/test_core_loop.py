@@ -6,7 +6,6 @@ from sipsolve.core_loop import (
     CoreStatus,
     Discretization,
     RunTrace,
-    ScheduleRegime,
     ToleranceSchedule,
     TraceRow,
     eventually_zero_schedule,
@@ -40,29 +39,51 @@ class TestDiscretization:
 class TestSchedules:
     def test_geometric_is_summable(self):
         s = geometric_schedule(0.5)
-        assert s.regime is ScheduleRegime.SUMMABLE
+        assert s.zero_from is None
         assert s.obj_tol(3) == pytest.approx(0.1 / 8)
         assert s.sup_obj() == 0.1
 
     def test_eventually_zero(self):
         s = eventually_zero_schedule(zero_from=2)
         assert s.obj_tol(1) > 0 and s.obj_tol(2) == 0.0 and s.obj_tol(100) == 0.0
+        assert s.sup_obj() == 0.1
+        assert eventually_zero_schedule(0).sup_obj() == 0.0
 
-    def test_aux_decay_required(self):
-        with pytest.raises(ConfigError):
-            ToleranceSchedule(
-                obj_tol=lambda k: 0.0,
-                aux_tol=lambda k: 1e-3,  # constant, never decays
-                regime=ScheduleRegime.EVENTUALLY_ZERO,
-            )
+    @pytest.mark.parametrize(
+        "schedule, reference",
+        [
+            # the tolerance expressions schedules were built from as callables
+            (geometric_schedule(0.5), (
+                lambda k: 0.1 * 0.5**k, lambda k: 0.1 * 0.5**k)),
+            (geometric_schedule(0.3, 0.2), (
+                lambda k: 0.2 * 0.3**k, lambda k: 0.2 * 0.3**k)),
+            (eventually_zero_schedule(3), (
+                lambda k: 0.1 * 0.5**k if k < 3 else 0.0, lambda k: 0.1 * 0.5**k)),
+        ],
+        ids=["geometric(0.5)", "geometric(0.3, 0.2)", "eventually_zero(3)"],
+    )
+    def test_tolerances_keep_their_bits(self, schedule, reference):
+        obj, aux = reference
+        for m in range(6):
+            s = schedule.shifted(m)
+            for k in range(201):
+                assert s.obj_tol(k) == obj(k + m) and s.aux_tol(k) == aux(k)
+        assert schedule.shifted(2).shifted(3) == schedule.shifted(5)
 
-    def test_eventually_zero_must_vanish(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(ratio=1.0), dict(ratio=0.0), dict(ratio=np.nan), dict(ratio=-0.5),
+            dict(obj_scale=-1e-3), dict(obj_scale=np.inf), dict(aux_scale=np.nan),
+            dict(aux_scale=-1.0), dict(zero_from=-1), dict(zero_from=2.0),
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_invalid_schedule_rejected(self, kwargs):
+        fields = dict(obj_scale=0.1, aux_scale=0.1, ratio=0.5, zero_from=None)
+        ToleranceSchedule(**fields)  # the base record is valid
         with pytest.raises(ConfigError):
-            ToleranceSchedule(
-                obj_tol=lambda k: 1e-8,
-                aux_tol=lambda k: 0.1 * 0.5**k,
-                regime=ScheduleRegime.EVENTUALLY_ZERO,
-            )
+            ToleranceSchedule(**{**fields, **kwargs})
 
     def test_summable_requires_nonzero_rho(self):
         with pytest.raises(ConfigError):
@@ -125,12 +146,7 @@ class TestUpdateDiscretization:
 
 class TestRunCore:
     def two_step_schedule(self):
-        return ToleranceSchedule(
-            obj_tol=lambda k: 0.0,
-            aux_tol=lambda k: 1e-3 * 0.5 ** (k / 64.0),
-            regime=ScheduleRegime.EVENTUALLY_ZERO,
-            obj_sup=0.0,
-        )
+        return ToleranceSchedule(0.0, 1e-3, 0.5 ** (1 / 64), zero_from=0)
 
     def test_instance_a_two_iterations(self, prob_a):
         cfg = CoreConfig(
@@ -185,15 +201,10 @@ class TestRunCore:
         assert res.iterations == 3
 
     def test_vanishing_aux_tol_is_budget_stop(self, prob_a):
-        # aux_tol(k) = 0 from k = 3 on: the gap request is floored at
-        # AUX_DELTA_FLOOR, so the run ends on its iteration budget instead of
-        # rejecting a zero gap request as an input error
-        sched = ToleranceSchedule(
-            obj_tol=lambda k: 0.0,
-            aux_tol=lambda k: 0.1 * 0.5**k if k < 3 else 0.0,
-            regime=ScheduleRegime.EVENTUALLY_ZERO,
-            obj_sup=0.0,
-        )
+        # aux_tol(k) = 0: the gap request is floored at AUX_DELTA_FLOOR, so
+        # the run ends on its iteration budget instead of rejecting a zero
+        # gap request as an input error
+        sched = ToleranceSchedule(0.0, 0.0, 0.5, zero_from=0)
         cfg = CoreConfig(
             eps=0.0, rho=0.0, schedule=sched, y0=single(0.0), max_iters=6
         )

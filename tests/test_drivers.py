@@ -10,7 +10,6 @@ from sipsolve.core_loop import (
     CoreConfig,
     Discretization,
     RunTrace,
-    ScheduleRegime,
     ToleranceSchedule,
     eventually_zero_schedule,
     geometric_schedule,
@@ -43,12 +42,7 @@ def single(y):
 
 
 def sim_schedule(delta, aux0=0.1):
-    return ToleranceSchedule(
-        obj_tol=lambda k: (delta / 4) * 0.5**k,
-        aux_tol=lambda k: aux0 * 0.5**k,
-        regime=ScheduleRegime.SUMMABLE,
-        obj_sup=delta / 4,
-    )
+    return ToleranceSchedule(delta / 4, aux0, 0.5)
 
 
 class TestRunFeasFinite:
@@ -63,12 +57,7 @@ class TestRunFeasFinite:
         assert [row.branch for row in res.trace.rows] == ["infeasible", "terminated"]
 
     def test_instance_a_small_restriction(self, prob_a):
-        sched = ToleranceSchedule(
-            obj_tol=lambda k: 0.0,
-            aux_tol=lambda k: 1e-3 * 0.5 ** (k / 64.0),
-            regime=ScheduleRegime.EVENTUALLY_ZERO,
-            obj_sup=0.0,
-        )
+        sched = ToleranceSchedule(0.0, 1e-3, 0.5 ** (1 / 64), zero_from=0)
         res = run_feas_finite(
             prob_a, eps0=0.1, r=2.0, schedule=sched, rho=0.0, y0=single(0.0)
         )
@@ -118,12 +107,7 @@ class TestRunFeasFinite:
             ),
         )
         prob = replace(prob_a, constraints=(fam,))
-        sched = ToleranceSchedule(
-            obj_tol=lambda k: 0.0,
-            aux_tol=lambda k: 1e-20 * 0.5**k,
-            regime=ScheduleRegime.EVENTUALLY_ZERO,
-            obj_sup=0.0,
-        )
+        sched = ToleranceSchedule(0.0, 1e-20, 0.5, zero_from=0)
         res = run_feas_finite(
             prob, eps0=1e-21, r=2.0, schedule=sched, rho=0.0,
             y0=Discretization(box.center().reshape(1, -1)), max_iters=3,
@@ -279,17 +263,16 @@ class TestRunSimultaneous:
         assert out.x_star[0] <= 1e-9
 
     def test_gate_rejection(self):
-        with pytest.raises(ConfigError):
-            SimultaneousConfig(
+        def config(obj_scale):
+            return SimultaneousConfig(
                 delta=0.1, r=2.0, eps0=1.0,
-                schedule=ToleranceSchedule(
-                    obj_tol=lambda k: 0.05,  # == delta/2, violates the gate
-                    aux_tol=lambda k: 0.1 * 0.5**k,
-                    regime=ScheduleRegime.SUMMABLE,
-                    obj_sup=0.05,
-                ),
+                schedule=ToleranceSchedule(obj_scale, 0.1, 0.5),
                 rho=0.5, y0_check=single(0.0), y0_hat=single(0.0),
             )
+
+        config(np.nextafter(0.05, 0.0))  # sup obj_tol just below delta/2
+        with pytest.raises(ConfigError):
+            config(0.05)  # == delta/2, violates the gate
 
     def test_eps_decay_matches_branches(self, prob_b):
         cfg = SimultaneousConfig(

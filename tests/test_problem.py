@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sipsolve.errors import InputError
-from sipsolve.instances import instance_a
+from sipsolve.instances import instance_a, instance_b
 from sipsolve.problem import (
     BoxDomain,
     ConvexObjective,
@@ -112,6 +114,19 @@ class TestOracleValidation:
     def test_clean_instances_pass(self, build):
         report = validate_problem(build())
         assert report.ok, report.failures
+
+    def test_detects_per_point_lipschitz_below_the_truth(self):
+        # instance B's value moves by |x0 - x1| over y in [0, 1]; a per-x
+        # constant of a quarter of that passes a check against the uniform
+        # constant 6, but certified_max uses the per-x one
+        prob = instance_b()
+        fam = replace(
+            prob.constraints[0], lipschitz_in_y_at=lambda x: 0.25 * abs(float(x[0] - x[1]))
+        )
+        assert validate_problem(prob).ok
+        report = validate_problem(replace(prob, constraints=(fam,)))
+        assert not report.ok
+        assert any("Lipschitz" in failure for failure in report.failures)
 
     def test_regression_instance_passes(self, spec_r):
         from sipsolve.regression import build_problem
