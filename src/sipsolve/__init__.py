@@ -49,7 +49,7 @@ from .regression import (
     build_problem,
     eval_polynomial_derivative,
 )
-from .serialization import load_problem, serialize_problem
+from .serialization import load_problem
 
 __version__ = "0.1.0"
 
@@ -96,7 +96,6 @@ __all__ = [
     "run_feas_finite",
     "run_sequential",
     "run_simultaneous",
-    "serialize_problem",
     "solve_discretized",
     "update_discretization",
     "validate_problem",

@@ -119,7 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--problem", required=True)
     bench.add_argument("--eps", type=float, default=0.0)
     bench.add_argument("--max-iters", type=parse_count, default=30)
-    bench.add_argument("--schedule", default="eventually_zero(0)")
+    bench.add_argument(
+        "--schedule",
+        default="eventually_zero(0)",
+        help="eventually_zero(k0) only: the rho = 0 run rejects a summable schedule",
+    )
     bench.add_argument("--table-out", default=None)
     return parser
 
@@ -195,6 +199,11 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     problem = load_problem(args.problem)
     schedule = parse_schedule(args.schedule)
+    if schedule.zero_from is None:
+        raise InputError(
+            "bench's rho = 0 run needs eventually_zero(k0): a summable "
+            f"schedule ({args.schedule}) requires a nonzero pruning radius"
+        )
     y0 = default_y0(problem)
     cards: dict[float, list[int]] = {}
     for rho in (0.0, np.inf):

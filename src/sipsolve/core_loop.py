@@ -64,13 +64,6 @@ class Discretization:
     def cardinality(self) -> int:
         return self.points.shape[0]
 
-    def extended(self, extra_points: np.ndarray) -> "Discretization":
-        if self.points.size == 0:
-            merged = np.atleast_2d(extra_points)
-        else:
-            merged = np.vstack([self.points, np.atleast_2d(extra_points)])
-        return Discretization(merged)
-
 
 @dataclass(frozen=True)
 class ToleranceSchedule:
@@ -174,10 +167,6 @@ class RunTrace:
         if self.rows and row.k <= self.rows[-1].k:
             raise InputError("trace rows must have strictly increasing k")
         self.rows.append(row)
-
-    @property
-    def objective_values(self) -> list[float]:
-        return [r.f_x for r in self.rows if np.isfinite(r.f_x)]
 
     @property
     def total_evals(self) -> int:

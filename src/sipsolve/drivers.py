@@ -23,6 +23,7 @@ of run_simultaneous.  Reaching it ends the run as BudgetExceeded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -192,17 +193,31 @@ def compute_termination_index(
 ) -> int:
     """Smallest stage count m* so that from m* on the restriction is inside
     the regularity margin, the Lipschitz value bound is below delta/2, and
-    the scheduled solve gap obj_tol(m*) is below delta/2."""
+    the scheduled solve gap obj_tol(m*) is below delta/2.
+
+    The first two hold once the restriction eps00 / r**m is at most eps_star
+    and (delta/2) * eps_star / (L * diam_x).  Comparing restrictions keeps a
+    huge L * diam_x / eps_star from overflowing; when r**m leaves the float
+    range before the restriction gets there, there is no valid m*."""
     check_delta(delta)
     check_restriction(r, eps00)
-    if diam_x < 0:
-        raise InputError("need diam_x >= 0")
-    lip_factor = regularity.lipschitz_f * diam_x / regularity.eps_star
+    if not 0 <= diam_x < np.inf:
+        raise InputError("need a finite diam_x >= 0")
+    eps_max = regularity.eps_star
+    lip_diam = regularity.lipschitz_f * diam_x
+    if lip_diam > 0:
+        eps_max = min(eps_max, delta / 2 * regularity.eps_star / lip_diam)
     m = 0
-    while eps00 / r**m > regularity.eps_star or lip_factor * eps00 / r**m > delta / 2:
-        m += 1
-        if m > TERMINATION_SCAN_LIMIT:
-            raise ConfigError("termination index scan failed on the value bound")
+    try:
+        while eps00 / math.pow(r, m) > eps_max and m <= TERMINATION_SCAN_LIMIT:
+            m += 1
+    except OverflowError:
+        m = TERMINATION_SCAN_LIMIT + 1
+    if m > TERMINATION_SCAN_LIMIT or eps_max == 0:
+        raise ConfigError(
+            "termination index scan failed on the value bound: the restriction "
+            "cannot shrink below it in floating point"
+        )
     for m_star in range(m, TERMINATION_SCAN_LIMIT):
         if obj_tol(m_star) <= delta / 2:
             return m_star

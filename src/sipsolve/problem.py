@@ -128,8 +128,9 @@ class QuadraticForm:
 class ConvexObjective:
     """Convex objective given by value/subgradient oracles.
 
-    ``lipschitz_constant`` is a Lipschitz constant with respect to the
-    max-norm on the decision box (so ``|f(a)-f(b)| <= L* ||a-b||_inf``);
+    ``lipschitz_constant``, positive and finite when given, is a Lipschitz
+    constant with respect to the max-norm on the decision box (so
+    ``|f(a)-f(b)| <= L* ||a-b||_inf``);
     drivers need it only for the a-priori termination index.
     ``quadratic``, when given, is the objective's exact quadratic form; the
     finite solver solves its optimality masters as QPs when the form is
@@ -142,8 +143,9 @@ class ConvexObjective:
     quadratic: QuadraticForm | None = None
 
     def __post_init__(self):
-        if self.lipschitz_constant is not None and self.lipschitz_constant <= 0:
-            raise InputError("objective Lipschitz constant must be positive")
+        lip = self.lipschitz_constant
+        if lip is not None and not 0 < lip < np.inf:  # also false for NaN
+            raise InputError("objective Lipschitz constant must be positive and finite")
 
     @classmethod
     def from_quadratic(
@@ -227,9 +229,6 @@ class SipProblem:
                 raise InputError("slater_point lies outside the decision box")
             object.__setattr__(self, "slater_point", sp)
 
-    def max_lipschitz_in_y(self) -> float:
-        return max(f.lipschitz_in_y for f in self.constraints)
-
 
 @dataclass(frozen=True)
 class RegularityBundle:
@@ -240,10 +239,10 @@ class RegularityBundle:
     lipschitz_f: float
 
     def __post_init__(self):
-        if self.eps_star <= 0:
-            raise InputError("eps_star must be positive")
-        if self.lipschitz_f <= 0:
-            raise InputError("lipschitz_f must be positive")
+        if not 0 < self.eps_star < np.inf:  # also false for NaN
+            raise InputError("eps_star must be positive and finite")
+        if not 0 < self.lipschitz_f < np.inf:
+            raise InputError("lipschitz_f must be positive and finite")
 
 
 def feasibility_margin(problem: SipProblem, x, grid_resolution: float) -> float:

@@ -13,10 +13,12 @@ Two JSON problem kinds are supported:
   front-end.  Data may be inline or referenced as a CSV file with one column
   per input dimension followed by the target column.
 
-A field of the wrong type (a string where a number belongs, say) is
-reported as an InputError, like every other schema violation.  All floats
-are written with 17 significant digits so that serialized problems and
-traces reproduce bit-identically.
+Every number is checked on load: floats must be finite, and exponents,
+degree and derivative multi-indices integral.  The objective's Lipschitz
+constant is derived, so a quadratic file may not set one.  A field of the
+wrong type (a string where a number belongs, say) is an InputError, like
+every other schema violation.  All floats are written with 17 significant
+digits so that outcomes and traces reproduce bit-identically.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,45 +41,49 @@ def fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def dumps_17g(obj, indent: int = 0) -> str:
-    """JSON text with every float rendered at 17 significant digits."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {dumps_17g(v, indent + 2)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj.tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        inner = [dumps_17g(v, indent + 2) for v in seq]
-        if sum(len(s) for s in inner) < 70 and all("\n" not in s for s in inner):
-            return "[" + ", ".join(inner) + "]"
-        return (
-            "[\n" + ",\n".join(f"{pad}  {s}" for s in inner) + f"\n{pad}]"
-        )
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
+def dumps_17g(obj: dict) -> str:
+    """A flat JSON object, the shape of the outcome file: scalars and flat
+    lists, every float at 17 significant digits.  A list stays on one line
+    while its items fit in 70 characters."""
+
+    def text(v) -> str:
+        if isinstance(v, (list, np.ndarray)):
+            inner = [text(e) for e in v]
+            if sum(map(len, inner)) < 70:
+                return "[" + ", ".join(inner) + "]"
+            return "[\n" + ",\n".join(f"    {s}" for s in inner) + "\n  ]"
+        if not isinstance(v, float):
+            return json.dumps(v)
+        if not math.isfinite(v):
             raise InputError("cannot serialize non-finite float")
-        return fmt17(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
+        return fmt17(v)
+
+    items = [f"  {json.dumps(k)}: {text(v)}" for k, v in obj.items()]
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 # --------------------------------------------------------------------------
-# polynomial and box encoding
+# numbers, polynomials and boxes
 # --------------------------------------------------------------------------
 
 
-def poly_to_terms(p: Polynomial) -> list:
-    return [[list(map(int, e)), float(c)] for e, c in zip(p.exponents, p.coeffs)]
+def finite_array(value, where: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InputError(f"{where} must be finite")
+    return arr
+
+
+def finite_float(value, where: str) -> float:
+    return float(finite_array(float(value), where))
+
+
+def integral(value, where: str) -> np.ndarray:
+    """A number or an array of numbers as ints; each must be integral."""
+    arr = finite_array(value, where)
+    if (arr != np.round(arr)).any():
+        raise InputError(f"{where} must be integral")
+    return arr.astype(int)
 
 
 def poly_from_terms(terms, dim: int, where: str) -> Polynomial:
@@ -90,13 +95,10 @@ def poly_from_terms(terms, dim: int, where: str) -> Polynomial:
             raise InputError(f"{where}: each term must be [[exponents], coeff]")
         if len(t[0]) != dim:
             raise InputError(f"{where}: exponent list must have length {dim}")
-        exps.append([int(e) for e in t[0]])
-        coeffs.append(float(t[1]))
-    return Polynomial(np.array(exps, dtype=int), np.array(coeffs))
-
-
-def box_to_dict(box: BoxDomain) -> dict:
-    return {"lower": box.lower, "upper": box.upper}
+        exps.append(t[0])
+        coeffs.append(t[1])
+    exponents = integral(exps, f"{where}: exponents")
+    return Polynomial(exponents, finite_array(coeffs, f"{where}: coefficients"))
 
 
 def box_from_dict(d, where: str) -> BoxDomain:
@@ -110,114 +112,53 @@ def box_from_dict(d, where: str) -> BoxDomain:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineConstraintSpec:
-    a: tuple[Polynomial, ...]  # one polynomial per x dimension
-    b: Polynomial
-
-
-@dataclass(frozen=True)
-class QuadraticProblemSpec:
-    x_box: BoxDomain
-    y_box: BoxDomain
-    Q: np.ndarray
-    c: np.ndarray
-    d: float
-    constraints: tuple[AffineConstraintSpec, ...]
-    slater_point: np.ndarray | None = None
-    lipschitz: float | None = None
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        p = self.x_box.dim
-        if Q.shape != (p, p):
-            raise InputError(f"objective.Q must be {p}x{p}")
-        Q = 0.5 * (Q + Q.T)
-        eigs = np.linalg.eigvalsh(Q)
-        if eigs.min() < -1e-9 * max(1.0, abs(eigs.max())):
-            raise InputError(
-                f"objective not convex: Q has eigenvalue {eigs.min():.3e}"
-            )
-        cvec = np.asarray(self.c, dtype=float).reshape(p)
-        Q.setflags(write=False)
-        cvec.setflags(write=False)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "c", cvec)
-        for k, spec in enumerate(self.constraints):
-            if len(spec.a) != p:
-                raise InputError(
-                    f"constraints[{k}].a needs one polynomial per x dimension"
-                )
-
-    def build(self) -> SipProblem:
-        form = QuadraticForm(Q=self.Q, c=self.c, d=self.d)
-        lipschitz = self.lipschitz
-        if lipschitz is None:
-            lipschitz = form.lipschitz_maxnorm(self.x_box)
-        objective = ConvexObjective.from_quadratic(form, lipschitz)
-        families = tuple(
-            affine_polynomial_family(i, spec.a, spec.b, self.x_box, self.y_box)
-            for i, spec in enumerate(self.constraints)
-        )
-        return SipProblem(
-            x_domain=self.x_box,
-            y_domain=self.y_box,
-            objective=objective,
-            constraints=families,
-            slater_point=self.slater_point,
-        )
-
-    def to_dict(self) -> dict:
-        out = {
-            "type": "quadratic",
-            "x_box": box_to_dict(self.x_box),
-            "y_box": box_to_dict(self.y_box),
-            "objective": {"Q": self.Q, "c": self.c, "d": self.d},
-            "constraints": [
-                {"a": [poly_to_terms(p) for p in spec.a], "b": poly_to_terms(spec.b)}
-                for spec in self.constraints
-            ],
-        }
-        if self.lipschitz is not None:
-            out["objective"]["lipschitz"] = self.lipschitz
-        if self.slater_point is not None:
-            out["slater_point"] = self.slater_point
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadraticProblemSpec":
-        for key in ("x_box", "y_box", "objective", "constraints"):
-            if key not in data:
-                raise InputError(f"problem file missing field '{key}'")
-        x_box = box_from_dict(data["x_box"], "x_box")
-        y_box = box_from_dict(data["y_box"], "y_box")
-        obj = data["objective"]
-        if not isinstance(obj, dict) or "Q" not in obj or "c" not in obj:
-            raise InputError("objective: needs matrix 'Q' and vector 'c'")
-        cons = []
-        if not isinstance(data["constraints"], list) or not data["constraints"]:
-            raise InputError("constraints: need a nonempty list")
-        for k, spec in enumerate(data["constraints"]):
-            if not isinstance(spec, dict) or "a" not in spec or "b" not in spec:
-                raise InputError(f"constraints[{k}]: needs fields 'a' and 'b'")
-            a = tuple(
-                poly_from_terms(terms, y_box.dim, f"constraints[{k}].a[{j}]")
-                for j, terms in enumerate(spec["a"])
-            )
-            b = poly_from_terms(spec["b"], y_box.dim, f"constraints[{k}].b")
-            cons.append(AffineConstraintSpec(a=a, b=b))
-        slater = data.get("slater_point")
-        lipschitz = obj.get("lipschitz")
-        return cls(
-            x_box=x_box,
-            y_box=y_box,
-            Q=np.asarray(obj["Q"], dtype=float),
-            c=np.asarray(obj["c"], dtype=float),
-            d=float(obj.get("d", 0.0)),
-            constraints=tuple(cons),
-            slater_point=None if slater is None else np.asarray(slater, dtype=float),
-            lipschitz=None if lipschitz is None else float(lipschitz),
-        )
+def quadratic_problem_from_dict(data: dict) -> SipProblem:
+    """A quadratic problem file as a SipProblem.  The objective's Lipschitz
+    constant is derived from Q, c and the x box, never read from the file."""
+    for key in ("x_box", "y_box", "objective", "constraints"):
+        if key not in data:
+            raise InputError(f"problem file missing field '{key}'")
+    x_box = box_from_dict(data["x_box"], "x_box")
+    y_box = box_from_dict(data["y_box"], "y_box")
+    p = x_box.dim
+    obj = data["objective"]
+    if not isinstance(obj, dict) or "Q" not in obj or "c" not in obj:
+        raise InputError("objective: needs matrix 'Q' and vector 'c'")
+    if "lipschitz" in obj:
+        raise InputError("objective.lipschitz is not allowed: it is derived from Q, c and x_box")
+    if not isinstance(data["constraints"], list) or not data["constraints"]:
+        raise InputError("constraints: need a nonempty list")
+    Q = finite_array(obj["Q"], "objective.Q")
+    if Q.shape != (p, p):
+        raise InputError(f"objective.Q must be {p}x{p}")
+    Q = 0.5 * (Q + Q.T)
+    eigs = np.linalg.eigvalsh(Q)
+    if eigs.min() < -1e-9 * max(1.0, abs(eigs.max())):
+        raise InputError(f"objective not convex: Q has eigenvalue {eigs.min():.3e}")
+    c = finite_array(obj["c"], "objective.c").reshape(p)
+    Q.setflags(write=False)
+    c.setflags(write=False)
+    form = QuadraticForm(Q=Q, c=c, d=finite_float(obj.get("d", 0.0), "objective.d"))
+    families = []
+    for k, spec in enumerate(data["constraints"]):
+        if not isinstance(spec, dict) or "a" not in spec or "b" not in spec:
+            raise InputError(f"constraints[{k}]: needs fields 'a' and 'b'")
+        a = [
+            poly_from_terms(terms, y_box.dim, f"constraints[{k}].a[{j}]")
+            for j, terms in enumerate(spec["a"])
+        ]
+        if len(a) != p:
+            raise InputError(f"constraints[{k}].a needs one polynomial per x dimension")
+        b = poly_from_terms(spec["b"], y_box.dim, f"constraints[{k}].b")
+        families.append(affine_polynomial_family(k, a, b, x_box, y_box))
+    slater = data.get("slater_point")
+    return SipProblem(
+        x_domain=x_box,
+        y_domain=y_box,
+        objective=ConvexObjective.from_quadratic(form, form.lipschitz_maxnorm(x_box)),
+        constraints=tuple(families),
+        slater_point=None if slater is None else finite_array(slater, "slater_point"),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +197,7 @@ def regression_spec_from_dict(data: dict, base_dir: Path | None = None) -> Regre
     u_box = box_from_dict(data["u_box"], "u_box")
     coeff_box = box_from_dict(data["coeff_box"], "coeff_box")
     if "data" in data:
-        arr = np.asarray(data["data"], dtype=float)
+        arr = data["data"]
     elif "data_csv" in data:
         csv_path = Path(data["data_csv"])
         if base_dir is not None and not csv_path.is_absolute():
@@ -274,47 +215,25 @@ def regression_spec_from_dict(data: dict, base_dir: Path | None = None) -> Regre
                 raise InputError(
                     f"constraints[{k}].weights: entries must be [[alpha], weight]"
                 )
-            weights[tuple(int(v) for v in pair[0])] = float(pair[1])
-        constraints.append(
-            ShapeConstraint(weights=weights, offset=float(item.get("offset", 0.0)))
-        )
+            where = f"constraints[{k}].weights"
+            alpha = tuple(integral(pair[0], f"{where}: multi-index"))
+            weights[alpha] = finite_float(pair[1], where)
+        offset = finite_float(item.get("offset", 0.0), f"constraints[{k}].offset")
+        constraints.append(ShapeConstraint(weights=weights, offset=offset))
     slater = data.get("slater_point")
     return RegressionSpec(
-        data=arr,
-        degree=int(data["degree"]),
+        data=finite_array(arr, "data"),
+        degree=int(integral(data["degree"], "degree")),
         coeff_box=coeff_box,
         u_domain=u_box,
-        ridge=float(data.get("ridge", 1e-6)),
+        ridge=finite_float(data.get("ridge", 1e-6), "ridge"),
         shape_constraints=tuple(constraints),
-        slater_point=None if slater is None else np.asarray(slater, dtype=float),
+        slater_point=None if slater is None else finite_array(slater, "slater_point"),
     )
 
 
-def regression_spec_to_dict(spec: RegressionSpec) -> dict:
-    return {
-        "type": "regression",
-        "data": spec.data,
-        "degree": spec.degree,
-        "u_box": box_to_dict(spec.u_domain),
-        "coeff_box": box_to_dict(spec.coeff_box),
-        "ridge": spec.ridge,
-        "constraints": [
-            {
-                "weights": [[list(a), w] for a, w in sorted(sc.weights.items())],
-                "offset": sc.offset,
-            }
-            for sc in spec.shape_constraints
-        ],
-        **(
-            {"slater_point": spec.slater_point}
-            if spec.slater_point is not None
-            else {}
-        ),
-    }
-
-
 # --------------------------------------------------------------------------
-# top-level loaders / writers
+# top-level loader and writers
 # --------------------------------------------------------------------------
 
 
@@ -346,17 +265,16 @@ def load_problem(source) -> SipProblem:
     kind = data.get("type", "quadratic")
     try:
         if kind == "regression":
-            spec = regression_spec_from_dict(data, base_dir)
+            problem = build_problem(regression_spec_from_dict(data, base_dir))
         elif kind == "quadratic":
-            spec = QuadraticProblemSpec.from_dict(data)
+            problem = quadratic_problem_from_dict(data)
         else:
             raise InputError(f"unknown problem type {kind!r}")
     except InputError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         # a field of the wrong type, such as a string where a number belongs
         raise InputError(f"malformed problem field: {exc}") from None
-    problem = build_problem(spec) if kind == "regression" else spec.build()
     if problem.slater_point is not None:
         _, report_bound = certified_feasibility_bound(
             problem.constraints, problem.slater_point, 1e-6
@@ -366,15 +284,6 @@ def load_problem(source) -> SipProblem:
                 f"slater certificate failed: certified bound {report_bound:.3e} >= 0"
             )
     return problem
-
-
-def serialize_problem(spec) -> str:
-    """Serialize a QuadraticProblemSpec or RegressionSpec to JSON text."""
-    if isinstance(spec, QuadraticProblemSpec):
-        return dumps_17g(spec.to_dict()) + "\n"
-    if isinstance(spec, RegressionSpec):
-        return dumps_17g(regression_spec_to_dict(spec)) + "\n"
-    raise InputError("serialize_problem takes a problem or regression spec")
 
 
 def write_outcome_json(path, outcome) -> None:

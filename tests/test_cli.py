@@ -389,6 +389,21 @@ class TestBench:
         assert len(lines) == 11
         assert "max |Y^k|" in capsys.readouterr().out
 
+    def test_summable_schedule_rejected_before_any_run(self, capsys, monkeypatch):
+        # the rho = 0 half rejects a summable schedule, so no bench run with
+        # one could finish; the error says what bench needs
+        from sipsolve import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("bench started a run")
+
+        monkeypatch.setattr(cli, "run_core", no_run)
+        code = run_cli(
+            ["bench", "--problem", "builtin:instance_A", "--schedule", "geometric(0.5)"]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "needs eventually_zero(k0)" in capsys.readouterr().err
+
     def test_schedule_argument_rejected_when_unknown(self):
         assert (
             run_cli(

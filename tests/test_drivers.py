@@ -26,7 +26,7 @@ from sipsolve.drivers import (
     run_sequential,
     run_simultaneous,
 )
-from sipsolve.errors import CertificationError, ConfigError
+from sipsolve.errors import CertificationError, ConfigError, InputError
 from sipsolve.instances import builtin, default_y0, random_affine_instance
 from sipsolve.lower_level import CertifiedMax
 from sipsolve.problem import (
@@ -159,6 +159,14 @@ class TestComputeTerminationIndex:
         ]
         assert all(b <= a for a, b in zip(ms, ms[1:]))
 
+    @pytest.mark.parametrize("eps_star, lip", [(1e-300, 1e10), (1e-3, 1e306)])
+    def test_restriction_beyond_float_range_is_config_error(self, eps_star, lip):
+        # the restriction would need r**m past the float range; the scan used
+        # to end in an OverflowError from r**m
+        reg = RegularityBundle(eps_star=eps_star, lipschitz_f=lip)
+        with pytest.raises(ConfigError):
+            compute_termination_index(1e-3, reg, 4.0, 1.0, 2.0, lambda k: 0.0)
+
 
 class TestRunSequential:
     def test_instance_a(self, prob_a):
@@ -182,6 +190,17 @@ class TestRunSequential:
         out = run_sequential(prob_a, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         assert out.iterations["outer"] == 8 + 1  # m* = 8 for these inputs
+
+    def test_nan_lipschitz_constant_is_input_error(self, prob_a):
+        # a NaN constant used to skip the value bound: m* = 0 and a false
+        # DeltaApproximate at x = -0.5, f = 0.25, with the optimum at 0
+        cfg = SequentialConfig(
+            delta=1e-3, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=default_y0(prob_a),
+        )
+        with pytest.raises(InputError):
+            objective = replace(prob_a.objective, lipschitz_constant=np.nan)
+            run_sequential(replace(prob_a, objective=objective), cfg)
 
     def test_budget_exceeded_partial(self, prob_b):
         cfg = SequentialConfig(

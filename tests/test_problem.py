@@ -9,6 +9,7 @@ from sipsolve.problem import (
     BoxDomain,
     ConvexObjective,
     QuadraticForm,
+    RegularityBundle,
     derive_eps_star,
     feasibility_margin,
     validate_problem,
@@ -25,6 +26,21 @@ class TestConvexObjective:
         form = QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0)
         objective = ConvexObjective.from_quadratic(form, 4.0)
         assert objective.quadratic is form and form.positive_definite
+
+    @pytest.mark.parametrize("lip", [0.0, -1.0, np.nan, np.inf])
+    def test_lipschitz_constant_positive_and_finite(self, lip):
+        form = QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0)
+        with pytest.raises(InputError, match="Lipschitz"):
+            ConvexObjective.from_quadratic(form, lip)
+
+
+@pytest.mark.parametrize(
+    "eps_star, lip",
+    [(np.nan, 4.0), (np.inf, 4.0), (0.0, 4.0), (2.0, np.nan), (2.0, np.inf), (2.0, 0.0)],
+)
+def test_regularity_bundle_positive_and_finite(eps_star, lip):
+    with pytest.raises(InputError):
+        RegularityBundle(eps_star=eps_star, lipschitz_f=lip)
 
 
 class TestBoxDomain:

@@ -1,62 +1,76 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from sipsolve.errors import InputError
-from sipsolve.polynomials import Polynomial
-from sipsolve.problem import BoxDomain
+from sipsolve.polynomials import Polynomial, affine_polynomial_family
+from sipsolve.problem import BoxDomain, ConvexObjective, QuadraticForm
 from sipsolve.serialization import (
-    AffineConstraintSpec,
-    QuadraticProblemSpec,
     dumps_17g,
     load_problem,
     read_data_csv,
     regression_spec_from_dict,
-    serialize_problem,
 )
 
 
-def instance_a_spec():
-    return QuadraticProblemSpec(
-        x_box=BoxDomain([-2.0], [2.0]),
-        y_box=BoxDomain([0.0], [1.0]),
-        Q=np.array([[1.0]]),
-        c=np.array([0.0]),
-        d=0.0,
-        constraints=(
-            AffineConstraintSpec(
-                a=(Polynomial(np.array([[0]]), np.array([1.0])),),
-                b=Polynomial(np.array([[0], [1]]), np.array([-1.0, 1.0])),
-            ),
-        ),
-        slater_point=np.array([-2.0]),
-    )
+def instance_a_data():
+    return {
+        "x_box": {"lower": [-2.0], "upper": [2.0]},
+        "y_box": {"lower": [0.0], "upper": [1.0]},
+        "objective": {"Q": [[1.0]], "c": [0.0], "d": 0.0},
+        "constraints": [{"a": [[[[0], 1.0]]], "b": [[[0], -1.0], [[1], 1.0]]}],
+        "slater_point": [-2.0],
+    }
 
 
 class TestQuadraticSchema:
-    def test_round_trip_identical_oracles(self, tmp_path):
-        spec = instance_a_spec()
+    def test_loaded_oracles_match_the_builders_bit_for_bit(self, tmp_path):
         path = tmp_path / "a.json"
-        path.write_text(serialize_problem(spec))
-        p1 = spec.build()
-        p2 = load_problem(path)
+        path.write_text(json.dumps(instance_a_data()))
+        loaded = load_problem(path)
+        x_box, y_box = BoxDomain([-2.0], [2.0]), BoxDomain([0.0], [1.0])
+        form = QuadraticForm(Q=np.array([[1.0]]), c=np.array([0.0]), d=0.0)
+        objective = ConvexObjective.from_quadratic(form, form.lipschitz_maxnorm(x_box))
+        family = affine_polynomial_family(
+            0,
+            [Polynomial(np.array([[0]]), np.array([1.0]))],
+            Polynomial(np.array([[0], [1]]), np.array([-1.0, 1.0])),
+            x_box,
+            y_box,
+        )
+        assert loaded.objective.lipschitz_constant == objective.lipschitz_constant
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.uniform(-2, 2, 1)
             y = rng.uniform(0, 1, 1)
-            assert p1.objective.value(x) == p2.objective.value(x)
-            assert p1.constraints[0].value(x, y) == p2.constraints[0].value(x, y)
+            assert loaded.objective.value(x) == objective.value(x)
+            assert np.array_equal(loaded.objective.subgradient(x), objective.subgradient(x))
+            assert loaded.constraints[0].value(x, y) == family.value(x, y)
+            assert np.array_equal(
+                loaded.constraints[0].subgradient_x(x, y), family.subgradient_x(x, y)
+            )
+            assert loaded.constraints[0].lipschitz_in_y_at(x) == family.lipschitz_in_y_at(x)
+        assert loaded.constraints[0].lipschitz_in_y == family.lipschitz_in_y
 
     def test_derived_metadata(self):
-        prob = instance_a_spec().build()
+        prob = load_problem(instance_a_data())
         assert prob.objective.lipschitz_constant == pytest.approx(4.0)
         assert prob.constraints[0].lipschitz_in_y == pytest.approx(1.0)
         assert prob.objective.quadratic.positive_definite
 
+    @pytest.mark.parametrize("value", [4.0, float("nan")])
+    def test_lipschitz_key_rejected(self, value):
+        # the constant is derived from Q, c and x_box; a file cannot set it
+        data = instance_a_data()
+        data["objective"]["lipschitz"] = value
+        with pytest.raises(InputError, match="objective.lipschitz"):
+            load_problem(data)
+
     def test_semidefinite_objective_keeps_its_form(self):
         # Q = 0 is convex but not strictly: the finite solver keeps Kelley
-        data = instance_a_spec().to_dict()
+        data = instance_a_data()
         data["objective"]["Q"] = [[0.0]]
         data["objective"]["c"] = [1.0]
         objective = load_problem(data).objective
@@ -64,25 +78,25 @@ class TestQuadraticSchema:
         assert not objective.quadratic.positive_definite
 
     def test_non_psd_rejected(self):
-        data = instance_a_spec().to_dict()
+        data = instance_a_data()
         data["objective"]["Q"] = [[-1.0]]
         with pytest.raises(InputError, match="not convex"):
             load_problem(data)
 
     def test_missing_field_named(self):
-        data = instance_a_spec().to_dict()
+        data = instance_a_data()
         del data["y_box"]
         with pytest.raises(InputError, match="y_box"):
             load_problem(data)
 
     def test_bad_constraint_field_named(self):
-        data = instance_a_spec().to_dict()
+        data = instance_a_data()
         data["constraints"][0]["b"] = [[[0, 0], 1.0]]  # wrong exponent arity
         with pytest.raises(InputError, match=r"constraints\[0\]"):
             load_problem(data)
 
     def test_slater_certificate_checked(self):
-        data = instance_a_spec().to_dict()
+        data = instance_a_data()
         data["slater_point"] = [1.5]  # sup_y g(1.5, y) = 1.5 > 0
         with pytest.raises(InputError, match="slater"):
             load_problem(data)
@@ -100,18 +114,22 @@ class TestQuadraticSchema:
             load_problem(path)
 
 
+def regression_data():
+    return {
+        "type": "regression",
+        "data": [[0.0, 1.0], [1.0, 0.0]],
+        "degree": 1,
+        "u_box": {"lower": [0.0], "upper": [1.0]},
+        "coeff_box": {"lower": [-10.0, -10.0], "upper": [10.0, 10.0]},
+        "ridge": 1e-6,
+        "constraints": [{"weights": [[[1], -1.0]], "offset": 0.0}],
+        "slater_point": [0.0, 1.0],
+    }
+
+
 class TestRegressionSchema:
     def payload(self):
-        return {
-            "type": "regression",
-            "data": [[0.0, 1.0], [1.0, 0.0]],
-            "degree": 1,
-            "u_box": {"lower": [0.0], "upper": [1.0]},
-            "coeff_box": {"lower": [-10.0, -10.0], "upper": [10.0, 10.0]},
-            "ridge": 1e-6,
-            "constraints": [{"weights": [[[1], -1.0]], "offset": 0.0}],
-            "slater_point": [0.0, 1.0],
-        }
+        return regression_data()
 
     def test_load(self):
         prob = load_problem(self.payload())
@@ -142,6 +160,60 @@ class TestRegressionSchema:
         del payload["degree"]
         with pytest.raises(InputError, match="degree"):
             regression_spec_from_dict(payload)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make, corrupt, field",
+    [
+        (instance_a_data, lambda d: d["objective"].update(Q=[[NAN]]), "objective.Q"),
+        (instance_a_data, lambda d: d["objective"].update(c=[INF]), "objective.c"),
+        (instance_a_data, lambda d: d["objective"].update(d=NAN), "objective.d"),
+        (
+            instance_a_data,
+            lambda d: d["constraints"][0]["b"][1].__setitem__(1, NAN),
+            "constraints[0].b: coefficients",
+        ),
+        (
+            instance_a_data,
+            lambda d: d["constraints"][0]["b"][1].__setitem__(0, [1.5]),
+            "constraints[0].b: exponents",
+        ),
+        (instance_a_data, lambda d: d.update(slater_point=[NAN]), "slater_point"),
+        (regression_data, lambda d: d["data"][0].__setitem__(1, NAN), "data"),
+        (regression_data, lambda d: d.update(ridge=NAN), "ridge"),
+        (regression_data, lambda d: d.update(degree=1.9), "degree"),
+        (
+            regression_data,
+            lambda d: d["constraints"][0]["weights"][0].__setitem__(1, INF),
+            "constraints[0].weights",
+        ),
+        (
+            regression_data,
+            lambda d: d["constraints"][0]["weights"][0].__setitem__(0, [0.5]),
+            "constraints[0].weights: multi-index",
+        ),
+        (
+            regression_data,
+            lambda d: d["constraints"][0].update(offset=NAN),
+            "constraints[0].offset",
+        ),
+        (regression_data, lambda d: d.update(slater_point=[0.0, INF]), "slater_point"),
+    ],
+    ids=[
+        "Q", "c", "d", "term_coefficient", "exponent", "slater_point", "data",
+        "ridge", "degree", "weight", "multi_index", "offset", "regression_slater",
+    ],
+)
+def test_every_number_checked_and_named(make, corrupt, field):
+    # floats must be finite and integer fields integral; before, an exponent
+    # of 1.5 or a degree of 1.9 was truncated and a NaN surfaced mid-solve
+    data = make()
+    corrupt(data)
+    with pytest.raises(InputError, match=re.escape(field)):
+        load_problem(data)
 
 
 class TestFloatFormatting:
