@@ -42,7 +42,12 @@ AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
 
 @dataclass(frozen=True)
 class Discretization:
-    """Finite set of index points, deduplicated at DEDUP_TOL (max-norm)."""
+    """Finite set of index points, deduplicated at DEDUP_TOL (max-norm).
+
+    Points are taken in order, and a point is kept when it lies farther
+    than DEDUP_TOL from every point kept before it, so the first occurrence
+    wins and a chain of close points can keep more than its first link.
+    """
 
     points: np.ndarray
 
@@ -52,11 +57,13 @@ class Discretization:
             pts = pts.reshape(0, pts.shape[-1] if pts.ndim > 1 else 1)
         else:
             pts = np.atleast_2d(pts)
-        kept: list[np.ndarray] = []
+        kept = np.empty_like(pts)
+        n = 0
         for p in pts:
-            if all(np.max(np.abs(p - q)) > DEDUP_TOL for q in kept):
-                kept.append(p.astype(float))
-        arr = np.array(kept).reshape(len(kept), pts.shape[1])
+            if n == 0 or (np.abs(kept[:n] - p).max(axis=1) > DEDUP_TOL).all():
+                kept[n] = p
+                n += 1
+        arr = kept[:n].copy()
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 

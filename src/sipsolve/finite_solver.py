@@ -265,7 +265,7 @@ class _Master:
         X, form = self.X, self.quadratic
         A = np.array([c_row for c_row, _ in g_rows]).reshape(-1, X.dim)
         r = np.array([d_row for _, d_row in g_rows])
-        res = qp.solve_box_qp(form.Q, form.c, A, r, X.lower, X.upper)
+        res = qp.solve_box_qp(form.factor, A, r, X.lower, X.upper)
         self.lp_iters += res.iterations
         x_hat = X.clip(res.x)
         value, grad = self.objective_oracle(x_hat)

@@ -8,12 +8,13 @@ center value plus the Lipschitz overestimate over the cell.  A round drops
 every cell whose score is within the requested gap of the best value found
 in any family, splits every other cell along its longest axis and evaluates
 the children with one ``eval_grid`` call per family (its ``batch_eval``
-when it has one).  The returned value is always the scalar oracle's own
-``g_i(x, y_star)``: a batch value that beats the incumbent is re-evaluated
-through ``value`` first.  The upper bound is the largest score of a live or
-dropped cell, so the certificate rests on the Lipschitz bounds alone and is
-sound whenever each declared ``lipschitz_in_y`` really is a max-metric
-Lipschitz constant.  A family cannot supply its own maximizer, and a family
+when it has one); a call whose root cells already score within the gap
+returns before it builds any frontier array.  The returned value is always
+the scalar oracle's own ``g_i(x, y_star)``: a batch value that beats the
+incumbent is re-evaluated through ``value`` first.  The upper bound is the
+largest score of a live or dropped cell, so the certificate rests on the
+Lipschitz bounds alone and is sound whenever each declared
+``lipschitz_in_y`` really is a max-metric Lipschitz constant.  A family cannot supply its own maximizer, and a family
 constant in y (Lipschitz constant 0) needs no special case: its cells score
 exactly their center values.
 """
@@ -80,12 +81,29 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
     k = vals.index(max(vals))
     best_val, best_y, best_fam = vals[k], centers[k], families[k]
     evals = len(families)
+    lips = [fam.local_lipschitz_in_y(p) for fam in families]
+
+    def certificate(upper: float) -> CertifiedMax | None:
+        if upper - best_val > delta:
+            return None
+        return CertifiedMax(
+            y_star=best_y, value=best_val, gap=max(upper - best_val, 0.0),
+            family=best_fam.index, evals=evals,
+        )
+
+    # the root's scores, with the same operations as a round's
+    root = max(
+        v + lip * (0.5 * fam.y_domain.diameter())
+        for fam, v, lip in zip(families, vals, lips)
+    )
+    if (done := certificate(root)) is not None:
+        return done
     # the live frontier: cell bounds (n, q), center values and Lipschitz
     # constants (n,); family k owns the rows edges[k]:edges[k + 1]
     lo = np.array([fam.y_domain.lower for fam in families])
     hi = np.array([fam.y_domain.upper for fam in families])
     val = np.array(vals)
-    lip = np.array([fam.local_lipschitz_in_y(p) for fam in families])
+    lip = np.array(lips)
     edges = list(range(len(families) + 1))
     dropped = -np.inf  # largest score of a cell dropped for good
     nodes = 0
@@ -93,11 +111,8 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
         width = hi - lo
         score = val + lip * (0.5 * width.max(axis=1))
         upper = max(float(score.max()), dropped)
-        if upper - best_val <= delta:
-            return CertifiedMax(
-                y_star=best_y, value=best_val, gap=max(upper - best_val, 0.0),
-                family=best_fam.index, evals=evals,
-            )
+        if (done := certificate(upper)) is not None:
+            return done
         live = score - best_val > delta
         if not live.all():
             dropped = max(dropped, float(score[~live].max()))

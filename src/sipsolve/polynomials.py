@@ -193,12 +193,30 @@ def affine_polynomial_family(
     def lift(x) -> np.ndarray:
         return np.concatenate(([1.0], x))
 
+    E_float = E.astype(float)  # the cast ys ** E makes on every call
+    E_float.setflags(write=False)
+    memo = (None, None)  # (key of the last ndarray x, its C @ (1, x))
+
+    def weights(x) -> np.ndarray:
+        """C @ (1, x); the last ndarray x's is kept, keyed on its bytes, as
+        the lower level evaluates many batches at one x."""
+        nonlocal memo
+        if not isinstance(x, np.ndarray):
+            return C @ lift(x)
+        key = (x.dtype.str, x.tobytes())
+        last_key, w = memo
+        if key != last_key:
+            w = C @ lift(x)
+            w.setflags(write=False)
+            memo = (key, w)
+        return w
+
     def mono(ys: np.ndarray) -> np.ndarray:
-        return np.prod(ys[:, None, :] ** E[None, :, :], axis=2)
+        return np.prod(ys[:, None, :] ** E_float[None, :, :], axis=2)
 
     def batch_eval(x, ys):
         ys = np.asarray(ys, dtype=float).reshape(-1, y_box.dim)
-        return (mono(ys) * (C @ lift(x))).sum(axis=1)
+        return (mono(ys) * weights(x)).sum(axis=1)
 
     def value(x, y):
         return float(batch_eval(x, y)[0])

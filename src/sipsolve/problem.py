@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
+from .qp import BoxQpFactor, box_qp_factor
 
 # Absolute slack used whenever "g <= -eps" has to be decided in floating point.
 FEASTOL = 1e-10
@@ -114,14 +115,18 @@ class QuadraticForm:
         return float(np.sum(2.0 * np.abs(self.Q) @ m + np.abs(self.c)))
 
     @cached_property
-    def positive_definite(self) -> bool:
-        """Whether the Hessian Q + Q^T has a Cholesky factor, the test the
-        dual active-set QP applies; computed once per form."""
+    def factor(self) -> BoxQpFactor | None:
+        """The dual active-set QP's read-only factor of this form (the
+        Cholesky factor of Q + Q^T, L^-1 c and the unconstrained minimizer),
+        or None when Q + Q^T has no Cholesky factor; computed once per form."""
         try:
-            np.linalg.cholesky(self.Q + self.Q.T)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+            return box_qp_factor(self.Q, self.c)
+        except NumericalError:
+            return None
+
+    @property
+    def positive_definite(self) -> bool:
+        return self.factor is not None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Two independent routines that share no code:
 - ``solve_box_qp``: the dual active-set method of Goldfarb and Idnani
   (1983).  It starts from the unconstrained minimizer, needs no feasible
   point, and returns the row multipliers.  The finite solver uses it as the
-  master problem for objectives with a positive-definite quadratic form.
+  master problem for objectives with a positive-definite quadratic form,
+  passing the form's cached ``box_qp_factor`` so that no call refactors Q.
 
 Q must be positive definite.  Problem sizes here are a handful of variables
 against up to a few hundred rows, which dense factorizations handle easily.
@@ -118,8 +119,37 @@ class BoxQpResult:
     iterations: int
 
 
-def solve_box_qp(Q, c, G, h, lower, upper) -> BoxQpResult:
-    """Solve min w.Q w + c.w s.t. G w <= h, lower <= w <= upper.
+@dataclass(frozen=True)
+class BoxQpFactor:
+    """What solve_box_qp derives from Q and c alone, held read-only: the
+    Cholesky factor L of Q + Q^T, ct = L^-1 c and the unconstrained
+    minimizer w0 = -L^-T ct."""
+
+    L: np.ndarray
+    ct: np.ndarray
+    w0: np.ndarray
+
+
+def box_qp_factor(Q, c) -> BoxQpFactor:
+    """The factor of min w.Q w + c.w that solve_box_qp starts from; one
+    factor serves every solve with this objective.  Raises NumericalError
+    when Q is not positive definite."""
+    Q = np.asarray(Q, dtype=float)
+    c = np.asarray(c, dtype=float).ravel()
+    try:
+        L = np.linalg.cholesky(Q + Q.T)  # Hessian of w.Qw
+    except np.linalg.LinAlgError:
+        raise NumericalError("QP matrix is not positive definite") from None
+    ct = np.linalg.solve(L, c)
+    w0 = np.linalg.solve(L.T, -ct)
+    for a in (L, ct, w0):
+        a.setflags(write=False)
+    return BoxQpFactor(L, ct, w0)
+
+
+def solve_box_qp(factor: BoxQpFactor, G, h, lower, upper) -> BoxQpResult:
+    """Solve min w.Q w + c.w s.t. G w <= h, lower <= w <= upper, given
+    ``factor = box_qp_factor(Q, c)``.
 
     Dual active set (Goldfarb and Idnani 1983) on the rows of G and the box
     faces, each row scaled to unit max-norm.  It starts at the unconstrained
@@ -135,13 +165,11 @@ def solve_box_qp(Q, c, G, h, lower, upper) -> BoxQpResult:
 
     Returns the point, one multiplier per row of G (the box multipliers are
     not returned) and the number of active-set steps.  Raises
-    NumericalError when Q is not positive definite, when the rows admit no
-    point (a violated row that no multiplier change can fix), or when
-    ``_MAX_STEPS`` steps do not suffice.
+    NumericalError when the rows admit no point (a violated row that no
+    multiplier change can fix) or when ``_MAX_STEPS`` steps do not suffice.
     """
-    Q = np.asarray(Q, dtype=float)
-    c = np.asarray(c, dtype=float).ravel()
-    n = c.size
+    L, ct = factor.L, factor.ct
+    n = ct.size
     G = np.asarray(G, dtype=float).reshape(-1, n)
     h = np.asarray(h, dtype=float).ravel()
     lower = np.asarray(lower, dtype=float).ravel()
@@ -150,10 +178,6 @@ def solve_box_qp(Q, c, G, h, lower, upper) -> BoxQpResult:
         raise InputError("G/h row mismatch")
     if lower.size != n or upper.size != n:
         raise InputError("bounds length mismatch")
-    try:
-        L = np.linalg.cholesky(Q + Q.T)  # Hessian of w.Qw
-    except np.linalg.LinAlgError:
-        raise NumericalError("QP matrix is not positive definite") from None
 
     m = G.shape[0]
     scale = np.max(np.abs(G), axis=1) if m else np.zeros(0)
@@ -165,12 +189,11 @@ def solve_box_qp(Q, c, G, h, lower, upper) -> BoxQpResult:
     # in the coordinates v = L^T w the objective is |v|^2 / 2 + ct.v and
     # row i reads nt[:, i].v <= rhs[i]
     nt = np.linalg.solve(L, rows.T)
-    ct = np.linalg.solve(L, c)
 
     active: list[int] = []
     lam = np.zeros(0)
     v = -ct
-    w = np.linalg.solve(L.T, v)
+    w = factor.w0.copy()
     Qa = Ra = None
     iterations = 0
     while True:

@@ -117,6 +117,25 @@ class TestSolve:
             paths.append((trace.read_bytes(), outcome.read_bytes()))
         assert paths[0] == paths[1]
 
+    def test_runs_in_between_leave_no_trace(self, tmp_path):
+        # the caches of one process (a form's factor, a family's last
+        # weights) must not carry one run's state into another's files
+        def solve(name, algorithm, tag):
+            files = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            code = run_cli(
+                [
+                    "solve", "--problem", f"builtin:{name}",
+                    "--algorithm", algorithm, "--delta", "1e-1",
+                    "--trace-out", str(files[0]), "--outcome-out", str(files[1]),
+                ]
+            )
+            assert code == EXIT_OK
+            return [f.read_bytes() for f in files]
+
+        first = solve("instance_A", "simultaneous", "a1")
+        solve("regression_R", "sequential", "r")
+        assert solve("instance_A", "simultaneous", "a2") == first
+
     def test_core_algorithm(self, tmp_path):
         code = run_cli(
             [

@@ -3,6 +3,7 @@ import pytest
 
 from sipsolve.core_loop import (
     CoreConfig,
+    DEDUP_TOL,
     CoreStatus,
     Discretization,
     RunTrace,
@@ -34,6 +35,15 @@ class TestDiscretization:
     def test_empty(self):
         d = Discretization(np.zeros((0, 1)))
         assert d.cardinality == 0
+
+    def test_dedup_compares_with_kept_points_only(self):
+        # the middle point is within DEDUP_TOL of both neighbors, the outer
+        # two are not: it goes, and the third is measured against the first
+        p = np.array([0.25, -0.5])
+        chain = np.array([p, p + 0.6 * DEDUP_TOL, p + 1.2 * DEDUP_TOL])
+        d = Discretization(chain)
+        np.testing.assert_array_equal(d.points, chain[[0, 2]])
+        assert not d.points.flags.writeable
 
 
 class TestSchedules:

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_min_1d
 from sipsolve import finite_solver
@@ -176,7 +178,8 @@ class TestMasterRoutes:
     def test_semidefinite_form_stays_on_kelley(self, prob_b, monkeypatch):
         form = QuadraticForm(Q=np.diag([1.0, 0.0]), c=np.array([0.0, 1.0]), d=0.0)
         objective = ConvexObjective.from_quadratic(form, 20.0)
-        assert objective.quadratic is form and not form.positive_definite
+        assert objective.quadratic is form and form.factor is None
+        assert not form.positive_definite
         monkeypatch.setattr(finite_solver.qp, "solve_box_qp", TestNumericalFailure.broken)
         prob = replace(prob_b, objective=objective)
         res = solve_discretized(dp_of(prob, 0.5, [[0.0], [1.0]]), 1e-8,
@@ -350,3 +353,47 @@ class TestNumericalFailure:
         res = solve_discretized(dp_of(prob, 0.1, [[1.0]]), 1e-8, x_hint=[-1.0])
         assert res.status is SolveStatus.UNDECIDED
         assert res.x == pytest.approx([-1.0])
+
+
+class TestGridBracket:
+    """A finite solve against the minimum over the feasible points of an x
+    grid.  Every feasible grid point is feasible for the discretized
+    problem, so both bounds compare with the grid minimum directly: no
+    Lipschitz slack enters, only float roundoff."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 39).filter(lambda s: random_affine_instance(s).x_domain.dim <= 2),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+        st.sampled_from([0.0, 0.1]),
+    )
+    def test_bounds_bracket_the_grid_minimum(self, seed, n_points, points_seed, eps):
+        prob = random_affine_instance(seed)
+        X, Y = prob.x_domain, prob.y_domain
+        pts = Y.lower + np.random.default_rng(points_seed).random((n_points, Y.dim)) * Y.widths
+        gap_tol = 1e-6
+        res = solve_discretized(dp_of(prob, eps, pts), gap_tol)
+        assume(res.status is not SolveStatus.UNDECIDED)
+
+        n = 2001 if X.dim == 1 else 201
+        axes = [np.linspace(X.lower[j], X.upper[j], n) for j in range(X.dim)]
+        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        feas = np.ones(len(grid), dtype=bool)
+        origin = np.zeros(X.dim)
+        for fam in prob.constraints:  # g is affine in x
+            for y in pts:
+                a, b = fam.subgradient_x(origin, y), fam.value(origin, y)
+                feas &= grid @ a + b <= -eps
+        if res.status is SolveStatus.INFEASIBLE:
+            assert not feas.any()
+            return
+        assert res.status is SolveStatus.FEASIBLE
+        if not feas.any():
+            return
+        form = prob.objective.quadratic
+        g = grid[feas]
+        grid_min = float(np.min(np.einsum("ij,jk,ik->i", g, form.Q, g) + g @ form.c + form.d))
+        roundoff = 1e-9 * (1.0 + abs(grid_min))
+        assert res.lower <= grid_min + roundoff
+        assert res.upper <= grid_min + max(gap_tol, res.gap_floor) + roundoff

@@ -76,6 +76,26 @@ class TestCertifiedMax:
         assert cm.value == pytest.approx(-0.75)
         assert cm.evals == 1
 
+    @pytest.mark.parametrize("delta", [1.0, 1.49, 1.5, 1.51, 2.0])
+    def test_root_exit_is_the_first_round(self, delta):
+        # g(x, y) = y0 + 2 y1 on [0, 1]^2 with Lipschitz constant 3 (max
+        # metric): the root cell scores 1.5 + 3 * 0.5 = 3, the supremum, so
+        # the call ends at the root exactly when 3 - 1.5 <= delta
+        fam = ConstraintFamily(
+            index=0,
+            value=lambda x, y: float(y[0] + 2.0 * y[1]),
+            subgradient_x=lambda x, y: np.zeros(1),
+            lipschitz_in_y=3.0,
+            y_domain=BoxDomain([0.0, 0.0], [1.0, 1.0]),
+        )
+        cm = certified_max([fam], np.zeros(1), delta)
+        assert cm.value + cm.gap >= 3.0
+        assert cm.gap <= delta
+        if delta >= 1.5:
+            assert (cm.evals, cm.value, cm.gap) == (1, 1.5, 1.5)
+        else:
+            assert cm.evals > 1
+
     def test_degenerate_box(self):
         fam = ConstraintFamily(
             index=0,

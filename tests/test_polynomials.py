@@ -190,3 +190,36 @@ def test_affine_polynomial_family_oracles(prob):
             for ya, yb in zip(ys[::2], ys[1::2]):
                 slope = abs(fam.value(x, ya) - fam.value(x, yb)) / np.max(np.abs(ya - yb))
                 assert slope <= lip_x * (1 + 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_weight_memo_matches_a_fresh_family(seed):
+    # the family keeps C @ (1, x) for the last ndarray x; every call must
+    # give the bits of a family that has seen no other x
+    prob = random_affine_instance(seed)
+    X, Y = prob.x_domain, prob.y_domain
+    rng = np.random.default_rng(3)
+    ys = Y.lower + rng.random((25, Y.dim)) * Y.widths
+    x1, x2 = (X.lower + rng.random(X.dim) * X.widths for _ in range(2))
+
+    def fresh(i, x):
+        fam = random_affine_instance(seed).constraints[i]
+        return fam.batch_eval(x, ys), fam.value(x, ys[0]), fam.subgradient_x(x, ys[0])
+
+    def same(fam, i, x):
+        for got, want in zip((fam.batch_eval(x, ys), fam.value(x, ys[0]),
+                              fam.subgradient_x(x, ys[0])), fresh(i, x)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    for i, fam in enumerate(prob.constraints):
+        for x in (x1, x2, x1, list(x2), x1):
+            same(fam, i, x)
+        # a writable x changed in place between calls
+        x = x1.copy()
+        same(fam, i, x)
+        x[:] = x2
+        same(fam, i, x)
+        # an integer x whose bytes are those of a float x
+        xi = np.arange(1, X.dim + 1)
+        same(fam, i, xi.view(float))
+        same(fam, i, xi)

@@ -3,7 +3,8 @@ import pytest
 
 from sipsolve import qp
 from sipsolve.errors import InputError, NumericalError
-from sipsolve.qp import solve_box_qp, solve_qp
+from sipsolve.problem import QuadraticForm
+from sipsolve.qp import box_qp_factor, solve_box_qp, solve_qp
 from sipsolve.regression import assemble_loss
 
 
@@ -124,7 +125,7 @@ def test_box_qp_kkt_and_slsqp(degenerate):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, 30))
         Q, c, G, h, lo, hi, x0 = random_box_qp(rng, n, m, degenerate)
-        res = solve_box_qp(Q, c, G, h, lo, hi)
+        res = solve_box_qp(box_qp_factor(Q, c), G, h, lo, hi)
         assert res.duals.shape == (len(h),)
         primal, lam_min, comp, stat = kkt_residuals(Q, c, G, h, lo, hi, res)
         assert primal <= 1e-9, trial
@@ -150,8 +151,8 @@ def test_box_qp_kkt_and_slsqp(degenerate):
 def test_box_qp_deterministic():
     rng = np.random.default_rng(5)
     Q, c, G, h, lo, hi, _ = random_box_qp(rng, 4, 25, True)
-    a = solve_box_qp(Q, c, G, h, lo, hi)
-    b = solve_box_qp(Q, c, G, h, lo, hi)
+    a = solve_box_qp(box_qp_factor(Q, c), G, h, lo, hi)
+    b = solve_box_qp(box_qp_factor(Q, c), G, h, lo, hi)
     assert a.x.tobytes() == b.x.tobytes()
     assert a.duals.tobytes() == b.duals.tobytes()
     assert a.iterations == b.iterations
@@ -160,10 +161,10 @@ def test_box_qp_deterministic():
 def test_box_qp_unconstrained_and_box_only():
     Q = np.array([[1.0, 0.0], [0.0, 2.0]])
     c = np.array([-2.0, -4.0])
-    res = solve_box_qp(Q, c, np.zeros((0, 2)), [], [-5.0, -5.0], [5.0, 5.0])
+    res = solve_box_qp(box_qp_factor(Q, c), np.zeros((0, 2)), [], [-5.0, -5.0], [5.0, 5.0])
     assert res.x == pytest.approx([1.0, 1.0])
     assert res.iterations == 0
-    res = solve_box_qp(Q, c, np.zeros((0, 2)), [], [-5.0, -5.0], [0.5, 5.0])
+    res = solve_box_qp(box_qp_factor(Q, c), np.zeros((0, 2)), [], [-5.0, -5.0], [0.5, 5.0])
     assert res.x == pytest.approx([0.5, 1.0])
 
 
@@ -177,22 +178,67 @@ def test_box_qp_unconstrained_and_box_only():
 )
 def test_box_qp_empty_feasible_set_raises(G, h):
     with pytest.raises(NumericalError):
-        solve_box_qp([[1.0]], [0.0], G, h, [-2.0], [2.0])
+        solve_box_qp(box_qp_factor([[1.0]], [0.0]), G, h, [-2.0], [2.0])
 
 
 def test_box_qp_rejects_indefinite_matrix():
     with pytest.raises(NumericalError):
-        solve_box_qp([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], np.zeros((0, 2)), [],
-                     [-1.0, -1.0], [1.0, 1.0])
+        box_qp_factor([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
 
 
 def test_box_qp_step_budget_raises(monkeypatch):
     rng = np.random.default_rng(5)
     Q, c, G, h, lo, hi, _ = random_box_qp(rng, 4, 25, True)
-    steps = solve_box_qp(Q, c, G, h, lo, hi).iterations
+    factor = box_qp_factor(Q, c)
+    steps = solve_box_qp(factor, G, h, lo, hi).iterations
     assert steps >= 2
     monkeypatch.setattr(qp, "_MAX_STEPS", steps - 1)
     with pytest.raises(NumericalError, match="did not converge"):
-        solve_box_qp(Q, c, G, h, lo, hi)
+        solve_box_qp(factor, G, h, lo, hi)
     monkeypatch.setattr(qp, "_MAX_STEPS", steps)
-    assert solve_box_qp(Q, c, G, h, lo, hi).iterations == steps
+    assert solve_box_qp(factor, G, h, lo, hi).iterations == steps
+
+
+# --------------------------------------------------------------------------
+# the factor a QuadraticForm caches for solve_box_qp
+# --------------------------------------------------------------------------
+
+
+def assert_same_bits(a, b):
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.duals.tobytes() == b.duals.tobytes()
+    assert a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_box_qp_cached_factor_keeps_the_bits(degenerate):
+    # the random instances of test_box_qp_kkt_and_slsqp, each solved through
+    # its form's cached factor after the form served another instance
+    rng = np.random.default_rng(11 if degenerate else 12)
+    previous = None
+    for trial in range(150):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, 30))
+        Q, c, G, h, lo, hi, _ = random_box_qp(rng, n, m, degenerate)
+        form = QuadraticForm(Q=Q, c=c, d=0.0)
+        fresh = solve_box_qp(box_qp_factor(Q, c), G, h, lo, hi)
+        assert_same_bits(solve_box_qp(form.factor, G, h, lo, hi), fresh)
+        if previous is not None:
+            p_form, p_args, p_fresh = previous
+            assert_same_bits(solve_box_qp(p_form.factor, *p_args), p_fresh)
+            assert_same_bits(solve_box_qp(form.factor, G, h, lo, hi), fresh)
+        previous = form, (G, h, lo, hi), fresh
+
+
+def test_box_qp_cached_factor_is_read_only():
+    form = QuadraticForm(Q=np.array([[1.0, 0.2], [0.2, 2.0]]), c=np.array([-2.0, 1.0]), d=0.0)
+    factor = form.factor
+    assert form.factor is factor and form.positive_definite
+    for a in (factor.L, factor.ct, factor.w0):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # a solve that takes no step returns its own copy of the minimizer
+    res = solve_box_qp(factor, np.zeros((0, 2)), [], [-5.0, -5.0], [5.0, 5.0])
+    assert res.iterations == 0
+    res.x[0] = 7.0
+    assert factor.w0[0] != 7.0
