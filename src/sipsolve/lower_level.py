@@ -9,14 +9,29 @@ every cell whose score is within the requested gap of the best value found
 in any family, splits every other cell along its longest axis and evaluates
 the children with one ``eval_grid`` call per family (its ``batch_eval``
 when it has one); a call whose root cells already score within the gap
-returns before it builds any frontier array.  The returned value is always
-the scalar oracle's own ``g_i(x, y_star)``: a batch value that beats the
-incumbent is re-evaluated through ``value`` first.  The upper bound is the
-largest score of a live or dropped cell, so the certificate rests on the
-Lipschitz bounds alone and is sound whenever each declared
-``lipschitz_in_y`` really is a max-metric Lipschitz constant.  A family cannot supply its own maximizer, and a family
-constant in y (Lipschitz constant 0) needs no special case: its cells score
-exactly their center values.
+returns before it builds any frontier array.
+
+Past the root, a family with ``second_order_in_y_at`` gets its model
+(grad, M) at x once per call.  Its cells then score the smaller of two
+valid bounds: the Lipschitz score, and the Taylor bound g(c) +
+sum_j |dg/dy_j(c)| r_j + 1/2 sum_jk M_jk r_j r_k over a cell with center c
+and half-widths r.  Each such cell is also evaluated at its model vertex
+(hi where dg/dy_j(c) > 0, lo where it is < 0, c where it is 0), which puts
+incumbents on the faces of the box, where centers never lie.  So a round
+prunes at least what the Lipschitz score alone prunes, and a maximum on a
+face with a large outward slope no longer needs cells of width about
+delta / slope.  A call in which no family has the oracle runs the
+Lipschitz rounds alone.
+
+The returned value is always the scalar oracle's own ``g_i(x, y_star)``: a
+batch value, of a center or a vertex, that beats the incumbent is
+re-evaluated through ``value`` first.  The upper bound is the largest
+score of a live or dropped cell, so the certificate is sound whenever each
+declared ``lipschitz_in_y`` really is a max-metric Lipschitz constant and
+each declared M bounds the second y-partials over the box; oracle values
+are taken as exact.  A family cannot supply its own maximizer, and a
+family constant in y (Lipschitz constant 0) needs no special case: its
+cells score exactly their center values.
 """
 
 from __future__ import annotations
@@ -42,6 +57,8 @@ class CertifiedMax:
     value is exactly g_family(x, y_star) as that family's oracle returns
     it, and sup_Y g_i(x, .) <= value + gap for every family i of the call.
     ``family`` is the ``index`` of the family the maximizer belongs to.
+    ``evals`` counts oracle values (cell centers, model vertices and scalar
+    re-evaluations) and gradient rows.
     """
 
     y_star: np.ndarray
@@ -107,9 +124,39 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
     edges = list(range(len(families) + 1))
     dropped = -np.inf  # largest score of a cell dropped for good
     nodes = 0
+
+    def offer(v: np.ndarray, ys: np.ndarray) -> None:
+        """Take the largest batch value v[i] at ys[i] as the incumbent if it
+        beats it, through the scalar oracle's value."""
+        nonlocal best_val, best_y, best_fam, evals
+        top = int(v.argmax())
+        if v[top] > best_val:
+            fam = families[bisect.bisect_right(edges, top) - 1]
+            s = float(fam.value(p, ys[top]))
+            _require_finite(fam, math.isfinite(s))
+            evals += 1
+            if s > best_val:
+                best_val, best_y, best_fam = s, ys[top], fam
+
+    # second-order models, built only once the root fails; a call without
+    # any keeps the Lipschitz scores alone
+    models = [
+        None if fam.second_order_in_y_at is None else fam.second_order_in_y_at(p)
+        for fam in families
+    ]
+    if all(model is None for model in models):
+        models = None
+    else:
+        taylor, vertices, vertex_vals, n = _second_order(
+            families, models, edges, p, lo, hi, np.array(centers), val
+        )
+        evals += n
+        offer(vertex_vals, vertices)
     while True:
         width = hi - lo
         score = val + lip * (0.5 * width.max(axis=1))
+        if models is not None:
+            score = np.minimum(score, taylor)
         upper = max(float(score.max()), dropped)
         if (done := certificate(upper)) is not None:
             return done
@@ -144,15 +191,49 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
                         best_val, best_y, best_fam = s, c[i], fam
             _require_finite(fam, np.isfinite(v).all())
         evals += len(val)
-        top = int(val.argmax())
-        if val[top] > best_val:
-            # a batch value: keep the scalar oracle's value, if it is larger
-            fam = families[bisect.bisect_right(edges, top) - 1]
-            v = float(fam.value(p, centers[top]))
-            _require_finite(fam, math.isfinite(v))
-            evals += 1
-            if v > best_val:
-                best_val, best_y, best_fam = v, centers[top], fam
+        offer(val, centers)
+        if models is not None:
+            taylor, vertices, vertex_vals, n = _second_order(
+                families, models, edges, p, lo, hi, centers, val
+            )
+            evals += n
+            offer(vertex_vals, vertices)
+
+
+def _second_order(families, models, edges, p, lo, hi, centers, val):
+    """Second-order scores, model vertices and vertex values of the cells,
+    plus the evaluations spent: one gradient row and one value per cell of
+    a family with a model.
+
+    A cell with center c, half-widths r and center value g(c) of a family
+    with a model (grad, M) scores g(c) + sum_j |dg/dy_j(c)| r_j +
+    1/2 sum_jk M_jk r_j r_k, which bounds g over the cell by Taylor's
+    theorem; its vertex is hi where dg/dy_j(c) > 0, lo where it is < 0 and
+    c elsewhere, the maximizer of the model's linear part.  Cells of a
+    family without a model score +inf and their vertex value is -inf.
+    """
+    half = 0.5 * (hi - lo)
+    taylor = np.full(len(lo), np.inf)
+    vertices = centers.copy()
+    vertex_vals = np.full(len(lo), -np.inf)
+    evals = 0
+    for fam, model, a, b in zip(families, models, edges, edges[1:]):
+        if model is None or a == b:
+            continue
+        grad, M = model
+        g = np.asarray(grad(centers[a:b]), dtype=float)
+        _require_finite(fam, np.isfinite(g).all())
+        r = half[a:b]
+        taylor[a:b] = (
+            val[a:b] + (np.abs(g) * r).sum(axis=1) + 0.5 * ((r @ M) * r).sum(axis=1)
+        )
+        c = centers[a:b]
+        vertices[a:b] = np.where(g > 0, hi[a:b], np.where(g < 0, lo[a:b], c))
+        v = fam.eval_grid(p, vertices[a:b])
+        _require_finite(fam, np.isfinite(v).all())
+        vertex_vals[a:b] = v
+        evals += 2 * int(b - a)
+    return taylor, vertices, vertex_vals, evals
 
 
 def _require_finite(family: ConstraintFamily, finite: bool) -> None:

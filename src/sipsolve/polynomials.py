@@ -6,8 +6,8 @@ a and b is built here by affine_polynomial_family: the JSON quadratic
 schema, the regression front-end (model-derivative constraints) and the
 randomized instance generator all call it.  The family is held as one
 exponent matrix and one coefficient matrix, from which its value, batch,
-x-subgradient and term-wise Lipschitz-in-y oracles are each one array
-expression.  Degrees stay in the single digits here, so no orthogonal-basis
+x-subgradient, term-wise Lipschitz-in-y and second-order-in-y oracles are
+each one array expression.  Degrees stay in the single digits here, so no orthogonal-basis
 conditioning is attempted.
 """
 
@@ -180,6 +180,12 @@ def affine_polynomial_family(
     D and tb stacked over k, the per-x bound is |D @ z| @ tb (signed, so
     cancelation at a concrete x shows up) and the uniform one is
     (|D| @ z_max) @ tb with z_max = (1, max |x|) over the x box.
+
+    The second-order oracle at x returns the batch y-gradient, one array
+    expression over the exponent rows of the partials, and M = |C @ z| @ F,
+    where F[t] bounds the second y-partials of mono_t over the box term by
+    term, as tb does the first.  For a family of degree 2 in y, M is the
+    exact absolute Hessian, constant in y.
     """
     polys = [b_poly, *a_polys]
     # rows of E in order of first appearance; the order fixes summation bits
@@ -234,6 +240,24 @@ def affine_polynomial_family(
     D, tb = np.vstack(D), np.concatenate(tb)
     z_max = lift(np.maximum(np.abs(x_box.lower), np.abs(x_box.upper)))
 
+    # GE[k] holds the exponent rows of the y_k-partials, E - e_k, and HE those
+    # of the second partials; both are clipped at 0 in the rows whose factor
+    # is 0.  F[t, j, k] bounds |d2 mono_t / dy_j dy_k| over the box
+    eye = np.eye(y_box.dim, dtype=int)
+    GE = np.maximum(E[None] - eye[:, None], 0).astype(float)
+    HE = np.maximum(E[:, None, None] - eye[None, :, None] - eye[None, None], 0)
+    F = E[:, :, None] * (E[:, None, :] - eye) * np.prod(m**HE, axis=3)
+
+    def second_order_in_y_at(x):
+        w = weights(x)
+        gw = E.T * w  # (q, T): the weights of the y_k-partials
+
+        def grad(ys):
+            ys = np.asarray(ys, dtype=float).reshape(-1, y_box.dim)
+            return (np.prod(ys[:, None, None] ** GE, axis=3) * gw).sum(axis=2)
+
+        return grad, np.tensordot(np.abs(w), F, axes=1)
+
     return ConstraintFamily(
         index=index,
         value=value,
@@ -242,4 +266,5 @@ def affine_polynomial_family(
         y_domain=y_box,
         batch_eval=batch_eval,
         lipschitz_in_y_at=lambda x: float(np.abs(D @ lift(x)) @ tb),
+        second_order_in_y_at=second_order_in_y_at,
     )

@@ -178,8 +178,18 @@ class ConstraintFamily:
     the uniform constant is loose at the query point.
     ``batch_eval``, when given, evaluates g(x, y) for a whole (N, q) array of
     index points at once; the lower level evaluates its cells through it.
+    ``second_order_in_y_at``, when given, returns for one concrete x a pair
+    ``(grad, M)``: ``grad(ys)`` is the (N, q) array of y-gradients of g(x, .)
+    at the rows of ``ys``, and ``M`` is a nonnegative (q, q) array with
+    |d2 g / dy_j dy_k (x, y)| <= M[j, k] for every y in the index box.
+    ``affine_polynomial_family`` supplies it; with it the lower level also
+    bounds each cell by its second-order Taylor model and evaluates the
+    model's maximizing vertex.
     The maximum over all families and y is certified by the one branch and
     bound of ``lower_level.certified_max`` from these oracles and constants.
+    Every oracle value is taken as exact.  A family without the
+    second-order oracle, a hand-written one among them, is certified by
+    its Lipschitz constants alone.
     """
 
     index: int
@@ -189,6 +199,9 @@ class ConstraintFamily:
     y_domain: BoxDomain
     batch_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     lipschitz_in_y_at: Callable[[np.ndarray], float] | None = None
+    second_order_in_y_at: Callable[
+        [np.ndarray], tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]
+    ] | None = None
 
     def local_lipschitz_in_y(self, x: np.ndarray) -> float:
         if self.lipschitz_in_y_at is None:
@@ -312,6 +325,7 @@ class OracleCheckReport:
     convexity_violation: float = 0.0
     subgradient_violation: float = 0.0
     lipschitz_violation: float = 0.0
+    second_order_violation: float = 0.0
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -324,7 +338,10 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
 
     Checks, per constraint family and for the objective: the convexity
     inequality on sampled triples, the subgradient cut inequality, and the
-    per-x y-Lipschitz bound on sampled pairs.  The Slater certificate is
+    per-x y-Lipschitz bound on sampled pairs; for a family with
+    ``second_order_in_y_at``, also the Taylor bound
+    |g(y) - g(c) - grad(c).(y - c)| <= 1/2 |y - c|.M.|y - c| on sampled
+    (x, c, y), the model ``certified_max`` uses.  The Slater certificate is
     not checked here: ``load_problem`` rejects a failing one and
     ``derive_eps_star`` certifies it again at its own tolerance.  Raises
     nothing; the report lists failures so callers decide.
@@ -379,10 +396,29 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
                 rep.lipschitz_violation, gap / (1.0 + abs(fam.value(x, ya)))
             )
 
+    # drawn after the other checks, so that their samples stay the same
+    for fam in problem.constraints:
+        if fam.second_order_in_y_at is None:
+            continue
+        for _ in range(VALIDATION_SAMPLES):
+            x, c, y = rand_x(), rand_y(), rand_y()
+            grad, M = fam.second_order_in_y_at(x)
+            d = y - c
+            gc = fam.value(x, c)
+            rest = abs(fam.value(x, y) - gc - float(grad(c)[0] @ d))
+            gap = rest - 0.5 * float(np.abs(d) @ M @ np.abs(d))
+            rep.second_order_violation = max(
+                rep.second_order_violation, gap / (1.0 + abs(gc))
+            )
+
     if rep.convexity_violation > VALIDATION_REL_TOL:
         rep.failures.append(f"convexity violated by {rep.convexity_violation:.3e}")
     if rep.subgradient_violation > VALIDATION_REL_TOL:
         rep.failures.append(f"subgradient cut violated by {rep.subgradient_violation:.3e}")
     if rep.lipschitz_violation > VALIDATION_REL_TOL:
         rep.failures.append(f"Lipschitz bound violated by {rep.lipschitz_violation:.3e}")
+    if rep.second_order_violation > VALIDATION_REL_TOL:
+        rep.failures.append(
+            f"second-order bound violated by {rep.second_order_violation:.3e}"
+        )
     return rep

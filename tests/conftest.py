@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,14 @@ def grid_max_y(family, x, n=20001):
     vals = family.eval_grid(np.asarray(x, dtype=float), ys)
     i = int(np.argmax(vals))
     return float(vals[i]), ys[i]
+
+
+def halved_second_order(fam):
+    """fam with the second-derivative bound M of its model halved."""
+    model = fam.second_order_in_y_at
+
+    def halved(x):
+        grad, M = model(x)
+        return grad, 0.5 * M
+
+    return replace(fam, second_order_in_y_at=halved)

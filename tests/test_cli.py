@@ -375,6 +375,20 @@ class TestCheck:
         assert run_cli(["check", "--problem", str(path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_second_order_bound_below_the_truth_fails(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from conftest import halved_second_order
+
+        from sipsolve import cli
+        from sipsolve.instances import random_affine_instance
+
+        prob = random_affine_instance(4)
+        bad = replace(prob, constraints=tuple(map(halved_second_order, prob.constraints)))
+        monkeypatch.setattr(cli, "load_problem", lambda source: bad)
+        assert run_cli(["check", "--problem", "random4.json"]) == EXIT_INPUT_ERROR
+        assert "FAILED: second-order bound violated" in capsys.readouterr().out
+
     def test_slater_point_certified_twice(self, tmp_path, monkeypatch):
         # once by load_problem at 1e-6, once by derive_eps_star at 1e-9
         from sipsolve import lower_level

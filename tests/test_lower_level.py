@@ -10,6 +10,7 @@ from sipsolve import lower_level
 from sipsolve.errors import CertificationError, InputError
 from sipsolve.instances import random_affine_instance
 from sipsolve.lower_level import certified_max
+from sipsolve.polynomials import Polynomial, affine_polynomial_family
 from sipsolve.problem import BoxDomain, ConstraintFamily
 
 
@@ -413,3 +414,101 @@ class TestSingleRoute:
                 y_domain=base.y_domain,
                 custom_maximizer=lambda x, d: None,
             )
+
+
+class TestSecondOrderModel:
+    """Cells of a family with a second-order oracle score the smaller of the
+    Lipschitz and the Taylor bound, and each cell's model vertex is
+    evaluated as an incumbent candidate."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 39),
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        st.sampled_from((1e-1, 1e-3, 1e-6)),
+    )
+    def test_value_and_bound_bracket_a_dense_grid(self, seed, u, delta):
+        prob = _instance(seed)
+        X, Y = prob.x_domain, prob.y_domain
+        x = X.lower + np.array(u[: X.dim]) * X.widths
+        cm = certified_max(prob.constraints, x, delta)
+        assert 0.0 <= cm.gap <= delta
+        assert Y.contains(cm.y_star, tol=0.0)
+        res = Y.diameter() / (2000 if Y.dim == 1 else 150)
+        ys = Y.grid(res)
+        grid = max(float(np.max(f.eval_grid(x, ys))) for f in prob.constraints)
+        # every point of the box lies within res / 2 of the grid
+        slack = max(f.local_lipschitz_in_y(x) for f in prob.constraints) * res / 2
+        assert cm.value <= grid + slack + 1e-12
+        assert grid <= cm.value + cm.gap + 1e-12
+
+    def test_face_maximum_at_tight_gap(self):
+        # seed 13, family 2 peaks on the face y_2 = upper, with slope 2.58
+        # across it: center incumbents alone would need cells about
+        # 1e-9 / 2.58 wide there, some 3M evaluations
+        prob = _instance(13)
+        fam, x = prob.constraints[2], prob.slater_point
+        cm = certified_max([fam], x, 1e-9)
+        assert cm.gap <= 1e-9 and cm.evals <= 1_000
+        assert cm.y_star[1] == fam.y_domain.upper[1]
+        grad, _ = fam.second_order_in_y_at(x)
+        assert grad(cm.y_star)[0, 1] > 2.5
+
+    def test_without_the_model_the_lipschitz_route_certifies(self):
+        prob = _instance(13)
+        fam, x = prob.constraints[2], prob.slater_point
+        with_model = certified_max([fam], x, 1e-6)
+        stripped = certified_max([replace(fam, second_order_in_y_at=None)], x, 1e-6)
+        assert stripped.gap <= 1e-6
+        assert stripped.evals > 100 * with_model.evals
+        # both brackets hold the supremum
+        assert stripped.value <= with_model.value + with_model.gap
+        assert with_model.value <= stripped.value + stripped.gap
+
+    @pytest.mark.parametrize(
+        "transform, covered",
+        [
+            (lambda grad, M: (grad, M), True),
+            (lambda grad, M: (grad, 0.5 * M), False),
+            (lambda grad, M: (lambda ys: 0.0 * grad(ys), M), False),
+        ],
+        ids=["exact", "M_halved", "no_gradient"],
+    )
+    def test_each_term_of_the_taylor_score_is_needed(self, transform, covered):
+        # g = y0 y1 + y0 / 2 on [-1, 1]^2 peaks at 1.5 in the corner (1, 1);
+        # the root's vertex (1, 0) reads 0.5, and its Taylor score
+        # 0 + 1/2 + 1/2 (M01 + M10) is exactly 1.5.  A constant family at
+        # 1.2 holds the incumbent: a root score below it drops the cell and
+        # certifies 1.2
+        box = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+        x_box = BoxDomain([-1.0], [1.0])
+        b = Polynomial(np.array([[1, 1], [1, 0]]), np.array([1.0, 0.5]))
+        g = affine_polynomial_family(0, [Polynomial.zero(2)], b, x_box, box)
+        const = affine_polynomial_family(
+            1, [Polynomial.zero(2)], Polynomial.constant(2, 1.2), x_box, box
+        )
+        model = g.second_order_in_y_at
+        mutant = replace(g, second_order_in_y_at=lambda x: transform(*model(x)))
+        cm = certified_max([mutant, const], np.zeros(1), 1e-6)
+        assert (cm.value + cm.gap >= 1.5) is covered
+
+    def test_model_is_built_only_past_the_root(self):
+        # the root exit comes first: a call it ends never asks for a model
+        prob = _instance(13)
+        fam, x = prob.constraints[2], prob.slater_point
+
+        def no_model(x):
+            raise AssertionError("model built for a call the root certifies")
+
+        cm = certified_max([replace(fam, second_order_in_y_at=no_model)], x, 10.0)
+        assert cm.evals == 1
+
+    def test_evals_count_centers_vertices_and_gradients(self):
+        # g = y on [0, 1]: the root's center 0.5 scores 1 by either bound,
+        # so delta 0.4 takes the call past the root, where it spends one
+        # gradient row, the vertex y = 1 and that vertex's scalar value
+        box = BoxDomain([0.0], [1.0])
+        y = Polynomial(np.array([[1]]), np.array([1.0]))
+        fam = affine_polynomial_family(0, [Polynomial.zero(1)], y, BoxDomain([-1.0], [1.0]), box)
+        cm = certified_max([fam], np.zeros(1), 0.4)
+        assert (cm.value, cm.gap, cm.evals) == (1.0, 0.0, 4)

@@ -223,3 +223,28 @@ def test_weight_memo_matches_a_fresh_family(seed):
         xi = np.arange(1, X.dim + 1)
         same(fam, i, xi.view(float))
         same(fam, i, xi)
+
+
+@pytest.mark.parametrize("prob", _builder_problems())
+def test_second_order_model(prob):
+    # every family here is of degree <= 2 in y, so central differences of
+    # g and of its gradient are exact up to rounding, and M, which bounds
+    # the constant |Hessian| term by term, equals it
+    rng = np.random.default_rng(5)
+    X, Y = prob.x_domain, prob.y_domain
+    h = 1e-3
+    steps = h * np.eye(Y.dim)
+    for fam in prob.constraints:
+        for x in X.lower + rng.random((5, X.dim)) * X.widths:
+            grad, M = fam.second_order_in_y_at(x)
+            assert M.shape == (Y.dim, Y.dim) and (M >= 0).all()
+            ys = Y.lower + rng.random((6, Y.dim)) * Y.widths
+            g = grad(ys)
+            assert g.shape == (len(ys), Y.dim)
+            for y, gy in zip(ys, g):
+                fd = [(fam.value(x, y + e) - fam.value(x, y - e)) / (2 * h) for e in steps]
+                np.testing.assert_allclose(gy, fd, rtol=1e-7, atol=1e-8)
+                hess = np.stack(
+                    [(grad(y + e)[0] - grad(y - e)[0]) / (2 * h) for e in steps]
+                )
+                np.testing.assert_allclose(M, np.abs(hess), rtol=1e-7, atol=1e-8)

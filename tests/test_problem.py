@@ -144,6 +144,31 @@ class TestOracleValidation:
         assert not report.ok
         assert any("Lipschitz" in failure for failure in report.failures)
 
+    def test_builtins_and_random_instances_pass(self):
+        from sipsolve.instances import BUILTIN_BUILDERS, builtin, random_affine_instance
+
+        for name in sorted(set(BUILTIN_BUILDERS) - {"quasiconvex_gap"}):
+            assert validate_problem(builtin(name)).ok, name
+        for seed in range(40):
+            report = validate_problem(random_affine_instance(seed))
+            assert report.ok, (seed, report.failures)
+            assert report.second_order_violation <= 1e-12
+
+    def test_detects_a_second_order_bound_below_the_truth(self):
+        # the random families are degree 2 in y, so their M is exact and
+        # half of it falls short of some sampled Taylor remainder
+        from conftest import halved_second_order
+
+        from sipsolve.instances import random_affine_instance
+
+        prob = random_affine_instance(0)
+        fam = halved_second_order(prob.constraints[1])
+        report = validate_problem(replace(prob, constraints=(prob.constraints[0], fam)))
+        assert not report.ok
+        assert report.failures == [
+            f"second-order bound violated by {report.second_order_violation:.3e}"
+        ]
+
     def test_regression_instance_passes(self, spec_r):
         from sipsolve.regression import build_problem
 
