@@ -138,12 +138,11 @@ def _core_outcome(problem, result, eps0: float) -> SolveOutcome:
             f"--eps0 {eps0:g} is too large: the problem restricted by it has "
             "no feasible point; choose a smaller eps0"
         )
-    iters = {"outer": 1, "inner": result.iterations}
     if result.status is CoreStatus.TERMINATED:
         return post_hoc_outcome(
-            problem, result.x, OutcomeStatus.FEASIBLE, iters, result.trace
+            problem, result.x, OutcomeStatus.FEASIBLE, 1, result.trace
         )
-    return budget_outcome(problem, result.x, iters, result.trace)
+    return budget_outcome(problem, result.x, 1, result.trace)
 
 
 def cmd_solve(args) -> int:

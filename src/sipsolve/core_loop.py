@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .finite_solver import (
     CutPool,
     DiscretizedProblem,
@@ -137,6 +137,12 @@ def check_rho_regime(schedule: ToleranceSchedule, rho: float) -> None:
         raise ConfigError("a summable obj schedule requires a nonzero pruning radius")
 
 
+def check_max_iters(max_iters: int) -> None:
+    """A run's step limit: an integer >= 0."""
+    if not (isinstance(max_iters, int) and max_iters >= 0):
+        raise ConfigError("max_iters must be an integer >= 0")
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     eps: float
@@ -149,11 +155,11 @@ class CoreConfig:
         if not 0 <= self.eps < np.inf:  # also false for NaN
             raise ConfigError("eps must be nonnegative and finite")
         check_rho_regime(self.schedule, self.rho)
+        check_max_iters(self.max_iters)
 
 
 @dataclass
 class TraceRow:
-    k: int
     eps: float
     card_y: int
     f_x: float
@@ -168,12 +174,9 @@ CSV_COLUMNS = ("k", "eps", "card_Y", "f_x", "max_violation", "branch", "lp_iters
 
 @dataclass
 class RunTrace:
-    rows: list[TraceRow] = field(default_factory=list)
+    """A run's steps, one row each; the CSV numbers the rows from 0."""
 
-    def append(self, row: TraceRow) -> None:
-        if self.rows and row.k <= self.rows[-1].k:
-            raise InputError("trace rows must have strictly increasing k")
-        self.rows.append(row)
+    rows: list[TraceRow] = field(default_factory=list)
 
     @property
     def total_evals(self) -> int:
@@ -183,10 +186,10 @@ class RunTrace:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
+        for k, r in enumerate(self.rows):
             writer.writerow(
                 [
-                    r.k,
+                    k,
                     format(r.eps, ".17g"),
                     r.card_y,
                     format(r.f_x, ".17g"),
@@ -209,9 +212,12 @@ class CoreStatus(Enum):
 class CoreResult:
     status: CoreStatus
     x: np.ndarray | None
-    iterations: int
     trace: RunTrace
     discretization: Discretization
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace.rows)
 
 
 def update_discretization(
@@ -277,16 +283,14 @@ class Step:
             problem, self.points, self.solve.x, self.eps, rho, self.cert
         )
 
-    def record(
-        self, trace: RunTrace, k: int, branch: str, also: "Step | None" = None
-    ) -> None:
+    def record(self, trace: RunTrace, branch: str, also: "Step | None" = None) -> None:
         """Append this step's trace row.  ``also`` is an earlier step of the
         same iteration whose LP iterations and evaluations the row counts
         too."""
         steps = (self,) if also is None else (also, self)
-        trace.append(
+        trace.rows.append(
             TraceRow(
-                k, self.eps, self.points.cardinality,
+                self.eps, self.points.cardinality,
                 np.nan if self.solve.x is None else self.solve.upper,
                 self.worst, branch, sum(s.solve.lp_iters for s in steps),
                 trace.total_evals + sum(s.evals for s in steps),
@@ -336,16 +340,16 @@ def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
         step = discretization_step(problem, cfg.eps, yk, cfg.schedule, k, pool, x_prev)
         status = step.solve.status
         if status is SolveStatus.INFEASIBLE:
-            step.record(trace, k, "infeasible")
-            return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, k + 1, trace, yk)
+            step.record(trace, "infeasible")
+            return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, trace, yk)
         if status is SolveStatus.UNDECIDED:
-            step.record(trace, k, "budget")
-            return CoreResult(CoreStatus.BUDGET, step.x, k + 1, trace, yk)
+            step.record(trace, "budget")
+            return CoreResult(CoreStatus.BUDGET, step.x, trace, yk)
         x_prev = step.x
         if step.terminated:
-            step.record(trace, k, "terminated")
-            return CoreResult(CoreStatus.TERMINATED, step.x, k + 1, trace, yk)
-        step.record(trace, k, "violation")
+            step.record(trace, "terminated")
+            return CoreResult(CoreStatus.TERMINATED, step.x, trace, yk)
+        step.record(trace, "violation")
         yk = step.refined(problem, cfg.rho)
 
-    return CoreResult(CoreStatus.BUDGET, x_prev, cfg.max_iters, trace, yk)
+    return CoreResult(CoreStatus.BUDGET, x_prev, trace, yk)

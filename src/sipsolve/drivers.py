@@ -34,6 +34,7 @@ from .core_loop import (
     Discretization,
     RunTrace,
     ToleranceSchedule,
+    check_max_iters,
     check_rho_regime,
     discretization_step,
 )
@@ -77,11 +78,19 @@ class SolveOutcome:
     feasibility_margin: float
     # bound on max_i sup_y g_i(x_star, .), at most margin + POST_HOC_DELTA
     certified_bound: float
-    iterations: dict[str, int]
+    outer: int  # stages run
     trace: RunTrace
-    oracle_evals: int
     # why margin and bound are NaN at x_star: the certification ran out
     certification_error: str | None
+
+    @property
+    def iterations(self) -> dict[str, int]:
+        """Stages run and discretization steps (trace rows) over all of them."""
+        return {"outer": self.outer, "inner": len(self.trace.rows)}
+
+    @property
+    def oracle_evals(self) -> int:
+        return self.trace.total_evals
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,7 @@ class SequentialConfig:
         check_delta(self.delta)
         check_restriction(self.r, self.eps00)
         check_rho_regime(self.schedule, self.rho)
+        check_max_iters(self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -122,6 +132,7 @@ class SimultaneousConfig:
                 f"{self.delta / 2:.3e})"
             )
         check_rho_regime(self.schedule, self.rho)
+        check_max_iters(self.max_iters)
 
 
 @dataclass
@@ -129,7 +140,6 @@ class FeasFiniteResult:
     terminated: bool
     x: np.ndarray | None
     eps_terminal: float
-    iterations: int
     trace: RunTrace
     discretization: Discretization
 
@@ -143,7 +153,6 @@ def run_feas_finite(
     y0: Discretization,
     max_iters: int = 10_000,
     trace: RunTrace | None = None,
-    k_offset: int = 0,
     pool: CutPool | None = None,
     x_hint: np.ndarray | None = None,
 ) -> FeasFiniteResult:
@@ -152,9 +161,11 @@ def run_feas_finite(
     Every iteration either shrinks the restriction (discretized problem
     infeasible), refines the discretization around the strongest violator,
     or terminates with a point certified feasible for the original program.
+    Each iteration appends one row to ``trace`` (a new trace when None).
     """
     check_restriction(r, eps0)
     check_rho_regime(schedule, rho)
+    check_max_iters(max_iters)
     trace = trace if trace is not None else RunTrace()
     pool = pool if pool is not None else CutPool()
     eps = eps0
@@ -167,20 +178,20 @@ def run_feas_finite(
             # infeasible, or undecided without an iterate, which is coerced
             # to infeasible: shrinking the restriction is always safe, it
             # only costs iterations
-            step.record(trace, k_offset + k, "infeasible")
+            step.record(trace, "infeasible")
             eps = eps / r
             continue
         if step.solve.status is SolveStatus.UNDECIDED:
-            step.record(trace, k_offset + k, "budget")
-            return FeasFiniteResult(False, step.x, eps, k + 1, trace, yk)
+            step.record(trace, "budget")
+            return FeasFiniteResult(False, step.x, eps, trace, yk)
         x_prev = step.x
         if step.terminated:
-            step.record(trace, k_offset + k, "terminated")
-            return FeasFiniteResult(True, step.x, eps, k + 1, trace, yk)
-        step.record(trace, k_offset + k, "violation")
+            step.record(trace, "terminated")
+            return FeasFiniteResult(True, step.x, eps, trace, yk)
+        step.record(trace, "violation")
         yk = step.refined(problem, rho)
 
-    return FeasFiniteResult(False, x_prev, eps, max_iters, trace, yk)
+    return FeasFiniteResult(False, x_prev, eps, trace, yk)
 
 
 def compute_termination_index(
@@ -230,12 +241,13 @@ def post_hoc_outcome(
     problem: SipProblem,
     x: np.ndarray,
     status: OutcomeStatus,
-    iterations: dict[str, int],
+    outer: int,
     trace: RunTrace,
 ) -> SolveOutcome:
-    """The outcome at x: f(x) and the certified constraint bound.  If the
-    certification runs out of cells, the run keeps its point: the outcome
-    is BudgetExceeded at x with no margin or bound, and says why."""
+    """The outcome at x after ``outer`` stages: f(x) and the certified
+    constraint bound.  If the certification runs out of cells, the run keeps
+    its point: the outcome is BudgetExceeded at x with no margin or bound,
+    and says why."""
     margin = bound = np.nan
     error = None
     try:
@@ -250,9 +262,8 @@ def post_hoc_outcome(
         f_value=float(problem.objective.value(x)),
         feasibility_margin=margin,
         certified_bound=bound,
-        iterations=iterations,
+        outer=outer,
         trace=trace,
-        oracle_evals=trace.total_evals,
         certification_error=error,
     )
 
@@ -260,16 +271,16 @@ def post_hoc_outcome(
 def budget_outcome(
     problem: SipProblem,
     x: np.ndarray | None,
-    iterations: dict[str, int],
+    outer: int,
     trace: RunTrace,
 ) -> SolveOutcome:
     """A budget stop's outcome: at the last iterate, if there is one."""
     if x is None:
         return SolveOutcome(
             OutcomeStatus.BUDGET_EXCEEDED, None, np.nan, np.nan, np.nan,
-            iterations, trace, trace.total_evals, None,
+            outer, trace, None,
         )
-    return post_hoc_outcome(problem, x, OutcomeStatus.BUDGET_EXCEEDED, iterations, trace)
+    return post_hoc_outcome(problem, x, OutcomeStatus.BUDGET_EXCEEDED, outer, trace)
 
 
 def run_sequential(
@@ -289,7 +300,7 @@ def run_sequential(
             try:
                 reg = derive_eps_star(problem, oracle_tol=1e-9)
             except CertificationError as exc:
-                stop = budget_outcome(problem, None, {"outer": 0, "inner": 0}, RunTrace())
+                stop = budget_outcome(problem, None, 0, RunTrace())
                 return replace(stop, certification_error=str(exc))
         m_star = compute_termination_index(
             cfg.delta, reg, problem.x_domain.diameter(), cfg.eps00, cfg.r,
@@ -300,7 +311,6 @@ def run_sequential(
     y_m0 = cfg.y0
     pool = CutPool()
     x_hint = None
-    total_inner = 0
     for m in range(m_star + 1):
         res = run_feas_finite(
             problem,
@@ -309,23 +319,18 @@ def run_sequential(
             cfg.schedule.shifted(m),
             cfg.rho,
             y_m0,
-            max_iters=cfg.max_iters - total_inner,
+            max_iters=cfg.max_iters - len(trace.rows),
             trace=trace,
-            k_offset=total_inner + m,  # keep trace k strictly increasing
             pool=pool,
             x_hint=x_hint,
         )
-        total_inner += res.iterations
         if not res.terminated:
-            return budget_outcome(
-                problem, res.x, {"outer": m + 1, "inner": total_inner}, trace
-            )
+            return budget_outcome(problem, res.x, m + 1, trace)
         eps_m0 = res.eps_terminal / cfg.r
         y_m0 = res.discretization
         x_hint = res.x
     return post_hoc_outcome(
-        problem, x_hint, OutcomeStatus.DELTA_APPROXIMATE,
-        {"outer": m_star + 1, "inner": total_inner}, trace,
+        problem, x_hint, OutcomeStatus.DELTA_APPROXIMATE, m_star + 1, trace
     )
 
 
@@ -357,6 +362,7 @@ def run_simultaneous(
                 "semi-infinite program itself is infeasible"
             )
         if check.solve.status is SolveStatus.UNDECIDED:
+            check.record(trace, "budget")
             break
         x_check_hint = check.x
 
@@ -364,29 +370,27 @@ def run_simultaneous(
             problem, eps, y_hat, cfg.schedule, k, pool_hat, x_hat_hint
         )
         if hat.x is None:
-            hat.record(trace, k, "hat_infeasible", also=check)
+            hat.record(trace, "hat_infeasible", also=check)
             eps = eps / cfg.r
             continue
         if hat.solve.status is SolveStatus.UNDECIDED:
+            hat.record(trace, "budget", also=check)
             break
         x_hat_hint = hat.x
 
         if hat.solve.upper > check.solve.upper + cfg.delta / 2:
-            hat.record(trace, k, "value_gap", also=check)
+            hat.record(trace, "value_gap", also=check)
             eps = eps / cfg.r
             y_check = check.refined(problem, cfg.rho)
             continue
         if not hat.terminated:
-            hat.record(trace, k, "hat_violation", also=check)
+            hat.record(trace, "hat_violation", also=check)
             y_hat = hat.refined(problem, cfg.rho)
             continue
-        hat.record(trace, k, "terminated", also=check)
+        hat.record(trace, "terminated", also=check)
         return post_hoc_outcome(
-            problem, hat.x, OutcomeStatus.DELTA_APPROXIMATE,
-            {"outer": 1, "inner": k + 1}, trace,
+            problem, hat.x, OutcomeStatus.DELTA_APPROXIMATE, 1, trace
         )
 
     best_x = x_hat_hint if x_hat_hint is not None else x_check_hint
-    return budget_outcome(
-        problem, best_x, {"outer": 1, "inner": len(trace.rows)}, trace
-    )
+    return budget_outcome(problem, best_x, 1, trace)

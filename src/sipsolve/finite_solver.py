@@ -64,17 +64,23 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class DiscretizedProblem:
-    """Restriction of a SipProblem to finitely many index points."""
+    """Restriction of a SipProblem to finitely many index points: an (m, q)
+    array, or a flat array of m * q coordinates."""
 
     base: SipProblem
     eps: float
     points: np.ndarray  # (m, q), possibly empty
 
     def __post_init__(self):
-        if self.eps < 0:
+        if not self.eps >= 0:  # also false for NaN
             raise InputError("restriction eps must be nonnegative")
         pts = np.asarray(self.points, dtype=float)
         q = self.base.y_domain.dim
+        fits = pts.shape[1:] == (q,) if pts.ndim > 1 else pts.size % q == 0
+        if pts.size and not fits:
+            raise InputError(
+                f"index points of shape {pts.shape} do not fit a {q}-dim index box"
+            )
         pts = pts.reshape(-1, q).copy() if pts.size else np.zeros((0, q))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -309,7 +315,7 @@ def solve_discretized(
     master solve breaks down numerically.  ``pool`` allows warm starts across
     calls; it is attempted, never relied upon.
     """
-    if gap_tol < 0:
+    if not gap_tol >= 0:  # also false for NaN
         raise InputError("gap_tol must be nonnegative")
     problem = dp.base
     X = problem.x_domain

@@ -42,7 +42,7 @@ def instance_a() -> SipProblem:
     x_box = BoxDomain(lower=[-2.0], upper=[2.0])
     y_box = BoxDomain(lower=[0.0], upper=[1.0])
     objective = ConvexObjective.from_quadratic(
-        QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0), lipschitz_constant=4.0
+        QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0), x_box
     )
     family = ConstraintFamily(
         index=0,
@@ -65,7 +65,7 @@ def instance_b() -> SipProblem:
     x_box = BoxDomain(lower=[-3.0, -3.0], upper=[3.0, 3.0])
     y_box = BoxDomain(lower=[0.0], upper=[1.0])
     objective = ConvexObjective.from_quadratic(
-        QuadraticForm(Q=np.eye(2), c=np.zeros(2), d=0.0), lipschitz_constant=12.0
+        QuadraticForm(Q=np.eye(2), c=np.zeros(2), d=0.0), x_box
     )
     family = ConstraintFamily(
         index=0,
@@ -87,11 +87,11 @@ def instance_b() -> SipProblem:
     )
 
 
-def _gap_objective() -> ConvexObjective:
+def _gap_objective(x_box: BoxDomain) -> ConvexObjective:
     # (x - 2)^2: minimum at x = 2, outside [-1, 1]; min over [-1, 1] is
     # 1 = the gap c
     return ConvexObjective.from_quadratic(
-        QuadraticForm(Q=np.eye(1), c=np.array([-4.0]), d=4.0), lipschitz_constant=8.0
+        QuadraticForm(Q=np.eye(1), c=np.array([-4.0]), d=4.0), x_box
     )
 
 
@@ -118,7 +118,7 @@ def quasiconvex_gap() -> SipProblem:
     return SipProblem(
         x_domain=x_box,
         y_domain=y_box,
-        objective=_gap_objective(),
+        objective=_gap_objective(x_box),
         constraints=(family,),
         slater_point=np.array([0.0]),
     )
@@ -139,7 +139,7 @@ def convex_gap_sibling() -> SipProblem:
     return SipProblem(
         x_domain=x_box,
         y_domain=y_box,
-        objective=_gap_objective(),
+        objective=_gap_objective(x_box),
         constraints=(family,),
         slater_point=np.array([0.0]),
     )
@@ -217,7 +217,7 @@ def random_affine_instance(seed: int) -> SipProblem:
     Q = M.T @ M / p + 0.3 * np.eye(p)
     c = rng.uniform(-1.0, 1.0, size=p)
     form = QuadraticForm(Q=Q, c=c, d=0.0)
-    objective = ConvexObjective.from_quadratic(form, form.lipschitz_maxnorm(x_box))
+    objective = ConvexObjective.from_quadratic(form, x_box)
 
     slater = x_box.center()
     families = []

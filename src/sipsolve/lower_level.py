@@ -85,7 +85,7 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
     returns a non-finite value: the Lipschitz bound says nothing about a
     cell whose center has no value.
     """
-    if delta <= 0:
+    if not delta > 0:  # also false for NaN
         raise InputError("delta must be positive")
     if not families:
         raise InputError("certified_max needs at least one constraint family")

@@ -4,10 +4,10 @@ assembled semi-infinite program instances.
 All objects are immutable after construction and their oracles are expected to
 be pure, so instances can be shared freely between workers.  Lipschitz
 constants are caller-supplied metadata; they are trusted, never estimated.
-An objective built by ``ConvexObjective.from_quadratic`` also carries its
-``QuadraticForm``; the finite solver reads the form to solve its masters as
-QPs, and still certifies every bound through the value and subgradient
-oracles.
+An objective built by ``ConvexObjective.from_quadratic`` derives its
+Lipschitz constant from its ``QuadraticForm`` and the decision box, and
+carries the form; the finite solver reads the form to solve its masters as QPs, and
+still certifies every bound through the value and subgradient oracles.
 """
 
 from __future__ import annotations
@@ -153,14 +153,13 @@ class ConvexObjective:
             raise InputError("objective Lipschitz constant must be positive and finite")
 
     @classmethod
-    def from_quadratic(
-        cls, form: QuadraticForm, lipschitz_constant: float | None
-    ) -> "ConvexObjective":
-        """The objective w.Q w + c.w + d, carrying its form."""
+    def from_quadratic(cls, form: QuadraticForm, box: BoxDomain) -> "ConvexObjective":
+        """The objective w.Q w + c.w + d on the decision box, carrying its
+        form and its max-norm Lipschitz constant over the box."""
         return cls(
             value=form.value,
             subgradient=form.gradient,
-            lipschitz_constant=lipschitz_constant,
+            lipschitz_constant=form.lipschitz_maxnorm(box),
             quadratic=form,
         )
 

@@ -184,9 +184,7 @@ def build_problem(spec: RegressionSpec) -> SipProblem:
     if not spec.shape_constraints:
         raise InputError("regression instance needs at least one shape constraint")
     loss = assemble_loss(spec)
-    objective = ConvexObjective.from_quadratic(
-        loss, loss.lipschitz_maxnorm(spec.coeff_box)
-    )
+    objective = ConvexObjective.from_quadratic(loss, spec.coeff_box)
     families = []
     for idx, sc in enumerate(spec.shape_constraints):
         coeff_polys, offset = constraint_coefficient_polys(spec, sc)

@@ -155,7 +155,7 @@ def quadratic_problem_from_dict(data: dict) -> SipProblem:
     return SipProblem(
         x_domain=x_box,
         y_domain=y_box,
-        objective=ConvexObjective.from_quadratic(form, form.lipschitz_maxnorm(x_box)),
+        objective=ConvexObjective.from_quadratic(form, x_box),
         constraints=tuple(families),
         slater_point=None if slater is None else finite_array(slater, "slater_point"),
     )
@@ -298,8 +298,8 @@ def write_outcome_json(path, outcome) -> None:
         "x": None if x is None else np.asarray(x, dtype=float),
         "f": finite_or_none(outcome.f_value),
         "feasibility_margin": finite_or_none(outcome.feasibility_margin),
-        "outer_iterations": outcome.iterations.get("outer", 0),
-        "inner_iterations": outcome.iterations.get("inner", 0),
+        "outer_iterations": outcome.outer,
+        "inner_iterations": len(outcome.trace.rows),
         "oracle_evals": outcome.oracle_evals,
     }
     Path(path).write_text(dumps_17g(payload) + "\n")

@@ -8,13 +8,12 @@ from sipsolve.core_loop import (
     Discretization,
     RunTrace,
     ToleranceSchedule,
-    TraceRow,
     eventually_zero_schedule,
     geometric_schedule,
     run_core,
     update_discretization,
 )
-from sipsolve.errors import ConfigError, InputError
+from sipsolve.errors import ConfigError
 from sipsolve.lower_level import CertifiedMax
 
 
@@ -106,6 +105,15 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             CoreConfig(
                 eps=eps, rho=rho, schedule=eventually_zero_schedule(0), y0=single(0.0)
+            )
+
+    @pytest.mark.parametrize("max_iters", [-3, 2.5, np.nan, "10"])
+    def test_invalid_max_iters_rejected(self, max_iters):
+        # -3 used to end a run with iterations -3, 2.5 in range's TypeError
+        with pytest.raises(ConfigError, match="max_iters"):
+            CoreConfig(
+                eps=0.1, rho=0.0, schedule=eventually_zero_schedule(0),
+                y0=single(0.0), max_iters=max_iters,
             )
 
     def test_shifted(self):
@@ -245,11 +253,10 @@ class TestRunCore:
 
 
 class TestRunTrace:
-    def test_strictly_increasing_k(self):
+    def test_empty_trace(self):
         t = RunTrace()
-        t.append(TraceRow(0, 0.1, 1, 0.0, 0.0, "violation", 1, 10))
-        with pytest.raises(InputError):
-            t.append(TraceRow(0, 0.1, 1, 0.0, 0.0, "violation", 1, 10))
+        assert t.total_evals == 0
+        assert t.to_csv() == "k,eps,card_Y,f_x,max_violation,branch,lp_iters,oracle_evals\n"
 
     def test_csv_shape(self, prob_a):
         cfg = CoreConfig(

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +25,7 @@ from sipsolve.drivers import (
     SimultaneousConfig,
     budget_outcome,
     compute_termination_index,
+    post_hoc_outcome,
     run_feas_finite,
     run_sequential,
     run_simultaneous,
@@ -35,6 +39,7 @@ from sipsolve.problem import (
     default_margin_resolution,
     feasibility_margin,
 )
+from sipsolve.serialization import write_outcome_json, write_trace_csv
 
 
 def single(y):
@@ -121,7 +126,7 @@ class TestRunFeasFinite:
             rho=0.0, y0=single(0.0), max_iters=0,
         )
         assert not res.terminated
-        assert res.iterations == 0 and not res.trace.rows
+        assert not res.trace.rows
 
     @pytest.mark.parametrize(
         "eps0, r", [(np.nan, 2.0), (np.inf, 2.0), (0.1, np.nan), (0.1, np.inf)]
@@ -131,6 +136,14 @@ class TestRunFeasFinite:
             run_feas_finite(
                 prob_a, eps0=eps0, r=r, schedule=eventually_zero_schedule(0),
                 rho=0.0, y0=single(0.0),
+            )
+
+    @pytest.mark.parametrize("max_iters", [-3, 2.5, np.nan])
+    def test_invalid_max_iters_rejected(self, prob_a, max_iters):
+        with pytest.raises(ConfigError, match="max_iters"):
+            run_feas_finite(
+                prob_a, eps0=0.1, r=2.0, schedule=eventually_zero_schedule(0),
+                rho=0.0, y0=single(0.0), max_iters=max_iters,
             )
 
 
@@ -238,6 +251,15 @@ class TestRunSequential:
         with pytest.raises(ConfigError):
             SequentialConfig(**{**kwargs, field: value})
 
+    @pytest.mark.parametrize("max_iters", [-3, 2.5, np.nan])
+    def test_invalid_max_iters_rejected(self, max_iters):
+        # -3 used to give an outcome with inner iterations -3
+        with pytest.raises(ConfigError, match="max_iters"):
+            SequentialConfig(
+                delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+                rho=0.0, y0=single(0.5), max_iters=max_iters,
+            )
+
     def test_warm_start_equivalence(self, prob_a):
         # each stage starts from the previous stage's discretization and
         # pool; the run still satisfies the driver's contract
@@ -331,6 +353,15 @@ class TestRunSimultaneous:
         with pytest.raises(ConfigError):
             SimultaneousConfig(**{**kwargs, field: value})
 
+    @pytest.mark.parametrize("max_iters", [-3, 2.5, np.nan])
+    def test_invalid_max_iters_rejected(self, max_iters):
+        with pytest.raises(ConfigError, match="max_iters"):
+            SimultaneousConfig(
+                delta=0.1, r=2.0, eps0=1.0, schedule=sim_schedule(0.1),
+                rho=0.5, y0_check=single(0.5), y0_hat=single(0.5),
+                max_iters=max_iters,
+            )
+
     def test_undecided_check_solve_is_budget_stop(self, prob_b, monkeypatch):
         # one master LP cannot decide the unrestricted solve: that is an
         # exhausted budget, not evidence that the program is infeasible
@@ -342,6 +373,109 @@ class TestRunSimultaneous:
         )
         out = run_simultaneous(prob_b, cfg)
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+
+
+class TestRunCounts:
+    """A run's counts are read from its trace: one row per discretization
+    step, numbered from 0 over all stages, and the last row's cumulative
+    oracle evaluations."""
+
+    @staticmethod
+    def assert_counted(out, tmp_path):
+        rows = out.trace.rows
+        assert out.iterations["inner"] == len(rows)
+        assert out.oracle_evals == out.trace.total_evals
+        assert out.oracle_evals == (rows[-1].oracle_evals if rows else 0)
+        write_trace_csv(tmp_path / "trace.csv", out.trace)
+        write_outcome_json(tmp_path / "outcome.json", out)
+        table = list(csv.DictReader(io.StringIO((tmp_path / "trace.csv").read_text())))
+        assert [int(r["k"]) for r in table] == list(range(len(rows)))
+        written = json.loads((tmp_path / "outcome.json").read_text())
+        assert written["outer_iterations"] == out.iterations["outer"]
+        assert written["inner_iterations"] == len(table)
+        assert written["oracle_evals"] == int(table[-1]["oracle_evals"])
+
+    def test_core(self, prob_a, tmp_path):
+        cfg = CoreConfig(
+            eps=0.1, rho=0.0, schedule=eventually_zero_schedule(0), y0=single(0.0)
+        )
+        res = run_core(prob_a, cfg)
+        assert res.iterations == len(res.trace.rows) >= 2
+        out = post_hoc_outcome(prob_a, res.x, OutcomeStatus.FEASIBLE, 1, res.trace)
+        self.assert_counted(out, tmp_path)
+
+    def test_sequential_numbers_steps_across_stages(self, prob_a, tmp_path):
+        cfg = SequentialConfig(
+            delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=single(0.5),
+            regularity=RegularityBundle(eps_star=2.0, lipschitz_f=4.0),
+        )
+        out = run_sequential(prob_a, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        # every stage ends on its own terminated row
+        stages = [r.branch for r in out.trace.rows].count("terminated")
+        assert out.iterations["outer"] == stages == 9
+        self.assert_counted(out, tmp_path)
+
+    def test_simultaneous(self, prob_a, tmp_path):
+        y0 = default_y0(prob_a)
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0_check=y0, y0_hat=y0,
+        )
+        out = run_simultaneous(prob_a, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        self.assert_counted(out, tmp_path)
+
+    @pytest.mark.parametrize("name", ["instance_A", "instance_B"])
+    def test_simultaneous_undecided_check_solve(self, monkeypatch, tmp_path, name):
+        # no master solve at all: the check solve is undecided at once; the
+        # run used to stop with no row, reporting 0 steps and 0 evaluations
+        monkeypatch.setattr(finite_solver, "MASTER_BUDGET", 0)
+        prob = builtin(name)
+        y0 = default_y0(prob)
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0_check=y0, y0_hat=y0,
+        )
+        out = run_simultaneous(prob, cfg)
+        assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        assert [r.branch for r in out.trace.rows] == ["budget"]
+        assert out.iterations == {"outer": 1, "inner": 1}
+        assert out.oracle_evals > 0
+        self.assert_counted(out, tmp_path)
+
+    def test_simultaneous_undecided_candidate_solve(self, monkeypatch, tmp_path):
+        # the restricted solve is undecided after a decided check solve: its
+        # row counts the evaluations of both steps
+        evals = []
+        solve, certify = core_loop.solve_discretized, core_loop.certified_max
+
+        def restricted_undecided(dp, *args, **kwargs):
+            res = solve(dp, *args, **kwargs)
+            evals.append(res.evals)
+            if dp.eps > 0:
+                return replace(res, status=finite_solver.SolveStatus.UNDECIDED)
+            return res
+
+        def counted(*args):
+            cm = certify(*args)
+            evals.append(cm.evals)
+            return cm
+
+        monkeypatch.setattr(core_loop, "solve_discretized", restricted_undecided)
+        monkeypatch.setattr(core_loop, "certified_max", counted)
+        y0 = default_y0(builtin("instance_A"))
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=0.5, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0_check=y0, y0_hat=y0,
+        )
+        out = run_simultaneous(builtin("instance_A"), cfg)
+        assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        (row,) = out.trace.rows
+        assert row.branch == "budget" and row.eps == 0.5
+        assert len(evals) == 3 and out.oracle_evals == sum(evals)
+        self.assert_counted(out, tmp_path)
 
 
 class TestPostHocCertification:
@@ -366,7 +500,7 @@ class TestPostHocCertification:
             )
             return prob, run_simultaneous(prob, cfg)
         x = prob.x_domain.center()
-        return prob, budget_outcome(prob, x, {"outer": 1, "inner": 0}, RunTrace())
+        return prob, budget_outcome(prob, x, 1, RunTrace())
 
     @pytest.mark.parametrize("kind", ["sequential", "simultaneous", "budget"])
     @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])

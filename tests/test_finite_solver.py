@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import grid_min_1d
 from sipsolve import finite_solver
-from sipsolve.errors import NumericalError
+from sipsolve.errors import InputError, NumericalError
 from sipsolve.finite_solver import (
     CutPool,
     DiscretizedProblem,
@@ -75,6 +75,39 @@ class TestSolveDiscretized:
         assert res.status in (SolveStatus.UNDECIDED, SolveStatus.FEASIBLE)
         if res.status is SolveStatus.UNDECIDED:
             assert res.lower <= res.upper
+
+    def test_rejects_nan_gap_request(self, prob_a):
+        # a NaN request used to spend every master and end UNDECIDED
+        with pytest.raises(InputError, match="gap_tol"):
+            solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), np.nan)
+
+    def test_rejects_nan_restriction(self, prob_a):
+        # a NaN restriction used to end UNDECIDED with no point
+        with pytest.raises(InputError, match="eps"):
+            dp_of(prob_a, np.nan, [[1.0]])
+
+    def test_points_must_fit_the_index_box(self, prob_a):
+        # one point with two coordinates on instance_A's one-dimensional box
+        # used to be solved as two points; three columns on a q = 2 box
+        # used to reach reshape's bare ValueError, or be regrouped
+        q2 = random_affine_instance(1)
+        assert prob_a.y_domain.dim == 1 and q2.y_domain.dim == 2
+        for prob, points in [
+            (prob_a, [[0.2, 0.9]]),
+            (q2, np.zeros((1, 3))),
+            (q2, np.zeros((2, 3))),
+            (q2, np.zeros((1, 2, 2))),
+            (q2, [0.1, 0.2, 0.3]),
+        ]:
+            with pytest.raises(InputError, match="index box"):
+                dp_of(prob, 0.1, points)
+
+    def test_flat_points_fill_rows_of_q(self, prob_a):
+        q2 = random_affine_instance(1)
+        assert dp_of(prob_a, 0.1, [0.2, 0.9]).points.shape == (2, 1)
+        assert dp_of(prob_a, 0.1, 0.5).points.shape == (1, 1)
+        assert dp_of(q2, 0.1, [0.1, 0.2, 0.3, 0.4]).points.shape == (2, 2)
+        assert dp_of(q2, 0.1, np.zeros((0, 1))).points.shape == (0, 2)
 
     def test_feasible_point_satisfies_discretization(self, prob_b):
         res = solve_discretized(dp_of(prob_b, 1.0, [[0.0], [1.0]]), 1e-8)
@@ -177,7 +210,7 @@ class TestMasterRoutes:
 
     def test_semidefinite_form_stays_on_kelley(self, prob_b, monkeypatch):
         form = QuadraticForm(Q=np.diag([1.0, 0.0]), c=np.array([0.0, 1.0]), d=0.0)
-        objective = ConvexObjective.from_quadratic(form, 20.0)
+        objective = ConvexObjective.from_quadratic(form, prob_b.x_domain)
         assert objective.quadratic is form and form.factor is None
         assert not form.positive_definite
         monkeypatch.setattr(finite_solver.qp, "solve_box_qp", TestNumericalFailure.broken)
@@ -275,9 +308,9 @@ class TestMasterRoutes:
                       [0.469, -0.178, 1.027]]),
             np.array([-0.463, 0.799, 2.805]), 0.0,
         )
+        x_box = BoxDomain(-np.ones(3), np.ones(3))
         prob = SipProblem(
-            BoxDomain(-np.ones(3), np.ones(3)), y_box,
-            without_form(ConvexObjective.from_quadratic(form, None)),
+            x_box, y_box, without_form(ConvexObjective.from_quadratic(form, x_box)),
             (ConstraintFamily(0, g, grad, 10.0, y_box),),
         )
         res = solve_discretized(dp_of(prob, 0.05, np.linspace(0, 1, 11)), 0.1)

@@ -68,6 +68,11 @@ class TestCertifiedMax:
         with pytest.raises(InputError):
             certified_max([prob_a.constraints[0]], np.array([0.0]), 0.0)
 
+    def test_rejects_nan_delta(self, prob_a):
+        # a NaN request used to return the root certificate, gap 0.5
+        with pytest.raises(InputError, match="delta"):
+            certified_max(prob_a.constraints, [0.0], np.nan)
+
     def test_constant_family_single_eval(self, prob_sibling):
         # Lipschitz constant 0: the single cell's score is its center value,
         # so the first round returns it

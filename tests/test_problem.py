@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sipsolve.errors import InputError
-from sipsolve.instances import instance_a, instance_b
+from sipsolve.instances import instance_a, instance_b, quasiconvex_gap
 from sipsolve.problem import (
     BoxDomain,
     ConvexObjective,
@@ -24,14 +24,19 @@ class TestConvexObjective:
                 lambda x: 0.0, lambda x: np.zeros(1), 1.0, strictly_convex=True
             )
         form = QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0)
-        objective = ConvexObjective.from_quadratic(form, 4.0)
+        objective = ConvexObjective.from_quadratic(form, BoxDomain([-2.0], [2.0]))
         assert objective.quadratic is form and form.positive_definite
+
+    def test_quadratic_derives_its_lipschitz_constant(self):
+        # the constants the builtins once declared by hand, bit for bit
+        assert instance_a().objective.lipschitz_constant == 4.0
+        assert instance_b().objective.lipschitz_constant == 12.0
+        assert quasiconvex_gap().objective.lipschitz_constant == 8.0
 
     @pytest.mark.parametrize("lip", [0.0, -1.0, np.nan, np.inf])
     def test_lipschitz_constant_positive_and_finite(self, lip):
-        form = QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0)
         with pytest.raises(InputError, match="Lipschitz"):
-            ConvexObjective.from_quadratic(form, lip)
+            ConvexObjective(lambda x: 0.0, lambda x: np.zeros(1), lip)
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ class TestQuadraticSchema:
         loaded = load_problem(path)
         x_box, y_box = BoxDomain([-2.0], [2.0]), BoxDomain([0.0], [1.0])
         form = QuadraticForm(Q=np.array([[1.0]]), c=np.array([0.0]), d=0.0)
-        objective = ConvexObjective.from_quadratic(form, form.lipschitz_maxnorm(x_box))
+        objective = ConvexObjective.from_quadratic(form, x_box)
         family = affine_polynomial_family(
             0,
             [Polynomial(np.array([[0]]), np.array([1.0]))],
