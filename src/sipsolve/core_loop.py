@@ -343,8 +343,10 @@ def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
             step.record(trace, "infeasible")
             return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, trace, yk)
         if status is SolveStatus.UNDECIDED:
+            # without a point of its own, the stop keeps the last iterate
             step.record(trace, "budget")
-            return CoreResult(CoreStatus.BUDGET, step.x, trace, yk)
+            x = x_prev if step.x is None else step.x
+            return CoreResult(CoreStatus.BUDGET, x, trace, yk)
         x_prev = step.x
         if step.terminated:
             step.record(trace, "terminated")

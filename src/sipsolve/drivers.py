@@ -41,7 +41,7 @@ from .core_loop import (
 from .errors import CertificationError, ConfigError, InputError
 from .finite_solver import SolveStatus
 from .lower_level import certified_feasibility_bound
-from .problem import RegularityBundle, SipProblem, derive_eps_star
+from .problem import RegularityBundle, SipProblem
 
 POST_HOC_DELTA = 1e-9
 
@@ -101,7 +101,6 @@ class SequentialConfig:
     schedule: ToleranceSchedule
     rho: float
     y0: Discretization
-    regularity: RegularityBundle | None = None
     max_iters: int = 10_000  # discretization steps over all stages
 
     def __post_init__(self):
@@ -292,16 +291,14 @@ def run_sequential(
     restriction divided by r between stages.  With m* from
     compute_termination_index the returned point is a delta-approximate
     solution of the semi-infinite program.  The stages share cfg.max_iters
-    discretization steps.  A cell stop in certifying the Slater point ends
-    the run BudgetExceeded before its first stage, with no point."""
+    discretization steps.  eps* is ``problem.regularity``; a cell stop in
+    certifying it ends the run BudgetExceeded before its first stage."""
     if m_star is None:
-        reg = cfg.regularity
-        if reg is None:
-            try:
-                reg = derive_eps_star(problem, oracle_tol=1e-9)
-            except CertificationError as exc:
-                stop = budget_outcome(problem, None, 0, RunTrace())
-                return replace(stop, certification_error=str(exc))
+        try:
+            reg = problem.regularity
+        except CertificationError as exc:
+            stop = budget_outcome(problem, None, 0, RunTrace())
+            return replace(stop, certification_error=str(exc))
         m_star = compute_termination_index(
             cfg.delta, reg, problem.x_domain.diameter(), cfg.eps00, cfg.r,
             cfg.schedule.obj_tol,
@@ -361,10 +358,12 @@ def run_simultaneous(
                 "unrestricted discretized problem is certified infeasible; the "
                 "semi-infinite program itself is infeasible"
             )
+        # an undecided step's point, when it has one, is the stream's latest
+        if check.x is not None:
+            x_check_hint = check.x
         if check.solve.status is SolveStatus.UNDECIDED:
             check.record(trace, "budget")
             break
-        x_check_hint = check.x
 
         hat = discretization_step(
             problem, eps, y_hat, cfg.schedule, k, pool_hat, x_hat_hint
@@ -373,10 +372,10 @@ def run_simultaneous(
             hat.record(trace, "hat_infeasible", also=check)
             eps = eps / cfg.r
             continue
+        x_hat_hint = hat.x
         if hat.solve.status is SolveStatus.UNDECIDED:
             hat.record(trace, "budget", also=check)
             break
-        x_hat_hint = hat.x
 
         if hat.solve.upper > check.solve.upper + cfg.delta / 2:
             hat.record(trace, "value_gap", also=check)

@@ -140,10 +140,7 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
 
     # second-order models, built only once the root fails; a call without
     # any keeps the Lipschitz scores alone
-    models = [
-        None if fam.second_order_in_y_at is None else fam.second_order_in_y_at(p)
-        for fam in families
-    ]
+    models = [_second_order_model(fam, p) for fam in families]
     if all(model is None for model in models):
         models = None
     else:
@@ -198,6 +195,21 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
             )
             evals += n
             offer(vertex_vals, vertices)
+
+
+def _second_order_model(family: ConstraintFamily, p: np.ndarray):
+    """The family's model (grad, M) at p, None without the oracle; an M
+    that is not finite and nonnegative would make every Taylor score
+    unsound, so it is an InputError naming the family."""
+    if family.second_order_in_y_at is None:
+        return None
+    grad, M = family.second_order_in_y_at(p)
+    if not (np.isfinite(M).all() and (M >= 0).all()):
+        raise InputError(
+            f"constraint family {family.index} returned a second-order bound M "
+            "that is not finite and nonnegative"
+        )
+    return grad, M
 
 
 def _second_order(families, models, edges, p, lo, hi, centers, val):

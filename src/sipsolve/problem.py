@@ -23,6 +23,8 @@ from .qp import BoxQpFactor, box_qp_factor
 
 # Absolute slack used whenever "g <= -eps" has to be decided in floating point.
 FEASTOL = 1e-10
+# Gap of the one certificate of a Slater point, and the margin it must clear.
+SLATER_DELTA = 1e-9
 # Point budget of the grid behind default_margin_resolution.
 MARGIN_GRID_POINTS = 100_000
 # validate_problem: samples per check, relative tolerance, sampling seed.
@@ -205,7 +207,13 @@ class ConstraintFamily:
     def local_lipschitz_in_y(self, x: np.ndarray) -> float:
         if self.lipschitz_in_y_at is None:
             return self.lipschitz_in_y
-        return min(self.lipschitz_in_y, max(0.0, float(self.lipschitz_in_y_at(x))))
+        lip = float(self.lipschitz_in_y_at(x))
+        if not lip >= 0:  # also true for NaN
+            raise InputError(
+                f"constraint family {self.index} returned a per-x Lipschitz "
+                f"constant {lip!r}; it must be nonnegative"
+            )
+        return min(self.lipschitz_in_y, lip)
 
     def __post_init__(self):
         if self.lipschitz_in_y < 0 or not np.isfinite(self.lipschitz_in_y):
@@ -245,6 +253,12 @@ class SipProblem:
             if not self.x_domain.contains(sp):
                 raise InputError("slater_point lies outside the decision box")
             object.__setattr__(self, "slater_point", sp)
+
+    @cached_property
+    def regularity(self) -> RegularityBundle:
+        """The Slater point's certificate ``derive_eps_star(self)``, made
+        once per problem."""
+        return derive_eps_star(self)
 
 
 @dataclass(frozen=True)
@@ -286,23 +300,21 @@ def default_margin_resolution(problem: SipProblem) -> float:
     return max(width / (per_axis - 1), 1e-6)
 
 
-def derive_eps_star(problem: SipProblem, oracle_tol: float) -> RegularityBundle:
+def derive_eps_star(problem: SipProblem) -> RegularityBundle:
     """Turn a Slater point into a usable strict-feasibility margin.
 
-    eps_star is the (certified) distance of the Slater point from the
-    constraint boundary, shaved by oracle_tol; by construction the Slater
-    point lies in F_{-eps_star}(Y).
+    eps_star is the distance of the Slater point from the constraint
+    boundary, certified at gap SLATER_DELTA and shaved by it; by
+    construction the Slater point lies in F_{-eps_star}(Y).
     """
     from .lower_level import certified_feasibility_bound  # avoids a cycle
 
     if problem.slater_point is None:
         raise InputError("derive_eps_star requires a slater_point")
-    if oracle_tol <= 0:
-        raise InputError("oracle_tol must be positive")
     _, bound = certified_feasibility_bound(
-        problem.constraints, problem.slater_point, oracle_tol
+        problem.constraints, problem.slater_point, SLATER_DELTA
     )
-    eps_star = -bound - oracle_tol
+    eps_star = -bound - SLATER_DELTA
     if eps_star <= 0:
         raise InputError(
             "no strict feasibility evidence: certified constraint bound "
@@ -341,9 +353,9 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
     ``second_order_in_y_at``, also the Taylor bound
     |g(y) - g(c) - grad(c).(y - c)| <= 1/2 |y - c|.M.|y - c| on sampled
     (x, c, y), the model ``certified_max`` uses.  The Slater certificate is
-    not checked here: ``load_problem`` rejects a failing one and
-    ``derive_eps_star`` certifies it again at its own tolerance.  Raises
-    nothing; the report lists failures so callers decide.
+    not checked here: it is ``problem.regularity``, which ``load_problem``
+    reads for a file that declares a Slater point.  Raises nothing; the
+    report lists failures so callers decide.
     """
     rng = np.random.default_rng(VALIDATION_SEED)
     rep = OracleCheckReport()

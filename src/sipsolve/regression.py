@@ -29,6 +29,7 @@ from .polynomials import (
     infer_basis,
 )
 from .problem import (
+    SLATER_DELTA,
     BoxDomain,
     ConstraintFamily,
     ConvexObjective,
@@ -162,8 +163,8 @@ def synthesize_slater_point(
     spec: RegressionSpec, families: list[ConstraintFamily]
 ) -> np.ndarray | None:
     """Best-effort search for a strictly feasible coefficient vector: the zero
-    polynomial, then box vertices pulled 1% toward the center.  Certified
-    through the lower-level maximizer; None when nothing passes."""
+    polynomial, then box vertices pulled 1% toward the center.  Certified by
+    the test of ``derive_eps_star``; None when nothing passes."""
     box = spec.coeff_box
     candidates = [np.zeros(box.dim)]
     if box.dim <= SLATER_VERTEX_MAX_DIM:
@@ -173,7 +174,7 @@ def synthesize_slater_point(
     for w in candidates:
         if not box.contains(w):
             continue
-        if certified_feasibility_bound(families, w, 1e-7)[1] < -1e-9:
+        if certified_feasibility_bound(families, w, SLATER_DELTA)[1] < -SLATER_DELTA:
             return w
     return None
 

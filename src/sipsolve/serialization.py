@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .lower_level import certified_feasibility_bound
 from .polynomials import Polynomial, affine_polynomial_family
 from .problem import BoxDomain, ConvexObjective, QuadraticForm, SipProblem
 from .regression import RegressionSpec, ShapeConstraint, build_problem
@@ -239,7 +238,8 @@ def regression_spec_from_dict(data: dict, base_dir: Path | None = None) -> Regre
 
 def load_problem(source) -> SipProblem:
     """Load and validate a SipProblem from a JSON file path, a parsed dict or
-    a builtin: reference.  The Slater certificate is checked when present."""
+    a builtin: reference.  A declared Slater point is certified here, once:
+    the problem keeps the certificate as ``problem.regularity``."""
     from .instances import builtin
 
     base_dir = None
@@ -276,13 +276,7 @@ def load_problem(source) -> SipProblem:
         # a field of the wrong type, such as a string where a number belongs
         raise InputError(f"malformed problem field: {exc}") from None
     if problem.slater_point is not None:
-        _, report_bound = certified_feasibility_bound(
-            problem.constraints, problem.slater_point, 1e-6
-        )
-        if report_bound >= 0:
-            raise InputError(
-                f"slater certificate failed: certified bound {report_bound:.3e} >= 0"
-            )
+        problem.regularity  # an InputError when the Slater point fails
     return problem
 
 

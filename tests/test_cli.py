@@ -389,22 +389,65 @@ class TestCheck:
         assert run_cli(["check", "--problem", "random4.json"]) == EXIT_INPUT_ERROR
         assert "FAILED: second-order bound violated" in capsys.readouterr().out
 
-    def test_slater_point_certified_twice(self, tmp_path, monkeypatch):
-        # once by load_problem at 1e-6, once by derive_eps_star at 1e-9
-        from sipsolve import lower_level
-
-        deltas = []
-        inner = lower_level.certified_max
-
-        def counting(family, x, delta, *args, **kwargs):
-            deltas.append(delta)
-            return inner(family, x, delta, *args, **kwargs)
-
-        monkeypatch.setattr(lower_level, "certified_max", counting)
+    def test_slater_point_certified_once(self, tmp_path, monkeypatch):
+        # load_problem certifies it at 1e-9 and check prints that
+        # certificate's eps*
+        deltas = slater_deltas(monkeypatch, None)
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(self.quadratic_payload()))
         assert run_cli(["check", "--problem", str(path)]) == EXIT_OK
-        assert deltas == [1e-6, 1e-9]
+        assert deltas == [1e-9]
+
+
+def slater_deltas(monkeypatch, point):
+    """The gap of every certified_max call from now on, or of the calls at
+    ``point`` when it is given."""
+    from sipsolve import lower_level
+
+    deltas = []
+    inner = lower_level.certified_max
+
+    def counting(families, x, delta):
+        if point is None or np.array_equal(x, point):
+            deltas.append(delta)
+        return inner(families, x, delta)
+
+    monkeypatch.setattr(lower_level, "certified_max", counting)
+    return deltas
+
+
+class TestSlaterCertificate:
+    """A problem file's Slater point is certified once, at 1e-9, when the
+    file loads; a sequential run reads eps* from that certificate."""
+
+    @pytest.mark.parametrize("algorithm", ["core", "sequential", "simultaneous"])
+    def test_solve_certifies_it_once(self, tmp_path, monkeypatch, algorithm):
+        deltas = slater_deltas(monkeypatch, [-2.0])
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(TestCheck.quadratic_payload()))
+        code = run_cli(
+            [
+                "solve", "--problem", str(path), "--algorithm", algorithm,
+                "--delta", "1e-1", "--trace-out", str(tmp_path / "t.csv"),
+                "--outcome-out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert deltas == [1e-9]
+
+    @pytest.mark.parametrize(
+        "argv", [["check"], ["solve", "--algorithm", "simultaneous"]], ids=["check", "solve"]
+    )
+    def test_point_on_the_boundary_is_input_error(self, tmp_path, capsys, argv):
+        # sup_y g(0, y) = 0: feasible, but not strictly
+        payload = TestCheck.quadratic_payload()
+        payload["slater_point"] = [0.0]
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(payload))
+        # the load fails, so solve writes no file
+        assert run_cli(argv + ["--problem", str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "slater point" in err
 
 
 class TestBench:

@@ -195,10 +195,10 @@ class TestRunSequential:
         assert out.iterations["outer"] >= 1
 
     def test_stage_count_is_termination_index_plus_one(self, prob_a):
-        reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
+        # eps* = 2 - 1e-9, certified at the Slater point -2
         cfg = SequentialConfig(
             delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
-            rho=0.0, y0=single(0.5), regularity=reg,
+            rho=0.0, y0=single(0.5),
         )
         out = run_sequential(prob_a, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
@@ -229,7 +229,6 @@ class TestRunSequential:
         cfg = SequentialConfig(
             delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
-            regularity=RegularityBundle(eps_star=2.0, lipschitz_f=4.0),
         )
         full = run_sequential(prob_a, cfg)
         assert full.iterations == {"outer": 9, "inner": 30}
@@ -276,13 +275,12 @@ class TestRunSequential:
     def test_finite_proxy_monotone_in_stages(self, prob_a):
         # more stages shrink the distance to the solution, and the theorem
         # bound for the implied delta holds at each stage count
-        reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
         dists, ms = [], (2, 4, 8)
         for m_star in ms:
             cfg = SequentialConfig(
                 delta=1e-6,  # ignored: m_star given explicitly
                 r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
-                rho=0.0, y0=single(0.5), regularity=reg,
+                rho=0.0, y0=single(0.5),
             )
             out = run_sequential(prob_a, cfg, m_star=m_star)
             assert out.status is OutcomeStatus.DELTA_APPROXIMATE
@@ -375,6 +373,69 @@ class TestRunSimultaneous:
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
 
 
+class TestBudgetStopKeepsItsPoint:
+    """A run that stops on an undecided solve keeps the latest point it has:
+    the undecided step's own, or else the last iterate before it."""
+
+    @staticmethod
+    def last_point_f(trace):
+        return [r.f_x for r in trace.rows if not np.isnan(r.f_x)][-1]
+
+    @pytest.mark.parametrize("stream", ["check", "candidate"])
+    def test_simultaneous(self, monkeypatch, stream):
+        # with no master solve the check step is undecided at its first
+        # point; with the candidate's solves alone undecided, the candidate
+        # step is.  Either stop used to drop that point: x None, f NaN
+        if stream == "check":
+            monkeypatch.setattr(finite_solver, "MASTER_BUDGET", 0)
+        else:
+            solve = core_loop.solve_discretized
+
+            def restricted_undecided(dp, *args, **kwargs):
+                res = solve(dp, *args, **kwargs)
+                if dp.eps > 0:
+                    return replace(res, status=finite_solver.SolveStatus.UNDECIDED)
+                return res
+
+            monkeypatch.setattr(core_loop, "solve_discretized", restricted_undecided)
+        prob = builtin("instance_A")
+        y0 = default_y0(prob)
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0_check=y0, y0_hat=y0,
+        )
+        out = run_simultaneous(prob, cfg)
+        assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        assert [r.branch for r in out.trace.rows] == ["budget"]
+        assert out.x_star is not None
+        assert out.f_value == self.last_point_f(out.trace)
+
+    def test_core_without_a_point(self, monkeypatch):
+        # the third solve is undecided before it has a point; the stop
+        # keeps the second step's iterate instead of returning none
+        solve = core_loop.solve_discretized
+        calls = []
+
+        def third_undecided(dp, *args, **kwargs):
+            calls.append(dp.eps)
+            if len(calls) == 3:
+                return finite_solver.DiscretizedSolveResult(
+                    finite_solver.SolveStatus.UNDECIDED, None, np.inf, -np.inf, 0.0
+                )
+            return solve(dp, *args, **kwargs)
+
+        monkeypatch.setattr(core_loop, "solve_discretized", third_undecided)
+        prob = builtin("instance_A")
+        cfg = CoreConfig(
+            eps=0.01, rho=0.0, schedule=eventually_zero_schedule(0), y0=default_y0(prob)
+        )
+        res = run_core(prob, cfg)
+        assert [r.branch for r in res.trace.rows] == ["violation", "violation", "budget"]
+        assert np.isnan(res.trace.rows[-1].f_x) and res.x is not None
+        out = budget_outcome(prob, res.x, 1, res.trace)
+        assert out.f_value == self.last_point_f(res.trace)
+
+
 class TestRunCounts:
     """A run's counts are read from its trace: one row per discretization
     step, numbered from 0 over all stages, and the last row's cumulative
@@ -408,7 +469,6 @@ class TestRunCounts:
         cfg = SequentialConfig(
             delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
-            regularity=RegularityBundle(eps_star=2.0, lipschitz_f=4.0),
         )
         out = run_sequential(prob_a, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE

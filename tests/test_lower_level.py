@@ -407,6 +407,43 @@ class TestNonFiniteOracle:
             certified_max([fam], np.zeros(1), 1e-6)
 
 
+class TestDeclaredBounds:
+    """A per-x Lipschitz constant or a second-order bound M that is NaN or
+    negative would certify a wrong maximum; it is an InputError naming the
+    family."""
+
+    @pytest.mark.parametrize("lip", [np.nan, -5.0])
+    def test_per_x_lipschitz_constant(self, lip):
+        # g = y on [0, 1] peaks at 1; a constant clipped to 0 declared the
+        # family constant in y and certified the center value 0.5, gap 0
+        fam = replace(
+            _family(lambda x, y: float(y[0]), 1.0, BoxDomain([0.0], [1.0])),
+            index=2, lipschitz_in_y_at=lambda x: lip,
+        )
+        with pytest.raises(InputError, match="family 2"):
+            certified_max([fam], np.zeros(1), 1e-6)
+
+    @pytest.mark.parametrize(
+        "bad", [lambda M: np.full_like(M, np.nan), lambda M: -10.0 * np.abs(M)],
+        ids=["nan", "negative"],
+    )
+    def test_second_order_bound(self, bad):
+        # b(y) = 1.8 y - y^2 peaks at 0.81 at y = 0.9; a NaN M certified 0.8
+        # with gap NaN, a negative one 0.8 with gap 0
+        box = BoxDomain([0.0], [1.0])
+        b = Polynomial(np.array([[1], [2]]), np.array([1.8, -1.0]))
+        fam = affine_polynomial_family(1, [Polynomial.zero(1)], b, BoxDomain([-1.0], [1.0]), box)
+        assert certified_max([fam], np.zeros(1), 1e-6).value > 0.8099
+        model = fam.second_order_in_y_at
+
+        def mutated(x):
+            grad, M = model(x)
+            return grad, bad(M)
+
+        with pytest.raises(InputError, match="family 1"):
+            certified_max([replace(fam, second_order_in_y_at=mutated)], np.zeros(1), 1e-6)
+
+
 class TestSingleRoute:
     def test_family_cannot_supply_its_own_maximizer(self, prob_a):
         base = prob_a.constraints[0]

@@ -6,6 +6,7 @@ import pytest
 from sipsolve.errors import InputError
 from sipsolve.instances import instance_a, instance_b, quasiconvex_gap
 from sipsolve.problem import (
+    SLATER_DELTA,
     BoxDomain,
     ConvexObjective,
     QuadraticForm,
@@ -102,13 +103,13 @@ class TestFeasibilityMargin:
 class TestDeriveEpsStar:
     def test_instance_a(self, prob_a):
         # sup_y g(-2, y) = -2 by endpoint evaluation
-        bundle = derive_eps_star(prob_a, oracle_tol=1e-6)
+        bundle = derive_eps_star(prob_a)
         assert abs(bundle.eps_star - 2.0) <= 1e-5
         assert bundle.lipschitz_f == 4.0
 
     def test_instance_b(self, prob_b):
         # max(x1+1, x2+1) at (-3,-3) is -2
-        bundle = derive_eps_star(prob_b, oracle_tol=1e-6)
+        bundle = derive_eps_star(prob_b)
         assert abs(bundle.eps_star - 2.0) <= 1e-5
 
     def test_missing_slater_point(self, prob_a):
@@ -122,12 +123,58 @@ class TestDeriveEpsStar:
             slater_point=None,
         )
         with pytest.raises(InputError):
-            derive_eps_star(bare, oracle_tol=1e-6)
+            derive_eps_star(bare)
 
     def test_margin_consistent_with_eps_star(self, prob_a):
-        bundle = derive_eps_star(prob_a, oracle_tol=1e-6)
+        bundle = derive_eps_star(prob_a)
         m = feasibility_margin(prob_a, prob_a.slater_point, 1e-4)
         assert m <= -bundle.eps_star + 1e-9
+
+
+class TestRegularity:
+    """problem.regularity is derive_eps_star's certificate, made once per
+    problem object."""
+
+    @staticmethod
+    def count_certificates(monkeypatch):
+        from sipsolve import lower_level
+
+        deltas = []
+        inner = lower_level.certified_max
+
+        def counting(families, x, delta):
+            deltas.append(delta)
+            return inner(families, x, delta)
+
+        monkeypatch.setattr(lower_level, "certified_max", counting)
+        return deltas
+
+    def test_second_read_is_cached(self, monkeypatch):
+        # a problem of its own: the session fixtures may carry a certificate
+        prob = instance_a()
+        deltas = self.count_certificates(monkeypatch)
+        first = prob.regularity
+        assert deltas == [SLATER_DELTA]
+        assert prob.regularity is first
+        assert deltas == [SLATER_DELTA]
+        assert first == derive_eps_star(prob)
+
+    def test_replace_certifies_afresh(self, monkeypatch):
+        prob = instance_a()
+        assert prob.regularity.eps_star == 2.0 - SLATER_DELTA
+        deltas = self.count_certificates(monkeypatch)
+        moved = replace(prob, slater_point=np.array([-1.5]))
+        # sup_y g(-1.5, y) = -1.5
+        assert moved.regularity.eps_star == 1.5 - SLATER_DELTA
+        assert deltas == [SLATER_DELTA]
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        prob = replace(instance_a(), slater_point=np.array([0.0]))  # sup_y g = 0
+        deltas = self.count_certificates(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(InputError, match="slater point"):
+                prob.regularity
+        assert deltas == [SLATER_DELTA] * 2
 
 
 class TestOracleValidation:

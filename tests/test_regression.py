@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,12 @@ class TestSlaterSynthesis:
         assert prob.slater_point is not None
         g = prob.constraints[0]
         assert g.value(prob.slater_point, np.array([0.5])) < 0
+
+    def test_synthesized_point_passes_the_regularity_certificate(self, spec_r):
+        # synthesis accepts a candidate by derive_eps_star's own test, so the
+        # problem's one certificate of that point never fails
+        prob = build_problem(replace(spec_r, slater_point=None))
+        assert prob.regularity.eps_star > 0
 
     def test_no_candidate_returns_none(self):
         # constraint 1 <= 0 can never be strictly satisfied
