@@ -37,7 +37,6 @@ from .problem import (
     ConstraintFamily,
     ConvexObjective,
     QuadraticForm,
-    RegularityBundle,
     SipProblem,
     derive_eps_star,
     feasibility_margin,
@@ -71,7 +70,6 @@ __all__ = [
     "OutcomeStatus",
     "QuadraticForm",
     "RegressionSpec",
-    "RegularityBundle",
     "RunTrace",
     "SequentialConfig",
     "ShapeConstraint",

@@ -183,7 +183,7 @@ def cmd_check(args) -> int:
     print(f"x box: {problem.x_domain.dim}-dim, diameter {fmt17(problem.x_domain.diameter())}")
     print(f"y box: {problem.y_domain.dim}-dim, diameter {fmt17(problem.y_domain.diameter())}")
     if problem.slater_point is not None:
-        print(f"slater certificate ok, eps* = {fmt17(problem.regularity.eps_star)}")
+        print(f"slater certificate ok, eps* = {fmt17(problem.eps_star)}")
     else:
         print("no slater point declared")
     if not report.ok:

@@ -9,7 +9,8 @@ point feasible for the original semi-infinite program whose objective is
 near the restricted optimum.
 
 run_sequential repeats that driver with geometrically shrinking restrictions
-for an a-priori number of stages computed from the regularity data, which
+for an a-priori number of stages computed from the Slater point's certified
+margin eps* and the objective's Lipschitz constant, which
 yields a delta-approximate solution with a termination index known up front.
 
 run_simultaneous interleaves an unrestricted stream (lower reference values)
@@ -41,7 +42,7 @@ from .core_loop import (
 from .errors import CertificationError, ConfigError, InputError
 from .finite_solver import SolveStatus
 from .lower_level import certified_feasibility_bound
-from .problem import RegularityBundle, SipProblem
+from .problem import SipProblem
 
 POST_HOC_DELTA = 1e-9
 
@@ -195,28 +196,36 @@ def run_feas_finite(
 
 def compute_termination_index(
     delta: float,
-    regularity: RegularityBundle,
+    eps_star: float,
+    lipschitz_f: float | None,
     diam_x: float,
     eps00: float,
     r: float,
     obj_tol,
 ) -> int:
     """Smallest stage count m* so that from m* on the restriction is inside
-    the regularity margin, the Lipschitz value bound is below delta/2, and
-    the scheduled solve gap obj_tol(m*) is below delta/2.
+    the strict-feasibility margin eps_star, the Lipschitz value bound is
+    below delta/2, and the scheduled solve gap obj_tol(m*) is below delta/2.
 
     The first two hold once the restriction eps00 / r**m is at most eps_star
-    and (delta/2) * eps_star / (L * diam_x).  Comparing restrictions keeps a
+    and (delta/2) * eps_star / (L * diam_x), L = lipschitz_f being the
+    objective's max-norm Lipschitz constant.  Comparing restrictions keeps a
     huge L * diam_x / eps_star from overflowing; when r**m leaves the float
     range before the restriction gets there, there is no valid m*."""
     check_delta(delta)
     check_restriction(r, eps00)
     if not 0 <= diam_x < np.inf:
         raise InputError("need a finite diam_x >= 0")
-    eps_max = regularity.eps_star
-    lip_diam = regularity.lipschitz_f * diam_x
+    if not 0 < eps_star < np.inf:  # also false for NaN
+        raise InputError("eps_star must be positive and finite")
+    if lipschitz_f is None or not 0 < lipschitz_f < np.inf:
+        raise InputError(
+            "the objective's Lipschitz constant must be given, positive and finite"
+        )
+    eps_max = eps_star
+    lip_diam = lipschitz_f * diam_x
     if lip_diam > 0:
-        eps_max = min(eps_max, delta / 2 * regularity.eps_star / lip_diam)
+        eps_max = min(eps_max, delta / 2 * eps_star / lip_diam)
     m = 0
     try:
         while eps00 / math.pow(r, m) > eps_max and m <= TERMINATION_SCAN_LIMIT:
@@ -291,17 +300,17 @@ def run_sequential(
     restriction divided by r between stages.  With m* from
     compute_termination_index the returned point is a delta-approximate
     solution of the semi-infinite program.  The stages share cfg.max_iters
-    discretization steps.  eps* is ``problem.regularity``; a cell stop in
+    discretization steps.  eps* is ``problem.eps_star``; a cell stop in
     certifying it ends the run BudgetExceeded before its first stage."""
     if m_star is None:
         try:
-            reg = problem.regularity
+            eps_star = problem.eps_star
         except CertificationError as exc:
             stop = budget_outcome(problem, None, 0, RunTrace())
             return replace(stop, certification_error=str(exc))
         m_star = compute_termination_index(
-            cfg.delta, reg, problem.x_domain.diameter(), cfg.eps00, cfg.r,
-            cfg.schedule.obj_tol,
+            cfg.delta, eps_star, problem.objective.lipschitz_constant,
+            problem.x_domain.diameter(), cfg.eps00, cfg.r, cfg.schedule.obj_tol,
         )
     trace = RunTrace()
     eps_m0 = cfg.eps00

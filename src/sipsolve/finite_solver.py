@@ -27,6 +27,7 @@ UNDECIDED with the bounds reached so far.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -329,7 +330,10 @@ def solve_discretized(
         nonlocal evals
         evals += 2
         s = np.asarray(problem.objective.subgradient(x), dtype=float)
-        return float(problem.objective.value(x)), s
+        v = float(problem.objective.value(x))
+        if not (math.isfinite(v) and np.isfinite(s).all()):
+            raise InputError("the objective returned a non-finite value or subgradient")
+        return v, s
 
     def add_f_cut(x: np.ndarray) -> float:
         v, s = f_oracle(x)
@@ -357,7 +361,10 @@ def solve_discretized(
         for i, j in _top_violations(vals):
             evals += 1
             s = np.asarray(fams[i].subgradient_x(x, dp.points[j]), dtype=float)
-            pool.add_constraint(i, dp.points[j], s, float(vals[i, j]) - float(np.dot(s, x)))
+            rhs = float(vals[i, j]) - float(np.dot(s, x))
+            # a non-finite entry of s leaves rhs non-finite (inf * 0 is NaN)
+            fams[i].require_finite(math.isfinite(rhs), "x-subgradient")
+            pool.add_constraint(i, dp.points[j], s, rhs)
 
     x0 = X.clip(as_point(x_hint, dim=X.dim)) if x_hint is not None else X.center()
 

@@ -44,6 +44,12 @@ def instance_a() -> SipProblem:
     objective = ConvexObjective.from_quadratic(
         QuadraticForm(Q=np.eye(1), c=np.zeros(1), d=0.0), x_box
     )
+    # hand-written on purpose, without second_order_in_y_at: the lower level
+    # certifies it by Lipschitz cells, whose centers never reach the maximizer
+    # y* = 1, so the rho = inf discretization keeps growing, as acceptance
+    # test c07 and `sipsolve bench` show.  The same program built by
+    # affine_polynomial_family (README's quad.json) finds y* = 1 at a model
+    # vertex and stays at 2 points.
     family = ConstraintFamily(
         index=0,
         value=lambda x, y: float(x[0] + y[0] - 1.0),
@@ -67,6 +73,8 @@ def instance_b() -> SipProblem:
     objective = ConvexObjective.from_quadratic(
         QuadraticForm(Q=np.eye(2), c=np.zeros(2), d=0.0), x_box
     )
+    # hand-written like instance_a's family, without second_order_in_y_at,
+    # so the lower level certifies it by Lipschitz cells alone
     family = ConstraintFamily(
         index=0,
         # written as (x_2 + 1) + y (x_1 - x_2), so that on the diagonal the

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, InputError
-from .problem import ConstraintFamily, as_point
+from .problem import as_point
 
 # Cells a single certified_max call may split before it gives up, counted
 # over all families of the call.
@@ -94,7 +94,7 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
     centers = [fam.y_domain.center() for fam in families]
     vals = [float(fam.value(p, c)) for fam, c in zip(families, centers)]
     for fam, v in zip(families, vals):
-        _require_finite(fam, math.isfinite(v))
+        fam.require_finite(math.isfinite(v))
     k = vals.index(max(vals))
     best_val, best_y, best_fam = vals[k], centers[k], families[k]
     evals = len(families)
@@ -133,14 +133,14 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
         if v[top] > best_val:
             fam = families[bisect.bisect_right(edges, top) - 1]
             s = float(fam.value(p, ys[top]))
-            _require_finite(fam, math.isfinite(s))
+            fam.require_finite(math.isfinite(s))
             evals += 1
             if s > best_val:
                 best_val, best_y, best_fam = s, ys[top], fam
 
     # second-order models, built only once the root fails; a call without
     # any keeps the Lipschitz scores alone
-    models = [_second_order_model(fam, p) for fam in families]
+    models = [fam.second_order_model(p) for fam in families]
     if all(model is None for model in models):
         models = None
     else:
@@ -184,9 +184,9 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
             if exact is not None:
                 for i in np.flatnonzero(exact[a:b]):
                     v[i] = s = float(fam.value(p, c[i]))
+                    fam.require_finite(math.isfinite(s))
                     if s > best_val:
                         best_val, best_y, best_fam = s, c[i], fam
-            _require_finite(fam, np.isfinite(v).all())
         evals += len(val)
         offer(val, centers)
         if models is not None:
@@ -195,21 +195,6 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
             )
             evals += n
             offer(vertex_vals, vertices)
-
-
-def _second_order_model(family: ConstraintFamily, p: np.ndarray):
-    """The family's model (grad, M) at p, None without the oracle; an M
-    that is not finite and nonnegative would make every Taylor score
-    unsound, so it is an InputError naming the family."""
-    if family.second_order_in_y_at is None:
-        return None
-    grad, M = family.second_order_in_y_at(p)
-    if not (np.isfinite(M).all() and (M >= 0).all()):
-        raise InputError(
-            f"constraint family {family.index} returned a second-order bound M "
-            "that is not finite and nonnegative"
-        )
-    return grad, M
 
 
 def _second_order(families, models, edges, p, lo, hi, centers, val):
@@ -234,25 +219,16 @@ def _second_order(families, models, edges, p, lo, hi, centers, val):
             continue
         grad, M = model
         g = np.asarray(grad(centers[a:b]), dtype=float)
-        _require_finite(fam, np.isfinite(g).all())
+        fam.require_finite(np.isfinite(g).all(), "y-gradient")
         r = half[a:b]
         taylor[a:b] = (
             val[a:b] + (np.abs(g) * r).sum(axis=1) + 0.5 * ((r @ M) * r).sum(axis=1)
         )
         c = centers[a:b]
         vertices[a:b] = np.where(g > 0, hi[a:b], np.where(g < 0, lo[a:b], c))
-        v = fam.eval_grid(p, vertices[a:b])
-        _require_finite(fam, np.isfinite(v).all())
-        vertex_vals[a:b] = v
+        vertex_vals[a:b] = fam.eval_grid(p, vertices[a:b])
         evals += 2 * int(b - a)
     return taylor, vertices, vertex_vals, evals
-
-
-def _require_finite(family: ConstraintFamily, finite: bool) -> None:
-    if not finite:
-        raise InputError(
-            f"constraint family {family.index} returned a non-finite value"
-        )
 
 
 def _split(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray):

@@ -12,6 +12,7 @@ still certifies every bound through the value and subgradient oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -215,15 +216,41 @@ class ConstraintFamily:
             )
         return min(self.lipschitz_in_y, lip)
 
+    def second_order_model(self, x: np.ndarray):
+        """The model (grad, M) of ``second_order_in_y_at`` at x, None without
+        the oracle; an M that is not finite and nonnegative would make every
+        Taylor bound unsound, so it is an InputError naming the family."""
+        if self.second_order_in_y_at is None:
+            return None
+        grad, M = self.second_order_in_y_at(x)
+        if not (np.isfinite(M).all() and (M >= 0).all()):
+            raise InputError(
+                f"constraint family {self.index} returned a second-order bound M "
+                "that is not finite and nonnegative"
+            )
+        return grad, M
+
+    def require_finite(self, finite: bool, what: str = "value") -> None:
+        """An oracle output that is not finite is an InputError naming the
+        family: no Lipschitz, Taylor or cut bound says anything about it."""
+        if not finite:
+            raise InputError(
+                f"constraint family {self.index} returned a non-finite {what}"
+            )
+
     def __post_init__(self):
         if self.lipschitz_in_y < 0 or not np.isfinite(self.lipschitz_in_y):
             raise InputError("lipschitz_in_y must be finite and nonnegative")
 
     def eval_grid(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Evaluate g(x, y) for every row y of ``ys``."""
+        """Evaluate g(x, y) for every row y of ``ys``; every value is
+        checked finite."""
         if self.batch_eval is not None:
-            return np.asarray(self.batch_eval(x, ys), dtype=float).reshape(len(ys))
-        return np.array([self.value(x, y) for y in ys], dtype=float)
+            v = np.asarray(self.batch_eval(x, ys), dtype=float).reshape(len(ys))
+        else:
+            v = np.array([self.value(x, y) for y in ys], dtype=float)
+        self.require_finite(np.isfinite(v).all())
+        return v
 
 
 @dataclass(frozen=True)
@@ -255,25 +282,10 @@ class SipProblem:
             object.__setattr__(self, "slater_point", sp)
 
     @cached_property
-    def regularity(self) -> RegularityBundle:
-        """The Slater point's certificate ``derive_eps_star(self)``, made
-        once per problem."""
+    def eps_star(self) -> float:
+        """The Slater point's certified margin ``derive_eps_star(self)``,
+        made once per problem."""
         return derive_eps_star(self)
-
-
-@dataclass(frozen=True)
-class RegularityBundle:
-    """Strict-feasibility margin eps_star (some F_{-eps_star} is nonempty)
-    plus a max-norm Lipschitz constant of the objective."""
-
-    eps_star: float
-    lipschitz_f: float
-
-    def __post_init__(self):
-        if not 0 < self.eps_star < np.inf:  # also false for NaN
-            raise InputError("eps_star must be positive and finite")
-        if not 0 < self.lipschitz_f < np.inf:
-            raise InputError("lipschitz_f must be positive and finite")
 
 
 def feasibility_margin(problem: SipProblem, x, grid_resolution: float) -> float:
@@ -300,12 +312,14 @@ def default_margin_resolution(problem: SipProblem) -> float:
     return max(width / (per_axis - 1), 1e-6)
 
 
-def derive_eps_star(problem: SipProblem) -> RegularityBundle:
+def derive_eps_star(problem: SipProblem) -> float:
     """Turn a Slater point into a usable strict-feasibility margin.
 
     eps_star is the distance of the Slater point from the constraint
     boundary, certified at gap SLATER_DELTA and shaved by it; by
-    construction the Slater point lies in F_{-eps_star}(Y).
+    construction the Slater point lies in F_{-eps_star}(Y).  This is the
+    one test of strict feasibility: a point whose margin is not positive
+    is an InputError.
     """
     from .lower_level import certified_feasibility_bound  # avoids a cycle
 
@@ -320,13 +334,7 @@ def derive_eps_star(problem: SipProblem) -> RegularityBundle:
             "no strict feasibility evidence: certified constraint bound "
             f"{bound:.3e} at the slater point is not safely negative"
         )
-    lip = problem.objective.lipschitz_constant
-    if lip is None:
-        raise InputError(
-            "objective carries no Lipschitz constant; cannot build a "
-            "regularity bundle"
-        )
-    return RegularityBundle(eps_star=eps_star, lipschitz_f=lip)
+    return eps_star
 
 
 @dataclass
@@ -344,6 +352,12 @@ class OracleCheckReport:
         return not self.failures
 
 
+def _worse(a: float, b: float) -> float:
+    """The larger of two violations, NaN once either is NaN; max(0.0, nan)
+    would keep 0.0 and pass a check that said nothing."""
+    return a if math.isnan(a) or a >= b else b
+
+
 def validate_problem(problem: SipProblem) -> OracleCheckReport:
     """Spot-check oracle consistency on deterministic random samples.
 
@@ -352,8 +366,10 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
     per-x y-Lipschitz bound on sampled pairs; for a family with
     ``second_order_in_y_at``, also the Taylor bound
     |g(y) - g(c) - grad(c).(y - c)| <= 1/2 |y - c|.M.|y - c| on sampled
-    (x, c, y), the model ``certified_max`` uses.  The Slater certificate is
-    not checked here: it is ``problem.regularity``, which ``load_problem``
+    (x, c, y), the model ``certified_max`` uses, after the check of M that
+    ``certified_max`` applies.  A check that yields NaN fails, as does an M
+    that is not finite and nonnegative.  The Slater certificate is
+    not checked here: it is ``problem.eps_star``, which ``load_problem``
     reads for a file that declares a Slater point.  Raises nothing; the
     report lists failures so callers decide.
     """
@@ -373,16 +389,16 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
         mid = lam * a + (1 - lam) * b
         scale = 1.0 + abs(f.value(a)) + abs(f.value(b))
         viol = (f.value(mid) - (lam * f.value(a) + (1 - lam) * f.value(b))) / scale
-        rep.convexity_violation = max(rep.convexity_violation, viol)
+        rep.convexity_violation = _worse(rep.convexity_violation, viol)
         cut = f.value(a) + float(np.dot(f.subgradient(a), b - a))
-        rep.subgradient_violation = max(
+        rep.subgradient_violation = _worse(
             rep.subgradient_violation, (cut - f.value(b)) / scale
         )
         if f.lipschitz_constant is not None:
             gap = abs(f.value(a) - f.value(b)) - f.lipschitz_constant * float(
                 np.max(np.abs(a - b))
             )
-            rep.lipschitz_violation = max(rep.lipschitz_violation, gap / scale)
+            rep.lipschitz_violation = _worse(rep.lipschitz_violation, gap / scale)
 
     for fam in problem.constraints:
         for _ in range(VALIDATION_SAMPLES):
@@ -393,9 +409,9 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
                 fam.value(mid, y)
                 - (lam * fam.value(a, y) + (1 - lam) * fam.value(b, y))
             ) / scale
-            rep.convexity_violation = max(rep.convexity_violation, viol)
+            rep.convexity_violation = _worse(rep.convexity_violation, viol)
             cut = fam.value(a, y) + float(np.dot(fam.subgradient_x(a, y), b - a))
-            rep.subgradient_violation = max(
+            rep.subgradient_violation = _worse(
                 rep.subgradient_violation, (cut - fam.value(b, y)) / scale
             )
             x, ya, yb = rand_x(), rand_y(), rand_y()
@@ -403,7 +419,7 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
             gap = abs(fam.value(x, ya) - fam.value(x, yb)) - lip * float(
                 np.max(np.abs(ya - yb))
             )
-            rep.lipschitz_violation = max(
+            rep.lipschitz_violation = _worse(
                 rep.lipschitz_violation, gap / (1.0 + abs(fam.value(x, ya)))
             )
 
@@ -413,22 +429,27 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
             continue
         for _ in range(VALIDATION_SAMPLES):
             x, c, y = rand_x(), rand_y(), rand_y()
-            grad, M = fam.second_order_in_y_at(x)
+            try:
+                grad, M = fam.second_order_model(x)
+            except InputError as exc:
+                rep.failures.append(str(exc))
+                break
             d = y - c
             gc = fam.value(x, c)
             rest = abs(fam.value(x, y) - gc - float(grad(c)[0] @ d))
             gap = rest - 0.5 * float(np.abs(d) @ M @ np.abs(d))
-            rep.second_order_violation = max(
+            rep.second_order_violation = _worse(
                 rep.second_order_violation, gap / (1.0 + abs(gc))
             )
 
-    if rep.convexity_violation > VALIDATION_REL_TOL:
+    # ``not v <= tol`` also fails a NaN
+    if not rep.convexity_violation <= VALIDATION_REL_TOL:
         rep.failures.append(f"convexity violated by {rep.convexity_violation:.3e}")
-    if rep.subgradient_violation > VALIDATION_REL_TOL:
+    if not rep.subgradient_violation <= VALIDATION_REL_TOL:
         rep.failures.append(f"subgradient cut violated by {rep.subgradient_violation:.3e}")
-    if rep.lipschitz_violation > VALIDATION_REL_TOL:
+    if not rep.lipschitz_violation <= VALIDATION_REL_TOL:
         rep.failures.append(f"Lipschitz bound violated by {rep.lipschitz_violation:.3e}")
-    if rep.second_order_violation > VALIDATION_REL_TOL:
+    if not rep.second_order_violation <= VALIDATION_REL_TOL:
         rep.failures.append(
             f"second-order bound violated by {rep.second_order_violation:.3e}"
         )

@@ -16,12 +16,11 @@ certified lower-level machinery applies as-is.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError
-from .lower_level import certified_feasibility_bound
 from .polynomials import (
     Polynomial,
     PolynomialBasis,
@@ -29,9 +28,7 @@ from .polynomials import (
     infer_basis,
 )
 from .problem import (
-    SLATER_DELTA,
     BoxDomain,
-    ConstraintFamily,
     ConvexObjective,
     QuadraticForm,
     SipProblem,
@@ -159,12 +156,11 @@ def constraint_coefficient_polys(
     return coeffs, sc.offset
 
 
-def synthesize_slater_point(
-    spec: RegressionSpec, families: list[ConstraintFamily]
-) -> np.ndarray | None:
+def synthesize_slater_point(spec: RegressionSpec, problem: SipProblem) -> SipProblem:
     """Best-effort search for a strictly feasible coefficient vector: the zero
-    polynomial, then box vertices pulled 1% toward the center.  Certified by
-    the test of ``derive_eps_star``; None when nothing passes."""
+    polynomial, then box vertices pulled 1% toward the center.  Returns the
+    first ``replace(problem, slater_point=w)`` whose ``eps_star`` certifies,
+    with that certificate kept; ``problem`` itself when nothing passes."""
     box = spec.coeff_box
     candidates = [np.zeros(box.dim)]
     if box.dim <= SLATER_VERTEX_MAX_DIM:
@@ -172,11 +168,13 @@ def synthesize_slater_point(
         for corner in itertools.product(*zip(box.lower, box.upper)):
             candidates.append(center + 0.99 * (np.asarray(corner) - center))
     for w in candidates:
-        if not box.contains(w):
+        try:
+            found = replace(problem, slater_point=w)
+            found.eps_star
+        except InputError:
             continue
-        if certified_feasibility_bound(families, w, SLATER_DELTA)[1] < -SLATER_DELTA:
-            return w
-    return None
+        return found
+    return problem
 
 
 def build_problem(spec: RegressionSpec) -> SipProblem:
@@ -195,16 +193,16 @@ def build_problem(spec: RegressionSpec) -> SipProblem:
                 idx, coeff_polys, offset_poly, spec.coeff_box, spec.u_domain
             )
         )
-    slater = spec.slater_point
-    if slater is None:
-        slater = synthesize_slater_point(spec, families)
-    return SipProblem(
+    problem = SipProblem(
         x_domain=spec.coeff_box,
         y_domain=spec.u_domain,
         objective=objective,
         constraints=tuple(families),
-        slater_point=slater,
+        slater_point=spec.slater_point,
     )
+    if spec.slater_point is None:
+        return synthesize_slater_point(spec, problem)
+    return problem
 
 
 def eval_polynomial_derivative(w, alpha, u) -> float:

@@ -239,7 +239,7 @@ def regression_spec_from_dict(data: dict, base_dir: Path | None = None) -> Regre
 def load_problem(source) -> SipProblem:
     """Load and validate a SipProblem from a JSON file path, a parsed dict or
     a builtin: reference.  A declared Slater point is certified here, once:
-    the problem keeps the certificate as ``problem.regularity``."""
+    the problem keeps the certificate as ``problem.eps_star``."""
     from .instances import builtin
 
     base_dir = None
@@ -276,7 +276,7 @@ def load_problem(source) -> SipProblem:
         # a field of the wrong type, such as a string where a number belongs
         raise InputError(f"malformed problem field: {exc}") from None
     if problem.slater_point is not None:
-        problem.regularity  # an InputError when the Slater point fails
+        problem.eps_star  # an InputError when the Slater point fails
     return problem
 
 

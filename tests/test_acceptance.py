@@ -36,7 +36,7 @@ from sipsolve.instances import (
     regression_r_spec,
 )
 from sipsolve.lower_level import certified_max
-from sipsolve.problem import BoxDomain, RegularityBundle
+from sipsolve.problem import BoxDomain
 from sipsolve.qp import solve_qp
 from sipsolve.regression import (
     RegressionSpec,
@@ -213,12 +213,12 @@ def test_c07_discretization_size_advantage(tmp_path, capsys):
 
 
 def test_c08_termination_index_formula():
-    reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
-    m = compute_termination_index(0.1, reg, 4.0, 1.0, 2.0, lambda k: 0.0)
+    # eps* = 2, L = 4
+    m = compute_termination_index(0.1, 2.0, 4.0, 4.0, 1.0, 2.0, lambda k: 0.0)
     assert m == 8
     deltas = np.logspace(-3, 1, 10)
     ms = [
-        compute_termination_index(d, reg, 4.0, 1.0, 2.0, lambda k: 0.0)
+        compute_termination_index(d, 2.0, 4.0, 4.0, 1.0, 2.0, lambda k: 0.0)
         for d in deltas
     ]
     assert all(b <= a for a, b in zip(ms, ms[1:]))

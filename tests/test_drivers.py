@@ -34,8 +34,8 @@ from sipsolve.errors import CertificationError, ConfigError, InputError
 from sipsolve.instances import builtin, default_y0, random_affine_instance
 from sipsolve.lower_level import CertifiedMax
 from sipsolve.problem import (
+    SLATER_DELTA,
     ConstraintFamily,
-    RegularityBundle,
     default_margin_resolution,
     feasibility_margin,
 )
@@ -149,25 +149,21 @@ class TestRunFeasFinite:
 
 class TestComputeTerminationIndex:
     def test_reference_value(self):
-        reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
-        m = compute_termination_index(0.1, reg, 4.0, 1.0, 2.0, lambda k: 0.0)
+        m = compute_termination_index(0.1, 2.0, 4.0, 4.0, 1.0, 2.0, lambda k: 0.0)
         assert m == 8  # 8 / 2^m <= 0.05 first at m = 8
 
     def test_large_delta(self):
-        reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
-        assert compute_termination_index(10.0, reg, 4.0, 1.0, 2.0, lambda k: 0.0) == 1
+        assert compute_termination_index(10.0, 2.0, 4.0, 4.0, 1.0, 2.0, lambda k: 0.0) == 1
 
     def test_schedule_never_small_enough(self, monkeypatch):
-        reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
         monkeypatch.setattr(drivers, "TERMINATION_SCAN_LIMIT", 1000)
         with pytest.raises(ConfigError):
-            compute_termination_index(0.1, reg, 4.0, 1.0, 2.0, lambda k: 0.1)
+            compute_termination_index(0.1, 2.0, 4.0, 4.0, 1.0, 2.0, lambda k: 0.1)
 
     def test_nonincreasing_in_delta(self):
-        reg = RegularityBundle(eps_star=2.0, lipschitz_f=4.0)
         deltas = np.logspace(-3, 1, 10)
         ms = [
-            compute_termination_index(d, reg, 4.0, 1.0, 2.0, lambda k: 0.0)
+            compute_termination_index(d, 2.0, 4.0, 4.0, 1.0, 2.0, lambda k: 0.0)
             for d in deltas
         ]
         assert all(b <= a for a, b in zip(ms, ms[1:]))
@@ -176,9 +172,22 @@ class TestComputeTerminationIndex:
     def test_restriction_beyond_float_range_is_config_error(self, eps_star, lip):
         # the restriction would need r**m past the float range; the scan used
         # to end in an OverflowError from r**m
-        reg = RegularityBundle(eps_star=eps_star, lipschitz_f=lip)
         with pytest.raises(ConfigError):
-            compute_termination_index(1e-3, reg, 4.0, 1.0, 2.0, lambda k: 0.0)
+            compute_termination_index(1e-3, eps_star, lip, 4.0, 1.0, 2.0, lambda k: 0.0)
+
+    def test_objective_without_lipschitz_constant(self, prob_a):
+        # m* needs the constant; eps* does not, and still certifies
+        bare = replace(
+            prob_a,
+            objective=replace(prob_a.objective, lipschitz_constant=None),
+        )
+        cfg = SequentialConfig(
+            delta=1e-2, r=2.0, eps00=1.0, schedule=geometric_schedule(0.5),
+            rho=0.5, y0=single(0.5),
+        )
+        with pytest.raises(InputError, match="Lipschitz constant"):
+            run_sequential(bare, cfg)
+        assert bare.eps_star == 2.0 - SLATER_DELTA
 
 
 class TestRunSequential:
@@ -709,3 +718,65 @@ class TestWholeRunDeterminism:
         self._assert_same(
             lambda: run_simultaneous(prob, cfg), lambda out: out.x_star
         )
+
+
+class TestNonFiniteOracle:
+    """A non-finite oracle output is an InputError naming the family on
+    every route, whichever layer sees it first; it is never a budget stop."""
+
+    @staticmethod
+    def log_barrier():
+        # g(x, y) = log(1.5 - x) + y - 1, NaN for x >= 1.5; f = x^2 - 2x
+        import math
+
+        from sipsolve.problem import BoxDomain, ConvexObjective, SipProblem
+
+        def g(x, y):
+            return math.log(1.5 - x[0]) + y[0] - 1.0 if x[0] < 1.5 else math.nan
+
+        def dg(x, y):
+            return np.array([-1.0 / (1.5 - x[0]) if x[0] < 1.5 else math.nan])
+
+        X, Y = BoxDomain([-2.0], [2.0]), BoxDomain([0.0], [1.0])
+        fam = ConstraintFamily(0, g, dg, lipschitz_in_y=1.0, y_domain=Y)
+        objective = ConvexObjective(
+            lambda x: float(x[0] ** 2 - 2.0 * x[0]), lambda x: 2.0 * x - 2.0, 6.0
+        )
+        return SipProblem(X, Y, objective, (fam,), slater_point=np.array([1.0]))
+
+    def test_every_driver_raises(self):
+        prob = self.log_barrier()
+        y0 = default_y0(prob)
+        runs = [
+            lambda: run_core(prob, CoreConfig(
+                eps=0.1, rho=0.0, schedule=eventually_zero_schedule(0), y0=y0)),
+            lambda: run_sequential(prob, SequentialConfig(
+                delta=1e-2, r=2.0, eps00=0.5, schedule=eventually_zero_schedule(0),
+                rho=0.0, y0=y0)),
+            lambda: run_simultaneous(prob, SimultaneousConfig(
+                delta=1e-2, r=2.0, eps0=0.5, schedule=sim_schedule(1e-2), rho=0.5,
+                y0_check=y0, y0_hat=y0)),
+        ]
+        for run in runs:
+            with pytest.raises(InputError, match="family 0 returned a non-finite value"):
+                run()
+
+    def test_eval_grid_names_the_family(self):
+        fam = replace(self.log_barrier().constraints[0], index=3)
+        ys = np.array([[0.0], [1.0]])
+        assert np.isfinite(fam.eval_grid(np.array([0.0]), ys)).all()
+        with pytest.raises(InputError, match="family 3 returned a non-finite value"):
+            fam.eval_grid(np.array([1.5]), ys)
+
+    def test_finite_solver_checks_cut_oracles(self, prob_a):
+        # the values stay finite; only the cuts' subgradients do not
+        from sipsolve.finite_solver import DiscretizedProblem, solve_discretized
+
+        fam = replace(prob_a.constraints[0], subgradient_x=lambda x, y: np.array([np.nan]))
+        dp = DiscretizedProblem(replace(prob_a, constraints=(fam,)), 0.1, single(1.0).points)
+        with pytest.raises(InputError, match="family 0 returned a non-finite x-subgradient"):
+            solve_discretized(dp, 1e-6)
+        objective = replace(prob_a.objective, value=lambda x: np.inf, quadratic=None)
+        dp = DiscretizedProblem(replace(prob_a, objective=objective), 0.1, single(1.0).points)
+        with pytest.raises(InputError, match="objective returned a non-finite"):
+            solve_discretized(dp, 1e-6)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sipsolve.drivers import compute_termination_index
 from sipsolve.errors import InputError
 from sipsolve.instances import instance_a, instance_b, quasiconvex_gap
 from sipsolve.problem import (
@@ -10,7 +11,6 @@ from sipsolve.problem import (
     BoxDomain,
     ConvexObjective,
     QuadraticForm,
-    RegularityBundle,
     derive_eps_star,
     feasibility_margin,
     validate_problem,
@@ -45,8 +45,10 @@ class TestConvexObjective:
     [(np.nan, 4.0), (np.inf, 4.0), (0.0, 4.0), (2.0, np.nan), (2.0, np.inf), (2.0, 0.0)],
 )
 def test_regularity_bundle_positive_and_finite(eps_star, lip):
+    # the two checks of the former regularity bundle, now where the stage
+    # count m* reads eps* and the objective's Lipschitz constant
     with pytest.raises(InputError):
-        RegularityBundle(eps_star=eps_star, lipschitz_f=lip)
+        compute_termination_index(0.1, eps_star, lip, 4.0, 1.0, 2.0, lambda k: 0.0)
 
 
 class TestBoxDomain:
@@ -103,14 +105,11 @@ class TestFeasibilityMargin:
 class TestDeriveEpsStar:
     def test_instance_a(self, prob_a):
         # sup_y g(-2, y) = -2 by endpoint evaluation
-        bundle = derive_eps_star(prob_a)
-        assert abs(bundle.eps_star - 2.0) <= 1e-5
-        assert bundle.lipschitz_f == 4.0
+        assert abs(derive_eps_star(prob_a) - 2.0) <= 1e-5
 
     def test_instance_b(self, prob_b):
         # max(x1+1, x2+1) at (-3,-3) is -2
-        bundle = derive_eps_star(prob_b)
-        assert abs(bundle.eps_star - 2.0) <= 1e-5
+        assert abs(derive_eps_star(prob_b) - 2.0) <= 1e-5
 
     def test_missing_slater_point(self, prob_a):
         from sipsolve.problem import SipProblem
@@ -126,13 +125,13 @@ class TestDeriveEpsStar:
             derive_eps_star(bare)
 
     def test_margin_consistent_with_eps_star(self, prob_a):
-        bundle = derive_eps_star(prob_a)
+        eps_star = derive_eps_star(prob_a)
         m = feasibility_margin(prob_a, prob_a.slater_point, 1e-4)
-        assert m <= -bundle.eps_star + 1e-9
+        assert m <= -eps_star + 1e-9
 
 
 class TestRegularity:
-    """problem.regularity is derive_eps_star's certificate, made once per
+    """problem.eps_star is derive_eps_star's certificate, made once per
     problem object."""
 
     @staticmethod
@@ -153,19 +152,19 @@ class TestRegularity:
         # a problem of its own: the session fixtures may carry a certificate
         prob = instance_a()
         deltas = self.count_certificates(monkeypatch)
-        first = prob.regularity
+        first = prob.eps_star
         assert deltas == [SLATER_DELTA]
-        assert prob.regularity is first
+        assert prob.eps_star is first
         assert deltas == [SLATER_DELTA]
         assert first == derive_eps_star(prob)
 
     def test_replace_certifies_afresh(self, monkeypatch):
         prob = instance_a()
-        assert prob.regularity.eps_star == 2.0 - SLATER_DELTA
+        assert prob.eps_star == 2.0 - SLATER_DELTA
         deltas = self.count_certificates(monkeypatch)
         moved = replace(prob, slater_point=np.array([-1.5]))
         # sup_y g(-1.5, y) = -1.5
-        assert moved.regularity.eps_star == 1.5 - SLATER_DELTA
+        assert moved.eps_star == 1.5 - SLATER_DELTA
         assert deltas == [SLATER_DELTA]
 
     def test_failure_is_not_cached(self, monkeypatch):
@@ -173,7 +172,7 @@ class TestRegularity:
         deltas = self.count_certificates(monkeypatch)
         for _ in range(2):
             with pytest.raises(InputError, match="slater point"):
-                prob.regularity
+                prob.eps_star
         assert deltas == [SLATER_DELTA] * 2
 
 
@@ -220,6 +219,38 @@ class TestOracleValidation:
         assert report.failures == [
             f"second-order bound violated by {report.second_order_violation:.3e}"
         ]
+
+    def test_nan_second_order_bound_fails(self):
+        # max(0.0, nan) once kept 0.0: a NaN M passed with violation 0
+        from sipsolve.instances import random_affine_instance
+
+        def nan_m(fam):
+            model = fam.second_order_in_y_at
+
+            def mutated(x):
+                grad, M = model(x)
+                return grad, np.full_like(M, np.nan)
+
+            return replace(fam, second_order_in_y_at=mutated)
+
+        prob = random_affine_instance(4)
+        report = validate_problem(
+            replace(prob, constraints=tuple(nan_m(f) for f in prob.constraints))
+        )
+        assert not report.ok
+        assert report.failures[0] == (
+            f"constraint family {prob.constraints[0].index} returned a second-order "
+            "bound M that is not finite and nonnegative"
+        )
+        assert len(report.failures) == len(prob.constraints)
+
+    def test_nan_values_fail(self):
+        prob = instance_a()
+        fam = replace(prob.constraints[0], value=lambda x, y: np.nan)
+        report = validate_problem(replace(prob, constraints=(fam,)))
+        assert not report.ok
+        assert np.isnan(report.convexity_violation)
+        assert report.failures[0] == "convexity violated by nan"
 
     def test_regression_instance_passes(self, spec_r):
         from sipsolve.regression import build_problem

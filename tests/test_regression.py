@@ -1,10 +1,10 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sipsolve.errors import InputError
-from sipsolve.polynomials import Polynomial
 from sipsolve.problem import BoxDomain
 from sipsolve.regression import (
     RegressionSpec,
@@ -110,10 +110,40 @@ class TestBuildProblem:
 
 
 class TestSlaterSynthesis:
-    def test_zero_candidate_fails_monotone(self, spec_r):
-        # w = 0 gives g = 0, not strictly negative; a vertex must be found
-        prob = build_problem(spec_r)
-        assert prob.slater_point is not None
+    def test_zero_candidate_fails_monotone(self, spec_r, tmp_path, monkeypatch):
+        # README's regression example without its slater_point: w = 0 gives
+        # g = 0, not strictly negative, so a vertex must be found; its one
+        # certificate is made during synthesis and kept by the problem
+        from sipsolve import lower_level
+        from sipsolve.problem import SLATER_DELTA
+        from sipsolve.serialization import load_problem
+
+        calls = []
+        inner = lower_level.certified_max
+
+        def counting(families, x, delta):
+            calls.append((np.array(x, dtype=float), delta))
+            return inner(families, x, delta)
+
+        monkeypatch.setattr(lower_level, "certified_max", counting)
+        path = tmp_path / "monotone.json"
+        path.write_text(json.dumps({
+            "type": "regression",
+            "data": spec_r.data.tolist(),
+            "degree": 1,
+            "u_box": {"lower": [0.0], "upper": [1.0]},
+            "coeff_box": {"lower": [-10.0, -10.0], "upper": [10.0, 10.0]},
+            "ridge": 1e-6,
+            "constraints": [{"weights": [[[1], -1.0]], "offset": 0.0}],
+        }))
+        prob = load_problem(path)
+        w = prob.slater_point
+        assert w is not None and w.any()
+        assert np.allclose([x for x, _ in calls], [[0, 0], [-9.9, -9.9], [-9.9, 9.9]])
+        assert all(delta == SLATER_DELTA for _, delta in calls)
+        assert sum(np.array_equal(x, w) for x, _ in calls) == 1
+        assert "eps_star" in vars(prob)
+        assert prob.eps_star == w[1] - SLATER_DELTA  # g(w, u) = -w1
 
     def test_synthesis_finds_inward_vertex(self, spec_r):
         spec = RegressionSpec(
@@ -130,10 +160,10 @@ class TestSlaterSynthesis:
         assert g.value(prob.slater_point, np.array([0.5])) < 0
 
     def test_synthesized_point_passes_the_regularity_certificate(self, spec_r):
-        # synthesis accepts a candidate by derive_eps_star's own test, so the
-        # problem's one certificate of that point never fails
+        # synthesis accepts a candidate by its eps_star, so the problem
+        # returned carries that certificate and never makes another
         prob = build_problem(replace(spec_r, slater_point=None))
-        assert prob.regularity.eps_star > 0
+        assert vars(prob)["eps_star"] > 0
 
     def test_no_candidate_returns_none(self):
         # constraint 1 <= 0 can never be strictly satisfied
@@ -146,14 +176,9 @@ class TestSlaterSynthesis:
                 ShapeConstraint(weights={(1,): 0.0}, offset=1.0),
             ),
         )
-        from sipsolve.polynomials import affine_polynomial_family
-        from sipsolve.regression import constraint_coefficient_polys
-
-        polys, offset = constraint_coefficient_polys(spec, spec.shape_constraints[0])
-        fam = affine_polynomial_family(
-            0, polys, Polynomial.constant(1, offset), spec.coeff_box, spec.u_domain
-        )
-        assert synthesize_slater_point(spec, [fam]) is None
+        prob = build_problem(spec)
+        assert prob.slater_point is None
+        assert synthesize_slater_point(spec, prob) is prob
 
 
 class TestEvalPolynomialDerivative:
