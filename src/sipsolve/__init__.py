@@ -7,6 +7,7 @@ from .core_loop import (
     CoreStatus,
     Discretization,
     RunTrace,
+    Stream,
     ToleranceSchedule,
     eventually_zero_schedule,
     geometric_schedule,
@@ -77,6 +78,7 @@ __all__ = [
     "SipProblem",
     "SolveOutcome",
     "SolveStatus",
+    "Stream",
     "ToleranceSchedule",
     "builtin",
     "build_problem",

@@ -6,7 +6,8 @@ run's one limit, in discretization steps.  Exit code 0 means a certified
 result (DeltaApproximate, or Feasible for the core loop, which ignores
 --delta), 2 a budget-limited partial result or an exhausted certification
 cell budget (after the post-hoc certification, with both files written),
-1 an input error, a non-finite number or a malformed command line.
+1 an input error, a non-finite number, a malformed command line or an
+output file that cannot be written.
 check validates a problem file including its Slater certificate.  bench
 compares discretization growth between the minimal (rho = 0) and monotone
 (rho = inf) pruning policies on the same instance.
@@ -247,6 +248,9 @@ def main(argv=None) -> int:
         return cmd_bench(args)
     except (InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:  # an output file; input files raise InputError
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except CertificationError as exc:  # valid input, exhausted cell budget
         print(f"error: {exc}", file=sys.stderr)

@@ -1,18 +1,18 @@
 """Adaptive discretization step and the loop at a fixed restriction.
 
-``discretization_step`` is the one step both of the paper's algorithms
-repeat: it solves the discretized restricted problem to its scheduled gap
-and, when that solve is feasible, certifies one maximum of the constraints
-at the iterate over all families and the full index box.  The step
-terminates when the certified value is at or below minus the requested gap,
-which proves the iterate feasible for the semi-infinite program; otherwise
-``refined`` prunes and extends the discretization around the maximizer.
-``run_core`` runs the step at a fixed restriction, and the drivers in
-``sipsolve.drivers`` run it with their own restriction updates.  The
-pruning radius rho regulates how much of the old discretization survives:
-rho = inf keeps everything, rho = 0 keeps only the points still active at
-the restriction level.  The step's two gaps come from a
-``ToleranceSchedule``, a geometric record whose regime (summable or
+A ``Stream`` is one discretization sequence, and ``Stream.step`` the one
+step both of the paper's algorithms repeat: it solves the discretized
+restricted problem to its scheduled gap and, when that solve is feasible,
+certifies one maximum of the constraints at the iterate over all families
+and the full index box.  The step terminates when the certified value is at
+or below minus the requested gap, which proves the iterate feasible for the
+semi-infinite program; otherwise ``Stream.refine`` prunes and extends the
+discretization around the maximizer.  ``run_core`` runs a stream at a fixed
+restriction, and the drivers in ``sipsolve.drivers`` run streams with their
+own restriction updates.  The pruning radius rho regulates how much of the
+old discretization survives: rho = inf keeps everything, rho = 0 keeps only
+the points still active at the restriction level.  The step's two gaps come
+from a ``ToleranceSchedule``, a geometric record whose regime (summable or
 eventually zero) and supremum follow from its own fields.
 """
 
@@ -276,13 +276,6 @@ class Step:
         full program."""
         return self.cert is not None and self.cert.value <= -self.aux_delta
 
-    def refined(self, problem: SipProblem, rho: float) -> Discretization:
-        """The discretization for the next step: the points still active at
-        -eps - rho plus the certified maximizer."""
-        return update_discretization(
-            problem, self.points, self.solve.x, self.eps, rho, self.cert
-        )
-
     def record(self, trace: RunTrace, branch: str, also: "Step | None" = None) -> None:
         """Append this step's trace row.  ``also`` is an earlier step of the
         same iteration whose LP iterations and evaluations the row counts
@@ -298,30 +291,44 @@ class Step:
         )
 
 
-def discretization_step(
-    problem: SipProblem,
-    eps: float,
-    points: Discretization,
-    schedule: ToleranceSchedule,
-    k: int,
-    pool: CutPool,
-    x_hint: np.ndarray | None,
-) -> Step:
-    """Solve the problem restricted by ``eps`` on ``points`` to gap
-    obj_tol(k) and, when the solve is FEASIBLE, certify the maximum over all
-    families at its point to gap max(aux_tol(k), AUX_DELTA_FLOOR)."""
-    pool.restrict_to_points(points.points)
-    solve = solve_discretized(
-        DiscretizedProblem(problem, eps, points.points),
-        schedule.obj_tol(k),
-        x_hint=x_hint,
-        pool=pool,
-    )
-    aux_delta = max(schedule.aux_tol(k), AUX_DELTA_FLOOR)
-    cert = None
-    if solve.status is SolveStatus.FEASIBLE:
-        cert = certified_max(problem.constraints, solve.x, aux_delta)
-    return Step(eps, points, solve, cert, aux_delta)
+@dataclass
+class Stream:
+    """One discretization sequence: the problem restricted by ``eps`` on
+    ``points``, the cut pool that warm-starts its solves, and ``x``, the
+    latest point any of its solves returned."""
+
+    problem: SipProblem
+    eps: float
+    points: Discretization
+    pool: CutPool = field(default_factory=CutPool)
+    x: np.ndarray | None = None
+
+    def step(self, schedule: ToleranceSchedule, k: int) -> Step:
+        """Solve the restricted problem on the points to gap obj_tol(k) and,
+        when the solve is FEASIBLE, certify the maximum over all families at
+        its point to gap max(aux_tol(k), AUX_DELTA_FLOOR).  A solve that
+        returns a point, undecided ones included, makes it the latest."""
+        self.pool.restrict_to_points(self.points.points)
+        solve = solve_discretized(
+            DiscretizedProblem(self.problem, self.eps, self.points.points),
+            schedule.obj_tol(k),
+            x_hint=self.x,
+            pool=self.pool,
+        )
+        if solve.x is not None:
+            self.x = solve.x
+        aux_delta = max(schedule.aux_tol(k), AUX_DELTA_FLOOR)
+        cert = None
+        if solve.status is SolveStatus.FEASIBLE:
+            cert = certified_max(self.problem.constraints, solve.x, aux_delta)
+        return Step(self.eps, self.points, solve, cert, aux_delta)
+
+    def refine(self, step: Step, rho: float) -> None:
+        """The points for the next step: those of ``step`` still active at
+        -eps - rho plus its certified maximizer."""
+        self.points = update_discretization(
+            self.problem, step.points, step.x, step.eps, rho, step.cert
+        )
 
 
 def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
@@ -329,29 +336,25 @@ def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
 
     Terminates when the step certifies the iterate feasible for the
     original semi-infinite program.  An infeasible discretized subproblem
-    and an exhausted solve or iteration budget are first-class outcomes.
+    and an exhausted solve or iteration budget are first-class outcomes; a
+    budget stop keeps the stream's latest point.
     """
-    yk = cfg.y0
+    stream = Stream(problem, cfg.eps, cfg.y0)
     trace = RunTrace()
-    pool = CutPool()
-    x_prev: np.ndarray | None = None
 
     for k in range(cfg.max_iters):
-        step = discretization_step(problem, cfg.eps, yk, cfg.schedule, k, pool, x_prev)
+        step = stream.step(cfg.schedule, k)
         status = step.solve.status
         if status is SolveStatus.INFEASIBLE:
             step.record(trace, "infeasible")
-            return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, trace, yk)
+            return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, trace, stream.points)
         if status is SolveStatus.UNDECIDED:
-            # without a point of its own, the stop keeps the last iterate
             step.record(trace, "budget")
-            x = x_prev if step.x is None else step.x
-            return CoreResult(CoreStatus.BUDGET, x, trace, yk)
-        x_prev = step.x
+            return CoreResult(CoreStatus.BUDGET, stream.x, trace, stream.points)
         if step.terminated:
             step.record(trace, "terminated")
-            return CoreResult(CoreStatus.TERMINATED, step.x, trace, yk)
+            return CoreResult(CoreStatus.TERMINATED, stream.x, trace, stream.points)
         step.record(trace, "violation")
-        yk = step.refined(problem, cfg.rho)
+        stream.refine(step, cfg.rho)
 
-    return CoreResult(CoreStatus.BUDGET, x_prev, trace, yk)
+    return CoreResult(CoreStatus.BUDGET, stream.x, trace, stream.points)

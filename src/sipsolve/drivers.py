@@ -1,17 +1,17 @@
 """Finitely terminating drivers built on the core loop's step.
 
-Every driver iteration runs ``core_loop.discretization_step`` (solve,
-certify, refine) and maps its outcome to a branch of its own.
+Every driver iteration runs ``core_loop.Stream.step`` on a stream, one
+discretization sequence, and maps its outcome to a branch of its own.
 
-run_feas_finite alternates that step with a restriction shrink whenever
-the discretized restricted problem turns out infeasible; it terminates at a
-point feasible for the original semi-infinite program whose objective is
-near the restricted optimum.
+run_feas_finite alternates that step with a restriction shrink of its
+stream whenever the discretized restricted problem turns out infeasible; it
+terminates at a point feasible for the original semi-infinite program whose
+objective is near the restricted optimum.
 
-run_sequential repeats that driver with geometrically shrinking restrictions
-for an a-priori number of stages computed from the Slater point's certified
-margin eps* and the objective's Lipschitz constant, which
-yields a delta-approximate solution with a termination index known up front.
+run_sequential hands one stream through that driver with geometrically
+shrinking restrictions for an a-priori number of stages computed from the
+Slater point's certified margin eps* and the objective's Lipschitz constant,
+which yields a delta-approximate solution with a known termination index.
 
 run_simultaneous interleaves an unrestricted stream (lower reference values)
 with a restricted stream (feasible candidates) and stops as soon as the two
@@ -31,13 +31,14 @@ from enum import Enum
 import numpy as np
 
 from .core_loop import (
-    CutPool,
+    CoreResult,
+    CoreStatus,
     Discretization,
     RunTrace,
+    Stream,
     ToleranceSchedule,
     check_max_iters,
     check_rho_regime,
-    discretization_step,
 )
 from .errors import CertificationError, ConfigError, InputError
 from .finite_solver import SolveStatus
@@ -135,63 +136,49 @@ class SimultaneousConfig:
         check_max_iters(self.max_iters)
 
 
-@dataclass
-class FeasFiniteResult:
-    terminated: bool
-    x: np.ndarray | None
-    eps_terminal: float
-    trace: RunTrace
-    discretization: Discretization
-
-
 def run_feas_finite(
-    problem: SipProblem,
-    eps0: float,
+    stream: Stream,
     r: float,
     schedule: ToleranceSchedule,
     rho: float,
-    y0: Discretization,
     max_iters: int = 10_000,
     trace: RunTrace | None = None,
-    pool: CutPool | None = None,
-    x_hint: np.ndarray | None = None,
-) -> FeasFiniteResult:
-    """Restriction-feasibility driver at shrink factor r.
+) -> CoreResult:
+    """Restriction-feasibility driver at shrink factor r on ``stream``.
 
-    Every iteration either shrinks the restriction (discretized problem
-    infeasible), refines the discretization around the strongest violator,
-    or terminates with a point certified feasible for the original program.
-    Each iteration appends one row to ``trace`` (a new trace when None).
+    Every iteration either shrinks the stream's restriction (discretized
+    problem infeasible), refines its discretization around the strongest
+    violator, or terminates with a point certified feasible for the original
+    program.  Each iteration appends one row to ``trace`` (a new trace when
+    None).  The result is TERMINATED or BUDGET, at the stream's latest point;
+    the stream keeps its final restriction and points.
     """
-    check_restriction(r, eps0)
+    check_restriction(r, stream.eps)
     check_rho_regime(schedule, rho)
     check_max_iters(max_iters)
     trace = trace if trace is not None else RunTrace()
-    pool = pool if pool is not None else CutPool()
-    eps = eps0
-    yk = y0
-    x_prev = x_hint
+    status = CoreStatus.BUDGET
 
     for k in range(max_iters):
-        step = discretization_step(problem, eps, yk, schedule, k, pool, x_prev)
+        step = stream.step(schedule, k)
         if step.x is None:
             # infeasible, or undecided without an iterate, which is coerced
             # to infeasible: shrinking the restriction is always safe, it
             # only costs iterations
             step.record(trace, "infeasible")
-            eps = eps / r
+            stream.eps = stream.eps / r
             continue
         if step.solve.status is SolveStatus.UNDECIDED:
             step.record(trace, "budget")
-            return FeasFiniteResult(False, step.x, eps, trace, yk)
-        x_prev = step.x
+            break
         if step.terminated:
             step.record(trace, "terminated")
-            return FeasFiniteResult(True, step.x, eps, trace, yk)
+            status = CoreStatus.TERMINATED
+            break
         step.record(trace, "violation")
-        yk = step.refined(problem, rho)
+        stream.refine(step, rho)
 
-    return FeasFiniteResult(False, x_prev, eps, trace, yk)
+    return CoreResult(status, stream.x, trace, stream.points)
 
 
 def compute_termination_index(
@@ -296,8 +283,8 @@ def run_sequential(
     cfg: SequentialConfig,
     m_star: int | None = None,
 ) -> SolveOutcome:
-    """Sequential driver: m* + 1 restriction-feasibility runs with the
-    restriction divided by r between stages.  With m* from
+    """Sequential driver: m* + 1 restriction-feasibility runs on one stream,
+    with its restriction divided by r between stages.  With m* from
     compute_termination_index the returned point is a delta-approximate
     solution of the semi-infinite program.  The stages share cfg.max_iters
     discretization steps.  eps* is ``problem.eps_star``; a cell stop in
@@ -313,30 +300,21 @@ def run_sequential(
             problem.x_domain.diameter(), cfg.eps00, cfg.r, cfg.schedule.obj_tol,
         )
     trace = RunTrace()
-    eps_m0 = cfg.eps00
-    y_m0 = cfg.y0
-    pool = CutPool()
-    x_hint = None
+    stream = Stream(problem, cfg.eps00, cfg.y0)
     for m in range(m_star + 1):
         res = run_feas_finite(
-            problem,
-            eps_m0,
+            stream,
             cfg.r,
             cfg.schedule.shifted(m),
             cfg.rho,
-            y_m0,
             max_iters=cfg.max_iters - len(trace.rows),
             trace=trace,
-            pool=pool,
-            x_hint=x_hint,
         )
-        if not res.terminated:
+        if res.status is not CoreStatus.TERMINATED:
             return budget_outcome(problem, res.x, m + 1, trace)
-        eps_m0 = res.eps_terminal / cfg.r
-        y_m0 = res.discretization
-        x_hint = res.x
+        stream.eps = stream.eps / cfg.r
     return post_hoc_outcome(
-        problem, x_hint, OutcomeStatus.DELTA_APPROXIMATE, m_star + 1, trace
+        problem, stream.x, OutcomeStatus.DELTA_APPROXIMATE, m_star + 1, trace
     )
 
 
@@ -353,52 +331,42 @@ def run_simultaneous(
     (refine the candidate stream), or both tests pass and the candidate is
     returned."""
     trace = RunTrace()
-    y_check, y_hat = cfg.y0_check, cfg.y0_hat
-    pool_check, pool_hat = CutPool(), CutPool()
-    eps = cfg.eps0
-    x_check_hint = x_hat_hint = None
+    check = Stream(problem, 0.0, cfg.y0_check)
+    hat = Stream(problem, cfg.eps0, cfg.y0_hat)
 
     for k in range(cfg.max_iters):
-        check = discretization_step(
-            problem, 0.0, y_check, cfg.schedule, k, pool_check, x_check_hint
-        )
-        if check.solve.status is SolveStatus.INFEASIBLE:
+        check_step = check.step(cfg.schedule, k)
+        if check_step.solve.status is SolveStatus.INFEASIBLE:
             raise InputError(
                 "unrestricted discretized problem is certified infeasible; the "
                 "semi-infinite program itself is infeasible"
             )
-        # an undecided step's point, when it has one, is the stream's latest
-        if check.x is not None:
-            x_check_hint = check.x
-        if check.solve.status is SolveStatus.UNDECIDED:
-            check.record(trace, "budget")
+        if check_step.solve.status is SolveStatus.UNDECIDED:
+            check_step.record(trace, "budget")
             break
 
-        hat = discretization_step(
-            problem, eps, y_hat, cfg.schedule, k, pool_hat, x_hat_hint
-        )
-        if hat.x is None:
-            hat.record(trace, "hat_infeasible", also=check)
-            eps = eps / cfg.r
+        hat_step = hat.step(cfg.schedule, k)
+        if hat_step.x is None:
+            hat_step.record(trace, "hat_infeasible", also=check_step)
+            hat.eps = hat.eps / cfg.r
             continue
-        x_hat_hint = hat.x
-        if hat.solve.status is SolveStatus.UNDECIDED:
-            hat.record(trace, "budget", also=check)
+        if hat_step.solve.status is SolveStatus.UNDECIDED:
+            hat_step.record(trace, "budget", also=check_step)
             break
 
-        if hat.solve.upper > check.solve.upper + cfg.delta / 2:
-            hat.record(trace, "value_gap", also=check)
-            eps = eps / cfg.r
-            y_check = check.refined(problem, cfg.rho)
+        if hat_step.solve.upper > check_step.solve.upper + cfg.delta / 2:
+            hat_step.record(trace, "value_gap", also=check_step)
+            hat.eps = hat.eps / cfg.r
+            check.refine(check_step, cfg.rho)
             continue
-        if not hat.terminated:
-            hat.record(trace, "hat_violation", also=check)
-            y_hat = hat.refined(problem, cfg.rho)
+        if not hat_step.terminated:
+            hat_step.record(trace, "hat_violation", also=check_step)
+            hat.refine(hat_step, cfg.rho)
             continue
-        hat.record(trace, "terminated", also=check)
+        hat_step.record(trace, "terminated", also=check_step)
         return post_hoc_outcome(
-            problem, hat.x, OutcomeStatus.DELTA_APPROXIMATE, 1, trace
+            problem, hat_step.x, OutcomeStatus.DELTA_APPROXIMATE, 1, trace
         )
 
-    best_x = x_hat_hint if x_hat_hint is not None else x_check_hint
+    best_x = hat.x if hat.x is not None else check.x
     return budget_outcome(problem, best_x, 1, trace)

@@ -368,7 +368,8 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
     |g(y) - g(c) - grad(c).(y - c)| <= 1/2 |y - c|.M.|y - c| on sampled
     (x, c, y), the model ``certified_max`` uses, after the check of M that
     ``certified_max`` applies.  A check that yields NaN fails, as does an M
-    that is not finite and nonnegative.  The Slater certificate is
+    that is not finite and nonnegative or a per-x Lipschitz constant that is
+    NaN or negative; either failure names the family.  The Slater certificate is
     not checked here: it is ``problem.eps_star``, which ``load_problem``
     reads for a file that declares a Slater point.  Raises nothing; the
     report lists failures so callers decide.
@@ -401,6 +402,7 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
             rep.lipschitz_violation = _worse(rep.lipschitz_violation, gap / scale)
 
     for fam in problem.constraints:
+        lip_error = None
         for _ in range(VALIDATION_SAMPLES):
             a, b, y, lam = rand_x(), rand_x(), rand_y(), rng.random()
             mid = lam * a + (1 - lam) * b
@@ -415,13 +417,19 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
                 rep.subgradient_violation, (cut - fam.value(b, y)) / scale
             )
             x, ya, yb = rand_x(), rand_y(), rand_y()
-            lip = fam.local_lipschitz_in_y(x)  # the constant certified_max uses
+            try:
+                lip = fam.local_lipschitz_in_y(x)  # the constant certified_max uses
+            except InputError as exc:
+                lip_error = lip_error or str(exc)
+                continue
             gap = abs(fam.value(x, ya) - fam.value(x, yb)) - lip * float(
                 np.max(np.abs(ya - yb))
             )
             rep.lipschitz_violation = _worse(
                 rep.lipschitz_violation, gap / (1.0 + abs(fam.value(x, ya)))
             )
+        if lip_error is not None:
+            rep.failures.append(lip_error)
 
     # drawn after the other checks, so that their samples stay the same
     for fam in problem.constraints:

@@ -24,6 +24,7 @@ digits so that outcomes and traces reproduce bit-identically.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -165,25 +166,37 @@ def quadratic_problem_from_dict(data: dict) -> SipProblem:
 # --------------------------------------------------------------------------
 
 
+def read_input_text(path: Path, what: str) -> str:
+    """The text of a UTF-8 input file; a file that cannot be read or decoded
+    is an InputError naming the path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason} at byte {exc.start})"
+    raise InputError(f"cannot read {what} {path}: {reason}")
+
+
 def read_data_csv(path: Path, input_dim: int) -> np.ndarray:
     """CSV ingestion: one column per input dimension, then the target."""
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                if lineno == 0:
-                    continue  # header
-                raise InputError(f"{path}: non-numeric row {lineno + 1}")
-            if len(vals) != input_dim + 1:
-                raise InputError(
-                    f"{path}: row {lineno + 1} has {len(vals)} columns, "
-                    f"expected {input_dim + 1}"
-                )
-            rows.append(vals)
+    text = read_input_text(path, "data file")
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline=""))):
+        if not row:
+            continue
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            if lineno == 0:
+                continue  # header
+            raise InputError(f"{path}: non-numeric row {lineno + 1}")
+        if len(vals) != input_dim + 1:
+            raise InputError(
+                f"{path}: row {lineno + 1} has {len(vals)} columns, "
+                f"expected {input_dim + 1}"
+            )
+        rows.append(vals)
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.array(rows)
@@ -248,11 +261,9 @@ def load_problem(source) -> SipProblem:
         if text.startswith("builtin:"):
             return builtin(text.split(":", 1)[1])
         path = Path(text)
-        if not path.exists():
-            raise InputError(f"problem file not found: {path}")
         base_dir = path.parent
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(read_input_text(path, "problem file"))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: malformed JSON ({exc})") from None
         if not isinstance(data, dict):

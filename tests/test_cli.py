@@ -450,6 +450,54 @@ class TestSlaterCertificate:
         assert err.startswith("error: ") and "slater point" in err
 
 
+class TestFileErrors:
+    """A file the CLI cannot read or write ends in one error line, exit 1."""
+
+    @staticmethod
+    def assert_error(capsys, argv, match):
+        assert run_cli(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+
+    def test_problem_is_a_directory(self, tmp_path, capsys):
+        self.assert_error(
+            capsys, ["check", "--problem", str(tmp_path)],
+            f"cannot read problem file {tmp_path}",
+        )
+
+    def test_missing_data_csv(self, tmp_path, capsys):
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps({
+            "type": "regression", "data_csv": "missing.csv", "degree": 1,
+            "u_box": {"lower": [0.0], "upper": [1.0]},
+            "coeff_box": {"lower": [-10.0, -10.0], "upper": [10.0, 10.0]},
+            "constraints": [{"weights": [[[1], -1.0]], "offset": 0.0}],
+        }))
+        self.assert_error(
+            capsys, ["check", "--problem", str(path)],
+            f"cannot read data file {tmp_path / 'missing.csv'}: ",
+        )
+
+    def test_problem_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"x_box": "\xe9"}')
+        self.assert_error(
+            capsys, ["check", "--problem", str(path)],
+            f"cannot read problem file {path}: not UTF-8",
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_output_in_a_missing_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out.csv"
+        flag = "--trace-out" if command == "solve" else "--table-out"
+        self.assert_error(
+            capsys,
+            [command, "--problem", "builtin:instance_A", flag, str(out),
+             "--max-iters", "2"],
+            f"cannot write {out}",
+        )
+
+
 class TestBench:
     def test_table_and_summary(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

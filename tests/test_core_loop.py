@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from sipsolve import core_loop
 from sipsolve.core_loop import (
     CoreConfig,
     DEDUP_TOL,
     CoreStatus,
     Discretization,
     RunTrace,
+    Stream,
     ToleranceSchedule,
     eventually_zero_schedule,
     geometric_schedule,
@@ -14,6 +16,7 @@ from sipsolve.core_loop import (
     update_discretization,
 )
 from sipsolve.errors import ConfigError
+from sipsolve.finite_solver import DiscretizedSolveResult, SolveStatus
 from sipsolve.lower_level import CertifiedMax
 
 
@@ -250,6 +253,56 @@ class TestRunCore:
                 fs = [r.f_x for r in res.trace.rows if np.isfinite(r.f_x)]
                 for a, b in zip(fs, fs[1:]):
                     assert b >= a - 1e-11
+
+
+class TestStream:
+    """A stream's step keeps its latest point and its cut pool in step with
+    its solves and its points."""
+
+    def test_latest_point_is_the_last_solve_with_a_point(self, prob_a, monkeypatch):
+        sched = eventually_zero_schedule(0)
+        stream = Stream(prob_a, 0.1, single(0.0))
+        first = stream.step(sched, 0)
+        assert first.solve.status is SolveStatus.FEASIBLE
+        assert stream.x is first.x
+        hints = []
+
+        def solve_to(result):
+            def solve(dp, tol, x_hint=None, pool=None):
+                hints.append(x_hint)
+                return result
+
+            return solve
+
+        # an undecided solve without a point leaves the latest point alone
+        no_point = DiscretizedSolveResult(SolveStatus.UNDECIDED, None, np.inf, -np.inf, 0.0)
+        monkeypatch.setattr(core_loop, "solve_discretized", solve_to(no_point))
+        step = stream.step(sched, 1)
+        assert step.x is None and step.cert is None
+        assert stream.x is first.x
+        # an undecided solve with a point makes it the latest
+        x = np.array([-0.5])
+        undecided = DiscretizedSolveResult(SolveStatus.UNDECIDED, x, 0.25, 0.0, 0.0)
+        monkeypatch.setattr(core_loop, "solve_discretized", solve_to(undecided))
+        step = stream.step(sched, 2)
+        assert step.cert is None
+        assert stream.x is x
+        assert len(hints) == 2 and all(h is first.x for h in hints)
+
+    def test_pool_drops_cuts_of_points_that_left(self, prob_a):
+        sched = eventually_zero_schedule(0)
+        stream = Stream(prob_a, 0.1, Discretization(np.array([[0.0], [0.5]])))
+        step = stream.step(sched, 0)
+        keyed = {key[1] for key in stream.pool.constraint}
+        assert keyed == {np.array([y]).tobytes() for y in (0.0, 0.5)}
+        # at x = 0 both points lie below -eps - rho, so refining drops them
+        stream.refine(step, 0.0)
+        assert stream.points.cardinality == 1
+        stream.step(sched, 1)
+        kept = {p.tobytes() for p in stream.points.points}
+        assert stream.pool.constraint
+        assert {key[1] for key in stream.pool.constraint} <= kept
+        assert not keyed & kept
 
 
 class TestRunTrace:

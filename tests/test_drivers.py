@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from sipsolve import core_loop, drivers, finite_solver, lower_level
 from sipsolve.core_loop import (
     CoreConfig,
+    CoreStatus,
     Discretization,
     RunTrace,
+    Stream,
     ToleranceSchedule,
     eventually_zero_schedule,
     geometric_schedule,
@@ -52,38 +54,37 @@ def sim_schedule(delta, aux0=0.1):
 
 class TestRunFeasFinite:
     def test_instance_a_shrinks_then_terminates(self, prob_a):
+        stream = Stream(prob_a, 4.0, single(1.0))
         res = run_feas_finite(
-            prob_a, eps0=4.0, r=2.0, schedule=eventually_zero_schedule(0),
-            rho=0.0, y0=single(1.0),
+            stream, r=2.0, schedule=eventually_zero_schedule(0), rho=0.0
         )
-        assert res.terminated
+        assert res.status is CoreStatus.TERMINATED
         assert res.x[0] == pytest.approx(-2.0, abs=1e-6)
-        assert res.eps_terminal == 2.0
+        assert stream.eps == 2.0
         assert [row.branch for row in res.trace.rows] == ["infeasible", "terminated"]
 
     def test_instance_a_small_restriction(self, prob_a):
         sched = ToleranceSchedule(0.0, 1e-3, 0.5 ** (1 / 64), zero_from=0)
-        res = run_feas_finite(
-            prob_a, eps0=0.1, r=2.0, schedule=sched, rho=0.0, y0=single(0.0)
-        )
-        assert res.terminated
+        stream = Stream(prob_a, 0.1, single(0.0))
+        res = run_feas_finite(stream, r=2.0, schedule=sched, rho=0.0)
+        assert res.status is CoreStatus.TERMINATED
         assert res.x[0] == pytest.approx(-0.1, abs=2e-3)
-        assert res.eps_terminal == 0.1
+        assert stream.eps == 0.1
 
     def test_instance_b_restricted_optimum(self, prob_b):
         res = run_feas_finite(
-            prob_b, eps0=1.0, r=2.0, schedule=eventually_zero_schedule(0),
-            rho=0.0, y0=Discretization(np.array([[0.0], [1.0]])),
+            Stream(prob_b, 1.0, Discretization(np.array([[0.0], [1.0]]))),
+            r=2.0, schedule=eventually_zero_schedule(0), rho=0.0,
         )
-        assert res.terminated
+        assert res.status is CoreStatus.TERMINATED
         assert np.allclose(res.x, [-2.0, -2.0], atol=1e-6)
         # analytic restricted optimum 2 (1 + eps)^2 at eps = 1
         assert prob_b.objective.value(res.x) == pytest.approx(8.0, abs=1e-6)
 
     def test_eps_divides_exactly_on_infeasible_branches(self, prob_a):
         res = run_feas_finite(
-            prob_a, eps0=16.0, r=2.0, schedule=eventually_zero_schedule(0),
-            rho=0.0, y0=single(1.0),
+            Stream(prob_a, 16.0, single(1.0)), r=2.0,
+            schedule=eventually_zero_schedule(0), rho=0.0,
         )
         eps_seq = [row.eps for row in res.trace.rows]
         for row, (e1, e2) in zip(res.trace.rows, zip(eps_seq, eps_seq[1:])):
@@ -114,18 +115,18 @@ class TestRunFeasFinite:
         prob = replace(prob_a, constraints=(fam,))
         sched = ToleranceSchedule(0.0, 1e-20, 0.5, zero_from=0)
         res = run_feas_finite(
-            prob, eps0=1e-21, r=2.0, schedule=sched, rho=0.0,
-            y0=Discretization(box.center().reshape(1, -1)), max_iters=3,
+            Stream(prob, 1e-21, Discretization(box.center().reshape(1, -1))),
+            r=2.0, schedule=sched, rho=0.0, max_iters=3,
         )
-        assert not res.terminated
+        assert res.status is CoreStatus.BUDGET
         assert [row.branch for row in res.trace.rows] == ["violation"] * 3
 
     def test_budget_flag(self, prob_a):
         res = run_feas_finite(
-            prob_a, eps0=0.1, r=2.0, schedule=eventually_zero_schedule(0),
-            rho=0.0, y0=single(0.0), max_iters=0,
+            Stream(prob_a, 0.1, single(0.0)), r=2.0,
+            schedule=eventually_zero_schedule(0), rho=0.0, max_iters=0,
         )
-        assert not res.terminated
+        assert res.status is CoreStatus.BUDGET
         assert not res.trace.rows
 
     @pytest.mark.parametrize(
@@ -134,16 +135,17 @@ class TestRunFeasFinite:
     def test_non_finite_restriction_rejected(self, prob_a, eps0, r):
         with pytest.raises(ConfigError):
             run_feas_finite(
-                prob_a, eps0=eps0, r=r, schedule=eventually_zero_schedule(0),
-                rho=0.0, y0=single(0.0),
+                Stream(prob_a, eps0, single(0.0)), r=r,
+                schedule=eventually_zero_schedule(0), rho=0.0,
             )
 
     @pytest.mark.parametrize("max_iters", [-3, 2.5, np.nan])
     def test_invalid_max_iters_rejected(self, prob_a, max_iters):
         with pytest.raises(ConfigError, match="max_iters"):
             run_feas_finite(
-                prob_a, eps0=0.1, r=2.0, schedule=eventually_zero_schedule(0),
-                rho=0.0, y0=single(0.0), max_iters=max_iters,
+                Stream(prob_a, 0.1, single(0.0)), r=2.0,
+                schedule=eventually_zero_schedule(0), rho=0.0,
+                max_iters=max_iters,
             )
 
 
@@ -297,6 +299,31 @@ class TestRunSequential:
             implied_delta = 2 * 4.0 * (4.0 / 2.0) * (1.0 / 2.0**m_star)
             assert out.f_value <= implied_delta
         assert dists[0] >= dists[1] >= dists[2]
+
+
+    def test_one_stream_through_every_stage(self, prob_a, monkeypatch):
+        # each stage starts at the previous stage's final restriction over r
+        run = drivers.run_feas_finite
+        stages = []
+
+        def recorded(stream, r, *args, **kwargs):
+            start = stream.eps
+            res = run(stream, r, *args, **kwargs)
+            stages.append((stream, start, stream.eps))
+            return res
+
+        monkeypatch.setattr(drivers, "run_feas_finite", recorded)
+        cfg = SequentialConfig(
+            delta=0.1, r=2.0, eps00=4.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=single(0.5),
+        )
+        out = run_sequential(prob_a, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert len(stages) == out.outer
+        assert all(stream is stages[0][0] for stream, _, _ in stages)
+        assert stages[0][1:] == (4.0, 2.0)  # the first stage shrinks once
+        for (_, _, end), (_, start, _) in zip(stages, stages[1:]):
+            assert start == end / cfg.r
 
 
 class TestRunSimultaneous:

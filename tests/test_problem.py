@@ -252,6 +252,18 @@ class TestOracleValidation:
         assert np.isnan(report.convexity_violation)
         assert report.failures[0] == "convexity violated by nan"
 
+    @pytest.mark.parametrize("lip", [np.nan, -1.0])
+    def test_bad_per_x_lipschitz_constant_fails(self, lip):
+        # the constant certified_max would use: reported once, not raised
+        prob = instance_b()
+        fam = replace(prob.constraints[0], lipschitz_in_y_at=lambda x: lip)
+        report = validate_problem(replace(prob, constraints=(fam,)))
+        assert not report.ok
+        assert report.failures == [
+            f"constraint family {fam.index} returned a per-x Lipschitz "
+            f"constant {lip!r}; it must be nonnegative"
+        ]
+
     def test_regression_instance_passes(self, spec_r):
         from sipsolve.regression import build_problem
 
