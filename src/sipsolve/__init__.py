@@ -47,7 +47,6 @@ from .regression import (
     RegressionSpec,
     ShapeConstraint,
     build_problem,
-    eval_polynomial_derivative,
 )
 from .serialization import load_problem
 
@@ -86,7 +85,6 @@ __all__ = [
     "compute_termination_index",
     "default_y0",
     "derive_eps_star",
-    "eval_polynomial_derivative",
     "eventually_zero_schedule",
     "feasibility_margin",
     "geometric_schedule",

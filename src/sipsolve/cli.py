@@ -7,7 +7,7 @@ result (DeltaApproximate, or Feasible for the core loop, which ignores
 --delta), 2 a budget-limited partial result or an exhausted certification
 cell budget (after the post-hoc certification, with both files written),
 1 an input error, a non-finite number, a malformed command line or an
-output file that cannot be written.
+output file that cannot be written (checked before the run).
 check validates a problem file including its Slater certificate.  bench
 compares discretization growth between the minimal (rho = 0) and monotone
 (rho = inf) pruning policies on the same instance.
@@ -16,6 +16,8 @@ compares discretization growth between the minimal (rho = 0) and monotone
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 
@@ -129,6 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_output_paths(*paths) -> None:
+    """Raise, before any run, the OSError that writing a path would raise
+    when its directory is missing or not writable or it is itself a
+    directory; creates no file.  None stands for no file."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        for failed, code in ((os.path.isdir(path), errno.EISDIR),
+                             (not os.path.exists(parent), errno.ENOENT),
+                             (not os.path.isdir(parent), errno.ENOTDIR),
+                             (not os.access(parent, os.W_OK), errno.EACCES)):
+            if failed:
+                raise OSError(code, os.strerror(code), path)
+
+
 def _core_outcome(problem, result, eps0: float) -> SolveOutcome:
     """Wrap a core-loop result so the same writers apply.  The core loop
     runs at the one restriction eps0, so an infeasible restricted problem
@@ -147,6 +163,7 @@ def _core_outcome(problem, result, eps0: float) -> SolveOutcome:
 
 
 def cmd_solve(args) -> int:
+    check_output_paths(args.trace_out, args.outcome_out)
     problem = load_problem(args.problem)
     schedule = parse_schedule(args.schedule)
     y0 = default_y0(problem)
@@ -196,6 +213,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    check_output_paths(args.table_out)
     problem = load_problem(args.problem)
     schedule = parse_schedule(args.schedule)
     if schedule.zero_from is None:
@@ -249,7 +267,7 @@ def main(argv=None) -> int:
     except (InputError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except OSError as exc:  # an output file; input files raise InputError
+    except OSError as exc:  # an output file, e.g. one whose directory went away
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except CertificationError as exc:  # valid input, exhausted cell budget

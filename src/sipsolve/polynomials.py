@@ -1,5 +1,6 @@
-"""Dense multivariate polynomials in the monomial basis, and the constraint
-families built from them.
+"""Dense multivariate polynomials in the monomial basis, the one ordering of
+a polynomial model's coefficients (multi_indices), and the constraint
+families built from polynomials.
 
 Every constraint family of the form g(x, y) = a(y).x + b(y) with polynomial
 a and b is built here by affine_polynomial_family: the JSON quadratic
@@ -7,22 +8,18 @@ schema, the regression front-end (model-derivative constraints) and the
 randomized instance generator all call it.  The family is held as one
 exponent matrix and one coefficient matrix, from which its value, batch,
 x-subgradient, term-wise Lipschitz-in-y and second-order-in-y oracles are
-each one array expression.  Degrees stay in the single digits here, so no orthogonal-basis
-conditioning is attempted.
+each one array expression.  Degrees stay in the single digits here, so no
+orthogonal-basis conditioning is attempted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
 
 import numpy as np
 
 from .errors import InputError
 from .problem import BoxDomain, ConstraintFamily
-
-# infer_basis looks for a matching basis up to this degree.
-MAX_BASIS_DEGREE = 32
 
 
 def multi_indices(dim: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -45,10 +42,6 @@ def multi_indices(dim: int, max_degree: int) -> list[tuple[int, ...]]:
         rec((), total, dim)
         out.extend(sorted(level, reverse=True))
     return out
-
-
-def num_coefficients(dim: int, max_degree: int) -> int:
-    return comb(max_degree + dim, dim)
 
 
 @dataclass(frozen=True)
@@ -92,70 +85,6 @@ class Polynomial:
     def plus_constant(self, c: float) -> "Polynomial":
         e = np.vstack([self.exponents, np.zeros((1, self.dim), dtype=int)])
         return Polynomial(e, np.concatenate([self.coeffs, [float(c)]]))
-
-
-@dataclass(frozen=True)
-class PolynomialBasis:
-    """Monomial basis of all multi-indices of degree <= degree in dim vars."""
-
-    dim: int
-    degree: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "_indices", tuple(multi_indices(self.dim, self.degree)))
-
-    @property
-    def indices(self) -> tuple[tuple[int, ...], ...]:
-        return self._indices  # type: ignore[attr-defined]
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def features(self, u) -> np.ndarray:
-        """Monomial feature vector (u^alpha for every basis index)."""
-        u = np.asarray(u, dtype=float).reshape(self.dim)
-        e = np.asarray(self.indices, dtype=int)
-        return np.prod(u[None, :] ** e, axis=1)
-
-    def eval(self, w, u) -> float:
-        w = np.asarray(w, dtype=float).reshape(self.size)
-        return float(np.dot(w, self.features(u)))
-
-    def derivative_weights(self, alpha: tuple[int, ...]) -> list[Polynomial]:
-        """Decompose d^alpha of a basis polynomial: returns, for each basis
-        coefficient w_beta, the polynomial in u multiplying it inside
-        d^alpha v_w(u).  That is beta!/(beta-alpha)! times the shifted
-        monomial, zero where beta does not dominate alpha."""
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.dim or any(a < 0 for a in alpha):
-            raise InputError("alpha must be a nonnegative multi-index of basis dim")
-        if sum(alpha) > self.degree:
-            raise InputError(
-                f"derivative order {sum(alpha)} exceeds basis degree {self.degree}"
-            )
-        polys: list[Polynomial] = []
-        for beta in self.indices:
-            if all(b >= a for b, a in zip(beta, alpha)):
-                fac = 1.0
-                for b, a in zip(beta, alpha):
-                    fac *= factorial(b) / factorial(b - a)
-                shifted = tuple(b - a for b, a in zip(beta, alpha))
-                polys.append(Polynomial(np.array([shifted]), np.array([fac])))
-            else:
-                polys.append(Polynomial.zero(self.dim))
-        return polys
-
-
-def infer_basis(num_coeffs: int, dim: int) -> PolynomialBasis:
-    """Recover the basis degree from a coefficient vector length."""
-    for n in range(MAX_BASIS_DEGREE + 1):
-        if num_coefficients(dim, n) == num_coeffs:
-            return PolynomialBasis(dim, n)
-    raise InputError(
-        f"{num_coeffs} coefficients do not match any degree <= {MAX_BASIS_DEGREE} "
-        f"basis in {dim} variables"
-    )
 
 
 def affine_polynomial_family(

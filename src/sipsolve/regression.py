@@ -1,12 +1,15 @@
 """Shape-constrained polynomial regression assembled as a semi-infinite
 program.
 
-The model is a polynomial of bounded degree with coefficients confined to a
-box; the loss is the ridge-regularized sum of squared residuals (an exact
-convex quadratic in the coefficients); each shape constraint is an affine
+The model is a polynomial v_w(u) = sum_beta w_beta u^beta of bounded degree,
+its coefficients ordered by polynomials.multi_indices and confined to a box;
+the loss is the ridge-regularized sum of squared residuals (an exact convex
+quadratic in the coefficients); each shape constraint is an affine
 combination of model derivatives required nonpositive on the whole input
 box, which makes it affine in the coefficients with polynomial dependence on
-the input.  Each such constraint becomes a family through
+the input.  Every derivative comes from the one rule
+d^alpha u^beta = beta!/(beta - alpha)! u^(beta - alpha), zero where beta
+does not dominate alpha.  Each constraint becomes a family through
 polynomials.affine_polynomial_family, with the offset as a constant b(u):
 the model-derivative polynomials become the family's exponent and
 coefficient arrays, whose term-wise bounds give its Lipschitz data, so the
@@ -17,16 +20,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
+from math import perm, prod
 
 import numpy as np
 
 from .errors import InputError
-from .polynomials import (
-    Polynomial,
-    PolynomialBasis,
-    affine_polynomial_family,
-    infer_basis,
-)
+from .polynomials import Polynomial, affine_polynomial_family, multi_indices
 from .problem import (
     BoxDomain,
     ConvexObjective,
@@ -54,7 +54,11 @@ class ShapeConstraint:
             if any(v < 0 for v in a):
                 raise InputError("derivative multi-indices must be nonnegative")
             cleaned[a] = float(w)
+            if not np.isfinite(cleaned[a]):
+                raise InputError(f"shape constraint weight of {a} must be finite")
         object.__setattr__(self, "weights", cleaned)
+        if not np.isfinite(self.offset):
+            raise InputError(f"shape constraint offset must be finite, got {self.offset}")
 
     @property
     def order(self) -> int:
@@ -90,20 +94,24 @@ class RegressionSpec:
             raise InputError(
                 f"data rows must hold {self.u_domain.dim} inputs plus a target"
             )
+        if not np.isfinite(arr).all():
+            raise InputError("data must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        if self.degree < 0:
-            raise InputError("degree must be nonnegative")
-        if self.ridge <= 0:
-            raise InputError("ridge must be positive (it certifies strict convexity)")
+        if not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
+            raise InputError(f"degree must be an integer >= 0, got {self.degree!r}")
+        if not 0 < self.ridge < np.inf:
+            raise InputError(
+                "ridge must be positive and finite (it certifies strict convexity)"
+            )
         object.__setattr__(
             self, "shape_constraints", tuple(self.shape_constraints)
         )
-        basis = PolynomialBasis(self.u_domain.dim, self.degree)
-        if self.coeff_box.dim != basis.size:
+        size = len(self.exponents)
+        if self.coeff_box.dim != size:
             raise InputError(
-                f"coeff_box must have dimension {basis.size} for degree "
+                f"coeff_box must have dimension {size} for degree "
                 f"{self.degree} in {self.u_domain.dim} input variables"
             )
         for sc in self.shape_constraints:
@@ -114,9 +122,13 @@ class RegressionSpec:
                     f"derivative order {sc.order} exceeds model degree {self.degree}"
                 )
 
-    @property
-    def basis(self) -> PolynomialBasis:
-        return PolynomialBasis(self.u_domain.dim, self.degree)
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """(T, d) exponents beta of the model's monomials u^beta, one row per
+        coefficient w_beta, in multi_indices order."""
+        e = np.array(multi_indices(self.u_domain.dim, self.degree), dtype=int)
+        e.setflags(write=False)
+        return e
 
     @property
     def inputs(self) -> np.ndarray:
@@ -129,9 +141,9 @@ class RegressionSpec:
 
 def assemble_loss(spec: RegressionSpec) -> QuadraticForm:
     """Exact quadratic form of the ridge-regularized squared loss."""
-    basis = spec.basis
-    feats = np.stack([basis.features(u) for u in spec.inputs])
-    Q = feats.T @ feats + spec.ridge * np.eye(basis.size)
+    E = spec.exponents
+    feats = np.prod(spec.inputs[:, None, :] ** E[None], axis=2)
+    Q = feats.T @ feats + spec.ridge * np.eye(len(E))
     c = -2.0 * feats.T @ spec.targets
     d = float(spec.targets @ spec.targets)
     return QuadraticForm(Q=Q, c=c, d=d)
@@ -140,19 +152,23 @@ def assemble_loss(spec: RegressionSpec) -> QuadraticForm:
 def constraint_coefficient_polys(
     spec: RegressionSpec, sc: ShapeConstraint
 ) -> tuple[list[Polynomial], float]:
-    """Polynomials a_beta(u) with g(w, u) = sum_beta a_beta(u) w_beta + offset."""
-    basis = spec.basis
-    coeffs = [Polynomial.zero(spec.u_domain.dim) for _ in range(basis.size)]
-    for alpha, weight in sorted(sc.weights.items()):
-        polys = basis.derivative_weights(alpha)
-        for t in range(basis.size):
-            if polys[t].coeffs.any():
-                scaled = polys[t].scaled(weight)
-                merged = Polynomial(
-                    np.vstack([coeffs[t].exponents, scaled.exponents]),
-                    np.concatenate([coeffs[t].coeffs, scaled.coeffs]),
-                )
-                coeffs[t] = merged
+    """Polynomials a_beta(u) with g(w, u) = sum_beta a_beta(u) w_beta + offset.
+
+    a_beta = sum_alpha weight[alpha] * d^alpha u^beta: a zero constant term,
+    then, for each alpha in sorted order that beta dominates, the monomial
+    u^(beta - alpha) with coefficient beta!/(beta - alpha)! * weight."""
+    if any(len(a) != spec.u_domain.dim for a in sc.weights):
+        raise InputError("shape constraint multi-index dimension mismatch")
+    alphas = sorted(sc.weights.items())
+    coeffs = []
+    for beta in spec.exponents.tolist():
+        rows, terms = [[0] * len(beta)], [0.0]
+        for alpha, weight in alphas:
+            fac = prod(map(perm, beta, alpha), start=1.0)  # 0 unless beta >= alpha
+            if fac:
+                rows.append([b - a for b, a in zip(beta, alpha)])
+                terms.append(fac * weight)
+        coeffs.append(Polynomial(np.array(rows), np.array(terms)))
     return coeffs, sc.offset
 
 
@@ -203,20 +219,3 @@ def build_problem(spec: RegressionSpec) -> SipProblem:
     if spec.slater_point is None:
         return synthesize_slater_point(spec, problem)
     return problem
-
-
-def eval_polynomial_derivative(w, alpha, u) -> float:
-    """Exact d^alpha v_w(u) for the monomial-basis polynomial with
-    coefficient vector w over inputs of dimension len(u)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    if len(alpha) != u.size:
-        raise InputError("alpha and u must have the same dimension")
-    basis = infer_basis(w.size, u.size)
-    if sum(alpha) > basis.degree:
-        raise InputError(
-            f"derivative order {sum(alpha)} out of range for degree {basis.degree}"
-        )
-    polys = basis.derivative_weights(alpha)
-    return float(sum(w[t] * p(u) for t, p in enumerate(polys)))

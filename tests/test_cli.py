@@ -497,6 +497,63 @@ class TestFileErrors:
             f"cannot write {out}",
         )
 
+    @pytest.mark.parametrize(
+        "command, flag, target, reason",
+        [
+            ("solve", "--trace-out", "missing/t.csv", "No such file or directory"),
+            ("solve", "--outcome-out", "missing/o.json", "No such file or directory"),
+            ("solve", "--trace-out", "", "Is a directory"),
+            ("solve", "--outcome-out", "", "Is a directory"),
+            ("bench", "--table-out", "missing/table.csv", "No such file or directory"),
+            ("bench", "--table-out", "", "Is a directory"),
+        ],
+    )
+    def test_output_path_rejected_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command, flag, target, reason
+    ):
+        from sipsolve import cli
+
+        calls = []
+        for name in ("run_core", "run_sequential", "run_simultaneous"):
+            wrapped = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name,
+                lambda *a, _f=wrapped, _n=name, **k: calls.append(_n) or _f(*a, **k),
+            )
+        out = tmp_path / target
+        argv = [command, "--problem", "builtin:regression_R", flag, str(out)]
+        if command == "solve":
+            # the other file is writable, and must not be written either
+            other = "--outcome-out" if flag == "--trace-out" else "--trace-out"
+            argv += [other, str(tmp_path / "other"), "--delta", "1e-3"]
+        self.assert_error(capsys, argv, f"cannot write {out}: {reason}")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "t.csv"
+        self.assert_error(
+            capsys,
+            ["solve", "--problem", "builtin:instance_A", "--trace-out", str(out)],
+            f"cannot write {out}: Not a directory",
+        )
+        assert [f.name for f in tmp_path.iterdir()] == ["afile"]
+
+    def test_output_in_a_read_only_directory(self, tmp_path, capsys, monkeypatch):
+        # os.access answers for the running user; a superuser may write
+        # anywhere, so the denial is simulated
+        from sipsolve import cli
+
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        out = tmp_path / "t.csv"
+        self.assert_error(
+            capsys,
+            ["solve", "--problem", "builtin:instance_A", "--trace-out", str(out)],
+            f"cannot write {out}: Permission denied",
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBench:
     def test_table_and_summary(self, tmp_path, capsys):

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from sipsolve.errors import InputError
 from sipsolve.polynomials import (
     Polynomial,
-    PolynomialBasis,
     affine_polynomial_family,
-    infer_basis,
     multi_indices,
-    num_coefficients,
 )
 from sipsolve.instances import random_affine_instance
 from sipsolve.problem import BoxDomain
@@ -16,14 +12,13 @@ from sipsolve.regression import (
     RegressionSpec,
     build_problem,
     convex_1d,
-    eval_polynomial_derivative,
 )
 from sipsolve.serialization import load_problem
 
 
 def test_multi_index_counts():
     assert len(multi_indices(1, 3)) == 4
-    assert len(multi_indices(2, 2)) == 6 == num_coefficients(2, 2)
+    assert len(multi_indices(2, 2)) == 6
     # graded order: constant first, then degree blocks
     idx = multi_indices(2, 2)
     assert idx[0] == (0, 0)
@@ -109,23 +104,6 @@ def test_lipschitz_table_matches_term_by_term(q):
             expected = _lipschitz_term_by_term(a, b, x, y_box)
             got = fam.lipschitz_in_y_at(x)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-def test_basis_derivative_eval():
-    basis = PolynomialBasis(1, 2)
-    # v(u) = 3 + 0 u + 2 u^2 -> v''(u) = 4
-    w = np.array([3.0, 0.0, 2.0])
-    assert eval_polynomial_derivative(w, (2,), [0.7]) == pytest.approx(4.0)
-    assert eval_polynomial_derivative(w, (1,), [0.5]) == pytest.approx(2.0)
-    with pytest.raises(InputError):
-        basis.derivative_weights((3,))
-
-
-def test_infer_basis():
-    assert infer_basis(4, 1).degree == 3
-    assert infer_basis(6, 2).degree == 2
-    with pytest.raises(InputError):
-        infer_basis(5, 2)
 
 
 def _builder_problems():

@@ -1,5 +1,7 @@
+import itertools
 import json
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from sipsolve.regression import (
     ShapeConstraint,
     assemble_loss,
     build_problem,
+    constraint_coefficient_polys,
     convex_1d,
-    eval_polynomial_derivative,
     monotone_increasing,
     synthesize_slater_point,
 )
@@ -181,58 +183,136 @@ class TestSlaterSynthesis:
         assert synthesize_slater_point(spec, prob) is prob
 
 
-class TestEvalPolynomialDerivative:
+def _spec(d, n, shape_constraints=()):
+    """A degree-n model in d inputs on [0, 1]^d, one data point at 0."""
+    size = comb(n + d, d)
+    return RegressionSpec(
+        data=np.zeros((1, d + 1)),
+        degree=n,
+        coeff_box=BoxDomain([-1.0] * size, [1.0] * size),
+        u_domain=BoxDomain([0.0] * d, [1.0] * d),
+        shape_constraints=shape_constraints,
+    )
+
+
+def _constraint_value(spec, sc, w, u):
+    """sum_beta a_beta(u) w_beta + offset from the coefficient polynomials."""
+    polys, offset = constraint_coefficient_polys(spec, sc)
+    return sum(p(u) * wb for p, wb in zip(polys, w)) + offset
+
+
+def _model(spec, w, u):
+    return float(np.prod(np.asarray(u) ** spec.exponents, axis=1) @ w)
+
+
+def _finite_difference(f, alpha, u, h):
+    """d^alpha f(u) by the product of central differences of order alpha_j
+    along each axis j."""
+    total = 0.0
+    for steps in itertools.product(*(range(a + 1) for a in alpha)):
+        weight = np.prod([(-1) ** i * comb(a, i) for a, i in zip(alpha, steps)])
+        shift = np.array([(a / 2 - i) * h for a, i in zip(alpha, steps)])
+        total += weight * f(u + shift)
+    return total / h ** sum(alpha)
+
+
+class TestConstraintCoefficientPolys:
     def test_linear(self):
-        assert eval_polynomial_derivative([1.0, 2.0], (1,), [0.3]) == pytest.approx(2.0)
+        sc = ShapeConstraint(weights={(1,): 1.0})
+        assert _constraint_value(_spec(1, 1), sc, [1.0, 2.0], [0.3]) == 2.0
 
     def test_second_derivative_of_square(self):
-        # v(u) = u^2 in the degree-2 basis
-        assert eval_polynomial_derivative([0.0, 0.0, 1.0], (2,), [0.9]) == pytest.approx(2.0)
+        # v(u) = u^2 in the degree-2 model
+        sc = ShapeConstraint(weights={(2,): 1.0})
+        assert _constraint_value(_spec(1, 2), sc, [0.0, 0.0, 1.0], [0.9]) == 2.0
 
     def test_mixed_partial(self):
-        # v(u1, u2) = u1 u2: basis (2, 1) -> [1, u2, u1, u2^2, u1 u2, u1^2]
-        w = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-        assert eval_polynomial_derivative(w, (1, 1), [0.2, 0.7]) == pytest.approx(1.0)
+        # v(u1, u2) = u1 u2
+        spec = _spec(2, 2)
+        w = [float(tuple(b) == (1, 1)) for b in spec.exponents.tolist()]
+        sc = ShapeConstraint(weights={(1, 1): 1.0})
+        assert _constraint_value(spec, sc, w, [0.2, 0.7]) == 1.0
 
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            eval_polynomial_derivative([1.0, 2.0], (2,), [0.3])
+    def test_terms_in_order(self):
+        # a zero constant term, then one term per dominated alpha in sorted
+        # order: the family's exponent and coefficient arrays follow this
+        sc = ShapeConstraint(weights={(2,): -1.0, (1,): -3.0}, offset=0.5)
+        polys, offset = constraint_coefficient_polys(_spec(1, 2), sc)
+        assert offset == 0.5
+        assert [p.exponents.tolist() for p in polys] == [[[0]], [[0], [0]], [[0], [1], [0]]]
+        assert [p.coeffs.tolist() for p in polys] == [[0.0], [0.0, -3.0], [0.0, -6.0, -2.0]]
 
     def test_against_finite_differences(self):
         rng = np.random.default_rng(7)
-        from sipsolve.polynomials import PolynomialBasis
-
-        for _ in range(100):
+        for trial in range(100):
             d = int(rng.integers(1, 3))
             n = int(rng.integers(1, 4))
-            basis = PolynomialBasis(d, n)
-            w = rng.uniform(-2, 2, basis.size)
+            alphas = set()
+            while len(alphas) < int(rng.integers(1, 3)):
+                alpha = tuple(int(a) for a in rng.integers(0, n + 1, d))
+                if 0 < sum(alpha) <= n:
+                    alphas.add(alpha)
+            weights = {alpha: float(rng.uniform(-2, 2)) for alpha in alphas}
+            if trial % 3 == 0:
+                weights[min(alphas)] = 0.0
+            sc = ShapeConstraint(weights=weights, offset=float(rng.uniform(-1, 1)))
+            spec = _spec(d, n, (sc,))
+            w = rng.uniform(-2, 2, len(spec.exponents))
             u = rng.uniform(0.2, 0.8, d)
-            order = int(rng.integers(1, n + 1))
-            axis = int(rng.integers(0, d))
-            alpha = tuple(order if j == axis else 0 for j in range(d))
-            h = 1e-4
-            if order == 1:
-                e = np.zeros(d)
-                e[axis] = h
-                fd = (basis.eval(w, u + e) - basis.eval(w, u - e)) / (2 * h)
-            elif order == 2:
-                e = np.zeros(d)
-                e[axis] = h
-                fd = (
-                    basis.eval(w, u + e) - 2 * basis.eval(w, u) + basis.eval(w, u - e)
-                ) / h**2
-            else:
-                e = np.zeros(d)
-                e[axis] = h
-                fd = (
-                    basis.eval(w, u + 2 * e)
-                    - 2 * basis.eval(w, u + e)
-                    + 2 * basis.eval(w, u - e)
-                    - basis.eval(w, u - 2 * e)
-                ) / (2 * h**3)
-            exact = eval_polynomial_derivative(w, alpha, u)
-            assert exact == pytest.approx(fd, rel=1e-4, abs=1e-3)
+            expected = sc.offset + sum(
+                weight * _finite_difference(lambda v: _model(spec, w, v), alpha, u, 1e-2)
+                for alpha, weight in weights.items()
+            )
+            got = _constraint_value(spec, sc, w, u)
+            assert got == pytest.approx(expected, rel=1e-4, abs=1e-3)
+
+    @pytest.mark.parametrize("d, alpha", [(1, (2,)), (2, (1, 1)), (2, (0, 2))])
+    def test_undominated_alpha_gives_zero_polynomials(self, d, alpha):
+        # no monomial of a degree-1 model survives a second derivative
+        spec = _spec(d, 1)
+        polys, _ = constraint_coefficient_polys(spec, ShapeConstraint(weights={alpha: 1.0}))
+        assert len(polys) == len(spec.exponents)
+        for p in polys:
+            assert p.exponents.tolist() == [[0] * d] and p.coeffs.tolist() == [0.0]
+
+    def test_multi_index_of_another_dimension(self):
+        with pytest.raises(InputError, match="dimension"):
+            constraint_coefficient_polys(_spec(2, 2), ShapeConstraint(weights={(1,): 1.0}))
+
+
+class TestSpecValidation:
+    """RegressionSpec and ShapeConstraint reject bad numbers themselves,
+    naming the field."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ridge", np.nan), ("ridge", np.inf), ("ridge", 0.0), ("ridge", -1.0),
+            ("data", np.array([[0.0, np.nan]])), ("data", np.array([[np.inf, 1.0]])),
+            ("degree", 1.5), ("degree", -1), ("degree", "1"),
+        ],
+    )
+    def test_spec_field(self, spec_r, field, value):
+        with pytest.raises(InputError, match=field):
+            replace(spec_r, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"weights": {(1,): np.nan}}, "weight"),
+            ({"weights": {(1,): -np.inf}}, "weight"),
+            ({"weights": {(1,): -1.0}, "offset": np.nan}, "offset"),
+            ({"weights": {(1,): -1.0}, "offset": np.inf}, "offset"),
+        ],
+    )
+    def test_shape_constraint_field(self, kwargs, field):
+        with pytest.raises(InputError, match=field):
+            ShapeConstraint(**kwargs)
+
+    def test_numpy_integer_degree(self, spec_r):
+        spec = replace(spec_r, degree=np.int64(1))
+        assert spec.exponents.tolist() == [[0], [1]]
+        assert assemble_loss(spec).Q.tolist() == assemble_loss(spec_r).Q.tolist()
 
 
 def test_loss_quadratic_form(spec_r):
@@ -244,3 +324,20 @@ def test_loss_quadratic_form(spec_r):
             (np.dot(w, [1.0, u]) - t) ** 2 for u, t in spec_r.data
         ) + spec_r.ridge * w @ w
         assert loss.value(w) == pytest.approx(direct)
+
+
+def test_loss_matches_row_by_row_features():
+    # the feature matrix is one array expression; built one data row at a
+    # time with the same arithmetic, the form must have the same bits
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        d = int(rng.integers(1, 4))
+        spec = replace(
+            _spec(d, int(rng.integers(0, 4))),
+            data=rng.uniform(-2, 2, (int(rng.integers(1, 20)), d + 1)),
+        )
+        E = spec.exponents
+        feats = np.stack([np.prod(u[None, :] ** E, axis=1) for u in spec.inputs])
+        loss = assemble_loss(spec)
+        assert loss.Q.tobytes() == (feats.T @ feats + spec.ridge * np.eye(len(E))).tobytes()
+        assert loss.c.tobytes() == (-2.0 * feats.T @ spec.targets).tobytes()
