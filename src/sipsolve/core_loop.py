@@ -13,7 +13,9 @@ own restriction updates.  The pruning radius rho regulates how much of the
 old discretization survives: rho = inf keeps everything, rho = 0 keeps only
 the points still active at the restriction level.  The step's two gaps come
 from a ``ToleranceSchedule``, a geometric record whose regime (summable or
-eventually zero) and supremum follow from its own fields.
+eventually zero) and supremum follow from its own fields; a restricted
+stream caps the certificate gap at eps/2, so that a point at its
+restriction's level is proved feasible by its first certificate.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .finite_solver import (
     solve_discretized,
 )
 from .lower_level import CertifiedMax, certified_max
-from .problem import SipProblem, as_point
+from .problem import FEASTOL, SipProblem, as_point
 
 DEDUP_TOL = 1e-12
 AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
@@ -229,12 +231,14 @@ def update_discretization(
     violator: CertifiedMax,
 ) -> Discretization:
     """One discretization update: keep the points still active at level
-    -eps - rho and add the violator's index point."""
+    -eps - rho, up to the finite solver's row tolerance FEASTOL, and add
+    the violator's index point.  Without the tolerance, rho = 0 drops a
+    point whose row is active up to rounding."""
     x = as_point(xk, dim=problem.x_domain.dim)
     kept = yk.points
     if yk.cardinality and not np.isinf(rho):
         vals = np.stack([fam.eval_grid(x, kept) for fam in problem.constraints])
-        kept = kept[vals.max(axis=0) >= -eps - rho]
+        kept = kept[vals.max(axis=0) >= -eps - rho - FEASTOL]
     new_points = np.vstack(
         [kept.reshape(-1, problem.y_domain.dim), violator.y_star.reshape(1, -1)]
     )
@@ -306,7 +310,11 @@ class Stream:
     def step(self, schedule: ToleranceSchedule, k: int) -> Step:
         """Solve the restricted problem on the points to gap obj_tol(k) and,
         when the solve is FEASIBLE, certify the maximum over all families at
-        its point to gap max(aux_tol(k), AUX_DELTA_FLOOR).  A solve that
+        its point.  The certificate gap is aux_tol(k), capped at eps/2 when
+        the stream is restricted and floored at AUX_DELTA_FLOOR: it never
+        exceeds the scheduled gap and still tends to zero, and a point whose
+        restriction is active (maximum -eps) terminates at once instead of
+        being re-solved until aux_tol(k) drops below eps.  A solve that
         returns a point, undecided ones included, makes it the latest."""
         self.pool.restrict_to_points(self.points.points)
         solve = solve_discretized(
@@ -317,7 +325,10 @@ class Stream:
         )
         if solve.x is not None:
             self.x = solve.x
-        aux_delta = max(schedule.aux_tol(k), AUX_DELTA_FLOOR)
+        aux_delta = schedule.aux_tol(k)
+        if self.eps > 0:
+            aux_delta = min(aux_delta, self.eps / 2)
+        aux_delta = max(aux_delta, AUX_DELTA_FLOOR)
         cert = None
         if solve.status is SolveStatus.FEASIBLE:
             cert = certified_max(self.problem.constraints, solve.x, aux_delta)

@@ -9,9 +9,12 @@ terminates at a point feasible for the original semi-infinite program whose
 objective is near the restricted optimum.
 
 run_sequential hands one stream through that driver with geometrically
-shrinking restrictions for an a-priori number of stages computed from the
-Slater point's certified margin eps* and the objective's Lipschitz constant,
-which yields a delta-approximate solution with a known termination index.
+shrinking restrictions.  The paper's a-priori stage count m* + 1, computed
+from the Slater point's certified margin eps* and the objective's Lipschitz
+constant, bounds the run; after each earlier stage one unrestricted solve on
+the stage's points bounds the optimum from below (a finite subset of the
+index set relaxes the program), and the run stops as soon as that bound
+certifies the stage's point delta-optimal.
 
 run_simultaneous interleaves an unrestricted stream (lower reference values)
 with a restricted stream (feasible candidates) and stops as soon as the two
@@ -41,7 +44,7 @@ from .core_loop import (
     check_rho_regime,
 )
 from .errors import CertificationError, ConfigError, InputError
-from .finite_solver import SolveStatus
+from .finite_solver import CutPool, DiscretizedProblem, SolveStatus, solve_discretized
 from .lower_level import certified_feasibility_bound
 from .problem import SipProblem
 
@@ -278,17 +281,49 @@ def budget_outcome(
     return post_hoc_outcome(problem, x, OutcomeStatus.BUDGET_EXCEEDED, outer, trace)
 
 
+def _certified_delta_optimal(
+    problem: SipProblem, stream: Stream, delta: float, trace: RunTrace
+) -> bool:
+    """Whether the stream's point, certified feasible by the step on the
+    trace's last row, lies within delta of a certified lower bound: that of
+    the unrestricted problem on the stream's points, solved to gap delta/4.
+    The last row counts the solve's LP iterations and evaluations."""
+    check = solve_discretized(
+        DiscretizedProblem(problem, 0.0, stream.points.points),
+        delta / 4,
+        x_hint=stream.x,
+        pool=CutPool(),
+    )
+    row = trace.rows[-1]
+    row.lp_iters += check.lp_iters
+    row.oracle_evals += check.evals
+    return (
+        check.status is SolveStatus.FEASIBLE
+        and float(problem.objective.value(stream.x)) - check.lower <= delta
+    )
+
+
 def run_sequential(
     problem: SipProblem,
     cfg: SequentialConfig,
     m_star: int | None = None,
 ) -> SolveOutcome:
-    """Sequential driver: m* + 1 restriction-feasibility runs on one stream,
-    with its restriction divided by r between stages.  With m* from
-    compute_termination_index the returned point is a delta-approximate
-    solution of the semi-infinite program.  The stages share cfg.max_iters
-    discretization steps.  eps* is ``problem.eps_star``; a cell stop in
-    certifying it ends the run BudgetExceeded before its first stage."""
+    """Sequential driver: at most m* + 1 restriction-feasibility runs on one
+    stream, with its restriction divided by r between stages.  With m* from
+    compute_termination_index the point after the last stage is a
+    delta-approximate solution of the semi-infinite program.
+
+    Each earlier stage ends on a point x certified feasible for the program.
+    One unrestricted solve on the stage's points, at gap delta/4, from x and
+    with a cut pool of its own, gives a certified lower bound on the
+    program's optimum; when f(x) exceeds it by at most delta, the run stops
+    there, delta-approximate after m + 1 stages.  The stage's terminated row
+    counts that solve's LP iterations and evaluations.  Any other outcome of
+    the check just moves on to the next stage.
+
+    The stages share cfg.max_iters discretization steps.  eps* is
+    ``problem.eps_star``; a cell stop in certifying it ends the run
+    BudgetExceeded before its first stage."""
     if m_star is None:
         try:
             eps_star = problem.eps_star
@@ -312,6 +347,10 @@ def run_sequential(
         )
         if res.status is not CoreStatus.TERMINATED:
             return budget_outcome(problem, res.x, m + 1, trace)
+        if m < m_star and _certified_delta_optimal(problem, stream, cfg.delta, trace):
+            return post_hoc_outcome(
+                problem, stream.x, OutcomeStatus.DELTA_APPROXIMATE, m + 1, trace
+            )
         stream.eps = stream.eps / cfg.r
     return post_hoc_outcome(
         problem, stream.x, OutcomeStatus.DELTA_APPROXIMATE, m_star + 1, trace

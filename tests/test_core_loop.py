@@ -151,6 +151,17 @@ class TestUpdateDiscretization:
         )
         assert sorted(new.points[:, 0]) == [0.0, 1.0]
 
+    def test_point_active_up_to_rounding_is_kept(self, prob_a):
+        # g(0, 0) = -1 lies 1.1e-16 below -eps - rho: a row active up to
+        # rounding, which an exact test at rho = 0 used to drop
+        eps, rho = 0.1, 0.9 - 1e-16
+        assert 0 < (-eps - rho) - -1.0 <= 2e-16
+        new = update_discretization(
+            prob_a, single(0.0), [0.0], eps=eps, rho=rho,
+            violator=self.violator(1.0),
+        )
+        assert sorted(new.points[:, 0]) == [0.0, 1.0]
+
     def test_pruned_points_are_strictly_inactive(self, prob_b):
         yk = Discretization(np.linspace(0, 1, 9).reshape(-1, 1))
         x = np.array([-1.5, -0.2])
@@ -288,6 +299,27 @@ class TestStream:
         assert step.cert is None
         assert stream.x is x
         assert len(hints) == 2 and all(h is first.x for h in hints)
+
+    @pytest.mark.parametrize("k", [0, 3, 12])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.05, 1.0])
+    def test_certificate_gap_fits_the_restriction(self, prob_a, eps, k):
+        # at most aux_tol(k) and, restricted, at most eps/2; at eps = 0 (the
+        # simultaneous driver's check stream) exactly aux_tol(k)
+        sched = eventually_zero_schedule(0)
+        step = Stream(prob_a, eps, single(1.0)).step(sched, k)
+        if eps == 0:
+            assert step.aux_delta == sched.aux_tol(k)
+        else:
+            assert step.aux_delta <= eps / 2
+            assert step.aux_delta == min(sched.aux_tol(k), eps / 2)
+
+    def test_point_at_its_restriction_terminates_at_once(self, prob_a):
+        # at eps = 0.01 the solve's point x = -0.01 has maximum -eps; the
+        # gap aux_tol(0) = 0.1 alone could not prove it feasible
+        step = Stream(prob_a, 0.01, single(1.0)).step(eventually_zero_schedule(0), 0)
+        assert step.x[0] == pytest.approx(-0.01)
+        assert step.cert.value > -eventually_zero_schedule(0).aux_tol(0)
+        assert step.terminated
 
     def test_pool_drops_cuts_of_points_that_left(self, prob_a):
         sched = eventually_zero_schedule(0)

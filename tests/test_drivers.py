@@ -200,13 +200,21 @@ class TestRunSequential:
         )
         out = run_sequential(prob_a, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
-        assert -1e-3 <= out.x_star[0] <= 1e-12
+        # f = x**2 with optimum 0, so f <= delta pins |x| <= sqrt(delta)
+        assert abs(out.x_star[0]) <= np.sqrt(1e-2)
         assert out.f_value <= 1e-2
         assert out.certified_bound <= 1e-9
         assert out.iterations["outer"] >= 1
 
-    def test_stage_count_is_termination_index_plus_one(self, prob_a):
-        # eps* = 2 - 1e-9, certified at the Slater point -2
+    def test_stage_count_is_termination_index_plus_one(self, prob_a, monkeypatch):
+        # eps* = 2 - 1e-9, certified at the Slater point -2.  With every
+        # early-exit check undecided the run takes its a-priori m* + 1 stages
+        def undecided(dp, *args, **kwargs):
+            return finite_solver.DiscretizedSolveResult(
+                finite_solver.SolveStatus.UNDECIDED, None, np.inf, -np.inf, 0.0
+            )
+
+        monkeypatch.setattr(drivers, "solve_discretized", undecided)
         cfg = SequentialConfig(
             delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
@@ -214,6 +222,36 @@ class TestRunSequential:
         out = run_sequential(prob_a, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         assert out.iterations["outer"] == 8 + 1  # m* = 8 for these inputs
+
+    def test_termination_index_bounds_the_stage_count(self, prob_a):
+        # m* + 1 is an upper bound: the run may stop earlier, once its check
+        # certifies the stage's point within delta of the optimum 0
+        cfg = SequentialConfig(
+            delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=single(0.5),
+        )
+        out = run_sequential(prob_a, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert 1 <= out.iterations["outer"] <= 8 + 1
+        assert 0.0 <= out.f_value <= cfg.delta
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3])
+    @pytest.mark.parametrize(
+        "name, f_star",
+        [("instance_A", 0.0), ("instance_B", 2.0),
+         ("regression_R", 1.0 - 1.0 / (2.0 + 1e-6))],
+    )
+    def test_builtins_delta_approximate(self, name, f_star, delta):
+        # the solve command's defaults: the early exit keeps the guarantee
+        prob = builtin(name)
+        cfg = SequentialConfig(
+            delta=delta, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=default_y0(prob),
+        )
+        out = run_sequential(prob, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert out.f_value <= f_star + delta
+        assert out.certified_bound <= POST_HOC_DELTA
 
     def test_nan_lipschitz_constant_is_input_error(self, prob_a):
         # a NaN constant used to skip the value bound: m* = 0 and a false
@@ -235,18 +273,21 @@ class TestRunSequential:
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
 
     def test_max_iters_caps_the_whole_run(self, prob_a):
-        # the 9 stages take 30 steps, at most 7 each: a cap of 10 binds on
+        # the 3 stages take 4 steps, at most 2 each: a cap of 3 binds on
         # the run's total, never on one stage alone
         cfg = SequentialConfig(
             delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
         )
         full = run_sequential(prob_a, cfg)
-        assert full.iterations == {"outer": 9, "inner": 30}
-        out = run_sequential(prob_a, replace(cfg, max_iters=10))
+        assert full.iterations == {"outer": 3, "inner": 4}
+        assert [r.branch for r in full.trace.rows].count("terminated") == 3
+        out = run_sequential(prob_a, replace(cfg, max_iters=3))
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
-        assert out.iterations["inner"] == 10 and out.iterations["outer"] < 9
-        assert len(out.trace.rows) == 10
+        assert out.iterations == {"outer": 3, "inner": 3}
+        # the first two stages finished; the third had no step left
+        assert [r.branch for r in out.trace.rows].count("terminated") == 2
+        assert len(out.trace.rows) == 3
 
     @pytest.mark.parametrize(
         "field, value",
@@ -289,7 +330,9 @@ class TestRunSequential:
         dists, ms = [], (2, 4, 8)
         for m_star in ms:
             cfg = SequentialConfig(
-                delta=1e-6,  # ignored: m_star given explicitly
+                # m* is given explicitly; delta only sets the early exit,
+                # which stops a run at a point within 1e-6 of the optimum
+                delta=1e-6,
                 r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
                 rho=0.0, y0=single(0.5),
             )
@@ -447,26 +490,26 @@ class TestBudgetStopKeepsItsPoint:
         assert out.f_value == self.last_point_f(out.trace)
 
     def test_core_without_a_point(self, monkeypatch):
-        # the third solve is undecided before it has a point; the stop
-        # keeps the second step's iterate instead of returning none
+        # the second solve is undecided before it has a point; the stop
+        # keeps the first step's iterate instead of returning none
         solve = core_loop.solve_discretized
         calls = []
 
-        def third_undecided(dp, *args, **kwargs):
+        def second_undecided(dp, *args, **kwargs):
             calls.append(dp.eps)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 return finite_solver.DiscretizedSolveResult(
                     finite_solver.SolveStatus.UNDECIDED, None, np.inf, -np.inf, 0.0
                 )
             return solve(dp, *args, **kwargs)
 
-        monkeypatch.setattr(core_loop, "solve_discretized", third_undecided)
+        monkeypatch.setattr(core_loop, "solve_discretized", second_undecided)
         prob = builtin("instance_A")
         cfg = CoreConfig(
             eps=0.01, rho=0.0, schedule=eventually_zero_schedule(0), y0=default_y0(prob)
         )
         res = run_core(prob, cfg)
-        assert [r.branch for r in res.trace.rows] == ["violation", "violation", "budget"]
+        assert [r.branch for r in res.trace.rows] == ["violation", "budget"]
         assert np.isnan(res.trace.rows[-1].f_x) and res.x is not None
         out = budget_outcome(prob, res.x, 1, res.trace)
         assert out.f_value == self.last_point_f(res.trace)
@@ -510,7 +553,38 @@ class TestRunCounts:
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         # every stage ends on its own terminated row
         stages = [r.branch for r in out.trace.rows].count("terminated")
-        assert out.iterations["outer"] == stages == 9
+        assert out.iterations["outer"] == stages == 3
+        self.assert_counted(out, tmp_path)
+
+    @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])
+    def test_sequential_counts_its_checks(self, monkeypatch, tmp_path, name):
+        # the last row's evaluations are those of every finite solve, the
+        # early exit's checks included, and of every loose certificate
+        evals = {"steps": [], "checks": [], "certificates": []}
+        step_solve, check_solve = core_loop.solve_discretized, drivers.solve_discretized
+        certify = core_loop.certified_max
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                res = fn(*args, **kwargs)
+                evals[key].append(res.evals)
+                return res
+
+            return wrapped
+
+        monkeypatch.setattr(core_loop, "solve_discretized", counting(step_solve, "steps"))
+        monkeypatch.setattr(drivers, "solve_discretized", counting(check_solve, "checks"))
+        monkeypatch.setattr(core_loop, "certified_max", counting(certify, "certificates"))
+        prob = builtin(name)
+        cfg = SequentialConfig(
+            delta=1e-3, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=default_y0(prob),
+        )
+        out = run_sequential(prob, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        # one check after each stage, and the run stops on a passing one
+        assert len(evals["checks"]) == out.outer
+        assert out.oracle_evals == sum(sum(v) for v in evals.values())
         self.assert_counted(out, tmp_path)
 
     def test_simultaneous(self, prob_a, tmp_path):
