@@ -9,9 +9,11 @@ or below minus the requested gap, which proves the iterate feasible for the
 semi-infinite program; otherwise ``Stream.refine`` prunes and extends the
 discretization around the maximizer.  ``run_core`` runs a stream at a fixed
 restriction, and the drivers in ``sipsolve.drivers`` run streams with their
-own restriction updates.  The pruning radius rho regulates how much of the
-old discretization survives: rho = inf keeps everything, rho = 0 keeps only
-the points still active at the restriction level.  The step's two gaps come
+own restriction updates; ``synthesize_slater_point`` runs ``run_core`` at
+halving restrictions to find a Slater point for a problem that declares
+none.  The pruning radius rho regulates how much of the old discretization
+survives: rho = inf keeps everything, rho = 0 keeps only the points still
+active at the restriction level.  The step's two gaps come
 from a ``ToleranceSchedule``, a geometric record whose regime (summable or
 eventually zero) and supremum follow from its own fields; a restricted
 stream caps the certificate gap at eps/2, so that a point at its
@@ -27,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .finite_solver import (
     CutPool,
     DiscretizedProblem,
@@ -36,7 +38,7 @@ from .finite_solver import (
     solve_discretized,
 )
 from .lower_level import CertifiedMax, certified_max
-from .problem import FEASTOL, SipProblem, as_point
+from .problem import FEASTOL, SLATER_DELTA, SipProblem, as_point
 
 DEDUP_TOL = 1e-12
 AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
@@ -369,3 +371,28 @@ def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
         stream.refine(step, cfg.rho)
 
     return CoreResult(CoreStatus.BUDGET, stream.x, trace, stream.points)
+
+
+def synthesize_slater_point(problem: SipProblem) -> SipProblem:
+    """A strictly feasible point for a problem that declares none, by the
+    exchange method of Blankenship and Falk (JOTA 19, 1976): ``run_core``
+    from the index-box center at eps = 1, 1/2, 1/4, ... while eps >
+    SLATER_DELTA.  An infeasible restricted subproblem halves eps; a
+    terminated run gives ``replace(problem, slater_point=x)``, returned
+    with its ``eps_star`` certificate kept when that certifies.  Returns
+    ``problem`` itself otherwise."""
+    y0 = Discretization(problem.y_domain.center().reshape(1, -1))
+    eps = 1.0
+    while eps > SLATER_DELTA:
+        res = run_core(problem, CoreConfig(eps, np.inf, geometric_schedule(0.5), y0))
+        if res.status is CoreStatus.BUDGET:
+            break
+        if res.status is CoreStatus.TERMINATED:
+            found = replace(problem, slater_point=res.x)
+            try:
+                found.eps_star
+            except InputError:
+                break
+            return found
+        eps /= 2
+    return problem

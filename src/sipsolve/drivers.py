@@ -33,6 +33,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import lower_level
 from .core_loop import (
     CoreResult,
     CoreStatus,
@@ -45,7 +46,6 @@ from .core_loop import (
 )
 from .errors import CertificationError, ConfigError, InputError
 from .finite_solver import CutPool, DiscretizedProblem, SolveStatus, solve_discretized
-from .lower_level import certified_feasibility_bound
 from .problem import SipProblem
 
 POST_HOC_DELTA = 1e-9
@@ -249,9 +249,8 @@ def post_hoc_outcome(
     margin = bound = np.nan
     error = None
     try:
-        margin, bound = certified_feasibility_bound(
-            problem.constraints, x, POST_HOC_DELTA
-        )
+        cert = lower_level.certified_max(problem.constraints, x, POST_HOC_DELTA)
+        margin, bound = cert.value, cert.bound
     except CertificationError as exc:
         status, error = OutcomeStatus.BUDGET_EXCEEDED, str(exc)
     return SolveOutcome(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core_loop import Discretization
 from .errors import InputError
-from .lower_level import certified_feasibility_bound
+from .lower_level import certified_max
 from .polynomials import Polynomial, affine_polynomial_family
 from .problem import (
     BoxDomain,
@@ -241,7 +241,7 @@ def random_affine_instance(seed: int) -> SipProblem:
             second_order_in_y_at=None,
         )
         # shift the constant term so the box center is strictly feasible
-        shift = -certified_feasibility_bound([probe], slater, 1e-2)[1] - 1.0
+        shift = -certified_max([probe], slater, 1e-2).bound - 1.0
         families.append(
             affine_polynomial_family(
                 i, a_polys, b_poly.plus_constant(shift), x_box, y_box

@@ -72,6 +72,12 @@ class CertifiedMax:
             raise InputError("certificate gap must be nonnegative")
         object.__setattr__(self, "y_star", as_point(self.y_star))
 
+    @property
+    def bound(self) -> float:
+        """value + gap, at least max_i sup_Y g_i(x, .) over the call's
+        families."""
+        return self.value + self.gap
+
 
 def certified_max(families, x, delta: float) -> CertifiedMax:
     """Compute a certified delta-approximate solution of max_{i, y} g_i(x, y)
@@ -244,10 +250,3 @@ def _split(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray):
     child_lo[1::2][rows, axis] = np.where(floor, b, mid)
     return child_lo, child_hi, floor
 
-
-def certified_feasibility_bound(constraints, x, delta: float) -> tuple[float, float]:
-    """(worst, bound): worst = g_i(x, y*) for one family i and y* in the
-    index box, and bound = worst + gap >= max_i sup_y g_i(x, y), so
-    worst <= bound <= worst + delta."""
-    cm = certified_max(constraints, x, delta)
-    return cm.value, cm.value + cm.gap

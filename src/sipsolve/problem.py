@@ -321,13 +321,13 @@ def derive_eps_star(problem: SipProblem) -> float:
     one test of strict feasibility: a point whose margin is not positive
     is an InputError.
     """
-    from .lower_level import certified_feasibility_bound  # avoids a cycle
+    from . import lower_level  # avoids a cycle
 
     if problem.slater_point is None:
         raise InputError("derive_eps_star requires a slater_point")
-    _, bound = certified_feasibility_bound(
+    bound = lower_level.certified_max(
         problem.constraints, problem.slater_point, SLATER_DELTA
-    )
+    ).bound
     eps_star = -bound - SLATER_DELTA
     if eps_star <= 0:
         raise InputError(

@@ -13,18 +13,19 @@ does not dominate alpha.  Each constraint becomes a family through
 polynomials.affine_polynomial_family, with the offset as a constant b(u):
 the model-derivative polynomials become the family's exponent and
 coefficient arrays, whose term-wise bounds give its Lipschitz data, so the
-certified lower-level machinery applies as-is.
+certified lower-level machinery applies as-is.  A spec without a Slater
+point gets one from ``core_loop.synthesize_slater_point``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import perm, prod
 
 import numpy as np
 
+from .core_loop import synthesize_slater_point
 from .errors import InputError
 from .polynomials import Polynomial, affine_polynomial_family, multi_indices
 from .problem import (
@@ -33,10 +34,6 @@ from .problem import (
     QuadraticForm,
     SipProblem,
 )
-
-# synthesize_slater_point tries the box vertices only up to this dimension.
-SLATER_VERTEX_MAX_DIM = 12
-
 
 @dataclass(frozen=True)
 class ShapeConstraint:
@@ -172,27 +169,6 @@ def constraint_coefficient_polys(
     return coeffs, sc.offset
 
 
-def synthesize_slater_point(spec: RegressionSpec, problem: SipProblem) -> SipProblem:
-    """Best-effort search for a strictly feasible coefficient vector: the zero
-    polynomial, then box vertices pulled 1% toward the center.  Returns the
-    first ``replace(problem, slater_point=w)`` whose ``eps_star`` certifies,
-    with that certificate kept; ``problem`` itself when nothing passes."""
-    box = spec.coeff_box
-    candidates = [np.zeros(box.dim)]
-    if box.dim <= SLATER_VERTEX_MAX_DIM:
-        center = box.center()
-        for corner in itertools.product(*zip(box.lower, box.upper)):
-            candidates.append(center + 0.99 * (np.asarray(corner) - center))
-    for w in candidates:
-        try:
-            found = replace(problem, slater_point=w)
-            found.eps_star
-        except InputError:
-            continue
-        return found
-    return problem
-
-
 def build_problem(spec: RegressionSpec) -> SipProblem:
     """Assemble the regression instance as a SipProblem: decisions are the
     model coefficients, the index set is the input box."""
@@ -217,5 +193,5 @@ def build_problem(spec: RegressionSpec) -> SipProblem:
         slater_point=spec.slater_point,
     )
     if spec.slater_point is None:
-        return synthesize_slater_point(spec, problem)
+        return synthesize_slater_point(problem)
     return problem

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core_loop import synthesize_slater_point
 from .errors import InputError
 from .polynomials import Polynomial, affine_polynomial_family
 from .problem import BoxDomain, ConvexObjective, QuadraticForm, SipProblem
@@ -114,7 +115,9 @@ def box_from_dict(d, where: str) -> BoxDomain:
 
 def quadratic_problem_from_dict(data: dict) -> SipProblem:
     """A quadratic problem file as a SipProblem.  The objective's Lipschitz
-    constant is derived from Q, c and the x box, never read from the file."""
+    constant is derived from Q, c and the x box, never read from the file;
+    a file without ``slater_point`` gets one from
+    ``core_loop.synthesize_slater_point``."""
     for key in ("x_box", "y_box", "objective", "constraints"):
         if key not in data:
             raise InputError(f"problem file missing field '{key}'")
@@ -152,13 +155,16 @@ def quadratic_problem_from_dict(data: dict) -> SipProblem:
         b = poly_from_terms(spec["b"], y_box.dim, f"constraints[{k}].b")
         families.append(affine_polynomial_family(k, a, b, x_box, y_box))
     slater = data.get("slater_point")
-    return SipProblem(
+    problem = SipProblem(
         x_domain=x_box,
         y_domain=y_box,
         objective=ConvexObjective.from_quadratic(form, x_box),
         constraints=tuple(families),
         slater_point=None if slater is None else finite_array(slater, "slater_point"),
     )
+    if slater is None:
+        return synthesize_slater_point(problem)
+    return problem
 
 
 # --------------------------------------------------------------------------

@@ -435,6 +435,28 @@ class TestSlaterCertificate:
         assert code == EXIT_OK
         assert deltas == [1e-9]
 
+    def test_missing_point_is_found(self, tmp_path, capsys):
+        # without slater_point the core loop finds one as the file loads:
+        # check prints its eps* and the sequential driver runs on it
+        payload = TestCheck.quadratic_payload()
+        del payload["slater_point"]
+        path = tmp_path / "noslater.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["check", "--problem", str(path)]) == EXIT_OK
+        assert "slater certificate ok, eps* = " in capsys.readouterr().out
+        outcome = tmp_path / "o.json"
+        code = run_cli(
+            [
+                "solve", "--problem", str(path), "--algorithm", "sequential",
+                "--delta", "1e-3", "--trace-out", str(tmp_path / "t.csv"),
+                "--outcome-out", str(outcome),
+            ]
+        )
+        assert code == EXIT_OK
+        data = json.loads(outcome.read_text())
+        # f = x^2 under x <= 0: the optimum is 0
+        assert data["status"] == "DeltaApproximate" and 0.0 <= data["f"] <= 1e-3
+
     @pytest.mark.parametrize(
         "argv", [["check"], ["solve", "--algorithm", "simultaneous"]], ids=["check", "solve"]
     )

@@ -69,6 +69,29 @@ class TestSolveDiscretized:
         assert res.gap_floor == finite_solver.LP_GAP_FLOOR_REL * max(1.0, abs(res.upper))
         assert res.upper - res.lower <= res.gap_floor
 
+    @pytest.mark.parametrize(
+        "shift, status", [(1e-10, SolveStatus.FEASIBLE), (1e-6, SolveStatus.UNDECIDED)]
+    )
+    def test_qp_master_repeat(self, prob_a, monkeypatch, shift, status):
+        # a QP master that returns its first point and bound on every call:
+        # a gap within the LP floor ends the solve there, reported as its
+        # floor; a wider one still spends every master
+        inner = finite_solver._Master.solve_min_objective
+        first = []
+
+        def repeating(self, eps):
+            if not first:
+                bound, x, f = inner(self, eps)
+                first.append((bound - shift, x, f))
+            return first[0]
+
+        monkeypatch.setattr(finite_solver._Master, "solve_min_objective", repeating)
+        res = solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), 0.0)
+        assert res.status is status
+        if status is SolveStatus.FEASIBLE:
+            assert res.x[0] == pytest.approx(-0.1, abs=1e-9)
+            assert res.gap_floor == res.upper - res.lower > 0.0
+
     def test_budget_exhaustion_is_undecided(self, prob_b, monkeypatch):
         monkeypatch.setattr(finite_solver, "MASTER_BUDGET", 1)
         res = solve_discretized(dp_of(prob_b, 0.5, [[0.0], [1.0]]), 0.0)

@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from sipsolve.core_loop import synthesize_slater_point
 from sipsolve.errors import InputError
 from sipsolve.problem import BoxDomain
 from sipsolve.regression import (
@@ -16,7 +17,6 @@ from sipsolve.regression import (
     constraint_coefficient_polys,
     convex_1d,
     monotone_increasing,
-    synthesize_slater_point,
 )
 
 
@@ -114,8 +114,9 @@ class TestBuildProblem:
 class TestSlaterSynthesis:
     def test_zero_candidate_fails_monotone(self, spec_r, tmp_path, monkeypatch):
         # README's regression example without its slater_point: w = 0 gives
-        # g = 0, not strictly negative, so a vertex must be found; its one
-        # certificate is made during synthesis and kept by the problem
+        # g = 0, not strictly negative, so the core loop must find a point;
+        # its one certificate at SLATER_DELTA is made during synthesis and
+        # kept by the problem
         from sipsolve import lower_level
         from sipsolve.problem import SLATER_DELTA
         from sipsolve.serialization import load_problem
@@ -140,10 +141,9 @@ class TestSlaterSynthesis:
         }))
         prob = load_problem(path)
         w = prob.slater_point
-        assert w is not None and w.any()
-        assert np.allclose([x for x, _ in calls], [[0, 0], [-9.9, -9.9], [-9.9, 9.9]])
-        assert all(delta == SLATER_DELTA for _, delta in calls)
-        assert sum(np.array_equal(x, w) for x, _ in calls) == 1
+        assert w is not None and w[1] > 0
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], w) and calls[0][1] == SLATER_DELTA
         assert "eps_star" in vars(prob)
         assert prob.eps_star == w[1] - SLATER_DELTA  # g(w, u) = -w1
 
@@ -180,7 +180,7 @@ class TestSlaterSynthesis:
         )
         prob = build_problem(spec)
         assert prob.slater_point is None
-        assert synthesize_slater_point(spec, prob) is prob
+        assert synthesize_slater_point(prob) is prob
 
 
 def _spec(d, n, shape_constraints=()):
@@ -341,3 +341,77 @@ def test_loss_matches_row_by_row_features():
         loss = assemble_loss(spec)
         assert loss.Q.tobytes() == (feats.T @ feats + spec.ridge * np.eye(len(E))).tobytes()
         assert loss.c.tobytes() == (-2.0 * feats.T @ spec.targets).tobytes()
+
+
+def _two_input_fit():
+    """A degree-4 model (15 coefficients) monotone in both inputs, fitted to
+    60 noisy samples of u0^2 + u0 u1 + 0.5 u1, with no Slater point."""
+    rng = np.random.default_rng(0)
+    u = rng.uniform(0.0, 1.0, (60, 2))
+    t = u[:, 0] ** 2 + u[:, 0] * u[:, 1] + 0.5 * u[:, 1] + 0.05 * rng.normal(size=60)
+    return RegressionSpec(
+        data=np.column_stack([u, t]),
+        degree=4,
+        coeff_box=BoxDomain([-10.0] * 15, [10.0] * 15),
+        u_domain=BoxDomain([0.0, 0.0], [1.0, 1.0]),
+        ridge=1e-6,
+        shape_constraints=(monotone_increasing(2, 0), monotone_increasing(2, 1)),
+    )
+
+
+def _grid_qp_bound(spec, per_axis=41):
+    """The loss minimized under the shape constraints on a per_axis^2 grid
+    of the input box and the coefficient box: a relaxation of the fit, so
+    a lower bound on its optimum, solved by the dual active-set QP."""
+    from sipsolve.qp import box_qp_factor, solve_box_qp
+
+    loss = assemble_loss(spec)
+    axis = np.linspace(0.0, 1.0, per_axis)
+    U = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+    G, h = [], []
+    for sc in spec.shape_constraints:
+        polys, offset = constraint_coefficient_polys(spec, sc)
+        G.append(np.stack(
+            [np.prod(U[:, None, :] ** p.exponents, axis=2) @ p.coeffs for p in polys],
+            axis=1,
+        ))
+        h.append(np.full(len(U), -offset))
+    box = spec.coeff_box
+    res = solve_box_qp(
+        box_qp_factor(loss.Q, loss.c), np.vstack(G), np.concatenate(h), box.lower, box.upper
+    )
+    return loss.value(res.x)
+
+
+class TestTwoInputFit:
+    """Fifteen coefficients and two inputs: the Slater point comes from the
+    core loop, and a QP master that repeats itself within the LP floor ends
+    its solve instead of spending its budget."""
+
+    @pytest.mark.parametrize("algorithm", ["sequential", "simultaneous"])
+    def test_delta_approximate(self, algorithm):
+        from sipsolve.core_loop import eventually_zero_schedule
+        from sipsolve.drivers import (
+            OutcomeStatus,
+            SequentialConfig,
+            SimultaneousConfig,
+            run_sequential,
+            run_simultaneous,
+        )
+        from sipsolve.instances import default_y0
+
+        spec = _two_input_fit()
+        prob = build_problem(spec)
+        assert prob.slater_point is not None and prob.eps_star > 0
+        delta, y0 = 1e-2, default_y0(prob)
+        shared = dict(delta=delta, r=2.0, schedule=eventually_zero_schedule(0), rho=0.0)
+        if algorithm == "sequential":
+            out = run_sequential(prob, SequentialConfig(eps00=1.0, y0=y0, **shared))
+        else:
+            out = run_simultaneous(
+                prob, SimultaneousConfig(eps0=1.0, y0_check=y0, y0_hat=y0, **shared)
+            )
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert out.certified_bound <= 0.0
+        bound = _grid_qp_bound(spec)
+        assert bound - 1e-9 <= out.f_value <= bound + delta
