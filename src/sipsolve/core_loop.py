@@ -317,8 +317,9 @@ class Stream:
         exceeds the scheduled gap and still tends to zero, and a point whose
         restriction is active (maximum -eps) terminates at once instead of
         being re-solved until aux_tol(k) drops below eps.  A solve that
-        returns a point, undecided ones included, makes it the latest."""
-        self.pool.restrict_to_points(self.points.points)
+        returns a point, undecided ones included, makes it the latest; the
+        solve itself drops the pool's cuts of points no longer in the
+        stream."""
         solve = solve_discretized(
             DiscretizedProblem(self.problem, self.eps, self.points.points),
             schedule.obj_tol(k),

@@ -10,22 +10,24 @@ only through its value and gradient at the QP's point.  Otherwise it is a
 Kelley cutting-plane LP that also models f by epigraph tangents, solved by
 the in-repo simplex; the feasibility master is always that LP.
 
-The masters only propose points and multipliers.  Certified lower bounds
-are computed from them in exact closed form over the box: from the LP's
-row multipliers through the cut Lagrangian, and from the QP's through the
-objective's own oracles, f(x) + lam.(A x - r) + min over X of the
-linearized Lagrangian.  Master inexactness can therefore only loosen a
-bound, never invalidate it.  Feasible upper bounds come from master
-iterates that satisfy all constraints, or from a restoration line search
-toward a strictly feasible anchor.  A solve stops once upper - lower is
-within the requested gap or within its master's resolution, one relative
-floor per route chosen at the start of the solve; on the QP route it also
-stops when a master returns its previous point without raising the bound
-and the gap left is within the LP route's floor, which it then reports as
-its floor.  A positive certified
-bound on the minimal violation certifies infeasibility of the discretized
-problem.  A master that breaks down numerically ends the solve as
-UNDECIDED with the bounds reached so far.
+The masters only propose points and multipliers.  Every certified lower
+bound comes from one closed form, ``_lagrangian_bound``: a convex
+combination of epigraph cuts plus nonnegative multiples of the cut rows,
+minimized exactly over the box.  The LP's row multipliers weight its own
+cuts; the QP's weight the cut rows under the tangent of f at its point.
+Master inexactness can therefore only loosen a bound, never invalidate it.
+Cuts are valid only at the index points they came from, so a solve first
+drops the pool's cuts of points outside its discretization.  Feasible upper
+bounds come from master iterates that satisfy all constraints, or from a
+restoration line search toward a strictly feasible anchor.  A solve stops
+once upper - lower is within the requested gap or within its master's
+resolution, one relative floor per route chosen at the start of the solve;
+on the QP route it also stops when a master returns its previous point
+without raising the bound and the gap left is within the LP route's floor,
+which it then reports as its floor.  A positive certified bound on the
+minimal violation certifies infeasibility of the discretized problem.  A
+master that breaks down numerically ends the solve as UNDECIDED with the
+bounds reached so far.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ class CutPool:
     Objective cuts a.x + b <= f(x) stay valid for the lifetime of the
     problem.  Constraint cuts a.x + b <= g_i(x, y) are keyed by family,
     index point and gradient; they stay valid as long as y is in the active
-    discretization (the restriction eps is applied at row-build time, so
+    discretization, and ``solve_discretized`` drops the others before it
+    reads the pool (the restriction eps is applied at row-build time, so
     they survive eps changes).  Among cuts with the same gradient only the
     largest offset is kept: it dominates the others pointwise.  Eviction
     only loosens the model, never its soundness.
@@ -153,13 +156,6 @@ class CutPool:
         cuts only loosens the model, never its soundness."""
         self.objective = _tightest(self.objective, x_ref, MAX_OBJECTIVE_CUTS)
         self.constraint = _tightest(self.constraint, x_ref, MAX_CONSTRAINT_CUTS)
-
-    def restrict_to_points(self, points: np.ndarray) -> None:
-        """Drop constraint cuts whose index point left the discretization."""
-        keep = {p.tobytes() for p in points}
-        stale = [k for k in self.constraint if k[1] not in keep]
-        for k in stale:
-            del self.constraint[k]
 
 
 def _batch_values(dp: DiscretizedProblem, x: np.ndarray) -> np.ndarray:
@@ -193,13 +189,14 @@ def _lagrangian_bound(
     duals: np.ndarray,
 ) -> float:
     """Certified lower bound on min t s.t. t >= a.x + b (epi_cuts),
-    c.x <= d (g_rows), x in box, reconstituted from LP multipliers.
+    c.x <= d (g_rows), x in box, from a master's multipliers: the LP's, or
+    the QP's with weight 1 on the tangent of f at its point.
 
     Any convex combination alpha of the epigraph cuts and any beta >= 0 on
     the rows yields the valid bound
         sum alpha b - sum beta d + min over box of (combined gradient).x,
-    evaluated here in exact closed form, so LP inexactness can only make
-    the bound looser, never wrong.
+    evaluated here in exact closed form, so master inexactness can only
+    make the bound looser, never wrong.
     """
     n_epi = len(epi_cuts)
     alpha = np.maximum(duals[:n_epi], 0.0)
@@ -226,85 +223,6 @@ def _lagrangian_bound(
     return const + _box_linear_min(grad, X)
 
 
-class _Master:
-    """Shared master assembly for the feasibility and optimality phases.
-
-    The simplex or the QP supplies candidate points; certified bounds come
-    from closed forms that stay valid regardless of solver tolerances.
-    ``objective_oracle(x)`` returns (f(x), a subgradient at x); the QP
-    route evaluates its bound through it.  The route follows from the form
-    itself: ``quadratic`` is set only when the objective's form is positive
-    definite.
-    """
-
-    def __init__(self, X, pool: CutPool, objective, objective_oracle):
-        self.X = X
-        self.pool = pool
-        form = objective.quadratic
-        self.quadratic = form if form is not None and form.positive_definite else None
-        self.objective_oracle = objective_oracle
-        self.lp_iters = 0
-
-    def _solve(self, epi_rows: list[tuple[np.ndarray, float]], g_rows):
-        rows, rhs = [], []
-        for (a, b) in epi_rows:
-            rows.append(np.concatenate([a, [-1.0]]))
-            rhs.append(-b)
-        for (c_row, d_row) in g_rows:
-            rows.append(np.concatenate([c_row, [0.0]]))
-            rhs.append(d_row)
-        res = simplex.solve_lp(
-            c=np.concatenate([np.zeros(self.X.dim), [1.0]]),
-            A=np.array(rows),
-            b=np.array(rhs),
-            lower=np.concatenate([self.X.lower, [-np.inf]]),
-            upper=np.concatenate([self.X.upper, [np.inf]]),
-        )
-        self.lp_iters += res.iterations
-        if res.status != simplex.OPTIMAL:
-            raise NumericalError(f"master LP came back {res.status}")
-        x_hat = self.X.clip(res.x[: self.X.dim])
-        bound = _lagrangian_bound(epi_rows, g_rows, self.X, res.duals)
-        return bound, x_hat
-
-    def _solve_qp(self, g_rows):
-        """min of the quadratic form under the cut rows, certified through
-        the objective's oracles: for any lam >= 0 and x_hat in X, convexity
-        gives f(x) >= f(x_hat) + lam.(A x_hat - r)
-        + min over X of (grad f(x_hat) + A^T lam).(x - x_hat)
-        for every x in X with A x <= r.  Also returns f(x_hat)."""
-        X, form = self.X, self.quadratic
-        A = np.array([c_row for c_row, _ in g_rows]).reshape(-1, X.dim)
-        r = np.array([d_row for _, d_row in g_rows])
-        res = qp.solve_box_qp(form.factor, A, r, X.lower, X.upper)
-        self.lp_iters += res.iterations
-        x_hat = X.clip(res.x)
-        value, grad = self.objective_oracle(x_hat)
-        grad = grad + A.T @ res.duals
-        bound = (
-            value
-            + float(res.duals @ (A @ x_hat - r))
-            + _box_linear_min(grad, X)
-            - float(grad @ x_hat)
-        )
-        return bound, x_hat, value
-
-    def solve_min_violation(self):
-        """Certified bound and candidate for min over the box of max g."""
-        epi = [(a, b) for (a, b) in self.pool.constraint.values()]
-        return self._solve(epi, [])
-
-    def solve_min_objective(self, eps: float):
-        """Certified bound, candidate and f at the candidate (None on the
-        Kelley route, which does not evaluate f) for the restricted cut
-        model."""
-        g_rows = [(a, -eps - b) for (a, b) in self.pool.constraint.values()]
-        if self.quadratic is not None:
-            return self._solve_qp(g_rows)
-        bound, x_hat = self._solve(list(self.pool.objective.values()), g_rows)
-        return bound, x_hat, None
-
-
 def solve_discretized(
     dp: DiscretizedProblem,
     gap_tol: float,
@@ -319,7 +237,9 @@ def solve_discretized(
     certificate that min over X of max(g + eps) is positive; or UNDECIDED
     with the best bounds when MASTER_BUDGET master solves run out or a
     master solve breaks down numerically.  ``pool`` allows warm starts across
-    calls; it is attempted, never relied upon.
+    calls; the solve first drops its cuts of index points outside
+    ``dp.points``, so the cuts it keeps are valid here and the pool is
+    attempted, never relied upon.
     """
     if not gap_tol >= 0:  # also false for NaN
         raise InputError("gap_tol must be nonnegative")
@@ -328,13 +248,17 @@ def solve_discretized(
     fams = problem.constraints
     m_pts = dp.points.shape[0]
     pool = pool if pool is not None else CutPool()
+    keep = {y.tobytes() for y in dp.points}  # cuts of other points are not valid here
+    pool.constraint = {k: cut for k, cut in pool.constraint.items() if k[1] in keep}
     budget = MASTER_BUDGET
     evals = 0
 
-    def f_oracle(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def f_oracle(x: np.ndarray, grad: bool = True) -> tuple[float, np.ndarray]:
+        """f(x) and, when ``grad``, a subgradient at x (else an empty
+        array), checked finite; each counts one evaluation."""
         nonlocal evals
-        evals += 2
-        s = np.asarray(problem.objective.subgradient(x), dtype=float)
+        evals += 1 + grad
+        s = np.asarray(problem.objective.subgradient(x) if grad else [], dtype=float)
         v = float(problem.objective.value(x))
         if not (math.isfinite(v) and np.isfinite(s).all()):
             raise InputError("the objective returned a non-finite value or subgradient")
@@ -345,12 +269,52 @@ def solve_discretized(
         pool.add_objective(s, v - float(np.dot(s, x)))
         return v
 
-    master = _Master(X, pool, problem.objective, f_oracle)
+    # the route: the QP master when the objective's form is positive
+    # definite, the Kelley LP otherwise
+    form = problem.objective.quadratic
+    if form is not None and not form.positive_definite:
+        form = None
+    lp_iters = 0
+
+    def lp_master(epi_rows: list, g_rows: list) -> tuple[float, np.ndarray]:
+        """min t s.t. t >= a.x + b (epi_rows), c.x <= d (g_rows), x in X:
+        the certified bound from the LP's multipliers, and its point."""
+        nonlocal lp_iters
+        rows = [np.concatenate([a, [-1.0]]) for a, _ in epi_rows]
+        rows += [np.concatenate([c_row, [0.0]]) for c_row, _ in g_rows]
+        res = simplex.solve_lp(
+            c=np.concatenate([np.zeros(X.dim), [1.0]]),
+            A=np.array(rows),
+            b=np.array([-b for _, b in epi_rows] + [d_row for _, d_row in g_rows]),
+            lower=np.concatenate([X.lower, [-np.inf]]),
+            upper=np.concatenate([X.upper, [np.inf]]),
+        )
+        lp_iters += res.iterations
+        if res.status != simplex.OPTIMAL:
+            raise NumericalError(f"master LP came back {res.status}")
+        return _lagrangian_bound(epi_rows, g_rows, X, res.duals), X.clip(res.x[: X.dim])
+
+    def objective_master() -> tuple[float, np.ndarray, float | None]:
+        """The certified bound, point and f at the point (None on the Kelley
+        route, which does not evaluate f) for the restricted cut model.  The
+        QP's multipliers certify through the tangent of f at its point, one
+        epigraph cut of weight 1."""
+        nonlocal lp_iters
+        g_rows = [(a, -dp.eps - b) for a, b in pool.constraint.values()]
+        if form is None:
+            return (*lp_master(list(pool.objective.values()), g_rows), None)
+        A = np.array([c_row for c_row, _ in g_rows]).reshape(-1, X.dim)
+        r = np.array([d_row for _, d_row in g_rows])
+        res = qp.solve_box_qp(form.factor, A, r, X.lower, X.upper)
+        lp_iters += res.iterations
+        x_hat = X.clip(res.x)
+        v, s = f_oracle(x_hat)
+        duals = np.concatenate([[1.0], res.duals])
+        return _lagrangian_bound([(s, v - float(s @ x_hat))], g_rows, X, duals), x_hat, v
 
     def undecided(x, upper: float, lower: float) -> DiscretizedSolveResult:
         return DiscretizedSolveResult(
-            SolveStatus.UNDECIDED, x, upper, lower, 0.0,
-            lp_iters=master.lp_iters, evals=evals,
+            SolveStatus.UNDECIDED, x, upper, lower, 0.0, lp_iters=lp_iters, evals=evals
         )
 
     def phi(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -390,7 +354,7 @@ def solve_discretized(
                 return undecided(None, np.inf, -np.inf)
             budget -= 1
             try:
-                v_lb, probe = master.solve_min_violation()
+                v_lb, probe = lp_master(list(pool.constraint.values()), [])
             except NumericalError:
                 return undecided(None, np.inf, -np.inf)
             pool.prune(probe)
@@ -398,7 +362,7 @@ def solve_discretized(
                 return DiscretizedSolveResult(
                     SolveStatus.INFEASIBLE, None, np.inf, np.inf, 0.0,
                     violation_bound=v_lb + dp.eps,
-                    lp_iters=master.lp_iters, evals=evals,
+                    lp_iters=lp_iters, evals=evals,
                 )
 
     # ----- phase 2: optimize over the cut model -----------------------------
@@ -426,17 +390,16 @@ def solve_discretized(
         """Take the feasible x as incumbent if f(x) improves on it.  The
         Kelley route also stores the epigraph cut at x; the QP route needs
         only the value, and passes it when the master already has it."""
-        nonlocal upper, x_best, evals
-        if master.quadratic is None:
+        nonlocal upper, x_best
+        if form is None:
             v = add_f_cut(x)
         elif v is None:
-            evals += 1
-            v = float(problem.objective.value(x))
+            v = f_oracle(x, grad=False)[0]
         if v < upper:
             upper, x_best = v, x
 
     offer(anchor)
-    floor_rel = GAP_FLOOR_REL if master.quadratic is not None else LP_GAP_FLOOR_REL
+    floor_rel = GAP_FLOOR_REL if form is not None else LP_GAP_FLOOR_REL
     x_prev = None  # the previous master point
 
     while True:
@@ -447,18 +410,18 @@ def solve_discretized(
             # then a valid lower bound too
             return DiscretizedSolveResult(
                 SolveStatus.FEASIBLE, x_best, upper, min(lower, upper), floor,
-                lp_iters=master.lp_iters, evals=evals,
+                lp_iters=lp_iters, evals=evals,
             )
         if budget <= 0:
             return undecided(x_best, upper, lower)
         budget -= 1
         try:
-            t_lb, xc, fc = master.solve_min_objective(dp.eps)
+            t_lb, xc, fc = objective_master()
         except NumericalError:
             return undecided(x_best, upper, lower)
         pool.prune(xc)
         if (
-            master.quadratic is not None
+            form is not None
             and t_lb <= lower
             and np.array_equal(xc, x_prev)
             and upper - lower <= LP_GAP_FLOOR_REL * max(1.0, abs(upper))
@@ -467,7 +430,7 @@ def solve_discretized(
             # reached is its resolution here, within the LP route's floor
             return DiscretizedSolveResult(
                 SolveStatus.FEASIBLE, x_best, upper, lower, upper - lower,
-                lp_iters=master.lp_iters, evals=evals,
+                lp_iters=lp_iters, evals=evals,
             )
         lower, x_prev = max(t_lb, lower), xc
         phic, vals = phi(xc)
@@ -475,7 +438,7 @@ def solve_discretized(
             offer(xc, fc)
         else:
             add_g_cuts(xc, vals)
-            if master.quadratic is None:
+            if form is None:
                 add_f_cut(xc)  # epigraph cuts are valid anywhere
             xr = restore(xc)
             if xr is not None:

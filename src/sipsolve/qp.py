@@ -41,9 +41,12 @@ class QpResult:
 def solve_qp(Q, c, G, h, x0=None, d: float = 0.0) -> QpResult:
     """Solve min w.Q w + c.w + d s.t. G w <= h from a feasible start.
 
-    ``x0`` defaults to the zero vector and must satisfy G x0 <= h.  Ties in
+    ``x0`` defaults to the zero vector and must satisfy G x0 <= h.  The
+    working set starts empty and only blocking rows join it, so rows that
+    are tight at x0 and linearly dependent never enter it together.  Ties in
     the blocking-constraint and multiplier choices break toward the smallest
-    row index, so the path is deterministic.
+    row index, so the path is deterministic.  Raises NumericalError when
+    ``_MAX_ITERS`` iterations do not suffice or a KKT system is singular.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float).ravel()
@@ -57,9 +60,7 @@ def solve_qp(Q, c, G, h, x0=None, d: float = 0.0) -> QpResult:
         raise InputError("starting point is infeasible")
     H = Q + Q.T  # gradient of w.Qw is (Q + Q.T) w
 
-    active: list[int] = [
-        int(i) for i in np.flatnonzero(np.abs(G @ x - h) <= _TOL)
-    ]
+    active: list[int] = []
 
     def kkt_step(act: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Minimizer over the affine set {G_act w = h_act} and multipliers."""
@@ -71,7 +72,10 @@ def solve_qp(Q, c, G, h, x0=None, d: float = 0.0) -> QpResult:
             K[:n, n:] = Ga.T
             K[n:, :n] = Ga
         rhs = np.concatenate([-c, h[act]]) if na else -c
-        sol = np.linalg.solve(K, rhs) if na else np.linalg.solve(H, rhs)
+        try:
+            sol = np.linalg.solve(K, rhs) if na else np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError:
+            raise NumericalError("active-set QP met a singular KKT system") from None
         return sol[:n], sol[n:]
 
     for it in range(1, _MAX_ITERS + 1):
@@ -92,14 +96,14 @@ def solve_qp(Q, c, G, h, x0=None, d: float = 0.0) -> QpResult:
         for i in range(G.shape[0]):
             if i in active or Gs[i] <= _TOL:
                 continue
-            a_i = (h[i] - Gx[i]) / Gs[i]
+            a_i = max((h[i] - Gx[i]) / Gs[i], 0.0)  # a row tight at x blocks at 0
             if a_i < alpha - _TOL or (a_i < alpha + _TOL and (blocker < 0 or i < blocker)):
                 alpha, blocker = min(a_i, 1.0), i
         x = x + alpha * step
         if blocker >= 0 and alpha < 1.0 - _TOL:
             active.append(blocker)
             active.sort()
-    raise InputError(f"active-set QP did not converge within {_MAX_ITERS} iterations")
+    raise NumericalError(f"active-set QP did not converge within {_MAX_ITERS} iterations")
 
 
 # A row counts as satisfied while its violation stays below this multiple of

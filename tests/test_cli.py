@@ -457,6 +457,18 @@ class TestSlaterCertificate:
         # f = x^2 under x <= 0: the optimum is 0
         assert data["status"] == "DeltaApproximate" and 0.0 <= data["f"] <= 1e-3
 
+    def test_search_that_finds_none_says_so(self, tmp_path, capsys):
+        # g = 1 has no strictly feasible point: the search runs as the file
+        # loads and fails, and check still exits 0
+        payload = TestCheck.quadratic_payload()
+        del payload["slater_point"]
+        payload["constraints"] = [{"a": [[[[0], 0.0]]], "b": [[[0], 1.0]]}]
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["check", "--problem", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "no slater point declared, and the core-loop search found none" in out
+
     @pytest.mark.parametrize(
         "argv", [["check"], ["solve", "--algorithm", "simultaneous"]], ids=["check", "solve"]
     )

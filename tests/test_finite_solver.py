@@ -76,16 +76,18 @@ class TestSolveDiscretized:
         # a QP master that returns its first point and bound on every call:
         # a gap within the LP floor ends the solve there, reported as its
         # floor; a wider one still spends every master
-        inner = finite_solver._Master.solve_min_objective
+        inner_qp, inner_bound = finite_solver.qp.solve_box_qp, finite_solver._lagrangian_bound
         first = []
 
-        def repeating(self, eps):
+        def repeating(*args):
             if not first:
-                bound, x, f = inner(self, eps)
-                first.append((bound - shift, x, f))
+                first.append(inner_qp(*args))
             return first[0]
 
-        monkeypatch.setattr(finite_solver._Master, "solve_min_objective", repeating)
+        monkeypatch.setattr(finite_solver.qp, "solve_box_qp", repeating)
+        monkeypatch.setattr(
+            finite_solver, "_lagrangian_bound", lambda *args: inner_bound(*args) - shift
+        )
         res = solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), 0.0)
         assert res.status is status
         if status is SolveStatus.FEASIBLE:
@@ -103,6 +105,20 @@ class TestSolveDiscretized:
         # a NaN request used to spend every master and end UNDECIDED
         with pytest.raises(InputError, match="gap_tol"):
             solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), np.nan)
+
+    def test_nan_objective_on_qp_route_is_input_error(self, prob_b):
+        # the positive-definite form is kept, so the QP route reads f at the
+        # anchor; a NaN there once ended FEASIBLE with no point
+        form = prob_b.objective.quadratic
+
+        def value(x):
+            return np.nan if np.array_equal(x, [-3.0, -3.0]) else form.value(x)
+
+        prob = replace(prob_b, objective=replace(prob_b.objective, value=value))
+        with pytest.raises(InputError, match="objective returned a non-finite"):
+            solve_discretized(
+                dp_of(prob, 0.5, [[0.0], [1.0]]), 1e-10, x_hint=np.array([-3.0, -3.0])
+            )
 
     def test_rejects_nan_restriction(self, prob_a):
         # a NaN restriction used to end UNDECIDED with no point
@@ -369,6 +385,20 @@ class TestCutPool:
         assert res.status is SolveStatus.FEASIBLE
         assert res.upper - res.lower <= 1e-6
         assert_brute_force_sandwich(prob, 0.2, pts, res)
+
+    def test_cuts_of_dropped_points_go(self, prob_a):
+        # a pool left by a solve on y = 1 (x <= -eps) reused on y = 0, where
+        # the constraint is inactive: its stale cuts once kept the solve at
+        # the hint, FEASIBLE at x = 0.4 with lower 0.16 above the optimum 0
+        pool = CutPool()
+        solve_discretized(dp_of(prob_a, 0.5, [[1.0]]), 1e-10, pool=pool)
+        res = solve_discretized(
+            dp_of(prob_a, 0.5, [[0.0]]), 1e-10, x_hint=np.array([0.4]), pool=pool
+        )
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.lower <= 0.0 + 1e-12
+        assert res.x[0] == pytest.approx(0.0, abs=1e-6)
+        assert all(key[1] == np.zeros(1).tobytes() for key in pool.constraint)
 
     def test_prune_keeps_the_tightest_cuts_in_order(self, monkeypatch):
         monkeypatch.setattr(finite_solver, "MAX_OBJECTIVE_CUTS", 2)

@@ -3,9 +3,14 @@ import pytest
 
 from sipsolve import qp
 from sipsolve.errors import InputError, NumericalError
-from sipsolve.problem import QuadraticForm
+from sipsolve.problem import BoxDomain, QuadraticForm
 from sipsolve.qp import box_qp_factor, solve_box_qp, solve_qp
-from sipsolve.regression import assemble_loss
+from sipsolve.regression import (
+    RegressionSpec,
+    assemble_loss,
+    constraint_coefficient_polys,
+    monotone_increasing,
+)
 
 
 def test_instance_r_oracle(spec_r):
@@ -62,6 +67,43 @@ def test_matches_fine_grid():
             if np.all(G @ w <= h):
                 best = min(best, float(w @ Q @ w + c @ w))
     assert res.objective <= best + 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("degree", [3, 5])
+def test_dependent_tight_rows_at_the_start(seed, degree):
+    # monotone rows of a fit on a 41-point grid: at w = 0 every row is tight
+    # and they are linearly dependent, which once made the first KKT system
+    # singular; the result matches solve_box_qp on the same rows and box
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, 40)
+    t = u**2 + 0.05 * rng.normal(size=40)
+    n = degree + 1
+    box = BoxDomain([-10.0] * n, [10.0] * n)
+    spec = RegressionSpec(
+        data=np.column_stack([u, t]), degree=degree, coeff_box=box,
+        u_domain=BoxDomain([0.0], [1.0]), ridge=1e-6,
+        shape_constraints=(monotone_increasing(dim=1),),
+    )
+    loss = assemble_loss(spec)
+    polys, offset = constraint_coefficient_polys(spec, spec.shape_constraints[0])
+    G = np.array([[p(np.array([v])) for p in polys] for v in np.linspace(0.0, 1.0, 41)])
+    h = np.full(len(G), -offset)
+    # solve_box_qp includes the box, solve_qp only the rows it is given
+    G_box = np.vstack([G, -np.eye(n), np.eye(n)])
+    h_box = np.concatenate([h, -box.lower, box.upper])
+    res = solve_qp(loss.Q, loss.c, G_box, h_box, d=loss.d)
+    ref = solve_box_qp(box_qp_factor(loss.Q, loss.c), G, h, box.lower, box.upper)
+    assert res.x == pytest.approx(ref.x, abs=1e-8)
+    assert res.objective == pytest.approx(
+        float(ref.x @ loss.Q @ ref.x + loss.c @ ref.x + loss.d), abs=1e-12
+    )
+
+
+def test_iteration_budget_is_numerical_error(monkeypatch):
+    monkeypatch.setattr(qp, "_MAX_ITERS", 1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        solve_qp(np.eye(2), [-4.0, -4.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 
 def test_rejects_infeasible_start():
