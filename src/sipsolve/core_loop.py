@@ -2,12 +2,15 @@
 
 A ``Stream`` is one discretization sequence, and ``Stream.step`` the one
 step both of the paper's algorithms repeat: it solves the discretized
-restricted problem to its scheduled gap and, when that solve is feasible,
-certifies one maximum of the constraints at the iterate over all families
-and the full index box.  The step terminates when the certified value is at
-or below minus the requested gap, which proves the iterate feasible for the
-semi-infinite program; otherwise ``Stream.refine`` prunes and extends the
-discretization around the maximizer.  ``run_core`` runs a stream at a fixed
+restricted problem to its scheduled gap (``Stream.solve``) and, when that
+solve is feasible, certifies one maximum of the constraints at the iterate
+over all families and the full index box (``Stream.certify``).  A loop
+that reads a certificate only on some branches runs the two halves apart,
+and may hand ``Stream.solve`` its last step to reuse at unchanged eps and
+points.  The step terminates when the certified value is at or below minus
+the requested gap, which proves the iterate feasible for the semi-infinite
+program; otherwise ``Stream.refine`` prunes and extends the discretization
+around the maximizer.  ``run_core`` runs a stream at a fixed
 restriction, and the drivers in ``sipsolve.drivers`` run streams with their
 own restriction updates; ``synthesize_slater_point`` runs ``run_core`` at
 halving restrictions to find a Slater point for a problem that declares
@@ -253,15 +256,15 @@ class Step:
 
     ``solve`` is the discretized restricted solve at ``eps`` on ``points``;
     ``cert`` is the certified maximum over all families at its point,
-    requested at gap ``aux_delta``, and is None unless the solve is
-    FEASIBLE.
+    requested at gap ``aux_delta``, and is None until ``Stream.certify``
+    certifies a FEASIBLE solve.
     """
 
     eps: float
     points: Discretization
     solve: DiscretizedSolveResult
-    cert: CertifiedMax | None
     aux_delta: float
+    cert: CertifiedMax | None = None
 
     @property
     def x(self) -> np.ndarray | None:
@@ -309,17 +312,38 @@ class Stream:
     pool: CutPool = field(default_factory=CutPool)
     x: np.ndarray | None = None
 
-    def step(self, schedule: ToleranceSchedule, k: int) -> Step:
-        """Solve the restricted problem on the points to gap obj_tol(k) and,
-        when the solve is FEASIBLE, certify the maximum over all families at
-        its point.  The certificate gap is aux_tol(k), capped at eps/2 when
-        the stream is restricted and floored at AUX_DELTA_FLOOR: it never
+    def solve(
+        self, schedule: ToleranceSchedule, k: int, last: Step | None = None
+    ) -> Step:
+        """Solve the restricted problem on the points to gap obj_tol(k),
+        without certifying its point.  A solve that returns a point,
+        undecided ones included, makes it the latest; the solve itself drops
+        the pool's cuts of points no longer in the stream.
+
+        ``last`` is an earlier step of this stream.  When it was FEASIBLE at
+        the stream's current eps and points, and its upper - lower is within
+        max(obj_tol(k), its floor), it already answers this solve: its
+        result is reused, counting no LP iterations and no evaluations.
+
+        The step's certificate gap is aux_tol(k), capped at eps/2 when the
+        stream is restricted and floored at AUX_DELTA_FLOOR: it never
         exceeds the scheduled gap and still tends to zero, and a point whose
         restriction is active (maximum -eps) terminates at once instead of
-        being re-solved until aux_tol(k) drops below eps.  A solve that
-        returns a point, undecided ones included, makes it the latest; the
-        solve itself drops the pool's cuts of points no longer in the
-        stream."""
+        being re-solved until aux_tol(k) drops below eps."""
+        aux_delta = schedule.aux_tol(k)
+        if self.eps > 0:
+            aux_delta = min(aux_delta, self.eps / 2)
+        aux_delta = max(aux_delta, AUX_DELTA_FLOOR)
+        if (
+            last is not None
+            and last.solve.status is SolveStatus.FEASIBLE
+            and last.eps == self.eps
+            and np.array_equal(last.points.points, self.points.points)
+            and last.solve.upper - last.solve.lower
+            <= max(schedule.obj_tol(k), last.solve.gap_floor)
+        ):
+            solve = replace(last.solve, lp_iters=0, evals=0)
+            return Step(self.eps, self.points, solve, aux_delta)
         solve = solve_discretized(
             DiscretizedProblem(self.problem, self.eps, self.points.points),
             schedule.obj_tol(k),
@@ -328,14 +352,19 @@ class Stream:
         )
         if solve.x is not None:
             self.x = solve.x
-        aux_delta = schedule.aux_tol(k)
-        if self.eps > 0:
-            aux_delta = min(aux_delta, self.eps / 2)
-        aux_delta = max(aux_delta, AUX_DELTA_FLOOR)
-        cert = None
-        if solve.status is SolveStatus.FEASIBLE:
-            cert = certified_max(self.problem.constraints, solve.x, aux_delta)
-        return Step(self.eps, self.points, solve, cert, aux_delta)
+        return Step(self.eps, self.points, solve, aux_delta)
+
+    def certify(self, step: Step) -> Step:
+        """Certify the maximum over all families at the point of a FEASIBLE
+        step, at its gap aux_delta; other steps stay uncertified."""
+        if step.solve.status is SolveStatus.FEASIBLE:
+            step.cert = certified_max(self.problem.constraints, step.x, step.aux_delta)
+        return step
+
+    def step(self, schedule: ToleranceSchedule, k: int) -> Step:
+        """``solve`` and then ``certify``: the step every loop but the
+        simultaneous driver's check stream runs."""
+        return self.certify(self.solve(schedule, k))
 
     def refine(self, step: Step, rho: float) -> None:
         """The points for the next step: those of ``step`` still active at

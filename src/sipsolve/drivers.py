@@ -6,7 +6,9 @@ discretization sequence, and maps its outcome to a branch of its own.
 run_feas_finite alternates that step with a restriction shrink of its
 stream whenever the discretized restricted problem turns out infeasible; it
 terminates at a point feasible for the original semi-infinite program whose
-objective is near the restricted optimum.
+objective is near the restricted optimum.  An infeasibility certificate
+rules out every restriction down to a level of its own, and the shrink
+(``shrink_restriction``) moves past all of them at once.
 
 run_sequential hands one stream through that driver with geometrically
 shrinking restrictions.  The paper's a-priori stage count m* + 1, computed
@@ -18,7 +20,10 @@ certifies the stage's point delta-optimal.
 
 run_simultaneous interleaves an unrestricted stream (lower reference values)
 with a restricted stream (feasible candidates) and stops as soon as the two
-objective values agree to delta/2 and the candidate certifies feasible.
+objective values agree to delta/2 and the candidate certifies feasible.  Its
+unrestricted stream only solves (``Stream.solve``), reusing a solve of
+unchanged points that still meets the gap, and certifies only when a
+value_gap branch refines it.
 
 A run's one limit, a safety stop, is its config's max_iters: discretization
 steps over all stages of run_sequential, paired check/candidate iterations
@@ -46,7 +51,7 @@ from .core_loop import (
 )
 from .errors import CertificationError, ConfigError, InputError
 from .finite_solver import CutPool, DiscretizedProblem, SolveStatus, solve_discretized
-from .problem import SipProblem
+from .problem import FEASTOL, SipProblem
 
 POST_HOC_DELTA = 1e-9
 
@@ -139,6 +144,38 @@ class SimultaneousConfig:
         check_max_iters(self.max_iters)
 
 
+def shrink_restriction(eps: float, violation_bound: float | None, r: float) -> float:
+    """The restriction after a solve at eps that returned no point: eps / r**j
+    for the smallest j >= 1 with eps / r**j <= level, where level = eps -
+    violation_bound + FEASTOL.
+
+    An INFEASIBLE solve at eps certifies min_x max_i g(x, y_i) >=
+    violation_bound - eps on its index points, and the finite solver accepts
+    only points where that maximum is at most -eps' + FEASTOL, so every
+    restriction eps' above the level would be infeasible too.  The level is
+    widened by 2 ulp(eps), the rounding violation_bound - eps can carry:
+    at eps = 1e299 it would otherwise lose a bound of -2 to cancellation and
+    skip restrictions the certificate leaves open.  A level of zero or below
+    leaves no restriction feasible: the program itself is infeasible, an
+    InputError.  An undecided solve (violation_bound None) certifies nothing
+    and gives eps / r."""
+    if violation_bound is None:
+        return eps / r
+    level = eps - violation_bound + FEASTOL + 2 * math.ulp(eps)
+    if not level > 0:
+        raise InputError(
+            "discretized problem is certified infeasible at every restriction; "
+            "the semi-infinite program itself is infeasible"
+        )
+    j = max(1, math.ceil((math.log(eps) - math.log(level)) / math.log(r)))
+    # the logarithms fix j up to rounding; settle it exactly
+    while j > 1 and eps / r ** (j - 1) <= level:
+        j -= 1
+    while eps / r**j > level:
+        j += 1
+    return eps / r**j
+
+
 def run_feas_finite(
     stream: Stream,
     r: float,
@@ -152,9 +189,12 @@ def run_feas_finite(
     Every iteration either shrinks the stream's restriction (discretized
     problem infeasible), refines its discretization around the strongest
     violator, or terminates with a point certified feasible for the original
-    program.  Each iteration appends one row to ``trace`` (a new trace when
-    None).  The result is TERMINATED or BUDGET, at the stream's latest point;
-    the stream keeps its final restriction and points.
+    program.  A shrink skips every restriction the solve's infeasibility
+    certificate rules out (``shrink_restriction``); one that leaves none
+    raises InputError, since the program itself is then infeasible.  Each
+    iteration appends one row to ``trace`` (a new trace when None).  The
+    result is TERMINATED or BUDGET, at the stream's latest point; the stream
+    keeps its final restriction and points.
     """
     check_restriction(r, stream.eps)
     check_rho_regime(schedule, rho)
@@ -169,7 +209,7 @@ def run_feas_finite(
             # to infeasible: shrinking the restriction is always safe, it
             # only costs iterations
             step.record(trace, "infeasible")
-            stream.eps = stream.eps / r
+            stream.eps = shrink_restriction(stream.eps, step.solve.violation_bound, r)
             continue
         if step.solve.status is SolveStatus.UNDECIDED:
             step.record(trace, "budget")
@@ -364,16 +404,24 @@ def run_simultaneous(
     values) and a restricted stream (feasible candidates).
 
     Per iteration the restricted problem is either infeasible (shrink the
-    restriction), or the candidate value is still too far above the check
-    value (shrink and refine the check stream), or the candidate violates
-    (refine the candidate stream), or both tests pass and the candidate is
-    returned."""
+    restriction past every level its certificate rules out), or the
+    candidate value is still too far above the check value (shrink and
+    refine the check stream), or the candidate violates (refine the
+    candidate stream), or both tests pass and the candidate is returned.
+
+    The check solve runs first, so a certified infeasible program raises at
+    iteration 0.  While the check stream's points are unchanged, its last
+    solve is reused whenever its gap meets this iteration's; its certificate
+    is computed only in the value_gap branch, the one branch that reads it,
+    at that iteration's gap.  Each row counts the work of its own iteration
+    only."""
     trace = RunTrace()
     check = Stream(problem, 0.0, cfg.y0_check)
     hat = Stream(problem, cfg.eps0, cfg.y0_hat)
 
+    check_step = None
     for k in range(cfg.max_iters):
-        check_step = check.step(cfg.schedule, k)
+        check_step = check.solve(cfg.schedule, k, last=check_step)
         if check_step.solve.status is SolveStatus.INFEASIBLE:
             raise InputError(
                 "unrestricted discretized problem is certified infeasible; the "
@@ -386,13 +434,14 @@ def run_simultaneous(
         hat_step = hat.step(cfg.schedule, k)
         if hat_step.x is None:
             hat_step.record(trace, "hat_infeasible", also=check_step)
-            hat.eps = hat.eps / cfg.r
+            hat.eps = shrink_restriction(hat.eps, hat_step.solve.violation_bound, cfg.r)
             continue
         if hat_step.solve.status is SolveStatus.UNDECIDED:
             hat_step.record(trace, "budget", also=check_step)
             break
 
         if hat_step.solve.upper > check_step.solve.upper + cfg.delta / 2:
+            check.certify(check_step)
             hat_step.record(trace, "value_gap", also=check_step)
             hat.eps = hat.eps / cfg.r
             check.refine(check_step, cfg.rho)

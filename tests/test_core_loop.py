@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,38 @@ class TestStream:
         assert step.cert is None
         assert stream.x is x
         assert len(hints) == 2 and all(h is first.x for h in hints)
+
+    def test_unchanged_solve_is_reused_at_no_cost(self, prob_a, monkeypatch):
+        sched = eventually_zero_schedule(0)
+        stream = Stream(prob_a, 0.0, single(1.0))
+        first = stream.solve(sched, 0)
+        assert first.solve.status is SolveStatus.FEASIBLE and first.cert is None
+        calls = []
+        solve = core_loop.solve_discretized
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(core_loop, "solve_discretized", counted)
+        # same eps and points, and the last gap meets obj_tol(1) = 0 up to
+        # its floor: the earlier result answers, counting no work
+        again = stream.solve(sched, 1, last=first)
+        assert not calls
+        assert again.x is first.x and again.solve.upper == first.solve.upper
+        assert again.solve.lp_iters == again.solve.evals == again.evals == 0
+        assert again.aux_delta == sched.aux_tol(1)
+        stream.certify(again)
+        assert again.cert is not None and again.evals == again.cert.evals
+        # a gap wider than this iteration's, a new restriction or new points
+        # each solve again
+        wide = replace(first, solve=replace(first.solve, lower=first.solve.upper - 1.0))
+        stream.solve(sched, 2, last=wide)
+        stream.eps = 0.5
+        stream.solve(sched, 3, last=first)
+        stream.eps, stream.points = 0.0, single(0.5)
+        stream.solve(sched, 4, last=first)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("k", [0, 3, 12])
     @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.05, 1.0])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from sipsolve.errors import CertificationError, ConfigError, InputError
 from sipsolve.instances import builtin, default_y0, random_affine_instance
 from sipsolve.lower_level import CertifiedMax
 from sipsolve.problem import (
+    FEASTOL,
     SLATER_DELTA,
     ConstraintFamily,
     default_margin_resolution,
@@ -81,17 +83,53 @@ class TestRunFeasFinite:
         # analytic restricted optimum 2 (1 + eps)^2 at eps = 1
         assert prob_b.objective.value(res.x) == pytest.approx(8.0, abs=1e-6)
 
-    def test_eps_divides_exactly_on_infeasible_branches(self, prob_a):
+    def test_eps_divides_exactly_on_infeasible_branches(self, prob_a, monkeypatch):
+        # on y = 1, g(x, 1) = x has min -2 over X: the solve at eps 16
+        # certifies it, ruling out every restriction above 2, so one
+        # infeasible row moves eps to 16 / 2**3, the smallest j that fits
+        bounds = []
+        solve = core_loop.solve_discretized
+
+        def recorded(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            bounds.append(res.violation_bound)
+            return res
+
+        monkeypatch.setattr(core_loop, "solve_discretized", recorded)
         res = run_feas_finite(
             Stream(prob_a, 16.0, single(1.0)), r=2.0,
             schedule=eventually_zero_schedule(0), rho=0.0,
         )
+        assert [(row.eps, row.branch) for row in res.trace.rows] == [
+            (16.0, "infeasible"), (2.0, "terminated"),
+        ]
         eps_seq = [row.eps for row in res.trace.rows]
-        for row, (e1, e2) in zip(res.trace.rows, zip(eps_seq, eps_seq[1:])):
+        for row, bound, (e1, e2) in zip(res.trace.rows, bounds, zip(eps_seq, eps_seq[1:])):
             if row.branch == "infeasible":
-                assert e2 == e1 / 2.0
+                level = e1 - bound + FEASTOL + 2 * math.ulp(e1)
+                j = next(j for j in range(1, 64) if e1 / 2.0**j <= level)
+                assert e2 == e1 / 2.0**j
             else:
                 assert e2 == e1
+
+    def test_certified_infeasible_program_is_input_error(self, prob_a):
+        # g = x + y + 3 >= 1 on X x Y: every restriction is certified
+        # infeasible, and eps used to halve until it reached 0.0, ending as a
+        # budget stop after max_iters "infeasible" rows
+        (fam,) = prob_a.constraints
+        shifted = replace(
+            fam,
+            value=lambda x, y: float(x[0] + y[0] + 3.0),
+            batch_eval=lambda x, ys: x[0] + ys[:, 0] + 3.0,
+        )
+        prob = replace(prob_a, constraints=(shifted,))
+        stream = Stream(prob, 1.0, default_y0(prob))
+        with pytest.raises(InputError, match="program itself is infeasible"):
+            run_feas_finite(
+                stream, r=2.0, schedule=eventually_zero_schedule(0), rho=0.0,
+                max_iters=50,
+            )
+        assert stream.eps == 1.0
 
     def test_termination_needs_values_below_the_requested_gap(
         self, prob_a, monkeypatch
@@ -147,6 +185,40 @@ class TestRunFeasFinite:
                 schedule=eventually_zero_schedule(0), rho=0.0,
                 max_iters=max_iters,
             )
+
+
+class TestShrinkRestriction:
+    """After a solve without a point the restriction moves to eps / r**j,
+    the first j >= 1 at or below the level eps - violation_bound + FEASTOL,
+    widened by 2 ulp(eps), that the solve's certificate leaves open."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        eps=st.floats(1e-6, 1e6),
+        r=st.floats(1.01, 10.0),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_smallest_shrink_past_the_level(self, eps, r, share):
+        bound = share * eps  # a violation bound in [0, eps]
+        level = eps - bound + FEASTOL + 2 * math.ulp(eps)
+        new = drivers.shrink_restriction(eps, bound, r)
+        j = next(j for j in range(1, 10_000) if eps / r**j <= level)
+        assert new == eps / r**j
+
+    def test_rounding_of_the_bound_is_kept_open(self):
+        # at eps = 1e300 a bound of -2 rounds violation_bound to eps; the
+        # level keeps that rounding open, so the shrink stays near 2**-52
+        # instead of jumping to FEASTOL past the open restrictions
+        new = drivers.shrink_restriction(1e300, 1e300, 2.0)
+        assert 1e300 * 2.0**-54 < new <= 1e300 * 2.0**-51
+
+    def test_undecided_solve_divides_once(self):
+        assert drivers.shrink_restriction(3.0, None, 1.5) == 3.0 / 1.5
+
+    @pytest.mark.parametrize("excess", [1e-14, 1e-3, 5.0])
+    def test_no_open_level_is_input_error(self, excess):
+        with pytest.raises(InputError, match="program itself is infeasible"):
+            drivers.shrink_restriction(1.0, 1.0 + FEASTOL + excess, 2.0)
 
 
 class TestComputeTerminationIndex:
@@ -407,6 +479,22 @@ class TestRunSimultaneous:
                 assert r2.eps == r1.eps
         assert rows[-1].branch == "terminated"
 
+    def test_hat_rows_skip_ruled_out_restrictions(self, prob_a):
+        # the candidate solve at eps 16 certifies min_x g(x, 0.5) = -2.5:
+        # every restriction above 2.5 is infeasible, so the next row is at 2
+        y0 = default_y0(prob_a)
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=16.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0_check=y0, y0_hat=y0,
+        )
+        out = run_simultaneous(prob_a, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        rows = out.trace.rows
+        assert [(r.eps, r.branch) for r in rows[:2]] == [
+            (16.0, "hat_infeasible"), (2.0, "value_gap"),
+        ]
+        assert [r.branch for r in rows].count("hat_infeasible") == 1
+
     def test_budget_exceeded(self, prob_b):
         cfg = SimultaneousConfig(
             delta=1e-3, r=2.0, eps0=1.0, schedule=sim_schedule(1e-3),
@@ -597,6 +685,48 @@ class TestRunCounts:
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         self.assert_counted(out, tmp_path)
 
+    def test_simultaneous_counts_each_piece_of_work_once(self, monkeypatch, tmp_path):
+        # the check stream solves once per set of its points and certifies
+        # only on value_gap rows; the candidate certifies every point it
+        # finds.  The trace's total is the evaluations of all of them
+        evals, check_points, certificates = [], [], []
+        solve, certify = core_loop.solve_discretized, core_loop.certified_max
+
+        def counted_solve(dp, *args, **kwargs):
+            res = solve(dp, *args, **kwargs)
+            evals.append(res.evals)
+            if dp.eps == 0:
+                check_points.append(dp.points)
+            return res
+
+        def counted_certify(*args):
+            cm = certify(*args)
+            evals.append(cm.evals)
+            certificates.append(cm)
+            return cm
+
+        monkeypatch.setattr(core_loop, "solve_discretized", counted_solve)
+        monkeypatch.setattr(core_loop, "certified_max", counted_certify)
+        prob = builtin("instance_A")
+        y0 = default_y0(prob)
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=16.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0_check=y0, y0_hat=y0,
+        )
+        out = run_simultaneous(prob, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        branches = [r.branch for r in out.trace.rows]
+        assert {"hat_infeasible", "hat_violation"} <= set(branches)
+        assert out.oracle_evals == sum(evals)
+        gaps = branches.count("value_gap")
+        with_point = len(branches) - branches.count("hat_infeasible")
+        assert len(certificates) == with_point + gaps
+        # the first points and one new set after each value_gap refinement;
+        # the iterations in between reuse the check solve
+        assert len(check_points) == 1 + gaps < len(branches)
+        assert all(not np.array_equal(a, b) for a, b in zip(check_points, check_points[1:]))
+        self.assert_counted(out, tmp_path)
+
     @pytest.mark.parametrize("name", ["instance_A", "instance_B"])
     def test_simultaneous_undecided_check_solve(self, monkeypatch, tmp_path, name):
         # no master solve at all: the check solve is undecided at once; the
@@ -617,7 +747,7 @@ class TestRunCounts:
 
     def test_simultaneous_undecided_candidate_solve(self, monkeypatch, tmp_path):
         # the restricted solve is undecided after a decided check solve: its
-        # row counts the evaluations of both steps
+        # row counts the evaluations of both solves
         evals = []
         solve, certify = core_loop.solve_discretized, core_loop.certified_max
 
@@ -644,7 +774,9 @@ class TestRunCounts:
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
         (row,) = out.trace.rows
         assert row.branch == "budget" and row.eps == 0.5
-        assert len(evals) == 3 and out.oracle_evals == sum(evals)
+        # the check solve, the candidate solve and no check certificate:
+        # only a value_gap row reads it
+        assert len(evals) == 2 and out.oracle_evals == sum(evals)
         self.assert_counted(out, tmp_path)
 
 
