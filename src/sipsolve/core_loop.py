@@ -221,6 +221,8 @@ class CoreResult:
     x: np.ndarray | None
     trace: RunTrace
     discretization: Discretization
+    # the terminating step's certificate at x, from drivers.run_feas_finite
+    cert: CertifiedMax | None = None
 
     @property
     def iterations(self) -> int:

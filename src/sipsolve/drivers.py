@@ -18,6 +18,15 @@ the stage's points bounds the optimum from below (a finite subset of the
 index set relaxes the program), and the run stops as soon as that bound
 certifies the stage's point delta-optimal.
 
+The optimal value v(e) of the program restricted by e is convex in e, so a
+point certified feasible at some restriction and a lower bound on v(0)
+prove how small a restriction brings v within delta/2 of the optimum
+(``value_shrink_steps``).  After a check that does not pass, run_sequential
+goes straight to that restriction, skipping the stages in between, and
+run_simultaneous's value_gap branch does the same for its candidate stream.
+Both skips and the infeasibility shrink are eps / r**j for the smallest
+j >= 1 at or below a level (``shrink_steps``).
+
 run_simultaneous interleaves an unrestricted stream (lower reference values)
 with a restricted stream (feasible candidates) and stops as soon as the two
 objective values agree to delta/2 and the candidate certifies feasible.  Its
@@ -88,7 +97,9 @@ class SolveOutcome:
     feasibility_margin: float
     # bound on max_i sup_y g_i(x_star, .), at most margin + POST_HOC_DELTA
     certified_bound: float
-    outer: int  # stages run
+    # stages run: 1 for run_simultaneous and a core run, at most m* + 1 for
+    # run_sequential, whose stage index may move by more than one
+    outer: int
     trace: RunTrace
     # why margin and bound are NaN at x_star: the certification ran out
     certification_error: str | None
@@ -144,36 +155,70 @@ class SimultaneousConfig:
         check_max_iters(self.max_iters)
 
 
+def shrink_steps(eps: float, level: float, r: float) -> int:
+    """The smallest j >= 1 with eps / r**j <= level: the shrink from eps
+    past every restriction above the level.  The restriction stays
+    positive: when no positive eps / r**j reaches the level, j is the
+    largest that leaves one."""
+
+    def shrunk(j: int) -> float:
+        try:
+            return eps / r**j
+        except OverflowError:
+            return 0.0
+
+    j = 1
+    if shrunk(1) > level:
+        tiny = max(level, math.ulp(0.0))
+        j = max(1, math.ceil((math.log(eps) - math.log(tiny)) / math.log(r)))
+    # the logarithms fix j up to rounding; settle it exactly
+    while j > 1 and (shrunk(j) == 0 or shrunk(j - 1) <= level):
+        j -= 1
+    while shrunk(j) > level and shrunk(j + 1) > 0:
+        j += 1
+    return j
+
+
 def shrink_restriction(eps: float, violation_bound: float | None, r: float) -> float:
     """The restriction after a solve at eps that returned no point: eps / r**j
-    for the smallest j >= 1 with eps / r**j <= level, where level = eps -
-    violation_bound + FEASTOL.
+    for the smallest j >= 1 with eps / r**j <= level = FEASTOL -
+    violation_bound (``shrink_steps``).
 
-    An INFEASIBLE solve at eps certifies min_x max_i g(x, y_i) >=
-    violation_bound - eps on its index points, and the finite solver accepts
-    only points where that maximum is at most -eps' + FEASTOL, so every
-    restriction eps' above the level would be infeasible too.  The level is
-    widened by 2 ulp(eps), the rounding violation_bound - eps can carry:
-    at eps = 1e299 it would otherwise lose a bound of -2 to cancellation and
-    skip restrictions the certificate leaves open.  A level of zero or below
-    leaves no restriction feasible: the program itself is infeasible, an
-    InputError.  An undecided solve (violation_bound None) certifies nothing
-    and gives eps / r."""
+    An INFEASIBLE solve certifies min_x max_i g(x, y_i) >= violation_bound
+    on its index points, and the finite solver accepts only points where
+    that maximum is at most -eps' + FEASTOL, so every restriction eps' above
+    the level would be infeasible too.  A level of zero or below leaves no
+    restriction feasible: the program itself is infeasible, an InputError.
+    An undecided solve (violation_bound None) certifies nothing and gives
+    eps / r."""
     if violation_bound is None:
         return eps / r
-    level = eps - violation_bound + FEASTOL + 2 * math.ulp(eps)
+    level = FEASTOL - violation_bound
     if not level > 0:
         raise InputError(
             "discretized problem is certified infeasible at every restriction; "
             "the semi-infinite program itself is infeasible"
         )
-    j = max(1, math.ceil((math.log(eps) - math.log(level)) / math.log(r)))
-    # the logarithms fix j up to rounding; settle it exactly
-    while j > 1 and eps / r ** (j - 1) <= level:
-        j -= 1
-    while eps / r**j > level:
-        j += 1
-    return eps / r**j
+    return eps / r ** shrink_steps(eps, level, r)
+
+
+def value_shrink_steps(
+    eps: float, bound: float, gap: float | None, delta: float, r: float
+) -> int:
+    """The shrink from eps after a point x with sup_y g(x, y) <= bound
+    certified, whose f(x) exceeds a certified lower bound on the optimum v*
+    by ``gap`` > delta/2: the first restriction eps / r**j that convexity
+    proves within delta/2 of v*.
+
+    With bound < 0, x is feasible for the program restricted by e_x =
+    -bound, so v(e_x) <= f(x).  The optimal value v(e) of the program
+    restricted by e is convex in e, the perturbation function of a convex
+    program, so v(e) - v* <= (e / e_x) * gap on [0, e_x], at most delta/2
+    for e <= level = e_x * (delta/2) / gap.  A point not certified strictly
+    feasible (bound >= 0), or a gap that is not known (None), gives j = 1."""
+    if gap is None or not bound < 0:
+        return 1
+    return shrink_steps(eps, -bound * (delta / 2) / gap, r)
 
 
 def run_feas_finite(
@@ -193,14 +238,14 @@ def run_feas_finite(
     certificate rules out (``shrink_restriction``); one that leaves none
     raises InputError, since the program itself is then infeasible.  Each
     iteration appends one row to ``trace`` (a new trace when None).  The
-    result is TERMINATED or BUDGET, at the stream's latest point; the stream
-    keeps its final restriction and points.
+    result is TERMINATED, with the terminating step's certificate, or
+    BUDGET, at the stream's latest point; the stream keeps its final
+    restriction and points.
     """
     check_restriction(r, stream.eps)
     check_rho_regime(schedule, rho)
     check_max_iters(max_iters)
     trace = trace if trace is not None else RunTrace()
-    status = CoreStatus.BUDGET
 
     for k in range(max_iters):
         step = stream.step(schedule, k)
@@ -216,12 +261,13 @@ def run_feas_finite(
             break
         if step.terminated:
             step.record(trace, "terminated")
-            status = CoreStatus.TERMINATED
-            break
+            return CoreResult(
+                CoreStatus.TERMINATED, stream.x, trace, stream.points, step.cert
+            )
         step.record(trace, "violation")
         stream.refine(step, rho)
 
-    return CoreResult(status, stream.x, trace, stream.points)
+    return CoreResult(CoreStatus.BUDGET, stream.x, trace, stream.points)
 
 
 def compute_termination_index(
@@ -320,13 +366,14 @@ def budget_outcome(
     return post_hoc_outcome(problem, x, OutcomeStatus.BUDGET_EXCEEDED, outer, trace)
 
 
-def _certified_delta_optimal(
+def _certified_gap(
     problem: SipProblem, stream: Stream, delta: float, trace: RunTrace
-) -> bool:
-    """Whether the stream's point, certified feasible by the step on the
-    trace's last row, lies within delta of a certified lower bound: that of
+) -> float | None:
+    """f at the stream's point, certified feasible by the step on the
+    trace's last row, minus a certified lower bound on the optimum: that of
     the unrestricted problem on the stream's points, solved to gap delta/4.
-    The last row counts the solve's LP iterations and evaluations."""
+    None when that solve is not FEASIBLE.  The last row counts the solve's
+    LP iterations and evaluations."""
     check = solve_discretized(
         DiscretizedProblem(problem, 0.0, stream.points.points),
         delta / 4,
@@ -336,10 +383,9 @@ def _certified_delta_optimal(
     row = trace.rows[-1]
     row.lp_iters += check.lp_iters
     row.oracle_evals += check.evals
-    return (
-        check.status is SolveStatus.FEASIBLE
-        and float(problem.objective.value(stream.x)) - check.lower <= delta
-    )
+    if check.status is not SolveStatus.FEASIBLE:
+        return None
+    return float(problem.objective.value(stream.x)) - check.lower
 
 
 def run_sequential(
@@ -347,18 +393,21 @@ def run_sequential(
     cfg: SequentialConfig,
     m_star: int | None = None,
 ) -> SolveOutcome:
-    """Sequential driver: at most m* + 1 restriction-feasibility runs on one
-    stream, with its restriction divided by r between stages.  With m* from
-    compute_termination_index the point after the last stage is a
+    """Sequential driver: restriction-feasibility runs on one stream, stage
+    m at restriction at most eps00 / r**m, up to stage m*.  With m* from
+    compute_termination_index the point after stage m* is a
     delta-approximate solution of the semi-infinite program.
 
-    Each earlier stage ends on a point x certified feasible for the program.
+    Each stage m < m* ends on a point x certified feasible for the program.
     One unrestricted solve on the stage's points, at gap delta/4, from x and
     with a cut pool of its own, gives a certified lower bound on the
     program's optimum; when f(x) exceeds it by at most delta, the run stops
-    there, delta-approximate after m + 1 stages.  The stage's terminated row
-    counts that solve's LP iterations and evaluations.  Any other outcome of
-    the check just moves on to the next stage.
+    there, delta-approximate.  The stage's terminated row counts that
+    solve's LP iterations and evaluations.  Otherwise the restriction
+    shrinks to the first eps / r**j that convexity proves within delta/2 of
+    the optimum, from x's certificate and that bound
+    (``value_shrink_steps``), with j capped at m* - m, and the next stage is
+    m + j; an undecided check gives j = 1.  So at most m* + 1 stages run.
 
     The stages share cfg.max_iters discretization steps.  eps* is
     ``problem.eps_star``; a cell stop in certifying it ends the run
@@ -375,7 +424,8 @@ def run_sequential(
         )
     trace = RunTrace()
     stream = Stream(problem, cfg.eps00, cfg.y0)
-    for m in range(m_star + 1):
+    m = stages = 0
+    while True:
         res = run_feas_finite(
             stream,
             cfg.r,
@@ -384,15 +434,20 @@ def run_sequential(
             max_iters=cfg.max_iters - len(trace.rows),
             trace=trace,
         )
+        stages += 1
         if res.status is not CoreStatus.TERMINATED:
-            return budget_outcome(problem, res.x, m + 1, trace)
-        if m < m_star and _certified_delta_optimal(problem, stream, cfg.delta, trace):
-            return post_hoc_outcome(
-                problem, stream.x, OutcomeStatus.DELTA_APPROXIMATE, m + 1, trace
-            )
-        stream.eps = stream.eps / cfg.r
+            return budget_outcome(problem, res.x, stages, trace)
+        if m == m_star:
+            break
+        gap = _certified_gap(problem, stream, cfg.delta, trace)
+        if gap is not None and gap <= cfg.delta:
+            break
+        j = value_shrink_steps(stream.eps, res.cert.bound, gap, cfg.delta, cfg.r)
+        j = min(j, m_star - m)
+        stream.eps = stream.eps / cfg.r**j
+        m += j
     return post_hoc_outcome(
-        problem, stream.x, OutcomeStatus.DELTA_APPROXIMATE, m_star + 1, trace
+        problem, stream.x, OutcomeStatus.DELTA_APPROXIMATE, stages, trace
     )
 
 
@@ -405,9 +460,13 @@ def run_simultaneous(
 
     Per iteration the restricted problem is either infeasible (shrink the
     restriction past every level its certificate rules out), or the
-    candidate value is still too far above the check value (shrink and
-    refine the check stream), or the candidate violates (refine the
-    candidate stream), or both tests pass and the candidate is returned.
+    candidate value is still too far above the check value (value_gap:
+    refine the check stream, and shrink the restriction to the first eps /
+    r**j that convexity proves within delta/2 of the optimum, from the
+    candidate's certificate and the check solve's lower bound,
+    ``value_shrink_steps``; a candidate not certified strictly feasible
+    gives eps / r), or the candidate violates (refine the candidate
+    stream), or both tests pass and the candidate is returned.
 
     The check solve runs first, so a certified infeasible program raises at
     iteration 0.  While the check stream's points are unchanged, its last
@@ -443,7 +502,9 @@ def run_simultaneous(
         if hat_step.solve.upper > check_step.solve.upper + cfg.delta / 2:
             check.certify(check_step)
             hat_step.record(trace, "value_gap", also=check_step)
-            hat.eps = hat.eps / cfg.r
+            gap = hat_step.solve.upper - check_step.solve.lower
+            j = value_shrink_steps(hat.eps, hat_step.cert.bound, gap, cfg.delta, cfg.r)
+            hat.eps = hat.eps / cfg.r**j
             check.refine(check_step, cfg.rho)
             continue
         if not hat_step.terminated:

@@ -100,7 +100,8 @@ class DiscretizedSolveResult:
     upper: float
     lower: float
     gap_floor: float
-    violation_bound: float | None = None  # certified min of max(g + eps), Infeasible only
+    # certified lower bound on min over X of max_j g(x, y_j), Infeasible only
+    violation_bound: float | None = None
     lp_iters: int = 0  # simplex pivots, or QP active-set steps
     evals: int = 0
 
@@ -233,8 +234,8 @@ def solve_discretized(
 
     Returns FEASIBLE with a point satisfying every g_i(x, y_j) <= -eps +
     FEASTOL and 0 <= upper - lower <= max(gap_tol, floor), the floor at
-    most LP_GAP_FLOOR_REL * max(1, |upper|); INFEASIBLE with a
-    certificate that min over X of max(g + eps) is positive; or UNDECIDED
+    most LP_GAP_FLOOR_REL * max(1, |upper|); INFEASIBLE with a certified
+    lower bound ``violation_bound`` > -eps on min over X of max g; or UNDECIDED
     with the best bounds when MASTER_BUDGET master solves run out or a
     master solve breaks down numerically.  ``pool`` allows warm starts across
     calls; the solve first drops its cuts of index points outside
@@ -361,7 +362,7 @@ def solve_discretized(
             if v_lb > -dp.eps:
                 return DiscretizedSolveResult(
                     SolveStatus.INFEASIBLE, None, np.inf, np.inf, 0.0,
-                    violation_bound=v_lb + dp.eps,
+                    violation_bound=v_lb,
                     lp_iters=lp_iters, evals=evals,
                 )
 

@@ -36,7 +36,7 @@ class TestSolve:
             [
                 "solve", "--problem", "builtin:instance_A",
                 "--algorithm", "sequential", "--delta", "1e-9",
-                "--max-iters", "2",
+                "--max-iters", "1",
                 "--trace-out", str(tmp_path / "t.csv"),
                 "--outcome-out", str(tmp_path / "o.json"),
             ]

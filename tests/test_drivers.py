@@ -106,7 +106,7 @@ class TestRunFeasFinite:
         eps_seq = [row.eps for row in res.trace.rows]
         for row, bound, (e1, e2) in zip(res.trace.rows, bounds, zip(eps_seq, eps_seq[1:])):
             if row.branch == "infeasible":
-                level = e1 - bound + FEASTOL + 2 * math.ulp(e1)
+                level = FEASTOL - bound
                 j = next(j for j in range(1, 64) if e1 / 2.0**j <= level)
                 assert e2 == e1 / 2.0**j
             else:
@@ -187,10 +187,34 @@ class TestRunFeasFinite:
             )
 
 
+class TestShrinkSteps:
+    """eps / r**j for the smallest j >= 1 at or below a level, kept
+    positive: the one shrink rule of both certificates."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        eps=st.floats(1e-6, 1e6),
+        r=st.floats(1.01, 10.0),
+        exponent=st.floats(-30.0, 1.0),
+    )
+    def test_smallest_shrink_at_or_below_the_level(self, eps, r, exponent):
+        level = eps * 10.0**exponent
+        j = drivers.shrink_steps(eps, level, r)
+        assert j >= 1
+        assert 0 < eps / r**j <= level
+        assert j == 1 or eps / r ** (j - 1) > level
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, 1e-320])
+    def test_an_unreachable_level_keeps_a_positive_restriction(self, level):
+        # 2.0**1024 overflows: 1 / 2**1023 is the smallest restriction left
+        j = drivers.shrink_steps(1.0, level, 2.0)
+        assert j == 1023 and 1.0 / 2.0**j > 0
+
+
 class TestShrinkRestriction:
     """After a solve without a point the restriction moves to eps / r**j,
-    the first j >= 1 at or below the level eps - violation_bound + FEASTOL,
-    widened by 2 ulp(eps), that the solve's certificate leaves open."""
+    the first j >= 1 at or below the level FEASTOL - violation_bound that
+    the solve's certificate leaves open."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -199,26 +223,25 @@ class TestShrinkRestriction:
         share=st.floats(0.0, 1.0),
     )
     def test_smallest_shrink_past_the_level(self, eps, r, share):
-        bound = share * eps  # a violation bound in [0, eps]
-        level = eps - bound + FEASTOL + 2 * math.ulp(eps)
+        bound = -share * eps  # a certified bound in [-eps, 0] on min max g
+        level = FEASTOL - bound
         new = drivers.shrink_restriction(eps, bound, r)
         j = next(j for j in range(1, 10_000) if eps / r**j <= level)
         assert new == eps / r**j
 
-    def test_rounding_of_the_bound_is_kept_open(self):
-        # at eps = 1e300 a bound of -2 rounds violation_bound to eps; the
-        # level keeps that rounding open, so the shrink stays near 2**-52
-        # instead of jumping to FEASTOL past the open restrictions
-        new = drivers.shrink_restriction(1e300, 1e300, 2.0)
-        assert 1e300 * 2.0**-54 < new <= 1e300 * 2.0**-51
+    def test_a_bound_far_below_eps_is_kept(self):
+        # the certificate is min max g >= -2 itself, not -2 + eps: at eps =
+        # 1e300 no rounding loses it, and the shrink lands in (1, 2]
+        new = drivers.shrink_restriction(1e300, -2.0, 2.0)
+        assert 1.0 < new <= 2.0 + FEASTOL
 
     def test_undecided_solve_divides_once(self):
         assert drivers.shrink_restriction(3.0, None, 1.5) == 3.0 / 1.5
 
-    @pytest.mark.parametrize("excess", [1e-14, 1e-3, 5.0])
+    @pytest.mark.parametrize("excess", [0.0, 1e-14, 1e-3, 5.0])
     def test_no_open_level_is_input_error(self, excess):
         with pytest.raises(InputError, match="program itself is infeasible"):
-            drivers.shrink_restriction(1.0, 1.0 + FEASTOL + excess, 2.0)
+            drivers.shrink_restriction(1.0, FEASTOL + excess, 2.0)
 
 
 class TestComputeTerminationIndex:
@@ -337,29 +360,33 @@ class TestRunSequential:
             run_sequential(replace(prob_a, objective=objective), cfg)
 
     def test_budget_exceeded_partial(self, prob_b):
+        # the full run takes 2 stages of one step each; a budget of one
+        # step stops it after its first stage, at that stage's point
         cfg = SequentialConfig(
             delta=1e-3, r=2.0, eps00=1.0, schedule=geometric_schedule(0.5),
             rho=0.5, y0=single(0.5),
         )
-        out = run_sequential(prob_b, replace(cfg, max_iters=3))
+        assert len(run_sequential(prob_b, cfg).trace.rows) == 2
+        out = run_sequential(prob_b, replace(cfg, max_iters=1))
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
+        assert [r.branch for r in out.trace.rows] == ["terminated"]
+        assert out.x_star is not None
 
     def test_max_iters_caps_the_whole_run(self, prob_a):
-        # the 3 stages take 4 steps, at most 2 each: a cap of 3 binds on
+        # the 2 stages take 3 steps, at most 2 each: a cap of 2 binds on
         # the run's total, never on one stage alone
         cfg = SequentialConfig(
-            delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            delta=0.1, r=2.0, eps00=4.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
         )
         full = run_sequential(prob_a, cfg)
-        assert full.iterations == {"outer": 3, "inner": 4}
-        assert [r.branch for r in full.trace.rows].count("terminated") == 3
-        out = run_sequential(prob_a, replace(cfg, max_iters=3))
+        assert full.iterations == {"outer": 2, "inner": 3}
+        assert [r.branch for r in full.trace.rows].count("terminated") == 2
+        out = run_sequential(prob_a, replace(cfg, max_iters=2))
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
-        assert out.iterations == {"outer": 3, "inner": 3}
-        # the first two stages finished; the third had no step left
-        assert [r.branch for r in out.trace.rows].count("terminated") == 2
-        assert len(out.trace.rows) == 3
+        assert out.iterations == {"outer": 2, "inner": 2}
+        # the first stage finished; the second had no step left
+        assert [r.branch for r in out.trace.rows] == ["infeasible", "terminated"]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -416,28 +443,97 @@ class TestRunSequential:
         assert dists[0] >= dists[1] >= dists[2]
 
 
-    def test_one_stream_through_every_stage(self, prob_a, monkeypatch):
-        # each stage starts at the previous stage's final restriction over r
-        run = drivers.run_feas_finite
-        stages = []
+    @staticmethod
+    def record_stages(monkeypatch):
+        """Each stage's (stream, schedule offset, start eps, end eps,
+        result) and each check's gap, in order."""
+        run, certified_gap = drivers.run_feas_finite, drivers._certified_gap
+        stages, gaps = [], []
 
-        def recorded(stream, r, *args, **kwargs):
+        def recorded(stream, r, schedule, *args, **kwargs):
             start = stream.eps
-            res = run(stream, r, *args, **kwargs)
-            stages.append((stream, start, stream.eps))
+            res = run(stream, r, schedule, *args, **kwargs)
+            stages.append((stream, schedule.offset, start, stream.eps, res))
             return res
 
+        def recorded_gap(*args):
+            gaps.append(certified_gap(*args))
+            return gaps[-1]
+
         monkeypatch.setattr(drivers, "run_feas_finite", recorded)
+        monkeypatch.setattr(drivers, "_certified_gap", recorded_gap)
+        return stages, gaps
+
+    def test_one_stream_through_every_stage(self, prob_a, monkeypatch):
+        # each stage starts at the previous stage's final restriction over
+        # r**j, j from the previous stage's certificate and check gap
+        stages, gaps = self.record_stages(monkeypatch)
         cfg = SequentialConfig(
             delta=0.1, r=2.0, eps00=4.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
         )
         out = run_sequential(prob_a, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
-        assert len(stages) == out.outer
-        assert all(stream is stages[0][0] for stream, _, _ in stages)
-        assert stages[0][1:] == (4.0, 2.0)  # the first stage shrinks once
-        for (_, _, end), (_, start, _) in zip(stages, stages[1:]):
+        assert len(stages) == out.outer >= 2
+        assert all(stage[0] is stages[0][0] for stage in stages)
+        assert stages[0][2:4] == (4.0, 2.0)  # the first stage shrinks once
+        for (_, m, _, end, res), (_, m_next, start, _, _), gap in zip(
+            stages, stages[1:], gaps
+        ):
+            j = drivers.value_shrink_steps(end, res.cert.bound, gap, cfg.delta, cfg.r)
+            assert j > 1 and m_next == m + j
+            assert start == end / cfg.r**j
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3])
+    def test_skip_lands_within_half_delta(self, prob_b, monkeypatch, delta):
+        # instance_B's restricted optimum is v(e) = 2 (1 + e)**2 exactly, and
+        # v* = 2: the stage after the skip runs at a restriction e with
+        # v(e) - 2 <= delta/2, several stages down at once
+        stages, _ = self.record_stages(monkeypatch)
+        cfg = SequentialConfig(
+            delta=delta, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=default_y0(prob_b),
+        )
+        out = run_sequential(prob_b, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert out.outer == 2
+        (_, _, _, end, _), (_, m, start, _, _) = stages
+        assert m > 1 and start < end / cfg.r
+        assert 2.0 * (1.0 + start) ** 2 - 2.0 <= delta / 2
+
+    def test_huge_gap_never_passes_m_star(self, prob_a, monkeypatch):
+        # a check gap of 1e300 asks for a restriction far below eps00 /
+        # r**m*; the skip stops at stage m* = 8, the run's last
+        stages, _ = self.record_stages(monkeypatch)
+        monkeypatch.setattr(drivers, "_certified_gap", lambda *args: 1e300)
+        cfg = SequentialConfig(
+            delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=single(0.5),
+        )
+        out = run_sequential(prob_a, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert [stage[1] for stage in stages] == [0, 8]
+        assert stages[1][2] == 1.0 / 2.0**8
+        assert out.outer == 2 <= 8 + 1
+
+    def test_undecided_check_divides_once(self, prob_a, monkeypatch):
+        # an undecided check gives no gap: every next stage starts at the
+        # previous one's restriction over r, one stage on
+        stages, _ = self.record_stages(monkeypatch)
+        monkeypatch.setattr(
+            drivers, "solve_discretized",
+            lambda *args, **kwargs: finite_solver.DiscretizedSolveResult(
+                finite_solver.SolveStatus.UNDECIDED, None, np.inf, -np.inf, 0.0
+            ),
+        )
+        cfg = SequentialConfig(
+            delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=single(0.5),
+        )
+        out = run_sequential(prob_a, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert [stage[1] for stage in stages] == list(range(8 + 1))
+        for (_, _, _, end, _), (_, _, start, _, _) in zip(stages, stages[1:]):
             assert start == end / cfg.r
 
 
@@ -464,20 +560,60 @@ class TestRunSimultaneous:
         with pytest.raises(ConfigError):
             config(0.05)  # == delta/2, violates the gate
 
-    def test_eps_decay_matches_branches(self, prob_b):
-        cfg = SimultaneousConfig(
-            delta=0.1, r=2.0, eps0=1.0, schedule=sim_schedule(0.1),
-            rho=0.5, y0_check=single(0.5), y0_hat=single(0.5),
-        )
-        out = run_simultaneous(prob_b, cfg)
-        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
-        rows = out.trace.rows
-        for r1, r2 in zip(rows, rows[1:]):
-            if r1.branch in ("hat_infeasible", "value_gap"):
-                assert r2.eps == pytest.approx(r1.eps / 2.0)
+    def test_eps_decay_matches_branches(self, prob_b, monkeypatch):
+        # a value_gap row moves eps to the first eps / 2**j at or below
+        # e_x * (delta/2) / gap, e_x = -bound of the candidate's certificate
+        # and gap its f minus the check solve's lower bound; a candidate
+        # not certified strictly feasible (bound >= 0), as the first ones
+        # from y = 0 are, divides eps by r once.  Other rows keep eps
+        iterations = []  # per iteration: the check's lower bound, the
+        # candidate's solve and its certificate
+        solve, certify = core_loop.solve_discretized, core_loop.certified_max
+        check_lower = None
+
+        def recorded_solve(dp, *args, **kwargs):
+            nonlocal check_lower
+            res = solve(dp, *args, **kwargs)
+            if dp.eps == 0:
+                check_lower = res.lower
             else:
-                assert r2.eps == r1.eps
-        assert rows[-1].branch == "terminated"
+                iterations.append({"lower": check_lower, "solve": res})
+            return res
+
+        def recorded_certify(*args):
+            cm = certify(*args)
+            iterations[-1].setdefault("cert", cm)  # the candidate's comes first
+            return cm
+
+        monkeypatch.setattr(core_loop, "solve_discretized", recorded_solve)
+        monkeypatch.setattr(core_loop, "certified_max", recorded_certify)
+        for y_hat in (0.5, 0.0):
+            iterations.clear()
+            cfg = SimultaneousConfig(
+                delta=0.1, r=2.0, eps0=1.0, schedule=sim_schedule(0.1),
+                rho=0.5, y0_check=single(0.5), y0_hat=single(y_hat),
+            )
+            out = run_simultaneous(prob_b, cfg)
+            assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+            rows = out.trace.rows
+            assert rows[-1].branch == "terminated"
+            assert len(iterations) == len(rows)
+            steps = []
+            for r1, r2, it in zip(rows, rows[1:], iterations):
+                assert r1.branch in ("value_gap", "hat_violation")
+                if r1.branch == "hat_violation":
+                    assert r2.eps == r1.eps
+                    continue
+                bound = it["cert"].bound
+                j = 1
+                if bound < 0:
+                    gap = it["solve"].upper - it["lower"]
+                    level = -bound * (cfg.delta / 2) / gap
+                    j = next(j for j in range(1, 200) if r1.eps / 2.0**j <= level)
+                assert r2.eps == r1.eps / 2.0**j
+                steps.append((bound < 0, j))
+            assert (True, 1) not in steps and any(j > 1 for _, j in steps)
+            assert ((False, 1) in steps) == (y_hat == 0.0)
 
     def test_hat_rows_skip_ruled_out_restrictions(self, prob_a):
         # the candidate solve at eps 16 certifies min_x g(x, 0.5) = -2.5:
@@ -641,7 +777,7 @@ class TestRunCounts:
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         # every stage ends on its own terminated row
         stages = [r.branch for r in out.trace.rows].count("terminated")
-        assert out.iterations["outer"] == stages == 3
+        assert out.iterations["outer"] == stages == 2
         self.assert_counted(out, tmp_path)
 
     @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])
@@ -707,11 +843,12 @@ class TestRunCounts:
 
         monkeypatch.setattr(core_loop, "solve_discretized", counted_solve)
         monkeypatch.setattr(core_loop, "certified_max", counted_certify)
+        # from y = 0 the candidate is infeasible at eps 5, and after the
+        # value_gap skip violates at y = 1, so the run has every branch
         prob = builtin("instance_A")
-        y0 = default_y0(prob)
         cfg = SimultaneousConfig(
-            delta=0.1, r=2.0, eps0=16.0, schedule=eventually_zero_schedule(0),
-            rho=0.0, y0_check=y0, y0_hat=y0,
+            delta=0.1, r=2.0, eps0=5.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0_check=default_y0(prob), y0_hat=single(0.0),
         )
         out = run_simultaneous(prob, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE

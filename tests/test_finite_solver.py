@@ -45,7 +45,8 @@ class TestSolveDiscretized:
         # x <= -4 is impossible on [-2, 2]
         res = solve_discretized(dp_of(prob_a, 4.0, [[1.0]]), 1e-8)
         assert res.status is SolveStatus.INFEASIBLE
-        assert res.violation_bound is not None and res.violation_bound > 0
+        # a certified lower bound on min_x x = -2, above -eps
+        assert -4.0 < res.violation_bound <= -2.0
 
     def test_empty_points_unconstrained(self, prob_a):
         res = solve_discretized(dp_of(prob_a, 0.5, np.zeros((0, 1))), 1e-10)
