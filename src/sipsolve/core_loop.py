@@ -12,11 +12,9 @@ the requested gap, which proves the iterate feasible for the semi-infinite
 program; otherwise ``Stream.refine`` prunes and extends the discretization
 around the maximizer.  ``run_core`` runs a stream at a fixed
 restriction, and the drivers in ``sipsolve.drivers`` run streams with their
-own restriction updates; ``synthesize_slater_point`` runs ``run_core`` at
-halving restrictions to find a Slater point for a problem that declares
-none.  The pruning radius rho regulates how much of the old discretization
-survives: rho = inf keeps everything, rho = 0 keeps only the points still
-active at the restriction level.  The step's two gaps come
+own restriction updates.  The pruning radius rho regulates how much of the
+old discretization survives: rho = inf keeps everything, rho = 0 keeps only
+the points still active at the restriction level.  The step's two gaps come
 from a ``ToleranceSchedule``, a geometric record whose regime (summable or
 eventually zero) and supremum follow from its own fields; a restricted
 stream caps the certificate gap at eps/2, so that a point at its
@@ -32,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .finite_solver import (
     CutPool,
     DiscretizedProblem,
@@ -41,7 +39,7 @@ from .finite_solver import (
     solve_discretized,
 )
 from .lower_level import CertifiedMax, certified_max
-from .problem import FEASTOL, SLATER_DELTA, SipProblem, as_point
+from .problem import FEASTOL, SipProblem, as_point
 
 DEDUP_TOL = 1e-12
 AUX_DELTA_FLOOR = 1e-15  # certified_max needs a positive gap request
@@ -220,7 +218,6 @@ class CoreResult:
     status: CoreStatus
     x: np.ndarray | None
     trace: RunTrace
-    discretization: Discretization
     # the terminating step's certificate at x, from drivers.run_feas_finite
     cert: CertifiedMax | None = None
 
@@ -392,39 +389,14 @@ def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
         status = step.solve.status
         if status is SolveStatus.INFEASIBLE:
             step.record(trace, "infeasible")
-            return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, trace, stream.points)
+            return CoreResult(CoreStatus.INFEASIBLE_SUBPROBLEM, None, trace)
         if status is SolveStatus.UNDECIDED:
             step.record(trace, "budget")
-            return CoreResult(CoreStatus.BUDGET, stream.x, trace, stream.points)
+            return CoreResult(CoreStatus.BUDGET, stream.x, trace)
         if step.terminated:
             step.record(trace, "terminated")
-            return CoreResult(CoreStatus.TERMINATED, stream.x, trace, stream.points)
+            return CoreResult(CoreStatus.TERMINATED, stream.x, trace)
         step.record(trace, "violation")
         stream.refine(step, cfg.rho)
 
-    return CoreResult(CoreStatus.BUDGET, stream.x, trace, stream.points)
-
-
-def synthesize_slater_point(problem: SipProblem) -> SipProblem:
-    """A strictly feasible point for a problem that declares none, by the
-    exchange method of Blankenship and Falk (JOTA 19, 1976): ``run_core``
-    from the index-box center at eps = 1, 1/2, 1/4, ... while eps >
-    SLATER_DELTA.  An infeasible restricted subproblem halves eps; a
-    terminated run gives ``replace(problem, slater_point=x)``, returned
-    with its ``eps_star`` certificate kept when that certifies.  Returns
-    ``problem`` itself otherwise."""
-    y0 = Discretization(problem.y_domain.center().reshape(1, -1))
-    eps = 1.0
-    while eps > SLATER_DELTA:
-        res = run_core(problem, CoreConfig(eps, np.inf, geometric_schedule(0.5), y0))
-        if res.status is CoreStatus.BUDGET:
-            break
-        if res.status is CoreStatus.TERMINATED:
-            found = replace(problem, slater_point=res.x)
-            try:
-                found.eps_star
-            except InputError:
-                break
-            return found
-        eps /= 2
-    return problem
+    return CoreResult(CoreStatus.BUDGET, stream.x, trace)

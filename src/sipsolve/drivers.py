@@ -8,7 +8,11 @@ stream whenever the discretized restricted problem turns out infeasible; it
 terminates at a point feasible for the original semi-infinite program whose
 objective is near the restricted optimum.  An infeasibility certificate
 rules out every restriction down to a level of its own, and the shrink
-(``shrink_restriction``) moves past all of them at once.
+(``shrink_restriction``) moves past all of them at once; a certificate that
+leaves no restriction open raises InfeasibleProgramError.
+synthesize_slater_point runs one such stream from restriction 1 to find a
+strictly feasible point for a problem that declares none (the exchange
+method of Blankenship and Falk).
 
 run_sequential hands one stream through that driver with geometrically
 shrinking restrictions.  The paper's a-priori stage count m* + 1, computed
@@ -24,8 +28,9 @@ prove how small a restriction brings v within delta/2 of the optimum
 (``value_shrink_steps``).  After a check that does not pass, run_sequential
 goes straight to that restriction, skipping the stages in between, and
 run_simultaneous's value_gap branch does the same for its candidate stream.
-Both skips and the infeasibility shrink are eps / r**j for the smallest
-j >= 1 at or below a level (``shrink_steps``).
+Both skips, the infeasibility shrink and the restriction count of m* are
+eps / r**j for the smallest j >= 1 at or below a level (``shrink_steps``),
+the one place that turns a level into a restriction count.
 
 run_simultaneous interleaves an unrestricted stream (lower reference values)
 with a restricted stream (feasible candidates) and stops as soon as the two
@@ -42,6 +47,7 @@ of run_simultaneous.  Reaching it ends the run as BudgetExceeded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -57,14 +63,15 @@ from .core_loop import (
     ToleranceSchedule,
     check_max_iters,
     check_rho_regime,
+    geometric_schedule,
 )
-from .errors import CertificationError, ConfigError, InputError
+from .errors import CertificationError, ConfigError, InfeasibleProgramError, InputError
 from .finite_solver import CutPool, DiscretizedProblem, SolveStatus, solve_discretized
 from .problem import FEASTOL, SipProblem
 
 POST_HOC_DELTA = 1e-9
 
-# compute_termination_index gives up after this many stages.
+# compute_termination_index's obj_tol scan gives up after this many stages.
 TERMINATION_SCAN_LIMIT = 100_000
 
 
@@ -170,7 +177,10 @@ def shrink_steps(eps: float, level: float, r: float) -> int:
     j = 1
     if shrunk(1) > level:
         tiny = max(level, math.ulp(0.0))
-        j = max(1, math.ceil((math.log(eps) - math.log(tiny)) / math.log(r)))
+        j = math.ceil((math.log(eps) - math.log(tiny)) / math.log(r))
+        # no further than r**j stays finite, so that settling never walks
+        # back across the overflow one j at a time
+        j = max(1, min(j, math.floor(math.log(sys.float_info.max) / math.log(r))))
     # the logarithms fix j up to rounding; settle it exactly
     while j > 1 and (shrunk(j) == 0 or shrunk(j - 1) <= level):
         j -= 1
@@ -188,14 +198,15 @@ def shrink_restriction(eps: float, violation_bound: float | None, r: float) -> f
     on its index points, and the finite solver accepts only points where
     that maximum is at most -eps' + FEASTOL, so every restriction eps' above
     the level would be infeasible too.  A level of zero or below leaves no
-    restriction feasible: the program itself is infeasible, an InputError.
+    restriction feasible: the program itself is infeasible, an
+    InfeasibleProgramError.
     An undecided solve (violation_bound None) certifies nothing and gives
     eps / r."""
     if violation_bound is None:
         return eps / r
     level = FEASTOL - violation_bound
     if not level > 0:
-        raise InputError(
+        raise InfeasibleProgramError(
             "discretized problem is certified infeasible at every restriction; "
             "the semi-infinite program itself is infeasible"
         )
@@ -236,11 +247,11 @@ def run_feas_finite(
     violator, or terminates with a point certified feasible for the original
     program.  A shrink skips every restriction the solve's infeasibility
     certificate rules out (``shrink_restriction``); one that leaves none
-    raises InputError, since the program itself is then infeasible.  Each
-    iteration appends one row to ``trace`` (a new trace when None).  The
-    result is TERMINATED, with the terminating step's certificate, or
-    BUDGET, at the stream's latest point; the stream keeps its final
-    restriction and points.
+    raises InfeasibleProgramError, since the program itself is then
+    infeasible.  Each iteration appends one row to ``trace`` (a new trace
+    when None).  The result is TERMINATED, with the terminating step's
+    certificate, or BUDGET, at the stream's latest point; the stream keeps
+    its final restriction and points.
     """
     check_restriction(r, stream.eps)
     check_rho_regime(schedule, rho)
@@ -261,13 +272,39 @@ def run_feas_finite(
             break
         if step.terminated:
             step.record(trace, "terminated")
-            return CoreResult(
-                CoreStatus.TERMINATED, stream.x, trace, stream.points, step.cert
-            )
+            return CoreResult(CoreStatus.TERMINATED, stream.x, trace, step.cert)
         step.record(trace, "violation")
         stream.refine(step, rho)
 
-    return CoreResult(CoreStatus.BUDGET, stream.x, trace, stream.points)
+    return CoreResult(CoreStatus.BUDGET, stream.x, trace)
+
+
+def synthesize_slater_point(problem: SipProblem) -> SipProblem:
+    """A strictly feasible point for a problem that declares none, by the
+    exchange method of Blankenship and Falk (JOTA 19, 1976): one
+    ``run_feas_finite`` stream from the index-box center at restriction 1,
+    r = 2, rho = inf.  Each infeasible restricted solve shrinks the
+    restriction past every level its certificate rules out, while the
+    stream keeps its points and cut pool.  A terminated run gives
+    ``replace(problem, slater_point=x)``, returned with its ``eps_star``
+    certificate kept when that certifies.  Returns ``problem`` itself
+    otherwise: on a budget stop, a point whose certificate fails, or a
+    program certified infeasible at every restriction."""
+    y0 = Discretization(problem.y_domain.center().reshape(1, -1))
+    try:
+        res = run_feas_finite(
+            Stream(problem, 1.0, y0), 2.0, geometric_schedule(0.5), np.inf
+        )
+    except InfeasibleProgramError:
+        return problem
+    if res.status is not CoreStatus.TERMINATED:
+        return problem
+    found = replace(problem, slater_point=res.x)
+    try:
+        found.eps_star
+    except InputError:
+        return problem
+    return found
 
 
 def compute_termination_index(
@@ -283,11 +320,15 @@ def compute_termination_index(
     the strict-feasibility margin eps_star, the Lipschitz value bound is
     below delta/2, and the scheduled solve gap obj_tol(m*) is below delta/2.
 
-    The first two hold once the restriction eps00 / r**m is at most eps_star
-    and (delta/2) * eps_star / (L * diam_x), L = lipschitz_f being the
-    objective's max-norm Lipschitz constant.  Comparing restrictions keeps a
-    huge L * diam_x / eps_star from overflowing; when r**m leaves the float
-    range before the restriction gets there, there is no valid m*."""
+    The first two hold once the restriction eps00 / r**m is at most eps_max
+    = min(eps_star, (delta/2) * eps_star / (L * diam_x)), L = lipschitz_f
+    being the objective's max-norm Lipschitz constant: m = 0 when eps00 is,
+    and otherwise the shrink past every restriction above eps_max,
+    ``shrink_steps(eps00, eps_max, r)``.  Comparing restrictions keeps a
+    huge L * diam_x / eps_star from overflowing; when no positive
+    restriction in the float range gets there, there is no valid m*.  From
+    m on, the first stage whose obj_tol is at most delta/2 within
+    TERMINATION_SCAN_LIMIT stages is m*."""
     check_delta(delta)
     check_restriction(r, eps00)
     if not 0 <= diam_x < np.inf:
@@ -302,18 +343,13 @@ def compute_termination_index(
     lip_diam = lipschitz_f * diam_x
     if lip_diam > 0:
         eps_max = min(eps_max, delta / 2 * eps_star / lip_diam)
-    m = 0
-    try:
-        while eps00 / math.pow(r, m) > eps_max and m <= TERMINATION_SCAN_LIMIT:
-            m += 1
-    except OverflowError:
-        m = TERMINATION_SCAN_LIMIT + 1
-    if m > TERMINATION_SCAN_LIMIT or eps_max == 0:
+    m = 0 if eps00 <= eps_max else shrink_steps(eps00, eps_max, r)
+    if eps00 / r**m > eps_max:
         raise ConfigError(
             "termination index scan failed on the value bound: the restriction "
             "cannot shrink below it in floating point"
         )
-    for m_star in range(m, TERMINATION_SCAN_LIMIT):
+    for m_star in range(m, m + TERMINATION_SCAN_LIMIT):
         if obj_tol(m_star) <= delta / 2:
             return m_star
     raise ConfigError(
@@ -465,8 +501,10 @@ def run_simultaneous(
     r**j that convexity proves within delta/2 of the optimum, from the
     candidate's certificate and the check solve's lower bound,
     ``value_shrink_steps``; a candidate not certified strictly feasible
-    gives eps / r), or the candidate violates (refine the candidate
-    stream), or both tests pass and the candidate is returned.
+    gives eps / r; a candidate that did not terminate is refined too, from
+    the certificate its step already holds), or the candidate violates
+    (refine the candidate stream), or both tests pass and the candidate is
+    returned.
 
     The check solve runs first, so a certified infeasible program raises at
     iteration 0.  While the check stream's points are unchanged, its last
@@ -482,7 +520,7 @@ def run_simultaneous(
     for k in range(cfg.max_iters):
         check_step = check.solve(cfg.schedule, k, last=check_step)
         if check_step.solve.status is SolveStatus.INFEASIBLE:
-            raise InputError(
+            raise InfeasibleProgramError(
                 "unrestricted discretized problem is certified infeasible; the "
                 "semi-infinite program itself is infeasible"
             )
@@ -506,6 +544,8 @@ def run_simultaneous(
             j = value_shrink_steps(hat.eps, hat_step.cert.bound, gap, cfg.delta, cfg.r)
             hat.eps = hat.eps / cfg.r**j
             check.refine(check_step, cfg.rho)
+            if not hat_step.terminated:
+                hat.refine(hat_step, cfg.rho)
             continue
         if not hat_step.terminated:
             hat_step.record(trace, "hat_violation", also=check_step)

@@ -5,6 +5,11 @@ class InputError(ValueError):
     """Raised when caller-supplied data violates a documented precondition."""
 
 
+class InfeasibleProgramError(InputError):
+    """Raised when a certificate proves the semi-infinite program itself
+    infeasible: no restriction, however small, leaves a feasible point."""
+
+
 class ConfigError(ValueError):
     """Raised when an algorithm configuration is internally inconsistent."""
 

@@ -14,7 +14,7 @@ polynomials.affine_polynomial_family, with the offset as a constant b(u):
 the model-derivative polynomials become the family's exponent and
 coefficient arrays, whose term-wise bounds give its Lipschitz data, so the
 certified lower-level machinery applies as-is.  A spec without a Slater
-point gets one from ``core_loop.synthesize_slater_point``.
+point gets one from ``drivers.synthesize_slater_point``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import perm, prod
 
 import numpy as np
 
-from .core_loop import synthesize_slater_point
+from .drivers import synthesize_slater_point
 from .errors import InputError
 from .polynomials import Polynomial, affine_polynomial_family, multi_indices
 from .problem import (

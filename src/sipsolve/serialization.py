@@ -13,6 +13,10 @@ Two JSON problem kinds are supported:
   front-end.  Data may be inline or referenced as a CSV file with one column
   per input dimension followed by the target column.
 
+A file of either kind without a ``slater_point`` gets one from
+``drivers.synthesize_slater_point`` when it loads, or loads without one when
+the search finds none.
+
 Every number is checked on load: floats must be finite, and exponents,
 degree and derivative multi-indices integral.  The objective's Lipschitz
 constant is derived, so a quadratic file may not set one.  A field of the
@@ -31,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_loop import synthesize_slater_point
+from .drivers import synthesize_slater_point
 from .errors import InputError
 from .polynomials import Polynomial, affine_polynomial_family
 from .problem import BoxDomain, ConvexObjective, QuadraticForm, SipProblem
@@ -117,7 +121,7 @@ def quadratic_problem_from_dict(data: dict) -> SipProblem:
     """A quadratic problem file as a SipProblem.  The objective's Lipschitz
     constant is derived from Q, c and the x box, never read from the file;
     a file without ``slater_point`` gets one from
-    ``core_loop.synthesize_slater_point``."""
+    ``drivers.synthesize_slater_point``."""
     for key in ("x_box", "y_box", "objective", "constraints"):
         if key not in data:
             raise InputError(f"problem file missing field '{key}'")

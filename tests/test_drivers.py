@@ -32,14 +32,23 @@ from sipsolve.drivers import (
     run_feas_finite,
     run_sequential,
     run_simultaneous,
+    synthesize_slater_point,
 )
-from sipsolve.errors import CertificationError, ConfigError, InputError
+from sipsolve.errors import (
+    CertificationError,
+    ConfigError,
+    InfeasibleProgramError,
+    InputError,
+)
 from sipsolve.instances import builtin, default_y0, random_affine_instance
 from sipsolve.lower_level import CertifiedMax
 from sipsolve.problem import (
     FEASTOL,
     SLATER_DELTA,
+    BoxDomain,
     ConstraintFamily,
+    ConvexObjective,
+    SipProblem,
     default_margin_resolution,
     feasibility_margin,
 )
@@ -210,6 +219,16 @@ class TestShrinkSteps:
         j = drivers.shrink_steps(1.0, level, 2.0)
         assert j == 1023 and 1.0 / 2.0**j > 0
 
+    @pytest.mark.parametrize("r", [1.0 + 1e-12, math.nextafter(1.0, 2.0)])
+    def test_a_factor_near_one_stops_at_the_float_range(self, r):
+        # the logarithms put j about 5 % past the largest finite r**j; j
+        # starts at that limit instead of walking back to it one step at a
+        # time (about 3.5e13 steps for r = 1 + 1e-12)
+        j = drivers.shrink_steps(1.0, 0.0, r)
+        assert 1.0 / r**j > 0
+        with pytest.raises(OverflowError):
+            r ** (j + 1)
+
 
 class TestShrinkRestriction:
     """After a solve without a point the restriction moves to eps / r**j,
@@ -256,6 +275,31 @@ class TestComputeTerminationIndex:
         monkeypatch.setattr(drivers, "TERMINATION_SCAN_LIMIT", 1000)
         with pytest.raises(ConfigError):
             compute_termination_index(0.1, 2.0, 4.0, 4.0, 1.0, 2.0, lambda k: 0.1)
+
+    def test_restriction_count_is_the_first_stage_inside(self):
+        # m = 0 when eps00 is already inside eps_max = min(eps*, (delta/2)
+        # eps* / (L diam)), else shrink_steps: the first m with
+        # eps00 / r**m <= eps_max, as a plain scan finds it
+        for delta in (1e-4, 1e-2, 1.0, 10.0):
+            for eps00 in (1e-3, 0.3, 1.0, 1e3):
+                for r in (1.5, 2.0, 3.0, 10.0):
+                    eps_max = min(2.0, delta / 2 * 2.0 / (4.0 * 4.0))
+                    m = 0
+                    while eps00 / r**m > eps_max:
+                        m += 1
+                    got = compute_termination_index(
+                        delta, 2.0, 4.0, 4.0, eps00, r, lambda k: 0.0
+                    )
+                    assert got == m, (delta, eps00, r)
+
+    @pytest.mark.parametrize("r", [1.00001, 1.0 + 1e-12])
+    def test_many_stages_are_counted_not_scanned(self, r):
+        # about 9.7e5 and 9.7e12 stages: past the obj_tol scan's limit,
+        # which no longer bounds the restriction count
+        eps_max = 1e-3 / 2 * 2.0 / (4.0 * 4.0)
+        m = compute_termination_index(1e-3, 2.0, 4.0, 4.0, 1.0, r, lambda k: 0.0)
+        assert m > drivers.TERMINATION_SCAN_LIMIT
+        assert 1.0 / r**m <= eps_max < 1.0 / r ** (m - 1)
 
     def test_nonincreasing_in_delta(self):
         deltas = np.logspace(-3, 1, 10)
@@ -614,6 +658,23 @@ class TestRunSimultaneous:
                 steps.append((bound < 0, j))
             assert (True, 1) not in steps and any(j > 1 for _, j in steps)
             assert ((False, 1) in steps) == (y_hat == 0.0)
+
+    def test_value_gap_refines_a_violating_candidate(self, prob_b):
+        # from y = 0 the first candidate violates (maximum 0.9375 at eps 1)
+        # while its value is still far above the check's: the value_gap row
+        # refines the candidate too, from the certificate its step already
+        # holds, so no hat_violation row has to re-solve it on the same
+        # points (that took 5 rows and 97 evaluations)
+        cfg = SimultaneousConfig(
+            delta=0.1, r=2.0, eps0=1.0, schedule=sim_schedule(0.1),
+            rho=0.5, y0_check=single(0.5), y0_hat=single(0.0),
+        )
+        out = run_simultaneous(prob_b, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        rows = out.trace.rows
+        assert [r.branch for r in rows] == ["value_gap", "value_gap", "terminated"]
+        assert rows[0].max_violation > 0 and rows[1].card_y == 2
+        assert out.oracle_evals == 55
 
     def test_hat_rows_skip_ruled_out_restrictions(self, prob_a):
         # the candidate solve at eps 16 certifies min_x g(x, 0.5) = -2.5:
@@ -1131,6 +1192,14 @@ class TestNonFiniteOracle:
             with pytest.raises(InputError, match="family 0 returned a non-finite value"):
                 run()
 
+    def test_slater_search_raises(self):
+        # the search evaluates g at x = 0 and then at x = 2, where g is NaN:
+        # that is bad input, not a program without a Slater point
+        prob = replace(self.log_barrier(), slater_point=None)
+        with pytest.raises(InputError, match="family 0 returned a non-finite value") as info:
+            synthesize_slater_point(prob)
+        assert not isinstance(info.value, InfeasibleProgramError)
+
     def test_eval_grid_names_the_family(self):
         fam = replace(self.log_barrier().constraints[0], index=3)
         ys = np.array([[0.0], [1.0]])
@@ -1150,3 +1219,59 @@ class TestNonFiniteOracle:
         dp = DiscretizedProblem(replace(prob_a, objective=objective), 0.1, single(1.0).points)
         with pytest.raises(InputError, match="objective returned a non-finite"):
             solve_discretized(dp, 1e-6)
+
+
+class TestSlaterSearch:
+    """``synthesize_slater_point`` is one restriction-feasibility stream:
+    each infeasible solve shrinks the restriction past every level its
+    certificate rules out, and the stream keeps its points and cut pool."""
+
+    @staticmethod
+    def square(M):
+        # g(x, y) = x0**2 - M on x in [-1, 1], f = -x0: strictly feasible
+        # points exist for M > 0 only, with margin M - x0**2
+        X, Y = BoxDomain([-1.0], [1.0]), BoxDomain([0.0], [1.0])
+        fam = ConstraintFamily(
+            0, lambda x, y: x[0] ** 2 - M, lambda x, y: np.array([2.0 * x[0]]),
+            lipschitz_in_y=0.0, y_domain=Y,
+        )
+        objective = ConvexObjective(lambda x: -float(x[0]), lambda x: np.array([-1.0]), 1.0)
+        return SipProblem(X, Y, objective, (fam,))
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        solve = core_loop.solve_discretized
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].eps)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(core_loop, "solve_discretized", counting)
+        return calls
+
+    def test_shallow_margin_takes_two_solves(self, monkeypatch):
+        # eps 1 is infeasible and its certificate rules out every
+        # restriction above M + FEASTOL: the next solve is at 2**-29, where
+        # the point terminates (restarting at eps = 1, 1/2, ... took 30)
+        calls = self.counted(monkeypatch)
+        found = synthesize_slater_point(self.square(3e-9))
+        assert calls == [1.0, 2.0**-29]
+        assert found.slater_point[0] == pytest.approx(3.44580158e-05, rel=1e-8)
+        assert vars(found)["eps_star"] > 0
+
+    def test_infeasible_program_takes_one_solve(self, monkeypatch):
+        # g = x0**2 + 1 > 0 everywhere: the first certificate rules out
+        # every restriction, and the search returns the problem as it was
+        calls = self.counted(monkeypatch)
+        prob = self.square(-1.0)
+        assert synthesize_slater_point(prob) is prob
+        assert calls == [1.0]
+        stream = Stream(prob, 1.0, Discretization(prob.y_domain.center().reshape(1, -1)))
+        with pytest.raises(InfeasibleProgramError, match="program itself is infeasible"):
+            run_feas_finite(stream, 2.0, geometric_schedule(0.5), np.inf)
+
+    def test_no_strict_margin_finds_none(self):
+        # M = 0: the feasible set is x0 = 0, with no strictly feasible point
+        prob = self.square(0.0)
+        assert synthesize_slater_point(prob) is prob

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from sipsolve.core_loop import synthesize_slater_point
+from sipsolve.drivers import synthesize_slater_point
 from sipsolve.errors import InputError
 from sipsolve.problem import BoxDomain
 from sipsolve.regression import (
