@@ -203,7 +203,7 @@ def cmd_check(args) -> int:
     if problem.slater_point is not None:
         print(f"slater certificate ok, eps* = {fmt17(problem.eps_star)}")
     else:
-        print("no slater point declared, and the core-loop search found none")
+        print("no slater point declared, and the Slater search found none")
     if not report.ok:
         for failure in report.failures:
             print(f"oracle check FAILED: {failure}")

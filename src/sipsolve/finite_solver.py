@@ -20,14 +20,11 @@ Cuts are valid only at the index points they came from, so a solve first
 drops the pool's cuts of points outside its discretization.  Feasible upper
 bounds come from master iterates that satisfy all constraints, or from a
 restoration line search toward a strictly feasible anchor.  A solve stops
-once upper - lower is within the requested gap or within its master's
-resolution, one relative floor per route chosen at the start of the solve;
-on the QP route it also stops when a master returns its previous point
-without raising the bound and the gap left is within the LP route's floor,
-which it then reports as its floor.  A positive certified bound on the
-minimal violation certifies infeasibility of the discretized problem.  A
-master that breaks down numerically ends the solve as UNDECIDED with the
-bounds reached so far.
+once upper - lower is within the requested gap or within one relative
+floor, the same on both routes.  A positive certified bound on the minimal
+violation certifies infeasibility of the discretized problem.  A master that
+breaks down numerically ends the solve as UNDECIDED with the bounds reached
+so far.
 """
 
 from __future__ import annotations
@@ -44,12 +41,10 @@ from .problem import FEASTOL, SipProblem, as_point
 
 # Gaps below a relative floor are not asked of the masters: exact solves are
 # not a floating-point notion.  A solve stops at max(gap_tol, floor) with
-# floor = rel * max(1, |upper|), and reports the floor it applied.  The QP
-# master resolves the optimality gap to GAP_FLOOR_REL, or to the gap at which
-# it repeats itself when that is within LP_GAP_FLOOR_REL; the Kelley LP
-# master's certified bound stops moving near LP_GAP_FLOOR_REL, its resolution.
-GAP_FLOOR_REL = 1e-12
-LP_GAP_FLOOR_REL = 1e-8
+# floor = GAP_FLOOR_REL * max(1, |upper|), and reports the floor it applied.
+# It is the Kelley LP master's resolution, where its certified bound stops
+# moving; the QP route needs no finer one.
+GAP_FLOOR_REL = 1e-8
 
 # Master solves one solve_discretized call may make; when they run out the
 # solve ends UNDECIDED with the bounds reached so far.
@@ -233,8 +228,8 @@ def solve_discretized(
     """Solve the discretized restricted problem to a certified gap.
 
     Returns FEASIBLE with a point satisfying every g_i(x, y_j) <= -eps +
-    FEASTOL and 0 <= upper - lower <= max(gap_tol, floor), the floor at
-    most LP_GAP_FLOOR_REL * max(1, |upper|); INFEASIBLE with a certified
+    FEASTOL and 0 <= upper - lower <= max(gap_tol, floor), the floor
+    GAP_FLOOR_REL * max(1, |upper|); INFEASIBLE with a certified
     lower bound ``violation_bound`` > -eps on min over X of max g; or UNDECIDED
     with the best bounds when MASTER_BUDGET master solves run out or a
     master solve breaks down numerically.  ``pool`` allows warm starts across
@@ -400,11 +395,9 @@ def solve_discretized(
             upper, x_best = v, x
 
     offer(anchor)
-    floor_rel = GAP_FLOOR_REL if form is not None else LP_GAP_FLOOR_REL
-    x_prev = None  # the previous master point
 
     while True:
-        floor = floor_rel * max(1.0, abs(upper))
+        floor = GAP_FLOOR_REL * max(1.0, abs(upper))
         if upper - lower <= max(gap_tol, floor):
             # upper is f at a point that may violate the rows by FEASTOL, so
             # it can fall below the lower bound of the exact rows; upper is
@@ -421,19 +414,7 @@ def solve_discretized(
         except NumericalError:
             return undecided(x_best, upper, lower)
         pool.prune(xc)
-        if (
-            form is not None
-            and t_lb <= lower
-            and np.array_equal(xc, x_prev)
-            and upper - lower <= LP_GAP_FLOOR_REL * max(1.0, abs(upper))
-        ):
-            # the QP master repeats its point and its bound: the gap it
-            # reached is its resolution here, within the LP route's floor
-            return DiscretizedSolveResult(
-                SolveStatus.FEASIBLE, x_best, upper, lower, upper - lower,
-                lp_iters=lp_iters, evals=evals,
-            )
-        lower, x_prev = max(t_lb, lower), xc
+        lower = max(t_lb, lower)
         phic, vals = phi(xc)
         if phic <= -dp.eps + FEASTOL:
             offer(xc, fc)

@@ -436,7 +436,7 @@ class TestSlaterCertificate:
         assert deltas == [1e-9]
 
     def test_missing_point_is_found(self, tmp_path, capsys):
-        # without slater_point the core loop finds one as the file loads:
+        # without slater_point the Slater search finds one as the file loads:
         # check prints its eps* and the sequential driver runs on it
         payload = TestCheck.quadratic_payload()
         del payload["slater_point"]
@@ -467,7 +467,7 @@ class TestSlaterCertificate:
         path.write_text(json.dumps(payload))
         assert run_cli(["check", "--problem", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "no slater point declared, and the core-loop search found none" in out
+        assert "no slater point declared, and the Slater search found none" in out
 
     @pytest.mark.parametrize(
         "argv", [["check"], ["solve", "--algorithm", "simultaneous"]], ids=["check", "solve"]

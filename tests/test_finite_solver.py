@@ -14,7 +14,7 @@ from sipsolve.finite_solver import (
     SolveStatus,
     solve_discretized,
 )
-from sipsolve.instances import random_affine_instance
+from sipsolve.instances import default_y0, random_affine_instance
 from sipsolve.problem import (
     BoxDomain,
     ConstraintFamily,
@@ -60,14 +60,23 @@ class TestSolveDiscretized:
         assert res.upper - res.lower <= res.gap_floor + 1e-15
 
     def test_kelley_floor_is_the_lp_resolution(self):
-        # a gap-0 request on the LP master stops at LP_GAP_FLOOR_REL
+        # a gap-0 request on the LP master stops at GAP_FLOOR_REL
         prob = random_affine_instance(1)
         prob = replace(prob, objective=without_form(prob.objective))
         pts = prob.y_domain.grid(prob.y_domain.diameter() / 2 + 1e-9)[:3]
         res = solve_discretized(dp_of(prob, 0.2, pts), 0.0)
         assert res.status is SolveStatus.FEASIBLE
         assert res.lp_iters > 0
-        assert res.gap_floor == finite_solver.LP_GAP_FLOOR_REL * max(1.0, abs(res.upper))
+        assert res.gap_floor == finite_solver.GAP_FLOOR_REL * max(1.0, abs(res.upper))
+        assert res.upper - res.lower <= res.gap_floor
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_qp_floor_is_the_kelley_floor(self, seed):
+        # a gap-0 request on the QP master stops at the same relative floor
+        prob = random_affine_instance(seed)
+        res = solve_discretized(dp_of(prob, 0.0, default_y0(prob).points), 0.0)
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.gap_floor == finite_solver.GAP_FLOOR_REL * max(1.0, abs(res.upper))
         assert res.upper - res.lower <= res.gap_floor
 
     @pytest.mark.parametrize(
@@ -75,8 +84,8 @@ class TestSolveDiscretized:
     )
     def test_qp_master_repeat(self, prob_a, monkeypatch, shift, status):
         # a QP master that returns its first point and bound on every call:
-        # a gap within the LP floor ends the solve there, reported as its
-        # floor; a wider one still spends every master
+        # a gap within the floor ends the solve there, a wider one spends
+        # every master
         inner_qp, inner_bound = finite_solver.qp.solve_box_qp, finite_solver._lagrangian_bound
         first = []
 
@@ -93,7 +102,8 @@ class TestSolveDiscretized:
         assert res.status is status
         if status is SolveStatus.FEASIBLE:
             assert res.x[0] == pytest.approx(-0.1, abs=1e-9)
-            assert res.gap_floor == res.upper - res.lower > 0.0
+            assert res.gap_floor == finite_solver.GAP_FLOOR_REL * max(1.0, abs(res.upper))
+            assert 0.0 < res.upper - res.lower <= res.gap_floor
 
     def test_budget_exhaustion_is_undecided(self, prob_b, monkeypatch):
         monkeypatch.setattr(finite_solver, "MASTER_BUDGET", 1)

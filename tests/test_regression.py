@@ -385,8 +385,8 @@ def _grid_qp_bound(spec, per_axis=41):
 
 class TestTwoInputFit:
     """Fifteen coefficients and two inputs: the Slater point comes from the
-    core loop, and a QP master that repeats itself within the LP floor ends
-    its solve instead of spending its budget."""
+    Slater search, and every QP solve ends at the package's one gap floor
+    instead of spending its budget."""
 
     @pytest.mark.parametrize("algorithm", ["sequential", "simultaneous"])
     def test_delta_approximate(self, algorithm):
