@@ -365,12 +365,18 @@ class Stream:
         simultaneous driver's check stream runs."""
         return self.certify(self.solve(schedule, k))
 
-    def refine(self, step: Step, rho: float) -> None:
+    def refine(self, step: Step, rho: float, trace: RunTrace) -> None:
         """The points for the next step: those of ``step`` still active at
-        -eps - rho plus its certified maximizer."""
+        -eps - rho plus its certified maximizer.  The trace's last row, that
+        of ``step``, counts the evaluations of g at its points that a finite
+        rho takes."""
         self.points = update_discretization(
             self.problem, step.points, step.x, step.eps, rho, step.cert
         )
+        if not np.isinf(rho):
+            trace.rows[-1].oracle_evals += (
+                len(self.problem.constraints) * step.points.cardinality
+            )
 
 
 def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
@@ -397,6 +403,6 @@ def run_core(problem: SipProblem, cfg: CoreConfig) -> CoreResult:
             step.record(trace, "terminated")
             return CoreResult(CoreStatus.TERMINATED, stream.x, trace)
         step.record(trace, "violation")
-        stream.refine(step, cfg.rho)
+        stream.refine(step, cfg.rho, trace)
 
     return CoreResult(CoreStatus.BUDGET, stream.x, trace)

@@ -25,12 +25,15 @@ certifies the stage's point delta-optimal.
 The optimal value v(e) of the program restricted by e is convex in e, so a
 point certified feasible at some restriction and a lower bound on v(0)
 prove how small a restriction brings v within delta/2 of the optimum
-(``value_shrink_steps``).  After a check that does not pass, run_sequential
-goes straight to that restriction, skipping the stages in between, and
-run_simultaneous's value_gap branch does the same for its candidate stream.
-Both skips, the infeasibility shrink and the restriction count of m* are
-eps / r**j for the smallest j >= 1 at or below a level (``shrink_steps``),
-the one place that turns a level into a restriction count.
+(``value_shrink_steps``).  The Slater point is such a point before any
+stage, and with one unrestricted solve on the first points it picks
+run_sequential's first stage, at most m*.  After a check that does not
+pass, run_sequential goes straight to that restriction, skipping the stages
+in between, and run_simultaneous's value_gap branch does the same for its
+candidate stream.  The skips, the infeasibility shrink and the restriction
+count of m* are eps / r**j for the smallest j at or below a level
+(``shrink_steps`` for j >= 1, ``steps_to_level`` for j >= 0), the one
+place that turns a level into a restriction count.
 
 run_simultaneous interleaves an unrestricted stream (lower reference values)
 with a restricted stream (feasible candidates) and stops as soon as the two
@@ -66,7 +69,13 @@ from .core_loop import (
     geometric_schedule,
 )
 from .errors import CertificationError, ConfigError, InfeasibleProgramError, InputError
-from .finite_solver import CutPool, DiscretizedProblem, SolveStatus, solve_discretized
+from .finite_solver import (
+    CutPool,
+    DiscretizedProblem,
+    DiscretizedSolveResult,
+    SolveStatus,
+    solve_discretized,
+)
 from .problem import FEASTOL, SipProblem
 
 POST_HOC_DELTA = 1e-9
@@ -189,6 +198,12 @@ def shrink_steps(eps: float, level: float, r: float) -> int:
     return j
 
 
+def steps_to_level(eps: float, level: float, r: float) -> int:
+    """The smallest j >= 0 with eps / r**j <= level: 0 when eps is at or
+    below the level, else ``shrink_steps(eps, level, r)``."""
+    return 0 if eps <= level else shrink_steps(eps, level, r)
+
+
 def shrink_restriction(eps: float, violation_bound: float | None, r: float) -> float:
     """The restriction after a solve at eps that returned no point: eps / r**j
     for the smallest j >= 1 with eps / r**j <= level = FEASTOL -
@@ -274,7 +289,7 @@ def run_feas_finite(
             step.record(trace, "terminated")
             return CoreResult(CoreStatus.TERMINATED, stream.x, trace, step.cert)
         step.record(trace, "violation")
-        stream.refine(step, rho)
+        stream.refine(step, rho, trace)
 
     return CoreResult(CoreStatus.BUDGET, stream.x, trace)
 
@@ -323,12 +338,12 @@ def compute_termination_index(
     The first two hold once the restriction eps00 / r**m is at most eps_max
     = min(eps_star, (delta/2) * eps_star / (L * diam_x)), L = lipschitz_f
     being the objective's max-norm Lipschitz constant: m = 0 when eps00 is,
-    and otherwise the shrink past every restriction above eps_max,
-    ``shrink_steps(eps00, eps_max, r)``.  Comparing restrictions keeps a
-    huge L * diam_x / eps_star from overflowing; when no positive
-    restriction in the float range gets there, there is no valid m*.  From
-    m on, the first stage whose obj_tol is at most delta/2 within
-    TERMINATION_SCAN_LIMIT stages is m*."""
+    and otherwise the shrink past every restriction above eps_max
+    (``steps_to_level``).  Comparing restrictions keeps a huge L * diam_x /
+    eps_star from overflowing; when no positive restriction in the float
+    range gets there, there is no valid m*.  From m on, the first stage
+    whose obj_tol is at most delta/2 within TERMINATION_SCAN_LIMIT stages
+    is m*."""
     check_delta(delta)
     check_restriction(r, eps00)
     if not 0 <= diam_x < np.inf:
@@ -343,7 +358,7 @@ def compute_termination_index(
     lip_diam = lipschitz_f * diam_x
     if lip_diam > 0:
         eps_max = min(eps_max, delta / 2 * eps_star / lip_diam)
-    m = 0 if eps00 <= eps_max else shrink_steps(eps00, eps_max, r)
+    m = steps_to_level(eps00, eps_max, r)
     if eps00 / r**m > eps_max:
         raise ConfigError(
             "termination index scan failed on the value bound: the restriction "
@@ -402,26 +417,60 @@ def budget_outcome(
     return post_hoc_outcome(problem, x, OutcomeStatus.BUDGET_EXCEEDED, outer, trace)
 
 
+def _check_solve(
+    problem: SipProblem, points: Discretization, delta: float, x: np.ndarray
+) -> DiscretizedSolveResult:
+    """The unrestricted problem on ``points`` solved to gap delta/4 from x,
+    with a cut pool of its own.  A finite subset of the index set relaxes
+    the program, so a FEASIBLE solve's lower bound is one on its optimum."""
+    dp = DiscretizedProblem(problem, 0.0, points.points)
+    return solve_discretized(dp, delta / 4, x_hint=x, pool=CutPool())
+
+
 def _certified_gap(
     problem: SipProblem, stream: Stream, delta: float, trace: RunTrace
 ) -> float | None:
     """f at the stream's point, certified feasible by the step on the
-    trace's last row, minus a certified lower bound on the optimum: that of
-    the unrestricted problem on the stream's points, solved to gap delta/4.
-    None when that solve is not FEASIBLE.  The last row counts the solve's
-    LP iterations and evaluations."""
-    check = solve_discretized(
-        DiscretizedProblem(problem, 0.0, stream.points.points),
-        delta / 4,
-        x_hint=stream.x,
-        pool=CutPool(),
-    )
+    trace's last row, minus a certified lower bound on the optimum, that of
+    ``_check_solve`` on the stream's points.  None when that solve is not
+    FEASIBLE.  The last row counts the solve's LP iterations and
+    evaluations."""
+    check = _check_solve(problem, stream.points, delta, stream.x)
     row = trace.rows[-1]
     row.lp_iters += check.lp_iters
     row.oracle_evals += check.evals
     if check.status is not SolveStatus.FEASIBLE:
         return None
     return float(problem.objective.value(stream.x)) - check.lower
+
+
+def _slater_stage(
+    problem: SipProblem, cfg: SequentialConfig, m_star: int
+) -> tuple[int, DiscretizedSolveResult | None]:
+    """run_sequential's first stage, and the solve that chose it.
+
+    The Slater point x_s is certified at sup_y g(x_s, y) <= -eps*, so it is
+    feasible for the program restricted by eps*, and ``_check_solve`` on
+    cfg.y0 from x_s bounds the optimum v* from below.  By the convexity rule
+    of ``value_shrink_steps``, with gap = f(x_s) - lower, every restriction
+    at or below level = eps* (delta/2) / max(gap, delta/2) has a value
+    within delta/2 of v*; the first stage is the first at or below the
+    level (``steps_to_level``), capped at m*.  Stage 0 when that solve is
+    not FEASIBLE, and stage 0 without a solve when there is no Slater
+    point, no margin certified for it, no stage to skip (m* = 0) or no step
+    to count the solve on (max_iters = 0)."""
+    if problem.slater_point is None or m_star == 0 or cfg.max_iters == 0:
+        return 0, None
+    try:
+        eps_star = problem.eps_star
+    except (CertificationError, InputError):
+        return 0, None
+    seed = _check_solve(problem, cfg.y0, cfg.delta, problem.slater_point)
+    if seed.status is not SolveStatus.FEASIBLE:
+        return 0, seed
+    gap = float(problem.objective.value(problem.slater_point)) - seed.lower
+    level = eps_star * (cfg.delta / 2) / max(gap, cfg.delta / 2)
+    return min(m_star, steps_to_level(cfg.eps00, level, cfg.r)), seed
 
 
 def run_sequential(
@@ -434,6 +483,13 @@ def run_sequential(
     compute_termination_index the point after stage m* is a
     delta-approximate solution of the semi-infinite program.
 
+    The first stage is j0 <= m*, the first restriction that the Slater
+    point's certificate and one unrestricted solve on cfg.y0 prove within
+    delta/2 of the optimum (``_slater_stage``); the first row counts that
+    solve's LP iterations, and every row's cumulative evaluations its
+    evaluations.  Without a Slater point, or when that solve is not
+    FEASIBLE, the first stage is 0.
+
     Each stage m < m* ends on a point x certified feasible for the program.
     One unrestricted solve on the stage's points, at gap delta/4, from x and
     with a cut pool of its own, gives a certified lower bound on the
@@ -443,7 +499,8 @@ def run_sequential(
     shrinks to the first eps / r**j that convexity proves within delta/2 of
     the optimum, from x's certificate and that bound
     (``value_shrink_steps``), with j capped at m* - m, and the next stage is
-    m + j; an undecided check gives j = 1.  So at most m* + 1 stages run.
+    m + j; an undecided check gives j = 1.  So at most m* + 1 stages run,
+    m* + 1 - j0 when the run starts at j0.
 
     The stages share cfg.max_iters discretization steps.  eps* is
     ``problem.eps_star``; a cell stop in certifying it ends the run
@@ -458,9 +515,10 @@ def run_sequential(
             cfg.delta, eps_star, problem.objective.lipschitz_constant,
             problem.x_domain.diameter(), cfg.eps00, cfg.r, cfg.schedule.obj_tol,
         )
+    m, seed = _slater_stage(problem, cfg, m_star)
     trace = RunTrace()
-    stream = Stream(problem, cfg.eps00, cfg.y0)
-    m = stages = 0
+    stream = Stream(problem, cfg.eps00 / cfg.r**m, cfg.y0)
+    stages = 0
     while True:
         res = run_feas_finite(
             stream,
@@ -470,6 +528,11 @@ def run_sequential(
             max_iters=cfg.max_iters - len(trace.rows),
             trace=trace,
         )
+        if not stages and seed is not None:
+            # the first stage's rows also count the solve that chose it
+            trace.rows[0].lp_iters += seed.lp_iters
+            for row in trace.rows:
+                row.oracle_evals += seed.evals
         stages += 1
         if res.status is not CoreStatus.TERMINATED:
             return budget_outcome(problem, res.x, stages, trace)
@@ -543,13 +606,13 @@ def run_simultaneous(
             gap = hat_step.solve.upper - check_step.solve.lower
             j = value_shrink_steps(hat.eps, hat_step.cert.bound, gap, cfg.delta, cfg.r)
             hat.eps = hat.eps / cfg.r**j
-            check.refine(check_step, cfg.rho)
+            check.refine(check_step, cfg.rho, trace)
             if not hat_step.terminated:
-                hat.refine(hat_step, cfg.rho)
+                hat.refine(hat_step, cfg.rho, trace)
             continue
         if not hat_step.terminated:
             hat_step.record(trace, "hat_violation", also=check_step)
-            hat.refine(hat_step, cfg.rho)
+            hat.refine(hat_step, cfg.rho, trace)
             continue
         hat_step.record(trace, "terminated", also=check_step)
         return post_hoc_outcome(

@@ -17,14 +17,17 @@ minimized exactly over the box.  The LP's row multipliers weight its own
 cuts; the QP's weight the cut rows under the tangent of f at its point.
 Master inexactness can therefore only loosen a bound, never invalidate it.
 Cuts are valid only at the index points they came from, so a solve first
-drops the pool's cuts of points outside its discretization.  Feasible upper
-bounds come from master iterates that satisfy all constraints, or from a
-restoration line search toward a strictly feasible anchor.  A solve stops
-once upper - lower is within the requested gap or within one relative
-floor, the same on both routes.  A positive certified bound on the minimal
-violation certifies infeasibility of the discretized problem.  A master that
-breaks down numerically ends the solve as UNDECIDED with the bounds reached
-so far.
+drops the pool's cuts of points outside its discretization.  Phase 1 finds
+a feasible anchor: the hint if it meets the rows, else the problem's Slater
+point if that does (it does whenever eps is below its margin), and only
+then the LP master on the constraint cuts, whose bound also certifies
+infeasibility.  Feasible upper bounds come from master iterates that
+satisfy all constraints, or from a restoration line search toward the
+anchor.  A solve stops once upper - lower is within the requested gap or
+within one relative floor, the same on both routes.  A positive certified
+bound on the minimal violation certifies infeasibility of the discretized
+problem.  A master that breaks down numerically ends the solve as UNDECIDED
+with the bounds reached so far.
 """
 
 from __future__ import annotations
@@ -236,6 +239,10 @@ def solve_discretized(
     calls; the solve first drops its cuts of index points outside
     ``dp.points``, so the cuts it keeps are valid here and the pool is
     attempted, never relied upon.
+
+    Phase 1 evaluates the rows at the hint (the box center when None), then
+    at ``problem.slater_point`` when the hint violates them, and solves LPs
+    only when both do; every point it evaluates adds its cuts to the pool.
     """
     if not gap_tol >= 0:  # also false for NaN
         raise InputError("gap_tol must be nonnegative")
@@ -337,8 +344,10 @@ def solve_discretized(
     anchor, anchor_phi = x0, -np.inf
     if m_pts:
         best_phi, best_x = np.inf, x0
-        probe = x0
+        # the hint, then the Slater point, then the LP's points
+        probes = [x0] if problem.slater_point is None else [x0, problem.slater_point]
         while True:
+            probe = probes.pop(0)
             phic, vals = phi(probe)
             add_g_cuts(probe, vals)
             if phic < best_phi:
@@ -346,6 +355,8 @@ def solve_discretized(
             if best_phi <= -dp.eps + FEASTOL:
                 anchor, anchor_phi = best_x, best_phi
                 break
+            if probes:
+                continue
             if budget <= 0:
                 return undecided(None, np.inf, -np.inf)
             budget -= 1
@@ -360,6 +371,7 @@ def solve_discretized(
                     violation_bound=v_lb,
                     lp_iters=lp_iters, evals=evals,
                 )
+            probes.append(probe)
 
     # ----- phase 2: optimize over the cut model -----------------------------
     def restore(x: np.ndarray) -> np.ndarray | None:

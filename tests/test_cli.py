@@ -6,6 +6,7 @@ import pytest
 from sipsolve.cli import EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, main
 from sipsolve.core_loop import CSV_COLUMNS
 from sipsolve.instances import builtin
+from sipsolve.serialization import load_problem
 
 
 def run_cli(args):
@@ -32,9 +33,13 @@ class TestSolve:
         assert "DeltaApproximate" in capsys.readouterr().out
 
     def test_budget_exit_code(self, tmp_path):
+        # x^2 under x + y - 1 <= 0: the first step's point x = 0 is not
+        # certified strictly feasible, and it is the run's one step
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps(TestCheck.quadratic_payload()))
         code = run_cli(
             [
-                "solve", "--problem", "builtin:instance_A",
+                "solve", "--problem", str(path),
                 "--algorithm", "sequential", "--delta", "1e-9",
                 "--max-iters", "1",
                 "--trace-out", str(tmp_path / "t.csv"),
@@ -44,10 +49,23 @@ class TestSolve:
         assert code == EXIT_BUDGET
 
     def test_budget_stop_reports_f_at_its_point(self, tmp_path, capsys):
+        # v' + v'' >= 0 on a degree-2 fit: the first step's point violates
+        # the constraint away from its one index point, and it is the run's
+        # one step
+        path = tmp_path / "twoweights.json"
+        path.write_text(json.dumps({
+            "type": "regression",
+            "data": [[0.0, 0.0], [0.5, 0.6], [1.0, 0.9]],
+            "degree": 2,
+            "u_box": {"lower": [0.0], "upper": [1.0]},
+            "coeff_box": {"lower": [-10.0] * 3, "upper": [10.0] * 3},
+            "ridge": 1e-6,
+            "constraints": [{"weights": [[[1], -1.0], [[2], -1.0]], "offset": 0.0}],
+        }))
         outcome = tmp_path / "o.json"
         code = run_cli(
             [
-                "solve", "--problem", "builtin:instance_B",
+                "solve", "--problem", str(path),
                 "--algorithm", "sequential", "--max-iters", "1",
                 "--trace-out", str(tmp_path / "t.csv"),
                 "--outcome-out", str(outcome),
@@ -56,7 +74,8 @@ class TestSolve:
         assert code == EXIT_BUDGET
         data = json.loads(outcome.read_text())
         assert data["status"] == "BudgetExceeded" and data["x"] is not None
-        assert data["f"] == builtin("instance_B").objective.value(np.array(data["x"]))
+        objective = load_problem(str(path)).objective
+        assert data["f"] == objective.value(np.array(data["x"])) > 0
         assert "nan" not in capsys.readouterr().out
 
     def test_core_budget_caps_iterations(self, tmp_path, capsys):

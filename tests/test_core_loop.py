@@ -361,9 +361,13 @@ class TestStream:
         step = stream.step(sched, 0)
         keyed = {key[1] for key in stream.pool.constraint}
         assert keyed == {np.array([y]).tobytes() for y in (0.0, 0.5)}
-        # at x = 0 both points lie below -eps - rho, so refining drops them
-        stream.refine(step, 0.0)
+        # at x = 0 both points lie below -eps - rho, so refining drops them;
+        # the step's row counts the 2 evaluations that decide it
+        trace = RunTrace()
+        step.record(trace, "violation")
+        stream.refine(step, 0.0, trace)
         assert stream.points.cardinality == 1
+        assert trace.total_evals == step.evals + 2
         stream.step(sched, 1)
         kept = {p.tobytes() for p in stream.points.points}
         assert stream.pool.constraint

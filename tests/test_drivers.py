@@ -52,7 +52,7 @@ from sipsolve.problem import (
     default_margin_resolution,
     feasibility_margin,
 )
-from sipsolve.serialization import write_outcome_json, write_trace_csv
+from sipsolve.serialization import load_problem, write_outcome_json, write_trace_csv
 
 
 def single(y):
@@ -61,6 +61,17 @@ def single(y):
 
 def sim_schedule(delta, aux0=0.1):
     return ToleranceSchedule(delta / 4, aux0, 0.5)
+
+
+def unseeded(problem, cfg):
+    """``problem`` without its Slater point, and the m* that point certifies
+    for ``cfg``: run_sequential starts at stage 0, and phase 1 of every
+    finite solve goes from the hint straight to its LP."""
+    m_star = compute_termination_index(
+        cfg.delta, problem.eps_star, problem.objective.lipschitz_constant,
+        problem.x_domain.diameter(), cfg.eps00, cfg.r, cfg.schedule.obj_tol,
+    )
+    return replace(problem, slater_point=None), m_star
 
 
 class TestRunFeasFinite:
@@ -404,29 +415,32 @@ class TestRunSequential:
             run_sequential(replace(prob_a, objective=objective), cfg)
 
     def test_budget_exceeded_partial(self, prob_b):
-        # the full run takes 2 stages of one step each; a budget of one
-        # step stops it after its first stage, at that stage's point
+        # from stage 0 the full run takes 2 stages of one step each; a
+        # budget of one step stops it after its first stage, at that
+        # stage's point
         cfg = SequentialConfig(
             delta=1e-3, r=2.0, eps00=1.0, schedule=geometric_schedule(0.5),
             rho=0.5, y0=single(0.5),
         )
-        assert len(run_sequential(prob_b, cfg).trace.rows) == 2
-        out = run_sequential(prob_b, replace(cfg, max_iters=1))
+        prob, m_star = unseeded(prob_b, cfg)
+        assert len(run_sequential(prob, cfg, m_star).trace.rows) == 2
+        out = run_sequential(prob, replace(cfg, max_iters=1), m_star)
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
         assert [r.branch for r in out.trace.rows] == ["terminated"]
         assert out.x_star is not None
 
     def test_max_iters_caps_the_whole_run(self, prob_a):
-        # the 2 stages take 3 steps, at most 2 each: a cap of 2 binds on
-        # the run's total, never on one stage alone
+        # from stage 0 the 2 stages take 3 steps, at most 2 each: a cap of
+        # 2 binds on the run's total, never on one stage alone
         cfg = SequentialConfig(
             delta=0.1, r=2.0, eps00=4.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
         )
-        full = run_sequential(prob_a, cfg)
+        prob, m_star = unseeded(prob_a, cfg)
+        full = run_sequential(prob, cfg, m_star)
         assert full.iterations == {"outer": 2, "inner": 3}
         assert [r.branch for r in full.trace.rows].count("terminated") == 2
-        out = run_sequential(prob_a, replace(cfg, max_iters=2))
+        out = run_sequential(prob, replace(cfg, max_iters=2), m_star)
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
         assert out.iterations == {"outer": 2, "inner": 2}
         # the first stage finished; the second had no step left
@@ -516,7 +530,8 @@ class TestRunSequential:
             delta=0.1, r=2.0, eps00=4.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
         )
-        out = run_sequential(prob_a, cfg)
+        prob, m_star = unseeded(prob_a, cfg)
+        out = run_sequential(prob, cfg, m_star)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         assert len(stages) == out.outer >= 2
         assert all(stage[0] is stages[0][0] for stage in stages)
@@ -538,7 +553,8 @@ class TestRunSequential:
             delta=delta, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=default_y0(prob_b),
         )
-        out = run_sequential(prob_b, cfg)
+        prob, m_star = unseeded(prob_b, cfg)
+        out = run_sequential(prob, cfg, m_star)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         assert out.outer == 2
         (_, _, _, end, _), (_, m, start, _, _) = stages
@@ -554,7 +570,9 @@ class TestRunSequential:
             delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
         )
-        out = run_sequential(prob_a, cfg)
+        prob, m_star = unseeded(prob_a, cfg)
+        assert m_star == 8
+        out = run_sequential(prob, cfg, m_star)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         assert [stage[1] for stage in stages] == [0, 8]
         assert stages[1][2] == 1.0 / 2.0**8
@@ -579,6 +597,154 @@ class TestRunSequential:
         assert [stage[1] for stage in stages] == list(range(8 + 1))
         for (_, _, _, end, _), (_, _, start, _, _) in zip(stages, stages[1:]):
             assert start == end / cfg.r
+
+
+class TestSlaterStage:
+    """run_sequential's first stage: the first restriction that the Slater
+    point's certificate and one unrestricted solve on y0 prove within
+    delta/2 of the optimum, capped at m*."""
+
+    CFG = SequentialConfig(
+        delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+        rho=0.0, y0=single(0.5),
+    )
+
+    @staticmethod
+    def solves(monkeypatch):
+        """Every finite solve of a run, in order, as (kind, result)."""
+        done = []
+
+        def recorded(module, kind):
+            inner = module.solve_discretized
+
+            def wrapped(*args, **kwargs):
+                res = inner(*args, **kwargs)
+                done.append((kind, res))
+                return res
+
+            monkeypatch.setattr(module, "solve_discretized", wrapped)
+
+        recorded(core_loop, "step")
+        recorded(drivers, "driver")
+        return done
+
+    @staticmethod
+    def constant_check_solve(monkeypatch, status, lower, lp_iters=0, evals=0):
+        monkeypatch.setattr(
+            drivers, "_check_solve",
+            lambda *args: finite_solver.DiscretizedSolveResult(
+                status, None, np.inf, lower, 0.0, lp_iters=lp_iters, evals=evals
+            ),
+        )
+
+    def test_first_stage_is_the_first_inside_the_level(self, prob_a, monkeypatch):
+        # f(x_s) = 4 at x_s = -2 and the unrestricted optimum on y = 0.5 is
+        # 0: the level is eps* (delta/2) / 4, first met at 1 / 2**6, below
+        # m* = 8
+        stages, _ = TestRunSequential.record_stages(monkeypatch)
+        level = prob_a.eps_star * (self.CFG.delta / 2) / 4.0
+        j0 = next(j for j in range(100) if 1.0 / 2.0**j <= level)
+        assert j0 == 6
+        out = run_sequential(prob_a, self.CFG)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert stages[0][1:3] == (j0, 1.0 / 2.0**j0)
+        assert 0.0 <= out.f_value <= self.CFG.delta
+
+    def test_first_stage_never_passes_m_star(self, prob_a, monkeypatch):
+        # a lower bound of -1e300 asks for a restriction far below eps00 /
+        # r**m*: the run starts at stage m* = 8, its last
+        stages, _ = TestRunSequential.record_stages(monkeypatch)
+        self.constant_check_solve(monkeypatch, finite_solver.SolveStatus.FEASIBLE, -1e300)
+        out = run_sequential(prob_a, self.CFG)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert [stage[1] for stage in stages] == [8]
+        assert stages[0][2] == 1.0 / 2.0**8
+        assert out.outer == 1
+
+    def test_trace_counts_the_solve_that_picks_the_stage(self, monkeypatch, tmp_path):
+        # instance_A's program with a polynomial family, whose certificate
+        # finds the maximizer y = 1: the first stage's point x = 0 violates
+        # there, and the stage takes two rows.  The first row counts the
+        # solve's LP iterations, and every row's cumulative evaluations its
+        # evaluations
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({
+            "x_box": {"lower": [-2.0], "upper": [2.0]},
+            "y_box": {"lower": [0.0], "upper": [1.0]},
+            "objective": {"Q": [[1.0]], "c": [0.0], "d": 0.0},
+            "constraints": [{"a": [[[[0], 1.0]]], "b": [[[0], -1.0], [[1], 1.0]]}],
+            "slater_point": [-2.0],
+        }))
+        prob = load_problem(str(path))
+        done = self.solves(monkeypatch)
+        certify, certificates = core_loop.certified_max, []
+        monkeypatch.setattr(
+            core_loop, "certified_max",
+            lambda *args: certificates.append(certify(*args)) or certificates[-1],
+        )
+        out = run_sequential(prob, self.CFG)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        kind, seed = done[0]
+        assert kind == "driver" and seed.status is finite_solver.SolveStatus.FEASIBLE
+        assert seed.evals > 0
+        rows = out.trace.rows
+        assert [r.branch for r in rows] == ["violation", "terminated"]
+        (_, step0), (_, step1) = done[1:3]
+        assert rows[0].lp_iters == seed.lp_iters + step0.lp_iters
+        # the refinement evaluates g at the one point it keeps or drops
+        refine = 1
+        assert rows[0].oracle_evals == (
+            seed.evals + step0.evals + certificates[0].evals + refine
+        )
+        assert rows[1].oracle_evals - rows[0].oracle_evals == (
+            sum(res.evals for _, res in done[2:]) + certificates[1].evals
+        )
+        assert sum(r.lp_iters for r in rows) == sum(res.lp_iters for _, res in done)
+
+    def test_no_seed_without_a_slater_point(self, prob_a, monkeypatch):
+        stages, _ = TestRunSequential.record_stages(monkeypatch)
+        done = self.solves(monkeypatch)
+        prob, m_star = unseeded(prob_a, self.CFG)
+        out = run_sequential(prob, self.CFG, m_star)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert stages[0][1:3] == (0, 1.0)
+        # no solve before the first stage
+        assert done[0][0] == "step"
+
+    def test_no_seed_from_a_solve_that_is_not_feasible(self, prob_a, monkeypatch):
+        # every unrestricted solve undecided: stage 0 first, and then one
+        # stage at a time, as without the seed; its 5 LP iterations and 7
+        # evaluations are on the trace like those of the 8 checks
+        stages, _ = TestRunSequential.record_stages(monkeypatch)
+        done = self.solves(monkeypatch)
+        self.constant_check_solve(
+            monkeypatch, finite_solver.SolveStatus.UNDECIDED, -np.inf, lp_iters=5, evals=7
+        )
+        out = run_sequential(prob_a, self.CFG)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert [stage[1] for stage in stages] == list(range(8 + 1))
+        steps = [res for _, res in done]
+        rows = out.trace.rows
+        assert sum(r.lp_iters for r in rows) == sum(s.lp_iters for s in steps) + 5 * 9
+        assert out.oracle_evals > 7 * 9
+        # stage 0's one row counts the solve before it and the check after it
+        assert (rows[0].branch, rows[0].eps, rows[1].eps) == ("terminated", 1.0, 0.5)
+        assert rows[0].lp_iters == steps[0].lp_iters + 5 + 5
+
+    def test_no_seed_when_eps_star_does_not_certify(self, monkeypatch):
+        # a cell stop in certifying x_s: stage 0 first, from an m* given
+        TestPostHocCertification.exhaust_tight_calls(monkeypatch)
+        stages, _ = TestRunSequential.record_stages(monkeypatch)
+        done = self.solves(monkeypatch)
+        run_sequential(builtin("instance_A"), self.CFG, m_star=8)
+        assert stages[0][1:3] == (0, 1.0)
+        assert done[0][0] == "step"
+
+    @pytest.mark.parametrize("m_star, max_iters", [(0, 10), (8, 0)])
+    def test_no_seed_with_nothing_to_skip_or_count(self, prob_a, monkeypatch, m_star, max_iters):
+        done = self.solves(monkeypatch)
+        run_sequential(prob_a, replace(self.CFG, max_iters=max_iters), m_star)
+        assert all(kind == "step" for kind, _ in done)
 
 
 class TestRunSimultaneous:
@@ -664,7 +830,8 @@ class TestRunSimultaneous:
         # while its value is still far above the check's: the value_gap row
         # refines the candidate too, from the certificate its step already
         # holds, so no hat_violation row has to re-solve it on the same
-        # points (that took 5 rows and 97 evaluations)
+        # points (that took 5 rows and 97 evaluations).  The 58 evaluations
+        # count 3 of g at the points each refinement keeps
         cfg = SimultaneousConfig(
             delta=0.1, r=2.0, eps0=1.0, schedule=sim_schedule(0.1),
             rho=0.5, y0_check=single(0.5), y0_hat=single(0.0),
@@ -674,7 +841,7 @@ class TestRunSimultaneous:
         rows = out.trace.rows
         assert [r.branch for r in rows] == ["value_gap", "value_gap", "terminated"]
         assert rows[0].max_violation > 0 and rows[1].card_y == 2
-        assert out.oracle_evals == 55
+        assert out.oracle_evals == 58
 
     def test_hat_rows_skip_ruled_out_restrictions(self, prob_a):
         # the candidate solve at eps 16 certifies min_x g(x, 0.5) = -2.5:
@@ -727,13 +894,14 @@ class TestRunSimultaneous:
     def test_undecided_check_solve_is_budget_stop(self, prob_b, monkeypatch):
         # one master LP cannot decide the unrestricted solve: that is an
         # exhausted budget, not evidence that the program is infeasible
+        # (without a Slater point, whose probe would meet the rows first)
         monkeypatch.setattr(finite_solver, "MASTER_BUDGET", 1)
         y0 = Discretization(prob_b.y_domain.center().reshape(1, -1))
         cfg = SimultaneousConfig(
             delta=0.1, r=2.0, eps0=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0_check=y0, y0_hat=y0,
         )
-        out = run_simultaneous(prob_b, cfg)
+        out = run_simultaneous(replace(prob_b, slater_point=None), cfg)
         assert out.status is OutcomeStatus.BUDGET_EXCEEDED
 
 
@@ -834,7 +1002,8 @@ class TestRunCounts:
             delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
         )
-        out = run_sequential(prob_a, cfg)
+        prob, m_star = unseeded(prob_a, cfg)
+        out = run_sequential(prob, cfg, m_star)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         # every stage ends on its own terminated row
         stages = [r.branch for r in out.trace.rows].count("terminated")
@@ -844,10 +1013,12 @@ class TestRunCounts:
     @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])
     def test_sequential_counts_its_checks(self, monkeypatch, tmp_path, name):
         # the last row's evaluations are those of every finite solve, the
-        # early exit's checks included, and of every loose certificate
+        # solve that picks the first stage and the early exit's checks
+        # included, and of every loose certificate
         evals = {"steps": [], "checks": [], "certificates": []}
         step_solve, check_solve = core_loop.solve_discretized, drivers.solve_discretized
         certify = core_loop.certified_max
+        hints = []
 
         def counting(fn, key):
             def wrapped(*args, **kwargs):
@@ -857,8 +1028,12 @@ class TestRunCounts:
 
             return wrapped
 
+        def counted_check(dp, gap, x_hint, pool):
+            hints.append(x_hint)
+            return counting(check_solve, "checks")(dp, gap, x_hint=x_hint, pool=pool)
+
         monkeypatch.setattr(core_loop, "solve_discretized", counting(step_solve, "steps"))
-        monkeypatch.setattr(drivers, "solve_discretized", counting(check_solve, "checks"))
+        monkeypatch.setattr(drivers, "solve_discretized", counted_check)
         monkeypatch.setattr(core_loop, "certified_max", counting(certify, "certificates"))
         prob = builtin(name)
         cfg = SequentialConfig(
@@ -867,8 +1042,11 @@ class TestRunCounts:
         )
         out = run_sequential(prob, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
-        # one check after each stage, and the run stops on a passing one
-        assert len(evals["checks"]) == out.outer
+        # one solve from the Slater point before the first stage, one check
+        # after each stage, and the run stops on a passing one
+        assert len(evals["checks"]) == 1 + out.outer
+        assert hints[0] is prob.slater_point
+        assert all(h is not prob.slater_point for h in hints[1:])
         assert out.oracle_evals == sum(sum(v) for v in evals.values())
         self.assert_counted(out, tmp_path)
 
@@ -888,6 +1066,7 @@ class TestRunCounts:
         # finds.  The trace's total is the evaluations of all of them
         evals, check_points, certificates = [], [], []
         solve, certify = core_loop.solve_discretized, core_loop.certified_max
+        update = core_loop.update_discretization
 
         def counted_solve(dp, *args, **kwargs):
             res = solve(dp, *args, **kwargs)
@@ -902,8 +1081,14 @@ class TestRunCounts:
             certificates.append(cm)
             return cm
 
+        def counted_update(problem, yk, *args):
+            # rho = 0: g is evaluated at every point the step solved on
+            evals.append(len(problem.constraints) * yk.cardinality)
+            return update(problem, yk, *args)
+
         monkeypatch.setattr(core_loop, "solve_discretized", counted_solve)
         monkeypatch.setattr(core_loop, "certified_max", counted_certify)
+        monkeypatch.setattr(core_loop, "update_discretization", counted_update)
         # from y = 0 the candidate is infeasible at eps 5, and after the
         # value_gap skip violates at y = 1, so the run has every branch
         prob = builtin("instance_A")
@@ -1176,14 +1361,18 @@ class TestNonFiniteOracle:
         return SipProblem(X, Y, objective, (fam,), slater_point=np.array([1.0]))
 
     def test_every_driver_raises(self):
-        prob = self.log_barrier()
-        y0 = default_y0(prob)
+        # without the Slater point x = 1, which meets the rows, phase 1 goes
+        # to its LP, whose points reach x >= 1.5
+        y0 = default_y0(self.log_barrier())
+        seq_cfg = SequentialConfig(
+            delta=1e-2, r=2.0, eps00=0.5, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=y0,
+        )
+        prob, m_star = unseeded(self.log_barrier(), seq_cfg)
         runs = [
             lambda: run_core(prob, CoreConfig(
                 eps=0.1, rho=0.0, schedule=eventually_zero_schedule(0), y0=y0)),
-            lambda: run_sequential(prob, SequentialConfig(
-                delta=1e-2, r=2.0, eps00=0.5, schedule=eventually_zero_schedule(0),
-                rho=0.0, y0=y0)),
+            lambda: run_sequential(prob, seq_cfg, m_star),
             lambda: run_simultaneous(prob, SimultaneousConfig(
                 delta=1e-2, r=2.0, eps0=0.5, schedule=sim_schedule(1e-2), rho=0.5,
                 y0_check=y0, y0_hat=y0)),

@@ -421,6 +421,61 @@ class TestCutPool:
         assert [float(a[0]) for a, _ in pool.objective.values()] == [3.0, 2.0]
 
 
+class TestSlaterAnchor:
+    """Phase 1 tries the hint, then the problem's Slater point, and only
+    then solves LPs."""
+
+    @staticmethod
+    def lp_calls(monkeypatch):
+        calls = []
+        inner = finite_solver.simplex.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(finite_solver.simplex, "solve_lp", counted)
+        return calls
+
+    def test_slater_point_that_meets_the_rows_needs_no_lp(self, prob_a, monkeypatch):
+        # the box center x = 0 violates x <= -0.1; x_s = -2 meets it
+        monkeypatch.setattr(finite_solver.simplex, "solve_lp", TestNumericalFailure.broken)
+        res = solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), 1e-8)
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.x[0] == pytest.approx(-0.1, abs=1e-7)
+
+    def test_hint_that_meets_the_rows_is_tried_alone(self, prob_a, monkeypatch):
+        seen = []
+        inner = finite_solver._batch_values
+
+        def recorded(dp, x):
+            seen.append(float(x[0]))
+            return inner(dp, x)
+
+        monkeypatch.setattr(finite_solver, "_batch_values", recorded)
+        solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), 1e-8, x_hint=[-0.5])
+        assert seen[0] == -0.5 and -2.0 not in seen
+
+    def test_slater_point_above_its_margin_goes_on_to_the_lp(self, prob_a, monkeypatch):
+        # x_s = -1 has margin 1 on y = 1; at eps 1.5 neither it nor the
+        # center meets x <= -1.5, so phase 1 solves an LP
+        calls = self.lp_calls(monkeypatch)
+        prob = replace(prob_a, slater_point=np.array([-1.0]))
+        res = solve_discretized(dp_of(prob, 1.5, [[1.0]]), 1e-8)
+        assert calls
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.x[0] == pytest.approx(-1.5, abs=1e-7)
+
+    def test_infeasible_rows_are_still_certified(self, prob_a, monkeypatch):
+        # at eps 2.5 no x in [-2, 2] meets x <= -2.5: x_s = -2 fails, and
+        # the LP certifies the rows infeasible
+        calls = self.lp_calls(monkeypatch)
+        res = solve_discretized(dp_of(prob_a, 2.5, [[1.0]]), 1e-8)
+        assert calls
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.violation_bound > -2.5
+
+
 class TestNumericalFailure:
     @staticmethod
     def broken(*args, **kwargs):
@@ -438,8 +493,10 @@ class TestNumericalFailure:
 
     def test_phase_1_failure_is_undecided(self, prob_a, monkeypatch):
         monkeypatch.setattr(finite_solver.simplex, "solve_lp", self.broken)
-        # the box center x = 0 violates x <= -0.1, so phase 1 needs an LP
-        res = solve_discretized(dp_of(prob_a, 0.1, [[1.0]]), 1e-8)
+        # the box center x = 0 violates x <= -0.1, and without the Slater
+        # point x = -2 phase 1 needs an LP
+        bare = replace(prob_a, slater_point=None)
+        res = solve_discretized(dp_of(bare, 0.1, [[1.0]]), 1e-8)
         assert res.status is SolveStatus.UNDECIDED
         assert res.x is None
         assert (res.lower, res.upper) == (-np.inf, np.inf)
