@@ -15,25 +15,27 @@ strictly feasible point for a problem that declares none (the exchange
 method of Blankenship and Falk).
 
 run_sequential hands one stream through that driver with geometrically
-shrinking restrictions.  The paper's a-priori stage count m* + 1, computed
-from the Slater point's certified margin eps* and the objective's Lipschitz
-constant, bounds the run; after each earlier stage one unrestricted solve on
-the stage's points bounds the optimum from below (a finite subset of the
-index set relaxes the program), and the run stops as soon as that bound
-certifies the stage's point delta-optimal.
+shrinking restrictions.  The paper's a-priori stage count m* + 1 bounds the
+run; after each earlier stage one unrestricted solve on the stage's points
+bounds the optimum from below (a finite subset of the index set relaxes the
+program), and the run stops as soon as that bound certifies the stage's
+point delta-optimal.
 
-The optimal value v(e) of the program restricted by e is convex in e, so a
-point certified feasible at some restriction and a lower bound on v(0)
-prove how small a restriction brings v within delta/2 of the optimum
-(``value_shrink_steps``).  The Slater point is such a point before any
-stage, and with one unrestricted solve on the first points it picks
-run_sequential's first stage, at most m*.  After a check that does not
-pass, run_sequential goes straight to that restriction, skipping the stages
-in between, and run_simultaneous's value_gap branch does the same for its
-candidate stream.  The skips, the infeasibility shrink and the restriction
-count of m* are eps / r**j for the smallest j at or below a level
-(``shrink_steps`` for j >= 1, ``steps_to_level`` for j >= 0), the one
-place that turns a level into a restriction count.
+One rule turns what a run knows into a restriction.  The optimal value v(e)
+of the program restricted by e is convex in e, so a point feasible at
+restriction e whose f exceeds a lower bound on the optimum by a gap proves
+every restriction at or below ``value_level(e, gap, delta)`` within delta/2
+of the optimum.  m* is the stage of that level for the Slater point's
+certified margin eps* and the a-priori gap L * diam(X), L the objective's
+Lipschitz constant.  run_sequential's first stage is the stage of that level
+for eps* and the gap one unrestricted solve on the first points measures,
+at most m*; after a check that does not pass it goes straight to the level
+of the stage's point and check, skipping the stages in between
+(``value_shrink_steps``), and run_simultaneous's value_gap branch does the
+same for its candidate stream.  The skips, the infeasibility shrink and the
+restriction count of m* are eps / r**j for the smallest j at or below a
+level (``shrink_steps``), the one place that turns a level into a
+restriction count.
 
 run_simultaneous interleaves an unrestricted stream (lower reference values)
 with a restricted stream (feasible candidates) and stops as soon as the two
@@ -172,10 +174,10 @@ class SimultaneousConfig:
 
 
 def shrink_steps(eps: float, level: float, r: float) -> int:
-    """The smallest j >= 1 with eps / r**j <= level: the shrink from eps
-    past every restriction above the level.  The restriction stays
-    positive: when no positive eps / r**j reaches the level, j is the
-    largest that leaves one."""
+    """The smallest j >= 0 with eps / r**j <= level: 0 when eps is at or
+    below the level, else the shrink from eps past every restriction above
+    it.  The restriction stays positive: when no positive eps / r**j reaches
+    the level, j is the largest that leaves one."""
 
     def shrunk(j: int) -> float:
         try:
@@ -183,6 +185,8 @@ def shrink_steps(eps: float, level: float, r: float) -> int:
         except OverflowError:
             return 0.0
 
+    if eps <= level:
+        return 0
     j = 1
     if shrunk(1) > level:
         tiny = max(level, math.ulp(0.0))
@@ -198,10 +202,16 @@ def shrink_steps(eps: float, level: float, r: float) -> int:
     return j
 
 
-def steps_to_level(eps: float, level: float, r: float) -> int:
-    """The smallest j >= 0 with eps / r**j <= level: 0 when eps is at or
-    below the level, else ``shrink_steps(eps, level, r)``."""
-    return 0 if eps <= level else shrink_steps(eps, level, r)
+def value_level(e: float, gap: float, delta: float) -> float:
+    """The largest restriction that convexity proves within delta/2 of the
+    optimum v*, from a point x feasible for the program restricted by e
+    whose f(x) exceeds a certified lower bound on v* by ``gap``: min(e,
+    (delta/2) e / gap) for gap > 0, else e.
+
+    v(e) <= f(x), and the optimal value v(t) of the program restricted by t
+    is convex in t, the perturbation function of a convex program, so v(t)
+    - v* <= (t / e) * gap on [0, e]."""
+    return min(e, delta / 2 * e / gap) if gap > 0 else e
 
 
 def shrink_restriction(eps: float, violation_bound: float | None, r: float) -> float:
@@ -225,26 +235,22 @@ def shrink_restriction(eps: float, violation_bound: float | None, r: float) -> f
             "discretized problem is certified infeasible at every restriction; "
             "the semi-infinite program itself is infeasible"
         )
-    return eps / r ** shrink_steps(eps, level, r)
+    return eps / r ** max(1, shrink_steps(eps, level, r))
 
 
 def value_shrink_steps(
     eps: float, bound: float, gap: float | None, delta: float, r: float
 ) -> int:
-    """The shrink from eps after a point x with sup_y g(x, y) <= bound
-    certified, whose f(x) exceeds a certified lower bound on the optimum v*
-    by ``gap`` > delta/2: the first restriction eps / r**j that convexity
-    proves within delta/2 of v*.
-
-    With bound < 0, x is feasible for the program restricted by e_x =
-    -bound, so v(e_x) <= f(x).  The optimal value v(e) of the program
-    restricted by e is convex in e, the perturbation function of a convex
-    program, so v(e) - v* <= (e / e_x) * gap on [0, e_x], at most delta/2
-    for e <= level = e_x * (delta/2) / gap.  A point not certified strictly
-    feasible (bound >= 0), or a gap that is not known (None), gives j = 1."""
+    """The shrink j >= 1 from eps after a point x with sup_y g(x, y) <=
+    bound certified, whose f(x) exceeds a certified lower bound on the
+    optimum by ``gap`` > delta/2: to the first restriction eps / r**j at or
+    below ``value_level(-bound, gap, delta)``.  With bound < 0, x is
+    feasible for the program restricted by -bound.  A point not certified
+    strictly feasible (bound >= 0), or a gap that is not known (None), gives
+    j = 1."""
     if gap is None or not bound < 0:
         return 1
-    return shrink_steps(eps, -bound * (delta / 2) / gap, r)
+    return max(1, shrink_steps(eps, value_level(-bound, gap, delta), r))
 
 
 def run_feas_finite(
@@ -332,16 +338,17 @@ def compute_termination_index(
     obj_tol,
 ) -> int:
     """Smallest stage count m* so that from m* on the restriction is inside
-    the strict-feasibility margin eps_star, the Lipschitz value bound is
-    below delta/2, and the scheduled solve gap obj_tol(m*) is below delta/2.
+    the strict-feasibility margin eps_star, the value bound is below
+    delta/2, and the scheduled solve gap obj_tol(m*) is below delta/2.
 
     The first two hold once the restriction eps00 / r**m is at most eps_max
-    = min(eps_star, (delta/2) * eps_star / (L * diam_x)), L = lipschitz_f
-    being the objective's max-norm Lipschitz constant: m = 0 when eps00 is,
-    and otherwise the shrink past every restriction above eps_max
-    (``steps_to_level``).  Comparing restrictions keeps a huge L * diam_x /
-    eps_star from overflowing; when no positive restriction in the float
-    range gets there, there is no valid m*.  From m on, the first stage
+    = ``value_level(eps_star, L * diam_x, delta)``, L = lipschitz_f being
+    the objective's max-norm Lipschitz constant: the Slater point is
+    feasible at restriction eps_star, and L * diam_x bounds its objective
+    gap a priori.  m is ``shrink_steps(eps00, eps_max, r)``.  Comparing
+    restrictions keeps a huge L * diam_x / eps_star from overflowing; when
+    no positive restriction in the float range gets there, there is no valid
+    m*.  From m on, the first stage
     whose obj_tol is at most delta/2 within TERMINATION_SCAN_LIMIT stages
     is m*."""
     check_delta(delta)
@@ -354,11 +361,8 @@ def compute_termination_index(
         raise InputError(
             "the objective's Lipschitz constant must be given, positive and finite"
         )
-    eps_max = eps_star
-    lip_diam = lipschitz_f * diam_x
-    if lip_diam > 0:
-        eps_max = min(eps_max, delta / 2 * eps_star / lip_diam)
-    m = steps_to_level(eps00, eps_max, r)
+    eps_max = value_level(eps_star, lipschitz_f * diam_x, delta)
+    m = shrink_steps(eps00, eps_max, r)
     if eps00 / r**m > eps_max:
         raise ConfigError(
             "termination index scan failed on the value bound: the restriction "
@@ -417,31 +421,20 @@ def budget_outcome(
     return post_hoc_outcome(problem, x, OutcomeStatus.BUDGET_EXCEEDED, outer, trace)
 
 
-def _check_solve(
+def _check_gap(
     problem: SipProblem, points: Discretization, delta: float, x: np.ndarray
-) -> DiscretizedSolveResult:
+) -> tuple[DiscretizedSolveResult, float | None]:
     """The unrestricted problem on ``points`` solved to gap delta/4 from x,
-    with a cut pool of its own.  A finite subset of the index set relaxes
-    the program, so a FEASIBLE solve's lower bound is one on its optimum."""
+    with a cut pool of its own, and f(x) minus the solve's lower bound, None
+    unless the solve is FEASIBLE.  A finite subset of the index set relaxes
+    the program, so that lower bound is one on its optimum.  The solve's
+    evaluations include the one of f(x)."""
     dp = DiscretizedProblem(problem, 0.0, points.points)
-    return solve_discretized(dp, delta / 4, x_hint=x, pool=CutPool())
-
-
-def _certified_gap(
-    problem: SipProblem, stream: Stream, delta: float, trace: RunTrace
-) -> float | None:
-    """f at the stream's point, certified feasible by the step on the
-    trace's last row, minus a certified lower bound on the optimum, that of
-    ``_check_solve`` on the stream's points.  None when that solve is not
-    FEASIBLE.  The last row counts the solve's LP iterations and
-    evaluations."""
-    check = _check_solve(problem, stream.points, delta, stream.x)
-    row = trace.rows[-1]
-    row.lp_iters += check.lp_iters
-    row.oracle_evals += check.evals
+    check = solve_discretized(dp, delta / 4, x_hint=x, pool=CutPool())
     if check.status is not SolveStatus.FEASIBLE:
-        return None
-    return float(problem.objective.value(stream.x)) - check.lower
+        return check, None
+    gap = float(problem.objective.value(x)) - check.lower
+    return replace(check, evals=check.evals + 1), gap
 
 
 def _slater_stage(
@@ -450,27 +443,24 @@ def _slater_stage(
     """run_sequential's first stage, and the solve that chose it.
 
     The Slater point x_s is certified at sup_y g(x_s, y) <= -eps*, so it is
-    feasible for the program restricted by eps*, and ``_check_solve`` on
-    cfg.y0 from x_s bounds the optimum v* from below.  By the convexity rule
-    of ``value_shrink_steps``, with gap = f(x_s) - lower, every restriction
-    at or below level = eps* (delta/2) / max(gap, delta/2) has a value
-    within delta/2 of v*; the first stage is the first at or below the
-    level (``steps_to_level``), capped at m*.  Stage 0 when that solve is
-    not FEASIBLE, and stage 0 without a solve when there is no Slater
-    point, no margin certified for it, no stage to skip (m* = 0) or no step
-    to count the solve on (max_iters = 0)."""
+    feasible for the program restricted by eps*, and ``_check_gap`` on
+    cfg.y0 from x_s gives a gap f(x_s) - lower.  The first stage is the
+    first restriction at or below ``value_level(eps*, gap, delta)``, capped
+    at m*.  Stage 0 when that solve is not FEASIBLE, and stage 0 without a
+    solve when there is no Slater point, no margin certified for it, no
+    stage to skip (m* = 0) or no step to count the solve on (max_iters =
+    0)."""
     if problem.slater_point is None or m_star == 0 or cfg.max_iters == 0:
         return 0, None
     try:
         eps_star = problem.eps_star
     except (CertificationError, InputError):
         return 0, None
-    seed = _check_solve(problem, cfg.y0, cfg.delta, problem.slater_point)
-    if seed.status is not SolveStatus.FEASIBLE:
+    seed, gap = _check_gap(problem, cfg.y0, cfg.delta, problem.slater_point)
+    if gap is None:
         return 0, seed
-    gap = float(problem.objective.value(problem.slater_point)) - seed.lower
-    level = eps_star * (cfg.delta / 2) / max(gap, cfg.delta / 2)
-    return min(m_star, steps_to_level(cfg.eps00, level, cfg.r)), seed
+    level = value_level(eps_star, gap, cfg.delta)
+    return min(m_star, shrink_steps(cfg.eps00, level, cfg.r)), seed
 
 
 def run_sequential(
@@ -483,21 +473,20 @@ def run_sequential(
     compute_termination_index the point after stage m* is a
     delta-approximate solution of the semi-infinite program.
 
-    The first stage is j0 <= m*, the first restriction that the Slater
-    point's certificate and one unrestricted solve on cfg.y0 prove within
-    delta/2 of the optimum (``_slater_stage``); the first row counts that
-    solve's LP iterations, and every row's cumulative evaluations its
-    evaluations.  Without a Slater point, or when that solve is not
+    The first stage is j0 <= m*, the first restriction at or below the
+    level that the Slater point's certificate and one unrestricted solve on
+    cfg.y0 give (``_slater_stage``); the first row counts that solve's LP
+    iterations, and every row's cumulative evaluations its evaluations and
+    the one of f(x_s).  Without a Slater point, or when that solve is not
     FEASIBLE, the first stage is 0.
 
     Each stage m < m* ends on a point x certified feasible for the program.
-    One unrestricted solve on the stage's points, at gap delta/4, from x and
-    with a cut pool of its own, gives a certified lower bound on the
-    program's optimum; when f(x) exceeds it by at most delta, the run stops
-    there, delta-approximate.  The stage's terminated row counts that
-    solve's LP iterations and evaluations.  Otherwise the restriction
-    shrinks to the first eps / r**j that convexity proves within delta/2 of
-    the optimum, from x's certificate and that bound
+    One unrestricted solve on the stage's points (``_check_gap``) gives a
+    certified lower bound on the program's optimum; when f(x) exceeds it by
+    at most delta, the run stops there, delta-approximate.  The stage's
+    terminated row counts that solve's LP iterations and evaluations and the
+    one of f(x).  Otherwise the restriction shrinks to the first eps / r**j
+    at or below the level of x's certificate and that gap
     (``value_shrink_steps``), with j capped at m* - m, and the next stage is
     m + j; an undecided check gives j = 1.  So at most m* + 1 stages run,
     m* + 1 - j0 when the run starts at j0.
@@ -538,7 +527,9 @@ def run_sequential(
             return budget_outcome(problem, res.x, stages, trace)
         if m == m_star:
             break
-        gap = _certified_gap(problem, stream, cfg.delta, trace)
+        check, gap = _check_gap(problem, stream.points, cfg.delta, stream.x)
+        trace.rows[-1].lp_iters += check.lp_iters
+        trace.rows[-1].oracle_evals += check.evals
         if gap is not None and gap <= cfg.delta:
             break
         j = value_shrink_steps(stream.eps, res.cert.bound, gap, cfg.delta, cfg.r)

@@ -163,17 +163,11 @@ def _batch_values(dp: DiscretizedProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _top_violations(values: np.ndarray) -> list[tuple[int, int]]:
-    """Positions of the CUTS_PER_ITERATE largest entries, ordered by value
-    descending then (family, point) ascending for determinism."""
-    k = CUTS_PER_ITERATE
-    ni, nj = values.shape
-    flat = values.ravel()
-    if flat.size > 4 * k:
-        cand = np.argpartition(-flat, min(4 * k, flat.size - 1))[: 4 * k]
-    else:
-        cand = np.arange(flat.size)
-    order = sorted(cand, key=lambda t: (-flat[t], t // nj, t % nj))
-    return [(int(t // nj), int(t % nj)) for t in order[:k]]
+    """Positions (family, point) of the CUTS_PER_ITERATE largest entries,
+    ordered by value descending; one stable sort of the row-major entries
+    leaves ties in (family, point) order."""
+    order = np.argsort(-values.ravel(), kind="stable")[:CUTS_PER_ITERATE]
+    return [divmod(int(t), values.shape[1]) for t in order]
 
 
 def _box_linear_min(grad: np.ndarray, X) -> float:
@@ -242,7 +236,8 @@ def solve_discretized(
 
     Phase 1 evaluates the rows at the hint (the box center when None), then
     at ``problem.slater_point`` when the hint violates them, and solves LPs
-    only when both do; every point it evaluates adds its cuts to the pool.
+    only when both do; every point it evaluates adds its cuts to the pool,
+    and the first that meets the rows is the anchor.
     """
     if not gap_tol >= 0:  # also false for NaN
         raise InputError("gap_tol must be nonnegative")
@@ -343,17 +338,14 @@ def solve_discretized(
     # ----- phase 1: locate a feasible anchor or certify infeasibility ------
     anchor, anchor_phi = x0, -np.inf
     if m_pts:
-        best_phi, best_x = np.inf, x0
-        # the hint, then the Slater point, then the LP's points
+        # the hint, then the Slater point, then the LP's points; the first
+        # that meets the rows is the anchor
         probes = [x0] if problem.slater_point is None else [x0, problem.slater_point]
         while True:
-            probe = probes.pop(0)
-            phic, vals = phi(probe)
-            add_g_cuts(probe, vals)
-            if phic < best_phi:
-                best_phi, best_x = phic, probe
-            if best_phi <= -dp.eps + FEASTOL:
-                anchor, anchor_phi = best_x, best_phi
+            anchor = probes.pop(0)
+            anchor_phi, vals = phi(anchor)
+            add_g_cuts(anchor, vals)
+            if anchor_phi <= -dp.eps + FEASTOL:
                 break
             if probes:
                 continue

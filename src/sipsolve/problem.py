@@ -384,17 +384,22 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
     def rand_y():
         return Y.lower + rng.random(Y.dim) * Y.widths
 
+    def check_convex(value, subgradient, a, b, lam) -> float:
+        """Fold the convexity inequality at lam * a + (1 - lam) * b and the
+        subgradient cut at a, read at b, of one convex oracle into the
+        report; returns their scale 1 + |value(a)| + |value(b)|."""
+        va, vb = value(a), value(b)
+        scale = 1.0 + abs(va) + abs(vb)
+        viol = (value(lam * a + (1 - lam) * b) - (lam * va + (1 - lam) * vb)) / scale
+        rep.convexity_violation = _worse(rep.convexity_violation, viol)
+        cut = va + float(np.dot(subgradient(a), b - a))
+        rep.subgradient_violation = _worse(rep.subgradient_violation, (cut - vb) / scale)
+        return scale
+
     f = problem.objective
     for _ in range(VALIDATION_SAMPLES):
-        a, b, lam = rand_x(), rand_x(), rng.random()
-        mid = lam * a + (1 - lam) * b
-        scale = 1.0 + abs(f.value(a)) + abs(f.value(b))
-        viol = (f.value(mid) - (lam * f.value(a) + (1 - lam) * f.value(b))) / scale
-        rep.convexity_violation = _worse(rep.convexity_violation, viol)
-        cut = f.value(a) + float(np.dot(f.subgradient(a), b - a))
-        rep.subgradient_violation = _worse(
-            rep.subgradient_violation, (cut - f.value(b)) / scale
-        )
+        a, b = rand_x(), rand_x()
+        scale = check_convex(f.value, f.subgradient, a, b, rng.random())
         if f.lipschitz_constant is not None:
             gap = abs(f.value(a) - f.value(b)) - f.lipschitz_constant * float(
                 np.max(np.abs(a - b))
@@ -404,17 +409,10 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
     for fam in problem.constraints:
         lip_error = None
         for _ in range(VALIDATION_SAMPLES):
-            a, b, y, lam = rand_x(), rand_x(), rand_y(), rng.random()
-            mid = lam * a + (1 - lam) * b
-            scale = 1.0 + abs(fam.value(a, y)) + abs(fam.value(b, y))
-            viol = (
-                fam.value(mid, y)
-                - (lam * fam.value(a, y) + (1 - lam) * fam.value(b, y))
-            ) / scale
-            rep.convexity_violation = _worse(rep.convexity_violation, viol)
-            cut = fam.value(a, y) + float(np.dot(fam.subgradient_x(a, y), b - a))
-            rep.subgradient_violation = _worse(
-                rep.subgradient_violation, (cut - fam.value(b, y)) / scale
+            a, b, y = rand_x(), rand_x(), rand_y()
+            check_convex(
+                lambda x: fam.value(x, y), lambda x: fam.subgradient_x(x, y),
+                a, b, rng.random(),
             )
             x, ya, yb = rand_x(), rand_y(), rand_y()
             try:
@@ -450,15 +448,12 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
                 rep.second_order_violation, gap / (1.0 + abs(gc))
             )
 
-    # ``not v <= tol`` also fails a NaN
-    if not rep.convexity_violation <= VALIDATION_REL_TOL:
-        rep.failures.append(f"convexity violated by {rep.convexity_violation:.3e}")
-    if not rep.subgradient_violation <= VALIDATION_REL_TOL:
-        rep.failures.append(f"subgradient cut violated by {rep.subgradient_violation:.3e}")
-    if not rep.lipschitz_violation <= VALIDATION_REL_TOL:
-        rep.failures.append(f"Lipschitz bound violated by {rep.lipschitz_violation:.3e}")
-    if not rep.second_order_violation <= VALIDATION_REL_TOL:
-        rep.failures.append(
-            f"second-order bound violated by {rep.second_order_violation:.3e}"
-        )
+    for what, viol in (
+        ("convexity", rep.convexity_violation),
+        ("subgradient cut", rep.subgradient_violation),
+        ("Lipschitz bound", rep.lipschitz_violation),
+        ("second-order bound", rep.second_order_violation),
+    ):
+        if not viol <= VALIDATION_REL_TOL:  # also fails a NaN
+            rep.failures.append(f"{what} violated by {viol:.3e}")
     return rep

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sipsolve import core_loop, drivers, finite_solver, lower_level
@@ -208,8 +209,9 @@ class TestRunFeasFinite:
 
 
 class TestShrinkSteps:
-    """eps / r**j for the smallest j >= 1 at or below a level, kept
-    positive: the one shrink rule of both certificates."""
+    """eps / r**j for the smallest j >= 0 at or below a level, kept
+    positive: the one count of restrictions, of m*, the first stage and
+    every shrink (those take max(1, j))."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -217,12 +219,20 @@ class TestShrinkSteps:
         r=st.floats(1.01, 10.0),
         exponent=st.floats(-30.0, 1.0),
     )
+    # at the level, and just above it
+    @example(eps=1.0, r=2.0, exponent=0.0)
+    @example(eps=1.0, r=2.0, exponent=-1e-15)
     def test_smallest_shrink_at_or_below_the_level(self, eps, r, exponent):
         level = eps * 10.0**exponent
         j = drivers.shrink_steps(eps, level, r)
-        assert j >= 1
+        assert j >= 0
+        assert (j == 0) == (eps <= level)
         assert 0 < eps / r**j <= level
-        assert j == 1 or eps / r ** (j - 1) > level
+        assert j == 0 or eps / r ** (j - 1) > level
+        # a shrink moves at least once: max(1, j) is the smallest j >= 1
+        shrink = max(1, j)
+        assert 0 < eps / r**shrink <= level
+        assert shrink == 1 or eps / r ** (shrink - 1) > level
 
     @pytest.mark.parametrize("level", [0.0, -1.0, 1e-320])
     def test_an_unreachable_level_keeps_a_positive_restriction(self, level):
@@ -288,9 +298,8 @@ class TestComputeTerminationIndex:
             compute_termination_index(0.1, 2.0, 4.0, 4.0, 1.0, 2.0, lambda k: 0.1)
 
     def test_restriction_count_is_the_first_stage_inside(self):
-        # m = 0 when eps00 is already inside eps_max = min(eps*, (delta/2)
-        # eps* / (L diam)), else shrink_steps: the first m with
-        # eps00 / r**m <= eps_max, as a plain scan finds it
+        # shrink_steps: the first m >= 0 with eps00 / r**m <= eps_max =
+        # min(eps*, (delta/2) eps* / (L diam)), as a plain scan finds it
         for delta in (1e-4, 1e-2, 1.0, 10.0):
             for eps00 in (1e-3, 0.3, 1.0, 1e3):
                 for r in (1.5, 2.0, 3.0, 10.0):
@@ -311,6 +320,21 @@ class TestComputeTerminationIndex:
         m = compute_termination_index(1e-3, 2.0, 4.0, 4.0, 1.0, r, lambda k: 0.0)
         assert m > drivers.TERMINATION_SCAN_LIMIT
         assert 1.0 / r**m <= eps_max < 1.0 / r ** (m - 1)
+
+    def test_restriction_count_is_the_count_at_the_value_level(self):
+        # m* is the one count at the one level: the Slater point feasible
+        # at eps*, with the a-priori gap L * diam
+        for delta in (1e-6, 1e-2, 1.0, 10.0):
+            for eps_star in (1e-3, 2.0, 50.0):
+                for lip, diam in ((4.0, 4.0), (1e-3, 1.0), (1.0, 0.0)):
+                    for eps00, r in ((1e-3, 2.0), (1.0, 1.5), (1e3, 10.0)):
+                        level = drivers.value_level(eps_star, lip * diam, delta)
+                        got = compute_termination_index(
+                            delta, eps_star, lip, diam, eps00, r, lambda k: 0.0
+                        )
+                        assert got == drivers.shrink_steps(eps00, level, r), (
+                            delta, eps_star, lip, diam, eps00, r,
+                        )
 
     def test_nonincreasing_in_delta(self):
         deltas = np.logspace(-3, 1, 10)
@@ -504,8 +528,9 @@ class TestRunSequential:
     @staticmethod
     def record_stages(monkeypatch):
         """Each stage's (stream, schedule offset, start eps, end eps,
-        result) and each check's gap, in order."""
-        run, certified_gap = drivers.run_feas_finite, drivers._certified_gap
+        result) and each check's gap, in order; with a Slater point the
+        first gap is that of the solve that picks the first stage."""
+        run, check_gap = drivers.run_feas_finite, drivers._check_gap
         stages, gaps = [], []
 
         def recorded(stream, r, schedule, *args, **kwargs):
@@ -515,11 +540,12 @@ class TestRunSequential:
             return res
 
         def recorded_gap(*args):
-            gaps.append(certified_gap(*args))
-            return gaps[-1]
+            check, gap = check_gap(*args)
+            gaps.append(gap)
+            return check, gap
 
         monkeypatch.setattr(drivers, "run_feas_finite", recorded)
-        monkeypatch.setattr(drivers, "_certified_gap", recorded_gap)
+        monkeypatch.setattr(drivers, "_check_gap", recorded_gap)
         return stages, gaps
 
     def test_one_stream_through_every_stage(self, prob_a, monkeypatch):
@@ -565,7 +591,10 @@ class TestRunSequential:
         # a check gap of 1e300 asks for a restriction far below eps00 /
         # r**m*; the skip stops at stage m* = 8, the run's last
         stages, _ = self.record_stages(monkeypatch)
-        monkeypatch.setattr(drivers, "_certified_gap", lambda *args: 1e300)
+        passed = finite_solver.DiscretizedSolveResult(
+            finite_solver.SolveStatus.FEASIBLE, None, 0.0, -1e300, 0.0
+        )
+        monkeypatch.setattr(drivers, "_check_gap", lambda *args: (passed, 1e300))
         cfg = SequentialConfig(
             delta=0.1, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
             rho=0.0, y0=single(0.5),
@@ -630,9 +659,10 @@ class TestSlaterStage:
 
     @staticmethod
     def constant_check_solve(monkeypatch, status, lower, lp_iters=0, evals=0):
+        """Every unrestricted solve of the driver's own comes back the same."""
         monkeypatch.setattr(
-            drivers, "_check_solve",
-            lambda *args: finite_solver.DiscretizedSolveResult(
+            drivers, "solve_discretized",
+            lambda *args, **kwargs: finite_solver.DiscretizedSolveResult(
                 status, None, np.inf, lower, 0.0, lp_iters=lp_iters, evals=evals
             ),
         )
@@ -666,7 +696,8 @@ class TestSlaterStage:
         # finds the maximizer y = 1: the first stage's point x = 0 violates
         # there, and the stage takes two rows.  The first row counts the
         # solve's LP iterations, and every row's cumulative evaluations its
-        # evaluations
+        # evaluations and the one of f(x_s); the stage's last row counts
+        # each later check's and its f(x)
         path = tmp_path / "quad.json"
         path.write_text(json.dumps({
             "x_box": {"lower": [-2.0], "upper": [2.0]},
@@ -694,10 +725,12 @@ class TestSlaterStage:
         # the refinement evaluates g at the one point it keeps or drops
         refine = 1
         assert rows[0].oracle_evals == (
-            seed.evals + step0.evals + certificates[0].evals + refine
+            seed.evals + 1 + step0.evals + certificates[0].evals + refine
         )
+        checks = [res for kind, res in done[2:] if kind == "driver"]
+        assert all(c.status is finite_solver.SolveStatus.FEASIBLE for c in checks)
         assert rows[1].oracle_evals - rows[0].oracle_evals == (
-            sum(res.evals for _, res in done[2:]) + certificates[1].evals
+            sum(res.evals for _, res in done[2:]) + len(checks) + certificates[1].evals
         )
         assert sum(r.lp_iters for r in rows) == sum(res.lp_iters for _, res in done)
 
@@ -1018,7 +1051,7 @@ class TestRunCounts:
         evals = {"steps": [], "checks": [], "certificates": []}
         step_solve, check_solve = core_loop.solve_discretized, drivers.solve_discretized
         certify = core_loop.certified_max
-        hints = []
+        hints, statuses = [], []
 
         def counting(fn, key):
             def wrapped(*args, **kwargs):
@@ -1030,7 +1063,9 @@ class TestRunCounts:
 
         def counted_check(dp, gap, x_hint, pool):
             hints.append(x_hint)
-            return counting(check_solve, "checks")(dp, gap, x_hint=x_hint, pool=pool)
+            res = counting(check_solve, "checks")(dp, gap, x_hint=x_hint, pool=pool)
+            statuses.append(res.status)
+            return res
 
         monkeypatch.setattr(core_loop, "solve_discretized", counting(step_solve, "steps"))
         monkeypatch.setattr(drivers, "solve_discretized", counted_check)
@@ -1043,12 +1078,55 @@ class TestRunCounts:
         out = run_sequential(prob, cfg)
         assert out.status is OutcomeStatus.DELTA_APPROXIMATE
         # one solve from the Slater point before the first stage, one check
-        # after each stage, and the run stops on a passing one
+        # after each stage, and the run stops on a passing one; each of
+        # them is FEASIBLE and also counts its one evaluation of f
         assert len(evals["checks"]) == 1 + out.outer
         assert hints[0] is prob.slater_point
         assert all(h is not prob.slater_point for h in hints[1:])
-        assert out.oracle_evals == sum(sum(v) for v in evals.values())
+        assert all(s is finite_solver.SolveStatus.FEASIBLE for s in statuses)
+        f_evals = len(evals["checks"])
+        assert out.oracle_evals == sum(sum(v) for v in evals.values()) + f_evals
         self.assert_counted(out, tmp_path)
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3])
+    @pytest.mark.parametrize("name", ["instance_A", "instance_B", "regression_R"])
+    def test_sequential_counts_the_objective_it_evaluates(self, monkeypatch, name, delta):
+        # every f evaluation the driver makes outside its finite solves is on
+        # the trace; the outcome's f(x*) belongs to its certification, not
+        # to a step
+        solves, certificates = [], []
+        for module in (core_loop, drivers):
+            inner = module.solve_discretized
+            monkeypatch.setattr(
+                module, "solve_discretized",
+                lambda *a, inner=inner, **k: solves.append(inner(*a, **k)) or solves[-1],
+            )
+        certify = core_loop.certified_max
+        monkeypatch.setattr(
+            core_loop, "certified_max",
+            lambda *args: certificates.append(certify(*args)) or certificates[-1],
+        )
+        prob = builtin(name)
+        value, made = prob.objective.value, []
+
+        def counted(x):
+            caller = sys._getframe(1)
+            if (caller.f_globals["__name__"] == "sipsolve.drivers"
+                    and caller.f_code.co_name != "post_hoc_outcome"):
+                made.append(x)
+            return value(x)
+
+        prob = replace(prob, objective=replace(prob.objective, value=counted))
+        cfg = SequentialConfig(
+            delta=delta, r=2.0, eps00=1.0, schedule=eventually_zero_schedule(0),
+            rho=0.0, y0=default_y0(prob),
+        )
+        out = run_sequential(prob, cfg)
+        assert out.status is OutcomeStatus.DELTA_APPROXIMATE
+        assert made
+        assert out.oracle_evals == (
+            sum(s.evals for s in solves) + sum(c.evals for c in certificates) + len(made)
+        )
 
     def test_simultaneous(self, prob_a, tmp_path):
         y0 = default_y0(prob_a)

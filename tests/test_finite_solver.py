@@ -421,6 +421,31 @@ class TestCutPool:
         assert [float(a[0]) for a, _ in pool.objective.values()] == [3.0, 2.0]
 
 
+class TestTopViolations:
+    """The cuts of an iterate come from its CUTS_PER_ITERATE largest
+    violations, by value descending and then (family, point)."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[0.5, -1.0, 2.0, 0.1]],
+            [[1.0, 0.0], [1.0, 3.0], [0.0, 1.0]],
+            # more than 12 entries, all tied: the first three in row order
+            np.zeros((3, 6)),
+            # more than 12 entries, ties among the largest across families
+            [[0.0, 2.0, 1.0, 2.0, 0.0, 0.0, 2.0], [2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0]],
+        ],
+    )
+    def test_largest_first_ties_in_family_point_order(self, values):
+        values = np.asarray(values, dtype=float)
+        ni, nj = values.shape
+        expected = sorted(
+            ((i, j) for i in range(ni) for j in range(nj)),
+            key=lambda ij: (-values[ij], ij),
+        )[: finite_solver.CUTS_PER_ITERATE]
+        assert finite_solver._top_violations(values) == expected
+
+
 class TestSlaterAnchor:
     """Phase 1 tries the hint, then the problem's Slater point, and only
     then solves LPs."""
