@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import re
 import sys
@@ -89,7 +90,10 @@ def parse_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every ``main``
+    call parses with the same tree."""
     parser = argparse.ArgumentParser(
         prog="sipsolve",
         description="Certified adaptive-discretization solver for convex "

@@ -6,10 +6,11 @@ bound over (family, cell) pairs, held as arrays of cell bounds, center
 values and Lipschitz constants sorted by family.  Each cell is scored by its
 center value plus the Lipschitz overestimate over the cell.  A round drops
 every cell whose score is within the requested gap of the best value found
-in any family, splits every other cell along its longest axis and evaluates
-the children with one ``eval_grid`` call per family (its ``batch_eval``
-when it has one); a call whose root cells already score within the gap
-returns before it builds any frontier array.
+in any family, splits every other cell along its longest axis and makes one
+pass over the families, which evaluates each family's children with one
+``eval_grid`` call (its ``batch_eval`` when it has one); a call whose root
+cells already score within the gap returns before it builds any frontier
+array.
 
 Past the root, a family with ``second_order_in_y_at`` gets its model
 (grad, M) at x once per call.  Its cells then score the smaller of two
@@ -17,11 +18,14 @@ valid bounds: the Lipschitz score, and the Taylor bound g(c) +
 sum_j |dg/dy_j(c)| r_j + 1/2 sum_jk M_jk r_j r_k over a cell with center c
 and half-widths r.  Each such cell is also evaluated at its model vertex
 (hi where dg/dy_j(c) > 0, lo where it is < 0, c where it is 0), which puts
-incumbents on the faces of the box, where centers never lie.  So a round
-prunes at least what the Lipschitz score alone prunes, and a maximum on a
-face with a large outward slope no longer needs cells of width about
-delta / slope.  A call in which no family has the oracle runs the
-Lipschitz rounds alone.
+incumbents on the faces of the box, where centers never lie.  The same
+pass serves the root and every round: for such a family it takes the
+gradient rows at the centers, forms the vertices, and gets the center and
+vertex values from its one ``eval_grid`` call on the centers stacked over
+the vertices.  So a round prunes at least what the Lipschitz score alone
+prunes, and a maximum on a face with a large outward slope no longer needs
+cells of width about delta / slope.  A call in which no family has the
+oracle runs the Lipschitz rounds alone.
 
 The returned value is always the scalar oracle's own ``g_i(x, y_star)``: a
 batch value, of a center or a vertex, that beats the incumbent is
@@ -147,18 +151,75 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
     # second-order models, built only once the root fails; a call without
     # any keeps the Lipschitz scores alone
     models = [fam.second_order_model(p) for fam in families]
-    if all(model is None for model in models):
-        models = None
-    else:
-        taylor, vertices, vertex_vals, n = _second_order(
-            families, models, edges, p, lo, hi, np.array(centers), val
-        )
-        evals += n
+    modeled = any(model is not None for model in models)
+
+    def family_pass(val=None, exact=None):
+        """One pass over the families at the frontier (lo, hi, edges).  It
+        takes the center values, unless ``val`` holds them (the root's scalar
+        values), with the rows ``exact`` marks from the scalar oracle; then,
+        for each family with a model, the gradient rows at the centers, the
+        model vertices and their values (from the same ``eval_grid`` call,
+        centers stacked over vertices) and the Taylor scores.  Offers the new
+        center values, then the vertex values, as incumbents.  Returns the
+        center values and the Taylor scores (+inf for a family without a
+        model), None when no family has a model."""
+        nonlocal best_val, best_y, best_fam, evals
+        centers = 0.5 * (lo + hi)
+        fresh = val is None
+        if fresh:
+            val = np.empty(len(lo))
+            evals += len(lo)
+        if modeled:
+            half = 0.5 * (hi - lo)
+            taylor = np.full(len(lo), np.inf)
+            vertices = centers.copy()
+            vertex_vals = np.full(len(lo), -np.inf)
+        for fam, model, a, b in zip(families, models, edges, edges[1:]):
+            if a == b or (model is None and not fresh):
+                continue
+            c = centers[a:b]
+            n = len(c) if fresh else 0
+            ys = c[:n]
+            if model is not None:
+                grad, M = model
+                g = np.asarray(grad(c), dtype=float)
+                vertices[a:b] = np.where(g > 0, hi[a:b], np.where(g < 0, lo[a:b], c))
+                ys = np.concatenate((ys, vertices[a:b]))
+                evals += 2 * int(b - a)
+            v = fam.eval_grid(p, ys)
+            if fresh:
+                val[a:b] = v[:n]
+                # the children of a cell at float resolution are its exact
+                # endpoints; the scalar oracle scores them, so once they
+                # update the incumbent they can never outscore it
+                if exact is not None:
+                    for i in np.flatnonzero(exact[a:b]):
+                        val[a + i] = s = float(fam.value(p, c[i]))
+                        fam.require_finite(math.isfinite(s))
+                        if s > best_val:
+                            best_val, best_y, best_fam = s, c[i], fam
+            if model is not None:
+                # checked after the family's values (a NaN row's vertex is
+                # its center), so a family names a bad value first
+                fam.require_finite(np.isfinite(g).all(), "y-gradient")
+                vertex_vals[a:b] = v[n:]
+                r = half[a:b]
+                taylor[a:b] = (
+                    val[a:b] + (np.abs(g) * r).sum(axis=1)
+                    + 0.5 * ((r @ M) * r).sum(axis=1)
+                )
+        if fresh:
+            offer(val, centers)
+        if not modeled:
+            return val, None
         offer(vertex_vals, vertices)
+        return val, taylor
+
+    val, taylor = family_pass(val)
     while True:
         width = hi - lo
         score = val + lip * (0.5 * width.max(axis=1))
-        if models is not None:
+        if taylor is not None:
             score = np.minimum(score, taylor)
         upper = max(float(score.max()), dropped)
         if (done := certificate(upper)) is not None:
@@ -176,65 +237,7 @@ def certified_max(families, x, delta: float) -> CertifiedMax:
             )
         lo, hi, floor = _split(lo, hi, width.argmax(axis=1))
         lip, edges = lip.repeat(2), [2 * e for e in edges]
-        centers = 0.5 * (lo + hi)
-        # the children of a cell at float resolution are its exact
-        # endpoints; the scalar oracle scores them, so once they update
-        # the incumbent they can never outscore it
-        exact = floor.repeat(2) if floor.any() else None
-        val = np.empty(len(lo))
-        for fam, a, b in zip(families, edges, edges[1:]):
-            if a == b:
-                continue
-            v, c = val[a:b], centers[a:b]
-            v[:] = fam.eval_grid(p, c)
-            if exact is not None:
-                for i in np.flatnonzero(exact[a:b]):
-                    v[i] = s = float(fam.value(p, c[i]))
-                    fam.require_finite(math.isfinite(s))
-                    if s > best_val:
-                        best_val, best_y, best_fam = s, c[i], fam
-        evals += len(val)
-        offer(val, centers)
-        if models is not None:
-            taylor, vertices, vertex_vals, n = _second_order(
-                families, models, edges, p, lo, hi, centers, val
-            )
-            evals += n
-            offer(vertex_vals, vertices)
-
-
-def _second_order(families, models, edges, p, lo, hi, centers, val):
-    """Second-order scores, model vertices and vertex values of the cells,
-    plus the evaluations spent: one gradient row and one value per cell of
-    a family with a model.
-
-    A cell with center c, half-widths r and center value g(c) of a family
-    with a model (grad, M) scores g(c) + sum_j |dg/dy_j(c)| r_j +
-    1/2 sum_jk M_jk r_j r_k, which bounds g over the cell by Taylor's
-    theorem; its vertex is hi where dg/dy_j(c) > 0, lo where it is < 0 and
-    c elsewhere, the maximizer of the model's linear part.  Cells of a
-    family without a model score +inf and their vertex value is -inf.
-    """
-    half = 0.5 * (hi - lo)
-    taylor = np.full(len(lo), np.inf)
-    vertices = centers.copy()
-    vertex_vals = np.full(len(lo), -np.inf)
-    evals = 0
-    for fam, model, a, b in zip(families, models, edges, edges[1:]):
-        if model is None or a == b:
-            continue
-        grad, M = model
-        g = np.asarray(grad(centers[a:b]), dtype=float)
-        fam.require_finite(np.isfinite(g).all(), "y-gradient")
-        r = half[a:b]
-        taylor[a:b] = (
-            val[a:b] + (np.abs(g) * r).sum(axis=1) + 0.5 * ((r @ M) * r).sum(axis=1)
-        )
-        c = centers[a:b]
-        vertices[a:b] = np.where(g > 0, hi[a:b], np.where(g < 0, lo[a:b], c))
-        vertex_vals[a:b] = fam.eval_grid(p, vertices[a:b])
-        evals += 2 * int(b - a)
-    return taylor, vertices, vertex_vals, evals
+        val, taylor = family_pass(exact=floor.repeat(2) if floor.any() else None)
 
 
 def _split(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray):
@@ -249,4 +252,3 @@ def _split(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray):
     child_hi[::2][rows, axis] = np.where(floor, a, mid)
     child_lo[1::2][rows, axis] = np.where(floor, b, mid)
     return child_lo, child_hi, floor
-

@@ -146,12 +146,14 @@ def affine_polynomial_family(
             memo = (key, w)
         return w
 
+    # the oracles call the ufunc reductions behind np.prod and .sum directly,
+    # which skips their per-call wrappers; the lower level calls them often
     def mono(ys: np.ndarray) -> np.ndarray:
-        return np.prod(ys[:, None, :] ** E_float[None, :, :], axis=2)
+        return np.multiply.reduce(ys[:, None, :] ** E_float[None, :, :], axis=2)
 
     def batch_eval(x, ys):
         ys = np.asarray(ys, dtype=float).reshape(-1, y_box.dim)
-        return (mono(ys) * weights(x)).sum(axis=1)
+        return np.add.reduce(mono(ys) * weights(x), axis=1)
 
     def value(x, y):
         return float(batch_eval(x, y)[0])
@@ -183,7 +185,8 @@ def affine_polynomial_family(
 
         def grad(ys):
             ys = np.asarray(ys, dtype=float).reshape(-1, y_box.dim)
-            return (np.prod(ys[:, None, None] ** GE, axis=3) * gw).sum(axis=2)
+            monos = np.multiply.reduce(ys[:, None, None] ** GE, axis=3)  # (N, q, T)
+            return np.add.reduce(monos * gw, axis=2)
 
         return grad, np.tensordot(np.abs(w), F, axes=1)
 

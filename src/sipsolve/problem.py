@@ -384,24 +384,25 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
     def rand_y():
         return Y.lower + rng.random(Y.dim) * Y.widths
 
-    def check_convex(value, subgradient, a, b, lam) -> float:
+    def check_convex(value, subgradient, a, b, lam):
         """Fold the convexity inequality at lam * a + (1 - lam) * b and the
         subgradient cut at a, read at b, of one convex oracle into the
-        report; returns their scale 1 + |value(a)| + |value(b)|."""
+        report; returns value(a), value(b) and their scale
+        1 + |value(a)| + |value(b)|."""
         va, vb = value(a), value(b)
         scale = 1.0 + abs(va) + abs(vb)
         viol = (value(lam * a + (1 - lam) * b) - (lam * va + (1 - lam) * vb)) / scale
         rep.convexity_violation = _worse(rep.convexity_violation, viol)
         cut = va + float(np.dot(subgradient(a), b - a))
         rep.subgradient_violation = _worse(rep.subgradient_violation, (cut - vb) / scale)
-        return scale
+        return va, vb, scale
 
     f = problem.objective
     for _ in range(VALIDATION_SAMPLES):
         a, b = rand_x(), rand_x()
-        scale = check_convex(f.value, f.subgradient, a, b, rng.random())
+        va, vb, scale = check_convex(f.value, f.subgradient, a, b, rng.random())
         if f.lipschitz_constant is not None:
-            gap = abs(f.value(a) - f.value(b)) - f.lipschitz_constant * float(
+            gap = abs(va - vb) - f.lipschitz_constant * float(
                 np.max(np.abs(a - b))
             )
             rep.lipschitz_violation = _worse(rep.lipschitz_violation, gap / scale)
@@ -420,12 +421,9 @@ def validate_problem(problem: SipProblem) -> OracleCheckReport:
             except InputError as exc:
                 lip_error = lip_error or str(exc)
                 continue
-            gap = abs(fam.value(x, ya) - fam.value(x, yb)) - lip * float(
-                np.max(np.abs(ya - yb))
-            )
-            rep.lipschitz_violation = _worse(
-                rep.lipschitz_violation, gap / (1.0 + abs(fam.value(x, ya)))
-            )
+            va = fam.value(x, ya)
+            gap = abs(va - fam.value(x, yb)) - lip * float(np.max(np.abs(ya - yb)))
+            rep.lipschitz_violation = _worse(rep.lipschitz_violation, gap / (1.0 + abs(va)))
         if lip_error is not None:
             rep.failures.append(lip_error)
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipsolve import lower_level
+from sipsolve import core_loop, lower_level
+from sipsolve.core_loop import CoreConfig, eventually_zero_schedule
 from sipsolve.errors import CertificationError, InputError
-from sipsolve.instances import random_affine_instance
+from sipsolve.instances import default_y0, random_affine_instance
 from sipsolve.lower_level import certified_max
 from sipsolve.polynomials import Polynomial, affine_polynomial_family
 from sipsolve.problem import BoxDomain, ConstraintFamily
@@ -320,6 +321,21 @@ class TestCertifiedMaxCases:
         assert cm.value == self.forward(None, cm.y_star)
         assert cm.gap <= 1e-9
 
+    def test_batch_as_a_column_or_a_list(self):
+        # eval_grid reads a batch that is not a float64 vector as the same
+        # values, so the call certifies the same maximum
+        box = BoxDomain([0.0], [1.0])
+        vector_fam = _family(self.forward, 40.0, box, self.backward)
+        vector = certified_max([vector_fam], np.zeros(1), 1e-6)
+        for form in (lambda v: v[:, None], lambda v: v.tolist()):
+            fam = _family(
+                self.forward, 40.0, box,
+                batch_eval=lambda x, ys, form=form: form(self.backward(x, ys)),
+            )
+            cm = certified_max([fam], np.zeros(1), 1e-6)
+            assert cm.y_star.tobytes() == vector.y_star.tobytes()
+            assert (cm.value, cm.gap, cm.evals) == (vector.value, vector.gap, vector.evals)
+
     def test_without_batch_eval(self):
         box = BoxDomain([-1.0, 0.0], [1.0, 2.0])
 
@@ -349,6 +365,26 @@ class TestCertifiedMaxCases:
         assert cm.value == 2.0 * b
         assert cm.gap == 0.0
         assert cm.evals == 3
+
+    def test_box_one_ulp_wide_with_a_model(self):
+        # g = -1e20 y on [1, 1 + ulp]: the root's center and model vertex are
+        # both y = 1, and its scores exceed g(1) by about 1e4, so the call
+        # splits the root into its exact endpoints, which the scalar oracle
+        # scores before their (zero-width) Taylor scores are formed
+        a = 1.0
+        b = float(np.nextafter(a, 2.0))
+        box = BoxDomain([a], [b])
+        slope = Polynomial(np.array([[1]]), np.array([-1e20]))
+        fam = affine_polynomial_family(
+            0, [Polynomial.zero(1)], slope, BoxDomain([-1.0], [1.0]), box
+        )
+        cm = certified_max([fam], np.zeros(1), 1e-12)
+        assert cm.y_star[0] == a
+        assert cm.value == -1e20
+        assert cm.gap == 0.0
+        # the root's value, gradient row and vertex, then two children with
+        # a value, a gradient row and a vertex each
+        assert cm.evals == 9
 
     def test_two_tents_with_known_supremum(self):
         # g = max of two tents of slope L, one peaking at exactly 1 and one a
@@ -405,6 +441,46 @@ class TestNonFiniteOracle:
         fam = _family(lambda x, y: np.inf, 0.0, BoxDomain([0.0], [1.0]))
         with pytest.raises(InputError, match="non-finite"):
             certified_max([fam], np.zeros(1), 1e-6)
+
+    @staticmethod
+    def _modeled(bad_values):
+        # b(y) = 1.8 y - y^2 on [0, 1], whose y-gradient is NaN on (0.7, 0.8),
+        # and so are its batch values when ``bad_values``: the root (center
+        # 0.5, vertex 1) is finite, the child center 0.75 is not
+        box = BoxDomain([0.0], [1.0])
+        b = Polynomial(np.array([[1], [2]]), np.array([1.8, -1.0]))
+        fam = affine_polynomial_family(0, [Polynomial.zero(1)], b, BoxDomain([-1.0], [1.0]), box)
+        model, batch = fam.second_order_in_y_at, fam.batch_eval
+
+        def hole(ys, v):
+            ys = np.asarray(ys, dtype=float)[:, 0]
+            return np.where((ys > 0.7) & (ys < 0.8), np.nan, v)
+
+        def second_order(x):
+            grad, M = model(x)
+            return (lambda ys: hole(ys, grad(ys).T).T), M
+
+        def batch_eval(x, ys):
+            return hole(ys, batch(x, ys)) if bad_values else batch(x, ys)
+
+        return replace(fam, second_order_in_y_at=second_order, batch_eval=batch_eval)
+
+    def test_a_family_names_its_value_before_its_gradient(self):
+        with pytest.raises(InputError, match="family 0 returned a non-finite value"):
+            certified_max([self._modeled(True)], np.zeros(1), 1e-6)
+
+    def test_families_are_checked_in_order(self):
+        # family 0's gradient and family 1's value are both NaN at y = 0.75;
+        # the one pass over the families reaches family 0's rows first
+        other = replace(
+            _family(
+                lambda x, y: float(self._g(y[0])), 10.0, BoxDomain([0.0], [1.0]),
+                batch_eval=lambda x, ys: self._g(ys[:, 0]),
+            ),
+            index=1,
+        )
+        with pytest.raises(InputError, match="family 0 returned a non-finite y-gradient"):
+            certified_max([self._modeled(False), other], np.zeros(1), 1e-6)
 
 
 class TestDeclaredBounds:
@@ -554,3 +630,81 @@ class TestSecondOrderModel:
         fam = affine_polynomial_family(0, [Polynomial.zero(1)], y, BoxDomain([-1.0], [1.0]), box)
         cm = certified_max([fam], np.zeros(1), 0.4)
         assert (cm.value, cm.gap, cm.evals) == (1.0, 0.0, 4)
+
+
+def _two_calls(fam):
+    """``fam`` with a batch_eval that evaluates each half of an even batch
+    in its own call: the order in which a round evaluated a modeled family's
+    centers, then its vertices, before one call took both."""
+    batch = fam.batch_eval
+
+    def split(x, ys):
+        n, odd = divmod(len(ys), 2)
+        if odd:
+            return batch(x, ys)
+        return np.concatenate((batch(x, ys[:n]), batch(x, ys[n:])))
+
+    return replace(fam, batch_eval=split)
+
+
+class TestOneFamilyPass:
+    """A round evaluates a modeled family's centers stacked over its
+    vertices in one eval_grid call.  That keeps every bit of the two-call
+    order only while a row's value does not depend on the batch it is in,
+    which these tests check on the runner's own SIMD path."""
+
+    def test_stacked_rows_equal_separate_calls(self):
+        for seed in range(40):
+            prob = random_affine_instance(seed)
+            X = prob.x_domain
+            rng = np.random.default_rng(seed)
+            for fam in prob.constraints:
+                Y = fam.y_domain
+                for n in (1, 2, 3, 7, 8, 9, 33):
+                    x = X.lower + rng.random(X.dim) * X.widths
+                    ys = Y.lower + rng.random((2 * n, Y.dim)) * Y.widths
+                    stacked = fam.eval_grid(x, ys)
+                    halves = np.concatenate((fam.eval_grid(x, ys[:n]), fam.eval_grid(x, ys[n:])))
+                    rows = np.array([fam.eval_grid(x, y[None])[0] for y in ys])
+                    assert stacked.tobytes() == halves.tobytes() == rows.tobytes()
+
+    @staticmethod
+    def assert_same(families, x, delta):
+        cm = certified_max(families, x, delta)
+        ref = certified_max([_two_calls(fam) for fam in families], x, delta)
+        assert cm.y_star.tobytes() == ref.y_star.tobytes()
+        assert (cm.value, cm.gap, cm.family, cm.evals) == (
+            ref.value, ref.gap, ref.family, ref.evals
+        )
+        assert type(cm.evals) is int
+        return cm
+
+    def test_random_core_certificates(self, monkeypatch):
+        # c04's grid (eps in {0.5, 0.1} x rho in {0, inf}) over
+        # random_affine_instance(0..5), the benchmark's random_core solves
+        calls = []
+
+        def recording(families, x, delta):
+            calls.append((families, x.copy(), delta))
+            return certified_max(families, x, delta)
+
+        monkeypatch.setattr(core_loop, "certified_max", recording)
+        for seed in range(6):
+            prob = random_affine_instance(seed)
+            for eps in (0.5, 0.1):
+                for rho in (0.0, np.inf):
+                    core_loop.run_core(prob, CoreConfig(
+                        eps=eps, rho=rho, schedule=eventually_zero_schedule(0),
+                        y0=default_y0(prob), max_iters=10_000,
+                    ))
+        assert calls
+        for families, x, delta in calls:
+            self.assert_same(families, x, delta)
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-4, 1e-7])
+    def test_random_points(self, delta):
+        for seed in range(20):
+            prob = random_affine_instance(seed)
+            X = prob.x_domain
+            x = X.lower + np.random.default_rng(seed).random(X.dim) * X.widths
+            self.assert_same(list(prob.constraints), x, delta)

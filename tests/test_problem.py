@@ -5,9 +5,10 @@ import pytest
 
 from sipsolve.drivers import compute_termination_index
 from sipsolve.errors import InputError
-from sipsolve.instances import instance_a, instance_b, quasiconvex_gap
+from sipsolve.instances import instance_a, instance_b, quasiconvex_gap, random_affine_instance
 from sipsolve.problem import (
     SLATER_DELTA,
+    VALIDATION_SAMPLES,
     BoxDomain,
     ConvexObjective,
     QuadraticForm,
@@ -263,6 +264,33 @@ class TestOracleValidation:
             f"constraint family {fam.index} returned a per-x Lipschitz "
             f"constant {lip!r}; it must be nonnegative"
         ]
+
+    @pytest.mark.parametrize("build", [instance_b, lambda: random_affine_instance(4)],
+                             ids=["instance_B", "random_4"])
+    def test_each_point_is_evaluated_once(self, build):
+        # every check reads the values it needs from one call per point
+        prob = build()
+        calls = []
+
+        def counted(name, value):
+            def wrapped(*args):
+                calls.append((name, *(np.asarray(a).tobytes() for a in args)))
+                return value(*args)
+            return wrapped
+
+        objective = replace(prob.objective, value=counted("f", prob.objective.value))
+        families = tuple(
+            replace(fam, value=counted(fam.index, fam.value)) for fam in prob.constraints
+        )
+        validate_problem(replace(prob, objective=objective, constraints=families))
+        assert len(set(calls)) == len(calls)
+        n = VALIDATION_SAMPLES
+        # three values per convexity sample; a family adds two per Lipschitz
+        # sample and, with a model, two per second-order sample
+        assert sum(call[0] == "f" for call in calls) == 3 * n
+        for fam in prob.constraints:
+            per_sample = 7 if fam.second_order_in_y_at is not None else 5
+            assert sum(call[0] == fam.index for call in calls) == per_sample * n
 
     def test_regression_instance_passes(self, spec_r):
         from sipsolve.regression import build_problem
